@@ -13,21 +13,19 @@
 ///                    CI; how to read the numbers is documented in
 ///                    DESIGN.md ("Kernel performance model").
 ///
-/// This translation unit replaces global operator new/delete with
-/// counting versions, so allocations per event can be reported exactly.
-/// The counters are process-wide but only this binary opts in.
+/// This binary opts into the counting operator new/delete of
+/// bench_util.hpp, so allocations per event can be reported exactly.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
+#define NGGCS_BENCH_COUNTING_ALLOCATOR
 #include "bench/bench_util.hpp"
 #include "core/stack.hpp"
 #include "kernel/attr.hpp"
@@ -35,61 +33,6 @@
 #include "replication/state_machine.hpp"
 #include "sim/network.hpp"
 #include "util/codec.hpp"
-
-// --------------------------------------------------------------------------
-// Counting allocator: every path into the heap increments a counter. Used
-// to verify the zero-allocation steady-state claim of the timer engine.
-// --------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_frees{0};
-
-struct AllocSnapshot {
-  std::uint64_t allocs;
-  std::uint64_t frees;
-};
-
-AllocSnapshot alloc_snapshot() {
-  return {g_allocs.load(std::memory_order_relaxed), g_frees.load(std::memory_order_relaxed)};
-}
-
-void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t size, std::size_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t rounded = (size + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded ? rounded : align)) return p;
-  throw std::bad_alloc();
-}
-
-void counted_free(void* p) noexcept {
-  if (!p) return;
-  g_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
 
 namespace gcs {
 namespace {

@@ -193,3 +193,66 @@ inline std::string json_num(double v) {
 }
 
 }  // namespace gcs::bench
+
+// --------------------------------------------------------------------------
+// Counting allocator: every path into the heap increments a counter, so a
+// suite can report allocations per event or per delivery exactly. A binary
+// opts in by defining NGGCS_BENCH_COUNTING_ALLOCATOR before including this
+// header in exactly one translation unit; the replacement operator new and
+// delete are then process-wide for that binary only.
+// --------------------------------------------------------------------------
+#ifdef NGGCS_BENCH_COUNTING_ALLOCATOR
+#include <atomic>
+#include <cstdint>
+#include <new>
+
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_frees{0};
+
+struct AllocSnapshot {
+  std::uint64_t allocs;
+  std::uint64_t frees;
+};
+
+AllocSnapshot alloc_snapshot() {
+  return {g_allocs.load(std::memory_order_relaxed), g_frees.load(std::memory_order_relaxed)};
+}
+
+void* counted_alloc(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_aligned_alloc(std::size_t size, std::size_t align) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t rounded = (size + align - 1) / align * align;
+  if (void* p = std::aligned_alloc(align, rounded ? rounded : align)) return p;
+  throw std::bad_alloc();
+}
+
+void counted_free(void* p) noexcept {
+  if (!p) return;
+  g_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
+#endif  // NGGCS_BENCH_COUNTING_ALLOCATOR

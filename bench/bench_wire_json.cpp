@@ -7,78 +7,23 @@
 /// proposals and GB resolution reports, so its consensus traffic should be
 /// independent of payload size — that is the claim this report measures.
 ///
-/// This translation unit replaces global operator new/delete with counting
-/// versions (same idiom as bench_e7_micro), which also powers the GB
+/// This binary opts into the counting operator new/delete of bench_util.hpp
+/// (as bench_e7_micro does), which also powers the GB
 /// fast-path steady-state allocation check: after warm-up, a commutative
 /// gbcast workload must not grow the heap per delivery (pooled wire
 /// buffers, recycled map nodes). The check failing flips the exit status.
 ///
 ///   ./bench/bench_wire_json [--json=PATH]   (default BENCH_wire.json)
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <new>
 #include <string>
 #include <vector>
 
+#define NGGCS_BENCH_COUNTING_ALLOCATOR
 #include "bench/bench_util.hpp"
 #include "obs/telemetry.hpp"
-
-// --------------------------------------------------------------------------
-// Counting allocator (see bench_e7_micro.cpp for the rationale).
-// --------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_frees{0};
-
-struct AllocSnapshot {
-  std::uint64_t allocs;
-  std::uint64_t frees;
-};
-
-AllocSnapshot alloc_snapshot() {
-  return {g_allocs.load(std::memory_order_relaxed), g_frees.load(std::memory_order_relaxed)};
-}
-
-void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t size, std::size_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t rounded = (size + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded ? rounded : align)) return p;
-  throw std::bad_alloc();
-}
-
-void counted_free(void* p) noexcept {
-  if (!p) return;
-  g_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
 
 namespace gcs::bench {
 namespace {

@@ -39,22 +39,6 @@ AtomicBroadcast::AtomicBroadcast(sim::Context& ctx, ReliableBroadcast& rbcast,
     channel_->subscribe(Tag::kAbcast,
                         [this](ProcessId from, BytesView b) { on_channel_message(from, b); });
   }
-  // Garbage collection: once a message is stable (received by every
-  // member), the rbcast below suppresses any late relay of it, so our
-  // dedup entry can go. The per-sender index makes each event O(stable
-  // prefix) — erase a contiguous seq range — instead of a scan of every
-  // id ever adelivered. Payloads in store_ are NOT pruned here: a stable
-  // message may still be awaiting its ordering decision, so the store is
-  // tail-GC'd by delivery instance instead (see process_decisions).
-  rbcast_.on_stable([this](ProcessId sender, std::uint64_t upto) {
-    ++gc_steps_;
-    auto it = adelivered_.find(sender);
-    if (it == adelivered_.end()) return;
-    auto& seqs = it->second;
-    const auto end = seqs.lower_bound(upto);
-    gc_steps_ += static_cast<std::uint64_t>(std::distance(seqs.begin(), end));
-    seqs.erase(seqs.begin(), end);
-  });
 }
 
 void AtomicBroadcast::init(std::vector<ProcessId> members, std::uint64_t first_instance) {
@@ -76,11 +60,15 @@ bool AtomicBroadcast::is_member() const {
 
 bool AtomicBroadcast::is_adelivered(const MsgId& id) const {
   auto it = adelivered_.find(id.sender);
-  return it != adelivered_.end() && it->second.count(id.seq) > 0;
+  return it != adelivered_.end() && it->second.contains(id.seq);
 }
 
 bool AtomicBroadcast::mark_adelivered(const MsgId& id) {
-  return adelivered_[id.sender].insert(id.seq).second;
+  DeliveredIndex& idx = adelivered_[id.sender];
+  const std::uint64_t floor = idx.floor;
+  const bool fresh = idx.insert(id.seq);
+  gc_steps_ += idx.floor - floor;
+  return fresh;
 }
 
 MsgId AtomicBroadcast::abcast(SubTag subtag, Payload payload) {
@@ -113,10 +101,11 @@ Bytes AtomicBroadcast::snapshot() const {
   enc.put_vector(members_, [](Encoder& e, ProcessId p) { e.put_i32(p); });
   enc.put_u64(next_instance_);
   std::uint64_t count = 0;
-  for (const auto& [sender, seqs] : adelivered_) count += seqs.size();
+  for (const auto& [sender, idx] : adelivered_) count += idx.floor + idx.beyond.size();
   enc.put_u64(count);
-  for (const auto& [sender, seqs] : adelivered_) {
-    for (const std::uint64_t seq : seqs) enc.put_msgid(MsgId{sender, seq});
+  for (const auto& [sender, idx] : adelivered_) {
+    for (std::uint64_t seq = 0; seq < idx.floor; ++seq) enc.put_msgid(MsgId{sender, seq});
+    for (const std::uint64_t seq : idx.beyond) enc.put_msgid(MsgId{sender, seq});
   }
   enc.put_bytes(rbcast_.stability_snapshot());
   return enc.take();
@@ -127,17 +116,15 @@ void AtomicBroadcast::restore(BytesView snapshot) {
   auto members = dec.get_vector<ProcessId>([](Decoder& d) { return d.get_i32(); });
   const std::uint64_t next = dec.get_u64();
   const std::uint64_t count = dec.get_u64();
-  std::map<ProcessId, std::set<std::uint64_t>> delivered;
-  for (std::uint64_t i = 0; i < count && dec.ok(); ++i) {
-    const MsgId id = dec.get_msgid();
-    delivered[id.sender].insert(id.seq);
-  }
+  std::vector<MsgId> delivered;
+  for (std::uint64_t i = 0; i < count && dec.ok(); ++i) delivered.push_back(dec.get_msgid());
   const BytesView stability = dec.get_view();
   if (!dec.ok()) return;
   rbcast_.restore_stability(stability);
   members_ = std::move(members);
   next_instance_ = next;
-  adelivered_ = std::move(delivered);
+  adelivered_.clear();
+  for (const MsgId& id : delivered) mark_adelivered(id);
   // Discard anything learned while not a member: old pending messages are
   // either already delivered (covered by adelivered_) or will reappear in
   // future decisions, with payloads resolved via the store or a pull.

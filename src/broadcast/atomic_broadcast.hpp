@@ -41,6 +41,7 @@
 #include "consensus/consensus.hpp"
 #include "consensus/consensus_protocol.hpp"
 #include "sim/context.hpp"
+#include "util/delivered_index.hpp"
 
 namespace gcs {
 
@@ -142,10 +143,10 @@ class AtomicBroadcast {
   /// boundedness of the tail-GC'd store).
   std::size_t store_size() const { return store_.size(); }
 
-  /// Total work performed by the stability GC over the adelivered dedup
-  /// index, in erased-entries (+1 per event). The per-sender index makes
-  /// this O(prefix) per event; the regression test bounds it against the
-  /// full-set-scan behavior it replaced.
+  /// Total work performed by the GC of the adelivered dedup index, in ids
+  /// retired below a sender's watermark. Each id retires once, so this is
+  /// O(deliveries); the regression test bounds it against the
+  /// full-set-scan behavior of earlier versions.
   std::uint64_t stability_gc_steps() const { return gc_steps_; }
 
   /// Oracle taps. The delivery observer reports the global total-order
@@ -235,9 +236,10 @@ class AtomicBroadcast {
   double ctl_rtt_sum_ = 0;
   std::map<MsgId, PendingMeta> pending_;  // rdelivered, not yet ordered
   std::map<MsgId, Stored> store_;         // payloads for delivery + pull serving
-  // Adelivered dedup, indexed per sender so the stability GC erases the
-  // stable prefix instead of scanning the whole set (satellite fix).
-  std::map<ProcessId, std::set<std::uint64_t>> adelivered_;
+  // Adelivered dedup, per sender and watermark-compressed. It shrinks by
+  // local delivery alone: a message received everywhere (stable) may still
+  // ride in a later pipelined decision, which must find it here.
+  std::map<ProcessId, DeliveredIndex> adelivered_;
   std::uint64_t gc_steps_ = 0;
   std::map<std::uint64_t, Bytes> decision_buffer_;  // out-of-order decisions
   // Instances whose decision is parked behind an undecided gap (pipelining

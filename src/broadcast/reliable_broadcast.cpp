@@ -200,7 +200,6 @@ void ReliableBroadcast::recompute_floors() {
       seqs.erase(seqs.begin(), end);
     }
     ctx_.metrics().inc(m_stability_pruned_);
-    for (const auto& fn : stable_fns_) fn(sender, floor);
   }
 }
 

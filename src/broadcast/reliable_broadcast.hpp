@@ -13,9 +13,11 @@
 /// group-wide minimum is the stability floor. Everything at or below the
 /// floor can be forgotten: the duplicate check for old ids becomes a seq
 /// comparison instead of a set lookup, so dedup memory stays bounded on
-/// long runs. Upper layers subscribe to on_stable() to prune their own
-/// dedup state. A crashed member freezes the floor until the membership
-/// excludes it — one more reason exclusions matter (paper §3.3.2).
+/// long runs. Upper layers do not prune by stability: a stable message may
+/// still appear in a later ordering decision, so atomic broadcast collects
+/// its dedup index by local delivery instead. A crashed member freezes the
+/// floor until the membership excludes it — one more reason exclusions
+/// matter (paper §3.3.2).
 #pragma once
 
 #include <functional>
@@ -34,8 +36,6 @@ class ReliableBroadcast {
   /// Delivery hands a view of the payload valid only for the call; layers
   /// that keep the bytes copy them into their own stores.
   using DeliverFn = std::function<void(const MsgId& id, BytesView payload)>;
-  /// Everything from \p sender with seq <= \p upto is stable group-wide.
-  using StableFn = std::function<void(ProcessId sender, std::uint64_t upto)>;
 
   /// \param tag distinct wire tag per instance, so independent rbcast
   ///            streams (e.g. atomic broadcast's vs generic broadcast's)
@@ -69,10 +69,6 @@ class ReliableBroadcast {
   /// Start gossiping watermarks every \p interval and pruning dedup state
   /// as the floor advances. Off by default (bounded runs don't need it).
   void enable_stability(Duration interval);
-
-  /// Fired whenever the stability floor advances for a sender; upper
-  /// layers prune their dedup state for (sender, <= upto).
-  void on_stable(StableFn fn) { stable_fns_.push_back(std::move(fn)); }
 
   /// Current stability floor for \p sender (0 = nothing known stable;
   /// floors are "number of stable messages", i.e. seqs < floor are stable).
@@ -135,7 +131,6 @@ class ReliableBroadcast {
   std::map<ProcessId, std::map<ProcessId, std::uint64_t>> peer_watermarks_;
   // Group-wide minimum: seqs < floor are stable and forgotten.
   std::map<ProcessId, std::uint64_t> stable_floor_;
-  std::vector<StableFn> stable_fns_;
 };
 
 }  // namespace gcs

@@ -1,5 +1,7 @@
 #include "channel/reliable_channel.hpp"
 
+#include <algorithm>
+
 #include "util/codec.hpp"
 
 namespace gcs {
@@ -57,12 +59,14 @@ void ReliableChannel::pump(ProcessId to, PeerOut& peer) {
   }
   // Transmit queued messages while the flow-control window has room.
   // (With send_window == 0 everything goes immediately.)
-  for (auto& [seq, msg] : peer.unacked) {
-    if (config_.send_window > 0 && peer.in_flight >= config_.send_window) break;
-    if (msg.first_sent != kNeverSent) continue;
-    msg.first_sent = ctx_.now();
+  ++pump_steps_;
+  for (auto it = peer.unacked.lower_bound(peer.next_unsent);
+       it != peer.unacked.end() && window_open(peer); ++it) {
+    ++pump_steps_;
+    it->second.first_sent = ctx_.now();
     ++peer.in_flight;
-    transmit(to, seq, msg);
+    peer.next_unsent = it->first + 1;
+    transmit(to, it->first, it->second);
   }
   update_fc_stall(to, peer);
 }
@@ -92,12 +96,14 @@ void ReliableChannel::flush(ProcessId to) {
   PeerOut& peer = oit->second;
   peer.flush_armed = false;
   std::vector<std::pair<std::uint64_t, const Outgoing*>> batch;
-  for (auto& [seq, msg] : peer.unacked) {
-    if (config_.send_window > 0 && peer.in_flight >= config_.send_window) break;
-    if (msg.first_sent != kNeverSent) continue;
-    msg.first_sent = ctx_.now();
+  ++pump_steps_;
+  for (auto it = peer.unacked.lower_bound(peer.next_unsent);
+       it != peer.unacked.end() && window_open(peer); ++it) {
+    ++pump_steps_;
+    it->second.first_sent = ctx_.now();
     ++peer.in_flight;
-    batch.emplace_back(seq, &msg);
+    peer.next_unsent = it->first + 1;
+    batch.emplace_back(it->first, &it->second);
   }
   update_fc_stall(to, peer);
   if (batch.empty()) return;
@@ -137,11 +143,10 @@ void ReliableChannel::subscribe(Tag upper, Handler handler) {
 
 Duration ReliableChannel::oldest_unacked_age(ProcessId to) const {
   auto it = out_.find(to);
-  if (it == out_.end()) return 0;
-  for (const auto& [seq, msg] : it->second.unacked) {
-    if (msg.first_sent != kNeverSent) return ctx_.now() - msg.first_sent;
-  }
-  return 0;
+  if (it == out_.end() || it->second.unacked.empty()) return 0;
+  // Sent entries form the prefix, so the oldest one is the first.
+  const Outgoing& first = it->second.unacked.begin()->second;
+  return first.first_sent == kNeverSent ? 0 : ctx_.now() - first.first_sent;
 }
 
 std::size_t ReliableChannel::unacked_count(ProcessId to) const {
@@ -154,6 +159,7 @@ void ReliableChannel::forget(ProcessId to) {
   if (it != out_.end()) {
     it->second.unacked.clear();
     it->second.in_flight = 0;
+    it->second.next_unsent = it->second.next_seq;
     if (it->second.fc_stalled) {
       // The peer was excluded while its window was full; close the stall
       // span so the flight recorder stays balanced.
@@ -167,12 +173,7 @@ void ReliableChannel::forget(ProcessId to) {
 
 std::size_t ReliableChannel::queued_by_flow_control(ProcessId to) const {
   auto it = out_.find(to);
-  if (it == out_.end()) return 0;
-  std::size_t queued = 0;
-  for (const auto& [seq, msg] : it->second.unacked) {
-    if (msg.first_sent == kNeverSent) ++queued;
-  }
-  return queued;
+  return it == out_.end() ? 0 : it->second.next_seq - it->second.next_unsent;
 }
 
 void ReliableChannel::transmit(ProcessId to, std::uint64_t seq, const Outgoing& msg) {
@@ -217,6 +218,10 @@ void ReliableChannel::on_datagram(ProcessId from, BytesView payload) {
       }
     }
     peer.unacked.erase(peer.unacked.begin(), end);
+    // The ack comes off the wire: should it cover unsent seqs (a receiver
+    // whose state predates ours, or a corrupt frame), move the cursor past
+    // them so queued_by_flow_control() stays exact.
+    peer.next_unsent = std::max(peer.next_unsent, std::min(cumulative, peer.next_seq));
     pump(from, peer);
     return;
   }
@@ -271,19 +276,20 @@ void ReliableChannel::retransmit_tick() {
   timer_armed_ = false;
   bool outstanding = false;
   for (auto& [to, peer] : out_) {
+    if (peer.unacked.empty()) continue;
+    outstanding = true;
     std::vector<std::pair<std::uint64_t, const Outgoing*>> due;
     for (auto& [seq, msg] : peer.unacked) {
       // Only retransmit messages that have been in flight at least one rto;
       // fresh sends get their first chance and flow-control-queued ones
-      // have never been transmitted at all.
-      if (msg.first_sent != kNeverSent && ctx_.now() - msg.first_sent >= config_.rto) {
-        ctx_.metrics().inc(m_retransmits_);
-        ctx_.trace_instant(obs::Names::get().channel_retransmit, MsgId{},
-                           obs::pack_channel_arg(to, static_cast<std::uint8_t>(msg.upper),
-                                                 msg.payload.size()));
-        due.emplace_back(seq, &msg);
-      }
-      outstanding = true;
+      // have never been transmitted at all. first_sent never decreases
+      // along the sent prefix, so the first fresh or unsent entry ends it.
+      if (seq >= peer.next_unsent || ctx_.now() - msg.first_sent < config_.rto) break;
+      ctx_.metrics().inc(m_retransmits_);
+      ctx_.trace_instant(obs::Names::get().channel_retransmit, MsgId{},
+                         obs::pack_channel_arg(to, static_cast<std::uint8_t>(msg.upper),
+                                               msg.payload.size()));
+      due.emplace_back(seq, &msg);
     }
     if (due.size() == 1) {
       transmit(to, due[0].first, *due[0].second);

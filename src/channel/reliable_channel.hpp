@@ -80,6 +80,12 @@ class ReliableChannel {
   /// Datagrams actually emitted (tests assert batching effectiveness).
   std::int64_t datagrams_sent() const { return datagrams_sent_; }
 
+  /// Total work of the transmit scans in pump()/flush(), in map steps: one
+  /// per scan start plus one per entry visited. The first-unsent cursor
+  /// makes this O(messages transmitted); the regression test bounds it
+  /// against the whole-queue walk it replaced.
+  std::uint64_t pump_steps() const { return pump_steps_; }
+
   /// Total send-queue depth across all peers: every buffered message,
   /// transmitted-but-unacked and flow-control-held alike (probe gauge).
   std::size_t total_send_queue() const {
@@ -100,6 +106,10 @@ class ReliableChannel {
   static constexpr TimePoint kNeverSent = -1;
   struct PeerOut {
     std::uint64_t next_seq = 0;
+    // First seq never transmitted. Transmission runs in seq order, so the
+    // sent entries of `unacked` are exactly those below it, and their
+    // first_sent times never decrease along the map.
+    std::uint64_t next_unsent = 0;
     std::map<std::uint64_t, Outgoing> unacked;  // seq -> message
     std::size_t in_flight = 0;                  // transmitted, unacked
     bool flush_armed = false;                   // batching timer pending
@@ -118,6 +128,9 @@ class ReliableChannel {
   void transmit(ProcessId to, std::uint64_t seq, const Outgoing& msg);
   void transmit_batch(ProcessId to,
                       const std::vector<std::pair<std::uint64_t, const Outgoing*>>& msgs);
+  bool window_open(const PeerOut& peer) const {
+    return config_.send_window == 0 || peer.in_flight < config_.send_window;
+  }
   void pump(ProcessId to, PeerOut& peer);  // flow control: fill the window
   void flush(ProcessId to);                // batching: emit the packed datagram
   // Flow-control stall edge detection: opens/closes the channel.fc_stall
@@ -147,6 +160,7 @@ class ReliableChannel {
   std::vector<Handler> handlers_;
   bool timer_armed_ = false;
   std::int64_t datagrams_sent_ = 0;
+  std::uint64_t pump_steps_ = 0;
   Bytes scratch_;  ///< reusable datagram framing buffer (capacity persists)
 };
 

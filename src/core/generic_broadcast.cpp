@@ -78,22 +78,11 @@ int GenericBroadcast::tau() const {
 
 bool GenericBroadcast::is_delivered(const MsgId& id) const {
   const auto it = delivered_.find(id.sender);
-  if (it == delivered_.end()) return false;
-  return id.seq < it->second.floor || it->second.beyond.count(id.seq) != 0;
+  return it != delivered_.end() && it->second.contains(id.seq);
 }
 
 bool GenericBroadcast::mark_delivered(const MsgId& id) {
-  DeliveredIndex& idx = delivered_[id.sender];
-  if (id.seq < idx.floor) return false;
-  if (id.seq > idx.floor) return idx.beyond.insert(id.seq).second;
-  ++idx.floor;
-  // Collapse the contiguous run that was waiting on this gap.
-  auto it = idx.beyond.begin();
-  while (it != idx.beyond.end() && *it == idx.floor) {
-    it = idx.beyond.erase(it);
-    ++idx.floor;
-  }
-  return true;
+  return delivered_[id.sender].insert(id.seq);
 }
 
 MsgId GenericBroadcast::gbcast(MsgClass cls, Bytes payload) {

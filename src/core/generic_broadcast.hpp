@@ -66,6 +66,7 @@
 #include "channel/reliable_channel.hpp"
 #include "core/conflict.hpp"
 #include "sim/context.hpp"
+#include "util/delivered_index.hpp"
 
 namespace gcs {
 
@@ -157,15 +158,6 @@ class GenericBroadcast {
     TimePoint received_at = 0;  // payload arrival (fast/slow latency metric)
     bool acked = false;         // we ACKed it this round (report flag)
   };
-  /// Per-sender delivered-dedup index, compressed to a watermark: every seq
-  /// below \c floor is delivered, out-of-order deliveries wait in \c beyond
-  /// until the gap fills and the prefix collapses into the floor. In-order
-  /// traffic (the fast path) is allocation-net-zero: the set node inserted
-  /// per delivery is freed by the very next collapse.
-  struct DeliveredIndex {
-    std::uint64_t floor = 0;
-    std::set<std::uint64_t> beyond;
-  };
   /// Delivered payloads stay pullable for this many further rounds.
   static constexpr std::uint64_t kRetiredRounds = 4;
   /// Hard cap on the retired-payload window: rounds only advance when
@@ -226,10 +218,7 @@ class GenericBroadcast {
   bool resolving_ = false;  // resolution in progress this round
 
   // Delivered dedup, indexed per sender and watermark-compressed (see
-  // DeliveredIndex); the reliable broadcast's stability callback prunes
-  // stragglers that are stuck in the out-of-order overflow. Entries still
-  // in store_ survive pruning: they are consulted until their round (or
-  // settlement) retires them.
+  // util/delivered_index.hpp).
   std::map<ProcessId, DeliveredIndex> delivered_;
   // Messages seen (payload known) and possibly not yet delivered this round.
   std::map<MsgId, Stored> store_;

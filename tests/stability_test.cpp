@@ -4,6 +4,8 @@
 /// crashed member is still in the group.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/stack.hpp"
 #include "tests/test_util.hpp"
 
@@ -112,6 +114,50 @@ TEST(Stability, NoRedeliveryAfterPruning) {
     std::set<MsgId> uniq(log.order.begin(), log.order.end());
     EXPECT_EQ(uniq.size(), 60u);
     EXPECT_EQ(log.order, logs[0].order);
+  }
+}
+
+TEST(Stability, PipelinedDecisionAfterStabilityDoesNotRedeliver) {
+  // Regression: with pipelined ordering a message can ride in two open
+  // instances (two proposers, or a re-proposal after its first instance
+  // decided another batch). It becomes stable once every member has
+  // received it, which can happen before the later decision carrying it
+  // arrives. Dedup GC driven by stability forgot the id in between and
+  // delivered it a second time; GC by local delivery must not.
+  for (std::uint64_t seed : {31, 32, 33}) {
+    World::Config c = cfg(5, msec(1), seed);
+    c.link = sim::LinkModel{usec(200), usec(400), 0.0};
+    c.stack.consensus_algorithm = StackConfig::ConsensusAlgo::kPaxos;
+    c.stack.abcast.pipeline_depth = 16;
+    c.stack.abcast.max_batch = 4;
+    World w(c);
+    std::vector<test::DeliveryLog> logs(5);
+    for (ProcessId p = 0; p < 5; ++p) {
+      w.stack(p).on_adeliver([&logs, p](const MsgId& id, const Bytes& b) {
+        logs[static_cast<std::size_t>(p)].record(id, b);
+      });
+    }
+    w.found_group_all();
+    const int kMsgs = 150;
+    for (int i = 0; i < kMsgs; ++i) {
+      w.stack(static_cast<ProcessId>(i % 5)).abcast(bytes_of(std::to_string(i)));
+      if (i % 20 == 19) w.run_for(msec(2));
+    }
+    ASSERT_TRUE(test::run_until(w.engine(), sec(60), [&] {
+      for (auto& log : logs) {
+        if (log.size() < static_cast<std::size_t>(kMsgs)) return false;
+      }
+      return true;
+    })) << "seed " << seed;
+    w.run_for(msec(200));
+    ASSERT_GT(w.stack(0).metrics().counter("rbcast.stability_pruned"), 0) << "seed " << seed;
+    for (ProcessId p = 0; p < 5; ++p) {
+      const auto& log = logs[static_cast<std::size_t>(p)];
+      const std::set<MsgId> uniq(log.order.begin(), log.order.end());
+      EXPECT_EQ(uniq.size(), log.size()) << "seed " << seed << ": p" << p << " redelivered";
+      EXPECT_EQ(log.size(), static_cast<std::size_t>(kMsgs)) << "seed " << seed;
+      EXPECT_TRUE(test::consistent_prefix(log.order, logs[0].order)) << "seed " << seed;
+    }
   }
 }
 

@@ -1,9 +1,34 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "util/buffer_pool.hpp"
 #include "util/codec.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
+
+// Counting allocator: this test binary counts every operator new so the
+// pool tests can assert that warm acquire/release cycles allocate nothing.
+namespace {
+std::atomic<std::uint64_t> g_news{0};
+
+void* counted_new(std::size_t n) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_new(n); }
+void* operator new[](std::size_t n) { return counted_new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace gcs {
 namespace {
@@ -379,6 +404,71 @@ TEST(Types, DurationHelpers) {
   EXPECT_EQ(usec(5), 5);
   EXPECT_EQ(msec(5), 5000);
   EXPECT_EQ(sec(5), 5000000);
+}
+
+Payload seal(std::shared_ptr<Bytes> buf) {
+  return Payload(std::shared_ptr<const Bytes>(std::move(buf)));
+}
+
+TEST(BufferPool, BufferIsReusedOnceLastPayloadDrops) {
+  BufferPool pool;
+  auto buf = pool.acquire();
+  buf->assign({1, 2, 3});
+  const Bytes* raw = buf.get();
+  Payload a = seal(std::move(buf));
+  Payload b = a;
+  // Still referenced: the pool must hand out a different buffer.
+  auto other = pool.acquire();
+  EXPECT_NE(other.get(), raw);
+  other.reset();
+  a = Payload();
+  auto again = pool.acquire();  // b still holds raw
+  EXPECT_NE(again.get(), raw);
+  EXPECT_EQ(pool.size(), 2u);
+  b = Payload();
+  // The last reference dropped: raw is back, cleared, capacity kept.
+  auto reused = pool.acquire();
+  EXPECT_EQ(reused.get(), raw);
+  EXPECT_TRUE(reused->empty());
+  EXPECT_GE(reused->capacity(), 3u);
+  EXPECT_EQ(pool.size(), 2u);
+}
+
+TEST(BufferPool, PayloadOutlivesItsPool) {
+  // A network closure can still hold a datagram when its Context dies. The
+  // payload must stay readable, and dropping it afterwards must free the
+  // buffer, its control block and the pool's shared core (the sanitizer
+  // build catches a use-after-free or a leak here).
+  Payload survivor;
+  {
+    BufferPool pool;
+    auto buf = pool.acquire();
+    buf->assign({7, 8, 9});
+    survivor = seal(std::move(buf));
+    Payload idle = seal(pool.acquire());  // returned before the pool dies
+  }
+  EXPECT_EQ(survivor.bytes(), (Bytes{7, 8, 9}));
+  Payload copy = survivor;
+  survivor = Payload();
+  EXPECT_EQ(copy.size(), 3u);
+}
+
+TEST(BufferPool, WarmAcquireReleaseCyclesDoNotAllocate) {
+  BufferPool pool;
+  std::array<Payload, 8> held;
+  auto cycle = [&] {
+    for (auto& p : held) {
+      auto buf = pool.acquire();
+      buf->resize(256);
+      p = seal(std::move(buf));
+    }
+    for (auto& p : held) p = Payload();
+  };
+  cycle();  // warm-up creates the buffers, control blocks and free lists
+  const std::uint64_t before = g_news.load();
+  for (int i = 0; i < 100; ++i) cycle();
+  EXPECT_EQ(g_news.load() - before, 0u) << "steady-state acquire allocated";
+  EXPECT_EQ(pool.size(), held.size());
 }
 
 }  // namespace
