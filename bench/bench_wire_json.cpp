@@ -6,6 +6,8 @@
 /// message. The slim format keeps application payloads out of consensus
 /// proposals and GB resolution reports, so its consensus traffic should be
 /// independent of payload size — that is the claim this report measures.
+/// Each cell also counts every reliable-channel datagram (data frames and
+/// standalone acks alike) per delivered message.
 ///
 /// This binary opts into the counting operator new/delete of bench_util.hpp
 /// (as bench_e7_micro does), which also powers the GB
@@ -55,6 +57,7 @@ struct Cell {
   std::int64_t consensus_wire_msgs = 0;
   std::int64_t flood_wire_bytes = 0;     // rbcast / gbdata payload flooding
   std::int64_t pull_wire_bytes = 0;      // abcast/gbcast channel fallback
+  std::int64_t channel_datagrams = 0;    // every channel datagram, acks included
   std::uint64_t net_allocs = 0;          // heap growth across the whole run
   bool completed = false;
 
@@ -121,6 +124,7 @@ Cell run_abcast_cell(int n, std::size_t payload_bytes, WireFormat format) {
   cell.consensus_wire_msgs = sum_counter(world, n, "consensus.wire_msgs");
   cell.flood_wire_bytes = sum_counter(world, n, "rbcast.wire_bytes");
   cell.pull_wire_bytes = sum_counter(world, n, "abcast.wire_bytes");
+  cell.channel_datagrams = sum_counter(world, n, "channel.wire_msgs");
   cell.net_allocs = (a1.allocs - a0.allocs) - (a1.frees - a0.frees);
   return cell;
 }
@@ -173,6 +177,7 @@ Cell run_gbcast_cell(int n, std::size_t payload_bytes, WireFormat format) {
   cell.consensus_wire_msgs = sum_counter(world, n, "consensus.wire_msgs");
   cell.flood_wire_bytes = sum_counter(world, n, "gbdata.wire_bytes");
   cell.pull_wire_bytes = sum_counter(world, n, "gbcast.wire_bytes");
+  cell.channel_datagrams = sum_counter(world, n, "channel.wire_msgs");
   return cell;
 }
 
@@ -324,13 +329,14 @@ int run_suite(const std::string& json_path) {
   }
 
   Table table({"layer", "n", "payload", "format", "delivered", "consensus B/msg",
-               "flood B/msg", "pull B/msg"});
+               "flood B/msg", "pull B/msg", "datagrams/msg"});
   for (const Cell& c : cells) {
     table.add_row({c.layer, std::to_string(c.n), std::to_string(c.payload_bytes),
                    format_name(c.format), std::to_string(c.delivered),
                    fmt_double(c.per_delivered(c.consensus_wire_bytes), 1),
                    fmt_double(c.per_delivered(c.flood_wire_bytes), 1),
-                   fmt_double(c.per_delivered(c.pull_wire_bytes), 1)});
+                   fmt_double(c.per_delivered(c.pull_wire_bytes), 1),
+                   fmt_double(c.per_delivered(c.channel_datagrams), 1)});
   }
   table.print();
 
@@ -361,7 +367,7 @@ int run_suite(const std::string& json_path) {
         "     \"consensus_wire_bytes\": %lld, \"consensus_wire_msgs\": %lld,\n"
         "     \"flood_wire_bytes\": %lld, \"pull_wire_bytes\": %lld,\n"
         "     \"consensus_bytes_per_delivered\": %s, \"total_bytes_per_delivered\": %s,\n"
-        "     \"net_allocs_per_delivered\": %s}%s\n",
+        "     \"datagrams_per_delivered\": %s, \"net_allocs_per_delivered\": %s}%s\n",
         c.layer.c_str(), c.n, c.payload_bytes, format_name(c.format),
         c.completed ? "true" : "false", static_cast<long long>(c.delivered),
         static_cast<long long>(c.consensus_wire_bytes),
@@ -369,6 +375,7 @@ int run_suite(const std::string& json_path) {
         static_cast<long long>(c.flood_wire_bytes), static_cast<long long>(c.pull_wire_bytes),
         json_num(c.per_delivered(c.consensus_wire_bytes)).c_str(),
         json_num(c.per_delivered(c.total_wire_bytes())).c_str(),
+        json_num(c.per_delivered(c.channel_datagrams)).c_str(),
         json_num(c.allocs_per_delivered()).c_str(), i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(out,

@@ -7,9 +7,23 @@
 namespace gcs {
 
 namespace {
+// Frame layouts (varints per util/codec.hpp); every frame carries the
+// sender's cumulative ack for the receiver right after the kind byte:
+//   kData:  kind | ack | seq | upper | body
+//   kAck:   kind | ack
+//   kBatch: kind | ack | count | count x (seq | upper | body)
 constexpr std::uint8_t kData = 0;
 constexpr std::uint8_t kAck = 1;
 constexpr std::uint8_t kBatch = 2;
+
+std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
 }  // namespace
 
 ReliableChannel::ReliableChannel(sim::Context& ctx, Transport& transport)
@@ -51,7 +65,7 @@ void ReliableChannel::send(ProcessId to, Tag upper, Payload payload) {
 void ReliableChannel::pump(ProcessId to, PeerOut& peer) {
   if (config_.batch_delay > 0) {
     // Batching mode: defer; the flush timer packs everything eligible.
-    if (!peer.flush_armed) {
+    if (!peer.flush_armed && peer.next_unsent < peer.next_seq) {
       peer.flush_armed = true;
       ctx_.after(config_.batch_delay, [this, to] { flush(to); });
     }
@@ -95,7 +109,7 @@ void ReliableChannel::flush(ProcessId to) {
   if (oit == out_.end()) return;
   PeerOut& peer = oit->second;
   peer.flush_armed = false;
-  std::vector<std::pair<std::uint64_t, const Outgoing*>> batch;
+  Batch batch;
   ++pump_steps_;
   for (auto it = peer.unacked.lower_bound(peer.next_unsent);
        it != peer.unacked.end() && window_open(peer); ++it) {
@@ -106,23 +120,45 @@ void ReliableChannel::flush(ProcessId to) {
     batch.emplace_back(it->first, &it->second);
   }
   update_fc_stall(to, peer);
-  if (batch.empty()) return;
-  if (batch.size() == 1) {
-    transmit(to, batch[0].first, *batch[0].second);
-  } else {
-    transmit_batch(to, batch);
+  if (!batch.empty()) transmit_batch(to, batch);
+}
+
+void ReliableChannel::transmit_batch(ProcessId to, const Batch& msgs) {
+  // Split at the transport's datagram limit (less its tag byte). The count
+  // header is sized for the whole batch, an upper bound for every chunk.
+  const std::uint64_t ack = take_ack(to);
+  const std::size_t limit = transport_.max_datagram() - 1;
+  const std::size_t header = 1 + varint_size(ack) + varint_size(msgs.size());
+  for (auto first = msgs.begin(); first != msgs.end();) {
+    auto last = first;
+    std::size_t bytes = header;
+    for (; last != msgs.end(); ++last) {
+      const std::size_t size = last->second->payload.size();
+      const std::size_t entry = varint_size(last->first) + 1 + varint_size(size) + size;
+      // An entry too big for any datagram still goes, alone.
+      if (last != first && bytes + entry > limit) break;
+      bytes += entry;
+    }
+    if (last - first == 1) {
+      transmit(to, first->first, *first->second);
+    } else {
+      emit_batch(to, ack, first, last);
+    }
+    first = last;
   }
 }
 
-void ReliableChannel::transmit_batch(
-    ProcessId to, const std::vector<std::pair<std::uint64_t, const Outgoing*>>& msgs) {
+void ReliableChannel::emit_batch(ProcessId to, std::uint64_t ack, Batch::const_iterator first,
+                                 Batch::const_iterator last) {
   // Frame into the reusable scratch buffer; u_send copies it into the
   // outgoing datagram synchronously, so reuse per call is safe.
   scratch_.clear();
   Encoder enc(scratch_);
   enc.put_byte(kBatch);
-  enc.put_u64(msgs.size());
-  for (const auto& [seq, msg] : msgs) {
+  enc.put_u64(ack);
+  enc.put_u64(static_cast<std::uint64_t>(last - first));
+  for (; first != last; ++first) {
+    const auto& [seq, msg] = *first;
     const std::size_t before = enc.size();
     enc.put_u64(seq);
     enc.put_byte(static_cast<std::uint8_t>(msg->upper));
@@ -181,9 +217,11 @@ void ReliableChannel::transmit(ProcessId to, std::uint64_t seq, const Outgoing& 
   ctx_.trace_instant(obs::Names::get().channel_tx, MsgId{},
                      obs::pack_channel_arg(to, static_cast<std::uint8_t>(msg.upper),
                                            msg.payload.size()));
+  const std::uint64_t ack = take_ack(to);
   scratch_.clear();
   Encoder enc(scratch_);
   enc.put_byte(kData);
+  enc.put_u64(ack);
   const std::size_t before = enc.size();
   enc.put_u64(seq);
   enc.put_byte(static_cast<std::uint8_t>(msg.upper));
@@ -192,7 +230,18 @@ void ReliableChannel::transmit(ProcessId to, std::uint64_t seq, const Outgoing& 
   transport_.u_send(to, Tag::kChannel, scratch_);
 }
 
-void ReliableChannel::send_ack(ProcessId to, std::uint64_t cumulative) {
+std::uint64_t ReliableChannel::take_ack(ProcessId to) {
+  auto it = in_.find(to);
+  if (it == in_.end()) return 0;
+  PeerIn& in = it->second;
+  in.ack_sent = in.next_expected;
+  in.ack_due = kNoAckDue;
+  return in.next_expected;
+}
+
+void ReliableChannel::send_ack(ProcessId to) {
+  const std::uint64_t cumulative = take_ack(to);
+  ++acks_sent_;
   scratch_.clear();
   Encoder enc(scratch_);
   enc.put_byte(kAck);
@@ -200,44 +249,86 @@ void ReliableChannel::send_ack(ProcessId to, std::uint64_t cumulative) {
   transport_.u_send(to, Tag::kChannel, scratch_);
 }
 
+void ReliableChannel::arm_ack_timer(TimePoint due) {
+  // Deadlines are set at now + hold, so a pending timer is never later
+  // than a new deadline; the tick re-arms for the ones it finds not due.
+  if (ack_timer_armed_) return;
+  ack_timer_armed_ = true;
+  ctx_.at(due, [this] { ack_tick(); });
+}
+
+void ReliableChannel::ack_tick() {
+  ack_timer_armed_ = false;
+  TimePoint next = kNoAckDue;
+  for (auto& [from, in] : in_) {
+    if (in.ack_due == kNoAckDue) continue;
+    if (in.ack_due <= ctx_.now()) {
+      send_ack(from);
+    } else {
+      next = std::min(next, in.ack_due);
+    }
+  }
+  if (next != kNoAckDue) arm_ack_timer(next);
+}
+
+void ReliableChannel::on_ack(ProcessId from, std::uint64_t cumulative) {
+  // Cumulative ack: everything strictly below `cumulative` is received.
+  auto oit = out_.find(from);
+  if (oit == out_.end()) return;
+  PeerOut& peer = oit->second;
+  auto end = peer.unacked.lower_bound(cumulative);
+  if (end == peer.unacked.begin()) return;  // nothing new
+  for (auto it = peer.unacked.begin(); it != end; ++it) {
+    if (it->second.first_sent != kNeverSent) {
+      if (peer.in_flight > 0) --peer.in_flight;
+      // Time-in-channel: first transmit until the cumulative ack covers
+      // the message (the sender-side view of channel residence).
+      ctx_.metrics().observe(h_residence_, ctx_.now() - it->second.first_sent);
+    }
+  }
+  peer.unacked.erase(peer.unacked.begin(), end);
+  // The ack comes off the wire: should it cover unsent seqs (a receiver
+  // whose state predates ours, or a corrupt frame), move the cursor past
+  // them so queued_by_flow_control() stays exact.
+  peer.next_unsent = std::max(peer.next_unsent, std::min(cumulative, peer.next_seq));
+  pump(from, peer);
+}
+
 void ReliableChannel::on_datagram(ProcessId from, BytesView payload) {
   Decoder dec(payload);
   const std::uint8_t kind = dec.get_byte();
-  if (kind == kAck) {
-    // Cumulative ack: everything strictly below `cumulative` is received.
-    const std::uint64_t cumulative = dec.get_u64();
-    if (!dec.ok()) return;
-    PeerOut& peer = out_[from];
-    auto end = peer.unacked.lower_bound(cumulative);
-    for (auto it = peer.unacked.begin(); it != end; ++it) {
-      if (it->second.first_sent != kNeverSent) {
-        if (peer.in_flight > 0) --peer.in_flight;
-        // Time-in-channel: first transmit until the cumulative ack covers
-        // the message (the sender-side view of channel residence).
-        ctx_.metrics().observe(h_residence_, ctx_.now() - it->second.first_sent);
-      }
-    }
-    peer.unacked.erase(peer.unacked.begin(), end);
-    // The ack comes off the wire: should it cover unsent seqs (a receiver
-    // whose state predates ours, or a corrupt frame), move the cursor past
-    // them so queued_by_flow_control() stays exact.
-    peer.next_unsent = std::max(peer.next_unsent, std::min(cumulative, peer.next_seq));
-    pump(from, peer);
-    return;
-  }
-  std::uint64_t entries = 1;
+  const std::uint64_t cumulative = dec.get_u64();
+  std::uint64_t entries = 0;
   if (kind == kBatch) {
     entries = dec.get_u64();
-  } else if (kind != kData) {
+  } else if (kind == kData) {
+    entries = 1;
+  } else if (kind != kAck) {
+    return;
+  }
+  // Validate the whole frame before acting on any of it, so a truncated or
+  // corrupt frame is dropped entirely, its ack included.
+  Decoder check = dec;
+  for (std::uint64_t i = 0; i < entries && check.ok(); ++i) {
+    (void)check.get_u64();
+    if (check.get_byte() >= handlers_.size()) check.invalidate();
+    (void)check.get_view();
+  }
+  if (!check.ok()) return;
+  if (entries == 0) {
+    on_ack(from, cumulative);
     return;
   }
   PeerIn& peer = in_[from];
-  for (std::uint64_t i = 0; i < entries && dec.ok(); ++i) {
+  bool duplicate = false;
+  for (std::uint64_t i = 0; i < entries; ++i) {
     const std::uint64_t seq = dec.get_u64();
     const Tag upper = static_cast<Tag>(dec.get_byte());
     const BytesView body = dec.get_view();
-    if (!dec.ok() || static_cast<std::size_t>(upper) >= handlers_.size()) break;
-    if (seq < peer.next_expected) continue;  // duplicate
+    if (seq < peer.next_expected) {
+      duplicate = true;
+      continue;
+    }
     // Zero-copy fast path: the common case (in order, nothing held back)
     // delivers the view straight out of the datagram buffer. Out-of-order
     // arrivals are the only ones that pay a copy into the holdback.
@@ -246,6 +337,8 @@ void ReliableChannel::on_datagram(ProcessId from, BytesView payload) {
       deliver(from, upper, body);
     } else if (peer.holdback.find(seq) == peer.holdback.end()) {
       peer.holdback.emplace(seq, std::make_pair(upper, to_bytes(body)));
+    } else {
+      duplicate = true;
     }
   }
   // Deliver the in-order prefix of the holdback.
@@ -254,7 +347,15 @@ void ReliableChannel::on_datagram(ProcessId from, BytesView payload) {
     ++peer.next_expected;
     deliver(from, node.mapped().first, node.mapped().second);
   }
-  send_ack(from, peer.next_expected);
+  // The peer's ack may release queued sends, which carry ours.
+  on_ack(from, cumulative);
+  const std::uint64_t owed = peer.next_expected - peer.ack_sent;
+  if (duplicate || (config_.send_window > 0 && 2 * owed >= config_.send_window)) {
+    send_ack(from);
+  } else if (owed > 0 && peer.ack_due == kNoAckDue) {
+    peer.ack_due = ctx_.now() + config_.rto / 8;
+    arm_ack_timer(peer.ack_due);
+  }
 }
 
 void ReliableChannel::deliver(ProcessId from, Tag upper, BytesView payload) {
@@ -278,7 +379,7 @@ void ReliableChannel::retransmit_tick() {
   for (auto& [to, peer] : out_) {
     if (peer.unacked.empty()) continue;
     outstanding = true;
-    std::vector<std::pair<std::uint64_t, const Outgoing*>> due;
+    Batch due;
     for (auto& [seq, msg] : peer.unacked) {
       // Only retransmit messages that have been in flight at least one rto;
       // fresh sends get their first chance and flow-control-queued ones
@@ -291,11 +392,7 @@ void ReliableChannel::retransmit_tick() {
                                                msg.payload.size()));
       due.emplace_back(seq, &msg);
     }
-    if (due.size() == 1) {
-      transmit(to, due[0].first, *due[0].second);
-    } else if (due.size() > 1) {
-      transmit_batch(to, due);
-    }
+    if (!due.empty()) transmit_batch(to, due);
   }
   if (outstanding) arm_retransmit_timer();
 }

@@ -8,6 +8,12 @@
 /// transport — the shape of the TCP-based channel of [Ekwall et al. 2002]
 /// that the paper cites.
 ///
+/// Acknowledgements are delayed and piggybacked, as in TCP: every data
+/// frame carries the sender's cumulative ack for its destination, and a
+/// standalone ack goes out only when no outgoing frame has carried it
+/// within a hold of rto/8, when a duplicate arrives (the previous ack may
+/// have been lost), or when half a send window awaits acknowledgement.
+///
 /// The channel also exposes its output buffer age per peer: a message that
 /// stays unacknowledged for a long time is the basis for *output-triggered
 /// suspicion* (paper §3.3.2), consumed by the monitoring component.
@@ -15,6 +21,7 @@
 
 #include <array>
 #include <functional>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -31,7 +38,9 @@ class ReliableChannel {
   using Handler = std::function<void(ProcessId from, BytesView payload)>;
 
   struct Config {
-    Duration rto = msec(20);  ///< retransmission period for unacked messages
+    /// Retransmission period for unacked messages. rto/8 is also how long
+    /// an owed ack waits for a data frame to carry it.
+    Duration rto = msec(20);
     /// Flow control (the role Totem's middle layer plays, paper Fig 4):
     /// at most this many in-flight (transmitted, unacked) messages per
     /// peer; the rest queue locally until acks open the window. 0 = off.
@@ -77,8 +86,11 @@ class ReliableChannel {
   /// Messages queued by flow control (not yet transmitted) for \p to.
   std::size_t queued_by_flow_control(ProcessId to) const;
 
-  /// Datagrams actually emitted (tests assert batching effectiveness).
+  /// Data datagrams actually emitted (tests assert batching effectiveness).
   std::int64_t datagrams_sent() const { return datagrams_sent_; }
+
+  /// Standalone ack datagrams emitted; acks that ride data frames are free.
+  std::int64_t acks_sent() const { return acks_sent_; }
 
   /// Total work of the transmit scans in pump()/flush(), in map steps: one
   /// per scan start plus one per entry visited. The first-unsent cursor
@@ -116,18 +128,31 @@ class ReliableChannel {
     bool fc_stalled = false;                    // window full, sends held back
     TimePoint fc_since = 0;                     // when the current stall began
   };
+  static constexpr TimePoint kNoAckDue = std::numeric_limits<TimePoint>::max();
   struct PeerIn {
     std::uint64_t next_expected = 0;
+    std::uint64_t ack_sent = 0;     // cumulative ack last carried to the peer
+    TimePoint ack_due = kNoAckDue;  // standalone ack deadline while one is owed
     std::map<std::uint64_t, std::pair<Tag, Bytes>> holdback;  // out-of-order
   };
+  using Batch = std::vector<std::pair<std::uint64_t, const Outgoing*>>;
 
   void on_datagram(ProcessId from, BytesView payload);
+  void on_ack(ProcessId from, std::uint64_t cumulative);
   void deliver(ProcessId from, Tag upper, BytesView payload);
-  void send_ack(ProcessId to, std::uint64_t cumulative);
+  // The cumulative ack for \p to, which the caller is about to put on the
+  // wire: the peer is then owed nothing until more arrives.
+  std::uint64_t take_ack(ProcessId to);
+  void send_ack(ProcessId to);
+  void arm_ack_timer(TimePoint due);
+  void ack_tick();
   void account_upper(Tag upper, std::size_t wire_bytes);
   void transmit(ProcessId to, std::uint64_t seq, const Outgoing& msg);
-  void transmit_batch(ProcessId to,
-                      const std::vector<std::pair<std::uint64_t, const Outgoing*>>& msgs);
+  // Packs \p msgs into as few frames as the transport's datagram limit
+  // allows; a frame holding one message goes as kData.
+  void transmit_batch(ProcessId to, const Batch& msgs);
+  void emit_batch(ProcessId to, std::uint64_t ack, Batch::const_iterator first,
+                  Batch::const_iterator last);
   bool window_open(const PeerOut& peer) const {
     return config_.send_window == 0 || peer.in_flight < config_.send_window;
   }
@@ -159,7 +184,9 @@ class ReliableChannel {
   std::map<ProcessId, PeerIn> in_;
   std::vector<Handler> handlers_;
   bool timer_armed_ = false;
+  bool ack_timer_armed_ = false;
   std::int64_t datagrams_sent_ = 0;
+  std::int64_t acks_sent_ = 0;
   std::uint64_t pump_steps_ = 0;
   Bytes scratch_;  ///< reusable datagram framing buffer (capacity persists)
 };

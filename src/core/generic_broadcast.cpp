@@ -274,20 +274,25 @@ void GenericBroadcast::maybe_fast_deliver(const MsgId& id) {
 }
 
 void GenericBroadcast::maybe_settle(const MsgId& id) {
-  // Settlement = delivered here AND acked by the whole group. Every member
-  // then has the payload locally, so nobody can ever pull it from us out
-  // of need — the store entry moves to the (bounded) retired window and
-  // its ACK set is dropped. This is what keeps the fast path's working set
-  // flat when no conflict ever ends the round. The per-class ACK count is
-  // deliberately NOT decremented: conflict disjointness is a round-scoped
-  // invariant and must survive settlement.
+  // Settlement = delivered here AND acked by the whole group: no further
+  // ACK can change anything here, so the ACK set is dropped. The store
+  // entry stays until the round ends, because this round's report must
+  // still list our ACK. A member that has not seen the fast quorum yet may
+  // resolve the round from the other members' reports alone; if they left
+  // out what they settled, it would deliver the message a round late,
+  // after a conflicting one. Closing the round once kSettledCap messages
+  // have settled keeps the fast path's working set bounded when no
+  // conflict ends it. The per-class ACK count is deliberately NOT
+  // decremented: conflict disjointness is a round-scoped invariant and
+  // must survive settlement.
   if (!is_delivered(id)) return;
   const auto rit = acks_.find(round_);
   if (rit == acks_.end()) return;
   const auto ait = rit->second.find(id);
   if (ait == rit->second.end() || ait->second.size() < group_.size()) return;
   rit->second.erase(ait);
-  if (const auto sit = store_.find(id); sit != store_.end()) retire_entry(sit);
+  if (const auto sit = store_.find(id); sit != store_.end()) sit->second.settled = true;
+  if (++settled_ >= kSettledCap) trigger_resolution();
 }
 
 std::map<MsgId, GenericBroadcast::Stored>::iterator GenericBroadcast::retire_entry(
@@ -349,16 +354,38 @@ void GenericBroadcast::trigger_resolution() {
   }
   // Report = snapshot of our round: every message we know plus whether we
   // ACKed it. Slim format carries ids and classes only; payloads resolve
-  // from local stores (the pull fallback covers the holdouts).
+  // from local stores (the pull fallback covers the holdouts). Settled
+  // messages follow as runs of consecutive seqs per sender: they count as
+  // ACKed, and every member holds their payloads, so ids suffice.
+  std::vector<std::pair<MsgId, std::uint64_t>> runs;  // first id, length
+  std::uint64_t open = 0;
+  for (const auto& [id, stored] : store_) {
+    if (!stored.settled) {
+      ++open;
+      continue;
+    }
+    if (!runs.empty() && runs.back().first.sender == id.sender &&
+        runs.back().first.seq + runs.back().second == id.seq) {
+      ++runs.back().second;
+    } else {
+      runs.emplace_back(id, 1);
+    }
+  }
   Encoder enc;
   enc.put_u64(round_);
   enc.put_byte(static_cast<std::uint8_t>(config_.wire_format));
-  enc.put_u64(store_.size());
+  enc.put_u64(open);
   for (const auto& [id, stored] : store_) {
+    if (stored.settled) continue;
     enc.put_msgid(id);
     enc.put_byte(stored.cls);
     if (config_.wire_format == WireFormat::kLegacy) enc.put_bytes(stored.payload);
     enc.put_bool(stored.acked);
+  }
+  enc.put_u64(runs.size());
+  for (const auto& [first, length] : runs) {
+    enc.put_msgid(first);
+    enc.put_u64(length);
   }
   abcast_.abcast(AtomicBroadcast::kGbResolve, enc.take());
 }
@@ -381,9 +408,25 @@ void GenericBroadcast::on_report(const MsgId& report_id, BytesView wire) {
     const bool acked = dec.get_bool();
     if (!dec.ok()) break;
     if (acked) ++report_ack_counts_[id];
-    report_cls_.emplace(id, cls);
+    report_ids_.insert(id);
     if (inline_payloads && !is_delivered(id) && !store_.count(id)) {
       store_.emplace(id, Stored{cls, to_bytes(payload), sim::kNoTimer, 0});
+    }
+  }
+  // A round closes after kSettledCap settlements and only the few already
+  // acked by then settle during the resolution, so a longer list is hostile.
+  constexpr std::uint64_t kMaxSettled = 4 * kSettledCap;
+  const std::uint64_t runs = dec.get_u64();
+  std::uint64_t settled = 0;
+  for (std::uint64_t i = 0; i < runs && dec.ok(); ++i) {
+    const MsgId first = dec.get_msgid();
+    const std::uint64_t length = dec.get_u64();
+    if (!dec.ok() || length > kMaxSettled - settled) break;
+    settled += length;
+    for (std::uint64_t k = 0; k < length; ++k) {
+      const MsgId id{first.sender, first.seq + k};
+      ++report_ack_counts_[id];
+      report_ids_.insert(id);
     }
   }
   // A report commits everyone to this round's resolution: contribute ours.
@@ -399,8 +442,7 @@ void GenericBroadcast::maybe_finalize_round() {
   // identical everywhere.
   std::vector<MsgId> first;
   std::vector<MsgId> second;
-  for (const auto& [id, cls] : report_cls_) {
-    (void)cls;
+  for (const MsgId& id : report_ids_) {
     const auto cit = report_ack_counts_.find(id);
     const int ack_count = cit == report_ack_counts_.end() ? 0 : cit->second;
     if (ack_count >= tau()) {
@@ -466,11 +508,8 @@ Bytes GenericBroadcast::snapshot() const {
     enc.put_msgid(id);
     enc.put_i32(count);
   }
-  enc.put_u64(report_cls_.size());
-  for (const auto& [id, cls] : report_cls_) {
-    enc.put_msgid(id);
-    enc.put_byte(cls);
-  }
+  enc.put_u64(report_ids_.size());
+  for (const MsgId& id : report_ids_) enc.put_msgid(id);
   enc.put_u64(delivered_.size());
   for (const auto& [sender, idx] : delivered_) {
     enc.put_i32(sender);
@@ -499,12 +538,9 @@ void GenericBroadcast::restore(BytesView snapshot) {
     const MsgId id = dec.get_msgid();
     report_ack_counts_[id] = dec.get_i32();
   }
-  report_cls_.clear();
-  const std::uint64_t n_cls = dec.get_u64();
-  for (std::uint64_t i = 0; i < n_cls && dec.ok(); ++i) {
-    const MsgId id = dec.get_msgid();
-    report_cls_[id] = dec.get_byte();
-  }
+  report_ids_.clear();
+  const std::uint64_t n_ids = dec.get_u64();
+  for (std::uint64_t i = 0; i < n_ids && dec.ok(); ++i) report_ids_.insert(dec.get_msgid());
   delivered_.clear();
   const std::uint64_t n_del = dec.get_u64();
   for (std::uint64_t i = 0; i < n_del && dec.ok(); ++i) {
@@ -543,6 +579,7 @@ void GenericBroadcast::restore(BytesView snapshot) {
   }
   frozen_ = false;
   resolving_ = false;
+  settled_ = 0;
   acked_cls_.fill(0);
   acks_.clear();
   // We may be the report that completes the quorum count after a member was
@@ -555,10 +592,11 @@ void GenericBroadcast::start_new_round() {
   ++round_;
   frozen_ = false;
   resolving_ = false;
+  settled_ = 0;
   acked_cls_.fill(0);
   reporters_.clear();
   report_ack_counts_.clear();
-  report_cls_.clear();
+  report_ids_.clear();
   missing_.clear();
   // Drop ACK bookkeeping for finished rounds.
   acks_.erase(acks_.begin(), acks_.lower_bound(round_));

@@ -31,8 +31,9 @@
 ///   it already delivered. The round then ends and a new round starts.
 ///
 /// Wire-path memory model (DESIGN.md §12): under the default slim format a
-/// report carries (MsgId, class, acked) tuples only — payloads never ride
-/// through consensus. Each member resolves payloads from its local store
+/// report carries (MsgId, class, acked) tuples, plus the messages it has
+/// settled as per-sender runs of ids — payloads never ride through
+/// consensus. Each member resolves payloads from its local store
 /// (fed by the reliable-broadcast flood); a member that reaches the
 /// finalize point missing some payload stalls the round locally and runs a
 /// bounded pull/push exchange on Tag::kGbcast against rotating peers, which
@@ -157,16 +158,20 @@ class GenericBroadcast {
     sim::TimerId deadline = sim::kNoTimer;
     TimePoint received_at = 0;  // payload arrival (fast/slow latency metric)
     bool acked = false;         // we ACKed it this round (report flag)
+    bool settled = false;       // delivered here and ACKed by the whole group
   };
   /// Delivered payloads stay pullable for this many further rounds.
   static constexpr std::uint64_t kRetiredRounds = 4;
-  /// Hard cap on the retired-payload window: rounds only advance when
-  /// conflicts resolve, so a purely commutative run would otherwise retain
-  /// every settled payload forever. Pulls target messages some member still
-  /// holds undelivered in its active store, so the window is a fast-serve
+  /// Hard cap on the retired-payload window: rounds only advance on a
+  /// resolution, so a run that resolves rarely would otherwise retain every
+  /// delivered payload for a long time. Pulls target messages some member
+  /// still holds undelivered in its active store, so the window is a fast-serve
   /// optimization, not a correctness requirement — a few hundred entries
   /// cover any realistic pull latency.
   static constexpr std::size_t kRetiredCap = 256;
+  /// Settled messages per round before the round is closed by a
+  /// resolution (see maybe_settle): bounds the store in conflict-free runs.
+  static constexpr std::size_t kSettledCap = 256;
 
   bool is_member() const;
   void on_gb_data(const MsgId& id, BytesView wire);
@@ -216,6 +221,7 @@ class GenericBroadcast {
   std::uint64_t round_ = 0;
   bool frozen_ = false;     // report sent; no more ACKs this round
   bool resolving_ = false;  // resolution in progress this round
+  std::size_t settled_ = 0;  // messages settled this round
 
   // Delivered dedup, indexed per sender and watermark-compressed (see
   // util/delivered_index.hpp).
@@ -235,7 +241,7 @@ class GenericBroadcast {
   // Resolution state for the current round.
   std::set<ProcessId> reporters_;
   std::map<MsgId, int> report_ack_counts_;
-  std::map<MsgId, MsgClass> report_cls_;
+  std::set<MsgId> report_ids_;  // every id some report listed
   // Payloads the finalize step needs but the store lacks (slim format /
   // restore); while non-empty the round stalls locally and pulls rotate.
   std::set<MsgId> missing_;

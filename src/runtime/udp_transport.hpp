@@ -38,8 +38,8 @@ class UdpTransport final : public Transport {
     std::size_t recv_buffer = 65536;
     /// Largest datagram (tag byte + payload) u_send will attempt; larger
     /// sends are dropped and counted (the kernel would reject them with
-    /// EMSGSIZE anyway). 65507 = 65535 - 20 (IP) - 8 (UDP).
-    std::size_t max_datagram = 65507;
+    /// EMSGSIZE anyway).
+    std::size_t max_datagram = kMaxUdpDatagram;
   };
 
   /// Binds base_port + ctx.self(). Throws std::runtime_error on failure.
@@ -52,6 +52,7 @@ class UdpTransport final : public Transport {
   ProcessId self() const override { return self_; }
   int universe_size() const override { return universe_size_; }
   void u_send(ProcessId to, Tag tag, const Bytes& payload) override;
+  std::size_t max_datagram() const override { return config_.max_datagram; }
   void subscribe(Tag tag, Handler handler) override;
 
   /// Drain pending datagrams and dispatch them. Returns how many were

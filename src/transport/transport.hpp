@@ -8,6 +8,7 @@
 /// and reordered; they are never corrupted or duplicated.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 
 #include "util/types.hpp"
@@ -56,6 +57,9 @@ constexpr const char* tag_name(Tag tag) {
   }
 }
 
+/// Largest UDP datagram over IPv4: 65535 - 20 (IP header) - 8 (UDP header).
+inline constexpr std::size_t kMaxUdpDatagram = 65507;
+
 /// Abstract unreliable transport. The simulator provides SimTransport; a
 /// real deployment would provide a UDP-backed implementation.
 class Transport {
@@ -74,6 +78,12 @@ class Transport {
 
   /// Fire-and-forget datagram to \p to. May be silently lost.
   virtual void u_send(ProcessId to, Tag tag, const Bytes& payload) = 0;
+
+  /// Largest datagram (tag byte + payload) the transport carries; callers
+  /// that pack messages together split their frames at it. The default is
+  /// the UDP limit, which the simulator honours too so that both transports
+  /// frame identically.
+  virtual std::size_t max_datagram() const { return kMaxUdpDatagram; }
 
   /// Register the receive handler for \p tag (one subscriber per tag).
   virtual void subscribe(Tag tag, Handler handler) = 0;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "channel/reliable_channel.hpp"
@@ -172,6 +173,114 @@ TEST(ReliableChannel, ManyPeers) {
     return true;
   });
   EXPECT_TRUE(done);
+}
+
+TEST(ReliableChannel, TwoWayTrafficPiggybacksAcks) {
+  // Steady traffic both ways: every ack rides a data frame going back, so
+  // standalone acks are limited to the tail of the run.
+  ChannelWorld w(2, sim::LinkModel{usec(200), usec(100), 0.0});
+  for (int i = 0; i < 1000; ++i) {
+    w.procs[0].channel->send(1, Tag::kApp, bytes_of("a"));
+    w.procs[1].channel->send(0, Tag::kApp, bytes_of("b"));
+    w.engine.run_until(w.engine.now() + usec(100));
+  }
+  ASSERT_TRUE(test::run_until(w.engine, sec(1), [&] {
+    return w.procs[0].channel->unacked_count(1) == 0 &&
+           w.procs[1].channel->unacked_count(0) == 0;
+  }));
+  for (auto& p : w.procs) {
+    ASSERT_EQ(p.received.size(), 1000u);
+    EXPECT_LE(p.channel->acks_sent() * 20, p.channel->datagrams_sent())
+        << "standalone acks above 5% of data frames";
+    EXPECT_EQ(p.ctx->metrics().counter("channel.retransmits"), 0);
+  }
+}
+
+TEST(ReliableChannel, OneWayTrafficAcksOncePerHold) {
+  // Nothing flows back to carry the acks, so the receiver sends standalone
+  // ones, but at most one per hold (rto/8), not one per data frame.
+  const ReliableChannel::Config cfg;
+  const Duration hold = cfg.rto / 8;
+  ChannelWorld w(2, sim::LinkModel{usec(200), usec(100), 0.0}, cfg);
+  const Duration span = msec(200);
+  while (w.engine.now() < span) {
+    w.procs[0].channel->send(1, Tag::kApp, bytes_of("x"));
+    w.engine.run_until(w.engine.now() + usec(100));
+  }
+  ASSERT_TRUE(test::run_until(w.engine, sec(1),
+                              [&] { return w.procs[0].channel->unacked_count(1) == 0; }));
+  const std::int64_t frames = w.procs[0].channel->datagrams_sent();
+  const std::int64_t acks = w.procs[1].channel->acks_sent();
+  EXPECT_EQ(static_cast<std::int64_t>(w.procs[1].received.size()), frames);
+  EXPECT_GE(acks, 1);
+  EXPECT_LE(acks, span / hold + 2);
+  EXPECT_EQ(w.procs[0].ctx->metrics().counter("channel.retransmits"), 0);
+}
+
+TEST(ReliableChannel, LostPiggybackedAckIsResentOnDuplicate) {
+  // Everything from 1 to 0 is lost until the link heals at 10 ms. By then 1
+  // has received all 50 messages and carried its cumulative ack on a data
+  // frame of its own, so it owes nothing. The sender's retransmission at
+  // one rto (20 ms) reaches 1 as a duplicate, which must make 1 ack again
+  // at once; waiting for 1's own retransmission (25 ms) is too late.
+  ChannelWorld w(2, sim::LinkModel{usec(200), 0, 0.0});
+  w.network.set_link(1, 0, sim::LinkModel{usec(200), 0, 1.0});
+  for (int i = 0; i < 50; ++i) {
+    w.procs[0].channel->send(1, Tag::kApp, bytes_of(std::to_string(i)));
+    w.engine.run_until(w.engine.now() + usec(100));
+  }
+  w.engine.run_until(msec(5) + usec(150));
+  ASSERT_EQ(w.procs[1].received.size(), 50u);
+  const std::int64_t acks = w.procs[1].channel->acks_sent();
+  w.procs[1].channel->send(0, Tag::kApp, bytes_of("reply"));  // carries the ack; lost
+  w.engine.run_until(msec(10));
+  EXPECT_EQ(w.procs[1].channel->acks_sent(), acks);
+  EXPECT_EQ(w.procs[0].channel->unacked_count(1), 50u);
+  w.network.set_link(1, 0, sim::LinkModel{usec(200), 0, 0.0});
+  ASSERT_TRUE(test::run_until(w.engine, msec(12),
+                              [&] { return w.procs[0].channel->unacked_count(1) == 0; }));
+  EXPECT_EQ(w.procs[1].channel->acks_sent(), acks + 1);
+  EXPECT_EQ(w.procs[1].received.size(), 50u);
+}
+
+/// Forwards to a SimTransport and records the largest datagram sent.
+struct RecordingTransport final : Transport {
+  SimTransport& inner;
+  std::size_t largest = 0;
+  std::int64_t datagrams = 0;
+
+  explicit RecordingTransport(SimTransport& t) : inner(t) {}
+  ProcessId self() const override { return inner.self(); }
+  int universe_size() const override { return inner.universe_size(); }
+  void u_send(ProcessId to, Tag tag, const Bytes& payload) override {
+    largest = std::max(largest, payload.size() + 1);  // plus the tag byte
+    ++datagrams;
+    inner.u_send(to, tag, payload);
+  }
+  void subscribe(Tag tag, Handler handler) override { inner.subscribe(tag, std::move(handler)); }
+};
+
+TEST(ReliableChannel, RetransmitBatchesFitTheDatagramLimit) {
+  // 1,000 x 1 KiB unacked to a silent peer: the retransmission after one
+  // rto packs ~1 MB, which must split into datagrams the transport can
+  // carry instead of one frame UDP would drop.
+  sim::Engine engine;
+  sim::Network network(engine, 2, sim::LinkModel{usec(200), 0, 0.0}, 1);
+  sim::Context ctx(0, engine, Rng(1), Logger(), std::make_shared<Metrics>());
+  SimTransport sim_transport(ctx, network);
+  RecordingTransport transport(sim_transport);
+  ReliableChannel channel(ctx, transport);
+  network.crash(1);
+  const Bytes kib(1024, 0x5a);
+  for (int i = 0; i < 1000; ++i) channel.send(1, Tag::kApp, kib);
+  EXPECT_EQ(transport.datagrams, 1000);
+  transport.largest = 0;
+  transport.datagrams = 0;
+  engine.run_until(ReliableChannel::Config{}.rto + msec(1));
+  EXPECT_EQ(ctx.metrics().counter("channel.retransmits"), 1000);
+  EXPECT_GT(transport.datagrams, 1000 * 1024 / static_cast<std::int64_t>(kMaxUdpDatagram));
+  EXPECT_LE(transport.largest, transport.max_datagram());
+  EXPECT_EQ(channel.unacked_count(1), 1000u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 /// a healthy group — a malformed datagram is (at worst) silently dropped.
 #include <gtest/gtest.h>
 
+#include "channel/reliable_channel.hpp"
 #include "core/stack.hpp"
 #include "tests/test_util.hpp"
 #include "util/codec.hpp"
@@ -107,6 +108,11 @@ TEST(Fuzz, MalformedChannelFramesAreDropped) {
     w.stack(0).abcast(bytes_of("x"));
     for (int g = 0; g < 10; ++g) {
       Bytes frame = random_bytes(rng, 32);
+      if (g % 2 == 1) {
+        // A valid kind byte (data, ack, batch) and a zero ack, so decoding
+        // gets past the frame header into the entries.
+        frame.insert(frame.begin(), {static_cast<std::uint8_t>(g % 3), 0});
+      }
       frame.insert(frame.begin(), static_cast<std::uint8_t>(Tag::kChannel));
       w.network().send(1, 0, std::move(frame));
     }
@@ -137,6 +143,7 @@ TEST(Fuzz, TruncatedRealMessagesAreDropped) {
     // Wrap as a channel DATA frame the way a peer would send it.
     Encoder frame;
     frame.put_byte(0);  // channel kData
+    frame.put_u64(0);   // cumulative ack
     frame.put_u64(10'000 + len);
     frame.put_byte(static_cast<std::uint8_t>(Tag::kConsensus));
     frame.put_bytes(truncated);
@@ -146,6 +153,79 @@ TEST(Fuzz, TruncatedRealMessagesAreDropped) {
   }
   w.stack(2).abcast(bytes_of("still fine"));
   ASSERT_TRUE(test::run_until(w.engine(), sec(20), [&] { return delivered >= 1; }));
+}
+
+/// Two-process wire for the channel layer alone: keeps what a channel
+/// sends, and hands injected frames to its receive path.
+struct FrameTap final : Transport {
+  ProcessId id;
+  std::vector<Bytes> sent;
+  Handler deliver;
+
+  explicit FrameTap(ProcessId self) : id(self) {}
+  ProcessId self() const override { return id; }
+  int universe_size() const override { return 2; }
+  void u_send(ProcessId, Tag, const Bytes& payload) override { sent.push_back(payload); }
+  void subscribe(Tag tag, Handler handler) override {
+    if (tag == Tag::kChannel) deliver = std::move(handler);
+  }
+  Bytes take_last() {
+    Bytes frame = sent.back();
+    sent.clear();
+    return frame;
+  }
+};
+
+TEST(Fuzz, ChannelFramePrefixesAreRejected) {
+  // Real data, batch and ack frames, each carrying a nonzero cumulative
+  // ack: every strict prefix must be dropped whole (no delivery, no ack
+  // applied), and the full frame then accepted.
+  sim::Engine engine;
+  sim::Context ca(0, engine, Rng(1), Logger(), std::make_shared<Metrics>());
+  sim::Context cb(1, engine, Rng(2), Logger(), std::make_shared<Metrics>());
+  FrameTap ta(0), tb(1);
+  ReliableChannel::Config cfg;
+  cfg.batch_delay = usec(50);
+  ReliableChannel a(ca, ta, cfg), b(cb, tb, cfg);
+  std::vector<std::string> at_b;
+  a.subscribe(Tag::kApp, [](ProcessId, BytesView) {});
+  b.subscribe(Tag::kApp, [&](ProcessId, BytesView v) { at_b.push_back(test::str_of(v)); });
+
+  // b -> a, so that a owes b an ack.
+  b.send(0, Tag::kApp, bytes_of("b0"));
+  b.send(0, Tag::kApp, bytes_of("b1"));
+  engine.run_until(usec(100));
+  ta.deliver(1, tb.take_last());  // the batch carrying b0 and b1
+  a.send(1, Tag::kApp, bytes_of("a0"));
+  engine.run_until(usec(200));
+  const Bytes data = ta.take_last();
+  for (const char* m : {"a1", "a2", "a3"}) a.send(1, Tag::kApp, bytes_of(m));
+  engine.run_until(usec(300));
+  const Bytes batch = ta.take_last();
+  b.send(0, Tag::kApp, bytes_of("b2"));
+  engine.run_until(usec(400));
+  ta.deliver(1, tb.take_last());
+  engine.run_until(msec(10));  // nothing goes back: a's hold expires
+  const Bytes ack = ta.take_last();
+  ASSERT_EQ(data[0], 0);
+  ASSERT_EQ(ack[0], 1);
+  ASSERT_EQ(batch[0], 2);
+  ASSERT_EQ(b.unacked_count(0), 3u);
+
+  for (const Bytes* frame : {&data, &batch, &ack}) {
+    for (std::size_t len = 0; len < frame->size(); ++len) {
+      tb.deliver(0, BytesView(frame->data(), len));
+      EXPECT_TRUE(at_b.empty()) << "frame kind " << int{(*frame)[0]} << " cut at " << len;
+      EXPECT_EQ(b.unacked_count(0), 3u) << "frame kind " << int{(*frame)[0]} << " cut at " << len;
+    }
+  }
+  tb.deliver(0, data);
+  EXPECT_EQ(at_b, (std::vector<std::string>{"a0"}));
+  EXPECT_EQ(b.unacked_count(0), 1u);  // b0 and b1 acked
+  tb.deliver(0, batch);
+  EXPECT_EQ(at_b, (std::vector<std::string>{"a0", "a1", "a2", "a3"}));
+  tb.deliver(0, ack);
+  EXPECT_EQ(b.unacked_count(0), 0u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "core/stack.hpp"
@@ -206,6 +207,57 @@ TEST(GenericBroadcast, ConflictAfterFastDeliveryOrdersCorrectly) {
     const auto& log = w.logs[static_cast<std::size_t>(p)];
     EXPECT_LT(log.position(m1), log.position(m2)) << "at p" << p;
   }
+}
+
+TEST(GenericBroadcast, SettledMessageStaysInItsRoundsReports) {
+  // p0..p2 fast-deliver m and, holding all four acks, settle it; p3 holds m
+  // but two of the acks it needs are still in flight. A conflicting message
+  // then ends the round, and the three other reports alone resolve it at p3.
+  // They must still list m as acked: otherwise p3 delivers m a round later
+  // than everyone else (the oracle's gb.fast_path_stability).
+  GbWorld w(4);
+  sim::Network& net = w.world.network();
+  const sim::LinkModel slower{msec(30), 0, 0.0};
+  const sim::LinkModel slowest{msec(100), 0, 0.0};
+  net.set_link(1, 3, slowest);
+  net.set_link(2, 3, slowest);
+  const MsgId m = w.world.stack(0).rbcast(bytes_of("m"));
+  w.world.run_for(msec(5));
+  for (ProcessId p = 0; p < 3; ++p) {
+    ASSERT_EQ(w.logs[static_cast<std::size_t>(p)].position(m), 0u) << "at p" << p;
+  }
+  ASSERT_TRUE(w.logs[3].order.empty());
+  net.set_link(0, 3, slower);
+  const MsgId m2 = w.world.stack(1).gbcast(kAbcastClass, bytes_of("conflict"));
+  ASSERT_TRUE(test::run_until(w.world, sec(10), [&] { return w.all_alive_delivered(2); }));
+  for (ProcessId p = 0; p < 4; ++p) {
+    const auto& log = w.logs[static_cast<std::size_t>(p)];
+    EXPECT_LT(log.position(m), log.position(m2)) << "at p" << p;
+  }
+  EXPECT_EQ(w.world.stack(3).generic_broadcast().fast_deliveries(), 0u);
+  for (ProcessId p = 0; p < 3; ++p) net.set_link(p, 3, sim::LinkModel{});
+  w.world.run_for(sec(1));  // settle before the oracle's finalize-time checks
+}
+
+TEST(GenericBroadcast, ConflictFreeRoundsCloseToBoundTheStore) {
+  // Settled messages stay in the store until their round ends, so a round
+  // no conflict ends is closed by a resolution after a bounded number of
+  // settlements (256) instead of growing the store without limit.
+  GbWorld w(4);
+  const int total = 1000;
+  std::size_t store_max = 0;
+  for (int i = 0; i < total; ++i) {
+    w.world.stack(static_cast<ProcessId>(i % 4)).rbcast(bytes_of(std::to_string(i)));
+    w.world.run_for(usec(50));
+    store_max = std::max(store_max, w.world.stack(0).generic_broadcast().store_size());
+  }
+  ASSERT_TRUE(test::run_until(w.world, sec(10), [&] {
+    return w.all_alive_delivered(static_cast<std::size_t>(total));
+  }));
+  auto& gb = w.world.stack(0).generic_broadcast();
+  EXPECT_GE(gb.rounds_resolved(), 3u);
+  EXPECT_LE(store_max, 256u + 64u);
+  EXPECT_GT(gb.fast_deliveries(), static_cast<std::uint64_t>(total) * 9 / 10);
 }
 
 TEST(GenericBroadcast, ThriftyConsensusCountScalesWithConflicts) {

@@ -55,9 +55,13 @@ TEST(Membership, JoinInstallsNewViewAndTransfersState) {
   ASSERT_TRUE(test::run_until(w.world, sec(10), [&] { return w.alogs[0].size() >= 5; }));
   // Process 3 joins via contact 1.
   w.world.stack(3).join(1);
+  // Wait for every member to install the view, not just the joiner and p0.
   ASSERT_TRUE(test::run_until(w.world, sec(10), [&] {
-    return w.world.stack(3).membership().is_member() &&
-           w.world.stack(0).view().contains(3);
+    if (!w.world.stack(3).membership().is_member()) return false;
+    for (ProcessId p = 0; p < 4; ++p) {
+      if (!w.world.stack(p).view().contains(3)) return false;
+    }
+    return true;
   }));
   for (ProcessId p = 0; p < 4; ++p) {
     EXPECT_EQ(w.world.stack(p).view().members, (std::vector<ProcessId>{0, 1, 2, 3}));
