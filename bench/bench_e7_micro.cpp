@@ -7,10 +7,10 @@
 /// Two modes:
 ///   (default)        google-benchmark suite, usual gbench flags apply.
 ///   --json[=path]    kernel hot-path suite with the counting allocator:
-///                    engine steady-state/cold-start/cancel-churn, network
-///                    fan-out and event routing, written as machine-
-///                    readable JSON (default ./BENCH_kernel.json). Used by
-///                    CI; how to read the numbers is documented in
+///                    engine steady-state/cold-start/cancel-churn and
+///                    network fan-out, written as machine-readable JSON
+///                    (default ./BENCH_kernel.json). Used by CI; how to
+///                    read the numbers is documented in
 ///                    DESIGN.md ("Kernel performance model").
 ///
 /// This binary opts into the counting operator new/delete of
@@ -28,8 +28,6 @@
 #define NGGCS_BENCH_COUNTING_ALLOCATOR
 #include "bench/bench_util.hpp"
 #include "core/stack.hpp"
-#include "kernel/attr.hpp"
-#include "kernel/event.hpp"
 #include "replication/state_machine.hpp"
 #include "sim/network.hpp"
 #include "util/codec.hpp"
@@ -334,29 +332,6 @@ KernelRow kernel_network_fanout(long long multicasts) {
           a1.allocs - a0.allocs, a1.frees - a0.frees};
 }
 
-/// Event construction + two layer-traversal copies + attribute round trip:
-/// the per-hop cost of the kernel's event representation. Copies share the
-/// payload and keep attributes inline, so the loop is allocation-free.
-KernelRow kernel_event_route(long long events) {
-  const kernel::AttrId seq_attr = kernel::intern_attr("bench.seq");
-  const Payload payload(Bytes(64, 0xcd));
-  std::int64_t sum = 0;
-  const AllocSnapshot a0 = alloc_snapshot();
-  const auto t0 = Clock::now();
-  for (long long i = 0; i < events; ++i) {
-    kernel::Event event = kernel::Event::deliver_from(1, payload);
-    event.attrs[seq_attr] = i;
-    kernel::Event hop1 = event;
-    kernel::Event hop2 = hop1;
-    sum += hop2.attrs.get_or(seq_attr, 0) + static_cast<std::int64_t>(hop2.payload.size());
-    benchmark::DoNotOptimize(sum);
-  }
-  const double wall = elapsed_ns(t0);
-  const AllocSnapshot a1 = alloc_snapshot();
-  return {"event_route_3hop", static_cast<std::uint64_t>(events), wall, a1.allocs - a0.allocs,
-          a1.frees - a0.frees};
-}
-
 int run_kernel_suite(const std::string& json_path) {
   bench::banner("E7-kernel — engine/event hot-path microbenchmarks",
                 "Wall-clock cost per event with exact allocation counts "
@@ -371,7 +346,6 @@ int run_kernel_suite(const std::string& json_path) {
   rows.push_back(kernel_engine_cold(3000));
   rows.push_back(kernel_engine_cancel_churn(2000000, &churn_depth, &churn_pool));
   rows.push_back(kernel_network_fanout(200000));
-  rows.push_back(kernel_event_route(5000000));
 
   const bool steady_zero_alloc = rows[0].allocs == 0 && rows[1].allocs == 0;
   const bool churn_bounded = churn_depth <= 4096 && churn_pool <= 8192;

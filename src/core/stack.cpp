@@ -54,18 +54,14 @@ void GcsStack::wire(StackConfig config) {
   config.gb.wire_format = config.wire_format;
   gbcast_ = std::make_unique<GenericBroadcast>(*ctx_, *channel_, *gb_rbcast_, *abcast_,
                                                config.conflict, config.gb);
-  cb_rbcast_ = std::make_unique<ReliableBroadcast>(*ctx_, *channel_, Tag::kCbcast);
-  cbcast_ = std::make_unique<CausalBroadcast>(*ctx_, *cb_rbcast_, transport_->universe_size());
   membership_ = std::make_unique<GroupMembership>(*ctx_, *channel_, *abcast_, gbcast_.get());
   monitoring_ = std::make_unique<Monitoring>(*ctx_, *channel_, *fd_, *membership_,
                                              config.monitoring);
 
   // Consensus suspects members with the aggressive class; keep the short
   // class's monitored set in sync with the view.
-  membership_->on_view([this](const View& v) {
-    fd_->monitor_group(consensus_fd_class_, v.members);
-    cbcast_->set_group(v.members);
-  });
+  membership_->on_view(
+      [this](const View& v) { fd_->monitor_group(consensus_fd_class_, v.members); });
 }
 
 void GcsStack::init_view(std::vector<ProcessId> members) {
@@ -115,7 +111,6 @@ void GcsStack::attach_oracle(obs::Oracle& oracle) {
   };
   rb_tap(*ab_rbcast_, Tag::kRbcast);
   rb_tap(*gb_rbcast_, Tag::kGbData);
-  rb_tap(*cb_rbcast_, Tag::kCbcast);
 
   gbcast_->set_observer(
       [o, self](const MsgId& m, MsgClass cls) { o->on_gb_submit(self, m, cls); },
@@ -144,45 +139,38 @@ void GcsStack::attach_oracle(obs::Oracle& oracle) {
                   [o, self](ProcessId q) { o->on_restore(self, q, /*long_class=*/true); });
 }
 
-template <typename Sink>
-void GcsStack::attach_gauges(Sink& sink) {
+void GcsStack::attach_telemetry(obs::Telemetry& telemetry) {
   const ProcessId self = ctx_->self();
-  sink.add_gauge(self, "probe.channel.send_queue", [this] {
+  telemetry.register_process(self, ctx_->metrics_ptr(), recorder_.get());
+  telemetry.add_gauge(self, "probe.channel.send_queue", [this] {
     return static_cast<double>(channel_->total_send_queue());
   });
-  sink.add_gauge(self, "probe.rbcast.dedup", [this] {
+  telemetry.add_gauge(self, "probe.rbcast.dedup", [this] {
     return static_cast<double>(ab_rbcast_->dedup_size() + gb_rbcast_->dedup_size());
   });
-  sink.add_gauge(self, "probe.abcast.pending", [this] {
+  telemetry.add_gauge(self, "probe.abcast.pending", [this] {
     return static_cast<double>(abcast_->pending_count());
   });
-  sink.add_gauge(self, "probe.abcast.open", [this] {
+  telemetry.add_gauge(self, "probe.abcast.open", [this] {
     return static_cast<double>(abcast_->open_proposals());
   });
-  sink.add_gauge(self, "probe.consensus.open", [this] {
+  telemetry.add_gauge(self, "probe.consensus.open", [this] {
     return static_cast<double>(consensus_->open_instances());
   });
-  sink.add_gauge(self, "probe.gb.store", [this] {
+  telemetry.add_gauge(self, "probe.gb.store", [this] {
     return static_cast<double>(gbcast_->store_size());
   });
-  sink.add_gauge(self, "probe.gb.fast_ratio", [this] {
+  telemetry.add_gauge(self, "probe.gb.fast_ratio", [this] {
     const double total = static_cast<double>(gbcast_->fast_deliveries() +
                                              gbcast_->resolved_deliveries());
     return total == 0 ? 1.0 : static_cast<double>(gbcast_->fast_deliveries()) / total;
   });
-  sink.add_gauge(self, "probe.fd.suspected", [this] {
+  telemetry.add_gauge(self, "probe.fd.suspected", [this] {
     return static_cast<double>(fd_->suspected(consensus_fd_class_).size());
   });
-  sink.add_gauge(self, "probe.monitoring.votes", [this] {
+  telemetry.add_gauge(self, "probe.monitoring.votes", [this] {
     return static_cast<double>(monitoring_->open_votes());
   });
-}
-
-void GcsStack::attach_probes(obs::Probes& probes) { attach_gauges(probes); }
-
-void GcsStack::attach_telemetry(obs::Telemetry& telemetry) {
-  telemetry.register_process(ctx_->self(), ctx_->metrics_ptr(), recorder_.get());
-  attach_gauges(telemetry);
 }
 
 World::World(Config config)
@@ -212,12 +200,6 @@ void World::attach_oracle(obs::Oracle& oracle) {
         [rel](std::uint8_t a, std::uint8_t b) { return rel.conflicts(a, b); });
   }
   for (auto& s : stacks_) s->attach_oracle(oracle);
-}
-
-void World::enable_probes(obs::Probes& probes, Duration cadence) {
-  for (auto& s : stacks_) s->attach_probes(probes);
-  probe_timer_.start(engine_, cadence,
-                     [&probes](TimePoint now) { probes.sample(now); });
 }
 
 void World::enable_telemetry(obs::Telemetry& telemetry, Duration cadence) {

@@ -23,7 +23,6 @@
 #include <memory>
 
 #include "broadcast/atomic_broadcast.hpp"
-#include "broadcast/causal_broadcast.hpp"
 #include "broadcast/reliable_broadcast.hpp"
 #include "channel/reliable_channel.hpp"
 #include "consensus/consensus.hpp"
@@ -34,7 +33,6 @@
 #include "core/monitoring.hpp"
 #include "fd/failure_detector.hpp"
 #include "obs/oracle.hpp"
-#include "obs/probes.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "sim/context.hpp"
@@ -112,16 +110,11 @@ class GcsStack {
   MsgId gbcast(MsgClass cls, Bytes payload) { return gbcast_->gbcast(cls, std::move(payload)); }
   /// Reliable broadcast op = generic broadcast in the non-conflicting class.
   MsgId rbcast(Bytes payload) { return gbcast_->rbcast_op(std::move(payload)); }
-  /// Causal-order broadcast (the optional Isis-heritage layer): cheaper
-  /// than abcast (no consensus), stronger than rbcast (happened-before
-  /// order preserved).
-  MsgId cbcast(Bytes payload) { return cbcast_->cbcast(std::move(payload)); }
 
   void on_adeliver(AtomicBroadcast::DeliverFn fn) {
     abcast_->subscribe(AtomicBroadcast::kApp, std::move(fn));
   }
   void on_gdeliver(GenericBroadcast::DeliverFn fn) { gbcast_->on_deliver(std::move(fn)); }
-  void on_cdeliver(CausalBroadcast::DeliverFn fn) { cbcast_->on_deliver(std::move(fn)); }
   void on_view(GroupMembership::ViewFn fn) { membership_->on_view(std::move(fn)); }
 
   /// -- component access (tests, benchmarks, advanced use) ---------------
@@ -134,7 +127,6 @@ class GcsStack {
   AtomicBroadcast& atomic_broadcast() { return *abcast_; }
   ReliableBroadcast& abcast_substrate() { return *ab_rbcast_; }
   GenericBroadcast& generic_broadcast() { return *gbcast_; }
-  CausalBroadcast& causal_broadcast() { return *cbcast_; }
   GroupMembership& membership() { return *membership_; }
   Monitoring& monitoring() { return *monitoring_; }
   const View& view() const { return membership_->view(); }
@@ -154,26 +146,17 @@ class GcsStack {
   /// init_view()/join() so the founding events are observed too.
   void attach_oracle(obs::Oracle& oracle);
 
-  /// Register this process's state gauges (channel send queue, rbcast
-  /// dedup set, open consensus instances, GB fast-path ratio and working
-  /// set, FD suspicions, monitoring votes) with \p probes. The stack must
-  /// outlive the probe sampler.
-  void attach_probes(obs::Probes& probes);
-
   /// Register this process with the live-telemetry publisher: its Metrics
   /// registry (every interned counter/histogram including per-tag wire
-  /// accounting), the same gauge set attach_probes registers, and the
-  /// flight recorder (trace-ring health) when one is installed. The stack
-  /// must outlive \p telemetry's publishing.
+  /// accounting), its state gauges (channel send queue, rbcast dedup set,
+  /// abcast backlog, open consensus instances, GB fast-path ratio and
+  /// working set, FD suspicions, monitoring votes; obs::Probes folds them
+  /// into time series) and the flight recorder (trace-ring health) when
+  /// one is installed. The stack must outlive \p telemetry's publishing.
   void attach_telemetry(obs::Telemetry& telemetry);
 
  private:
   void wire(StackConfig config);
-  /// Register the canonical gauge set with any sink exposing
-  /// add_gauge(ProcessId, string_view, fn) — Probes and Telemetry stay in
-  /// lockstep by construction.
-  template <typename Sink>
-  void attach_gauges(Sink& sink);
 
   std::shared_ptr<obs::Recorder> recorder_;
   std::unique_ptr<sim::Context> ctx_;
@@ -186,8 +169,6 @@ class GcsStack {
   std::unique_ptr<AtomicBroadcast> abcast_;
   std::unique_ptr<ReliableBroadcast> gb_rbcast_;  // generic broadcast's flooding
   std::unique_ptr<GenericBroadcast> gbcast_;
-  std::unique_ptr<ReliableBroadcast> cb_rbcast_;  // causal broadcast's flooding
-  std::unique_ptr<CausalBroadcast> cbcast_;
   std::unique_ptr<GroupMembership> membership_;
   std::unique_ptr<Monitoring> monitoring_;
   sim::Network* network_;
@@ -222,13 +203,10 @@ class World {
   /// found_group()/join so founding views are observed.
   void attach_oracle(obs::Oracle& oracle);
 
-  /// Register every stack's gauges with \p probes and start sampling them
-  /// every \p cadence of virtual time. \p probes must outlive the World.
-  void enable_probes(obs::Probes& probes, Duration cadence);
-
   /// Register every stack with \p telemetry and publish snapshot frames
   /// every \p cadence of virtual time. \p telemetry must outlive the
-  /// World. Sinks (watchdog, stream writers) are attached by the caller.
+  /// World. Sinks (watchdog, probes, stream writers) are attached by the
+  /// caller.
   void enable_telemetry(obs::Telemetry& telemetry, Duration cadence);
 
   void run_for(Duration d) { engine_.run_until(engine_.now() + d); }
@@ -239,7 +217,6 @@ class World {
   sim::Engine engine_;
   sim::Network network_;
   std::vector<std::unique_ptr<GcsStack>> stacks_;
-  sim::PeriodicTimer probe_timer_;
   sim::PeriodicTimer telemetry_timer_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <limits>
 
 #include "obs/report.hpp"
 
@@ -28,23 +29,32 @@ std::size_t find_key(const std::string& json, const char* key) {
   return pos == std::string::npos ? std::string::npos : pos + needle.size();
 }
 
-bool get_u64(const std::string& json, const char* key, std::uint64_t* out) {
-  std::size_t pos = find_key(json, key);
-  if (pos == std::string::npos) return false;
-  while (pos < json.size() && std::isspace(static_cast<unsigned char>(json[pos]))) ++pos;
-  if (pos >= json.size() || !std::isdigit(static_cast<unsigned char>(json[pos]))) return false;
+/// Parse the unsigned decimal at \p pos (advanced past it). False when
+/// there is no digit or the value exceeds \p max: an out-of-range field
+/// rejects the artifact instead of wrapping into a different run.
+bool parse_uint(const std::string& s, std::size_t& pos, std::uint64_t max, std::uint64_t* out) {
+  if (pos >= s.size() || !std::isdigit(static_cast<unsigned char>(s[pos]))) return false;
   std::uint64_t v = 0;
-  while (pos < json.size() && std::isdigit(static_cast<unsigned char>(json[pos]))) {
-    v = v * 10 + static_cast<std::uint64_t>(json[pos] - '0');
+  while (pos < s.size() && std::isdigit(static_cast<unsigned char>(s[pos]))) {
+    const auto d = static_cast<std::uint64_t>(s[pos] - '0');
+    if (v > (max - d) / 10) return false;
+    v = v * 10 + d;
     ++pos;
   }
   *out = v;
   return true;
 }
 
+bool get_uint(const std::string& json, const char* key, std::uint64_t max, std::uint64_t* out) {
+  std::size_t pos = find_key(json, key);
+  if (pos == std::string::npos) return false;
+  while (pos < json.size() && std::isspace(static_cast<unsigned char>(json[pos]))) ++pos;
+  return parse_uint(json, pos, max, out);
+}
+
 bool get_int(const std::string& json, const char* key, int* out) {
   std::uint64_t v = 0;
-  if (!get_u64(json, key, &v)) return false;
+  if (!get_uint(json, key, std::numeric_limits<int>::max(), &v)) return false;
   *out = static_cast<int>(v);
   return true;
 }
@@ -116,13 +126,9 @@ bool get_u32_array(const std::string& json, const char* key, std::vector<std::ui
       ++pos;
     }
     if (pos < json.size() && json[pos] == ']') return true;
-    if (pos >= json.size() || !std::isdigit(static_cast<unsigned char>(json[pos]))) return false;
-    std::uint32_t v = 0;
-    while (pos < json.size() && std::isdigit(static_cast<unsigned char>(json[pos]))) {
-      v = v * 10 + static_cast<std::uint32_t>(json[pos] - '0');
-      ++pos;
-    }
-    out->push_back(v);
+    std::uint64_t v = 0;
+    if (!parse_uint(json, pos, std::numeric_limits<std::uint32_t>::max(), &v)) return false;
+    out->push_back(static_cast<std::uint32_t>(v));
   }
   return false;  // unterminated
 }
@@ -194,7 +200,9 @@ std::optional<Artifact> parse_artifact(const std::string& json) {
   if (!get_string(json, "schema", &schema) || schema != "nggcs.repro.v1") return std::nullopt;
   Artifact a;
   std::string digest_hex;
-  if (!get_u64(json, "plan_seed", &a.plan_seed)) return std::nullopt;
+  if (!get_uint(json, "plan_seed", std::numeric_limits<std::uint64_t>::max(), &a.plan_seed)) {
+    return std::nullopt;
+  }
   if (!get_int(json, "plan_n", &a.plan_options.n)) return std::nullopt;
   if (!get_int(json, "plan_steps", &a.plan_options.steps)) return std::nullopt;
   if (!get_int(json, "plan_max_crashes", &a.plan_options.max_crashes)) return std::nullopt;

@@ -25,7 +25,6 @@ const char* tag_name(std::uint8_t tag) {
     case Tag::kToken: return "token";
     case Tag::kGbData: return "gb.data";
     case Tag::kApp: return "app";
-    case Tag::kCbcast: return "cbcast";
     default: return "?";
   }
 }

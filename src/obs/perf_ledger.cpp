@@ -301,7 +301,7 @@ const char* kind_name(DeltaKind k) {
     case DeltaKind::kOk: return "ok";
     case DeltaKind::kRegression: return "REGRESSION";
     case DeltaKind::kImproved: return "improved";
-    case DeltaKind::kNew: return "new";
+    case DeltaKind::kNew: return "NEW";
     case DeltaKind::kMissing: return "MISSING";
   }
   return "?";
@@ -482,13 +482,13 @@ LedgerDiff diff_ledgers(const std::map<std::string, double>& baseline,
 }
 
 std::string render_diff_table(const LedgerDiff& diff, bool show_ok) {
-  // Regressions and missing first, then improved/new, then (optionally) ok.
+  // Regressions, missing and new first, then improved, then (optionally) ok.
   const auto rank = [](const MetricDelta& d) {
     switch (d.kind) {
       case DeltaKind::kRegression: return 0;
       case DeltaKind::kMissing: return 1;
-      case DeltaKind::kImproved: return 2;
-      case DeltaKind::kNew: return 3;
+      case DeltaKind::kNew: return 2;
+      case DeltaKind::kImproved: return 3;
       case DeltaKind::kOk: return 4;
     }
     return 5;

@@ -26,8 +26,9 @@
 /// deliberately enumerated, deterministic metrics gate CI, so wall-clock
 /// kernel numbers can ride along without flaking. Metrics present in the
 /// baseline but missing from the fresh run are regressions (a bench
-/// silently dropping a scenario must not pass); new metrics are reported
-/// but pass.
+/// silently dropping a scenario must not pass), and so are metrics present
+/// only in the fresh run (a change that adds a metric commits the refreshed
+/// baseline, so a stale baseline cannot pass).
 #pragma once
 
 #include <cstdint>
@@ -107,7 +108,7 @@ enum class DeltaKind : std::uint8_t {
   kOk,          ///< within tolerance (or info-only)
   kRegression,  ///< out of tolerance in the gated direction
   kImproved,    ///< out of tolerance in the *good* direction
-  kNew,         ///< present only in the fresh run
+  kNew,         ///< present only in the fresh run (stale baseline)
   kMissing,     ///< present only in the baseline
 };
 
@@ -127,9 +128,9 @@ struct LedgerDiff {
   std::size_t checked = 0;          // metrics present on both sides
   std::size_t regressions = 0;
   std::size_t improved = 0;
-  std::size_t added = 0;
+  std::size_t added = 0;  // fresh-only metrics: the baseline is stale
   std::size_t missing = 0;
-  bool ok() const { return regressions == 0; }
+  bool ok() const { return regressions == 0 && added == 0; }
 };
 
 struct DiffOptions {

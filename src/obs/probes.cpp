@@ -1,36 +1,46 @@
 #include "obs/probes.hpp"
 
-namespace gcs::obs {
+#include <algorithm>
 
-void Probes::add_gauge(ProcessId p, std::string_view name, Gauge gauge) {
-  gauges_.push_back({std::move(gauge)});
-  Series s;
-  s.proc = p;
-  s.metric = metric_id(name);
-  series_.push_back(std::move(s));
+namespace gcs::obs {
+namespace {
+
+/// Keep the even-indexed points of \p v.
+template <typename T>
+void thin(std::vector<T>& v) {
+  std::size_t w = 0;
+  for (std::size_t r = 0; r < v.size(); r += 2, ++w) v[w] = v[r];
+  v.resize(w);
 }
 
-void Probes::sample(TimePoint now) {
-  ++samples_taken_;
-  if ((samples_taken_ - 1) % stride_ != 0) return;
+}  // namespace
 
-  timestamps_.push_back(now);
-  for (std::size_t i = 0; i < gauges_.size(); ++i) {
-    series_[i].values.push_back(gauges_[i].fn ? gauges_[i].fn() : 0.0);
-  }
-
-  if (max_points_ > 1 && timestamps_.size() >= max_points_) {
-    // Keep every other retained point and double the stride: memory stays
-    // O(max_points) while the series still spans the whole run.
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < timestamps_.size(); r += 2, ++w) {
-      timestamps_[w] = timestamps_[r];
-      for (Series& s : series_) s.values[w] = s.values[r];
+void Probes::fold(const Snapshot& frame) {
+  if (samples_taken_ == 0 || frame.ts != sample_ts_) {
+    if (timestamps_.size() >= kMaxPoints) {
+      // Keep every other retained point and double the stride: memory stays
+      // O(kMaxPoints) while the series still span the whole run.
+      thin(timestamps_);
+      for (Series& s : series_) thin(s.values);
+      stride_ *= 2;
     }
-    timestamps_.resize(w);
-    for (Series& s : series_) s.values.resize(w);
-    stride_ *= 2;
+    sample_ts_ = frame.ts;
+    keep_ = samples_taken_++ % stride_ == 0;
+    if (keep_) timestamps_.push_back(frame.ts);
   }
+  if (!keep_) return;
+  for (const Snapshot::Gauge& g : frame.gauges) {
+    series_for(frame.proc, g.name).values.push_back(g.value);
+  }
+}
+
+Probes::Series& Probes::series_for(ProcessId p, const std::string& name) {
+  const auto it = std::find_if(series_.begin(), series_.end(), [&](const Series& s) {
+    return s.proc == p && s.name == name;
+  });
+  if (it != series_.end()) return *it;
+  series_.push_back({p, name, {}});
+  return series_.back();
 }
 
 }  // namespace gcs::obs

@@ -1,77 +1,77 @@
 /// \file probes.hpp
-/// State probes: periodic sampling of per-process gauges into bounded
-/// time-series.
+/// State probes: the gauges of published telemetry frames folded into
+/// bounded time series.
 ///
 /// The oracle answers "did anything illegal happen"; the probes answer
-/// "what did the run look like while it happened". The wiring layer
-/// (GcsStack) registers one gauge callback per (process, metric) — channel
-/// send-queue depth, rbcast pending set size, open consensus instances, GB
-/// fast-path ratio, FD suspicion count — and the simulation drives
-/// sample() on a periodic virtual-time timer. Each call appends one point
-/// per registered gauge, so all series share one timestamp axis.
+/// "what did the run look like while it happened". Gauges are registered
+/// once, with obs::Telemetry (GcsStack::attach_telemetry registers channel
+/// send-queue depth, rbcast dedup set size, open consensus instances, GB
+/// fast-path ratio, FD suspicion count, ...). Probes is a Telemetry sink:
+/// every publish() hands it one frame per process, and the frames of one
+/// publish (one timestamp) form one sample. Each retained sample appends
+/// one point per gauge, so all series share one timestamp axis.
 ///
-/// Series are bounded: past `max_points` retained samples the probe set
-/// uniformly decimates (drops every other retained point and doubles its
-/// sampling stride), so arbitrarily long chaos runs keep O(max_points)
-/// memory while still covering the whole run. Decimation is a pure
-/// function of the sample count — identical runs produce identical series.
-///
-/// Probes know nothing about the stack (obs must stay below sim/core in
-/// the link order); gauge callbacks close over the components they read.
+/// Series are bounded: once kMaxPoints samples are retained, the next
+/// sample first decimates uniformly (drops every other retained point and
+/// doubles the sampling stride), so arbitrarily long chaos runs keep
+/// O(kMaxPoints) memory while still covering the whole run. Decimation is
+/// a pure function of the frame sequence — identical runs produce
+/// identical series.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "util/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "util/types.hpp"
 
 namespace gcs::obs {
 
 class Probes {
  public:
-  /// Reads the current gauge value. Called only from sample(), i.e. from
-  /// simulation context — it may touch live component state freely.
-  using Gauge = std::function<double()>;
+  /// Retained samples per series before decimation.
+  static constexpr std::size_t kMaxPoints = 512;
 
-  explicit Probes(std::size_t max_points = 512) : max_points_(max_points) {}
+  Probes() = default;
+  // sink() hands out this object's address.
+  Probes(const Probes&) = delete;
+  Probes& operator=(const Probes&) = delete;
 
-  /// Register a gauge for process \p p under the interned metric \p name.
-  /// Register everything before the first sample(); a late series would
-  /// have fewer points than the shared timestamp axis.
-  void add_gauge(ProcessId p, std::string_view name, Gauge gauge);
+  /// Fold the gauges of one published frame. A frame whose timestamp
+  /// differs from the previous frame's starts a new sample. Register every
+  /// gauge before the first publish; a late series would have fewer
+  /// points than the shared timestamp axis.
+  void fold(const Snapshot& frame);
 
-  /// Take one sample of every registered gauge at virtual time \p now.
-  void sample(TimePoint now);
+  /// This probe set as a Telemetry sink; it must outlive the publisher.
+  Telemetry::Sink sink() {
+    return [this](const Snapshot& frame, BytesView) { fold(frame); };
+  }
 
-  /// One sampled series (values parallel to timestamps()).
+  /// One sampled series (values parallel to timestamps()). Series are
+  /// ordered by process (publish order), then by gauge name.
   struct Series {
     ProcessId proc = kNoProcess;
-    MetricId metric = kNoMetric;
+    std::string name;
     std::vector<double> values;
   };
 
   const std::vector<TimePoint>& timestamps() const { return timestamps_; }
   const std::vector<Series>& series() const { return series_; }
-  std::size_t gauge_count() const { return series_.size(); }
   std::uint64_t samples_taken() const { return samples_taken_; }
   /// Current decimation stride (1 = every sample retained).
   std::uint64_t stride() const { return stride_; }
 
  private:
-  struct GaugeSlot {
-    Gauge fn;
-  };
+  Series& series_for(ProcessId p, const std::string& name);
 
-  std::size_t max_points_;
-  std::vector<GaugeSlot> gauges_;   // parallel to series_
   std::vector<Series> series_;
   std::vector<TimePoint> timestamps_;
   std::uint64_t samples_taken_ = 0;
   std::uint64_t stride_ = 1;
+  TimePoint sample_ts_ = 0;  ///< timestamp of the current sample
+  bool keep_ = false;        ///< the current sample is retained
 };
 
 }  // namespace gcs::obs

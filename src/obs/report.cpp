@@ -138,7 +138,7 @@ std::string render_scenario_report(const std::string& scenario, std::uint64_t se
       const Probes::Series& s = probes->series()[i];
       if (i) out += ",";
       out += "\n{\"proc\":" + std::to_string(s.proc) + ",\"metric\":\"" +
-             json_escape(metric_name(s.metric)) + "\",\"values\":[";
+             json_escape(s.name) + "\",\"values\":[";
       for (std::size_t j = 0; j < s.values.size(); ++j) {
         if (j) out += ",";
         out += json_double(s.values[j]);

@@ -31,8 +31,7 @@ enum class Tag : std::uint8_t {
   kToken = 11,       ///< traditional token-ring atomic broadcast
   kGbData = 12,      ///< generic broadcast data flooding (its own rbcast)
   kApp = 13,         ///< application / replication layer
-  kCbcast = 14,      ///< causal broadcast (optional layer, Isis heritage)
-  kMax = 15,
+  kMax = 14,
 };
 
 /// Stable lowercase name for a tag, used to build per-component metric
@@ -52,7 +51,6 @@ constexpr const char* tag_name(Tag tag) {
     case Tag::kToken: return "token";
     case Tag::kGbData: return "gbdata";
     case Tag::kApp: return "app";
-    case Tag::kCbcast: return "cbcast";
     default: return "tag";
   }
 }

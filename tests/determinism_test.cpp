@@ -165,8 +165,10 @@ std::string run_report(std::uint64_t seed) {
   World w(cfg);
   obs::Oracle oracle;
   obs::Probes probes;
+  obs::Telemetry telemetry;
+  telemetry.add_sink(probes.sink());
   w.attach_oracle(oracle);
-  w.enable_probes(probes, msec(10));
+  w.enable_telemetry(telemetry, msec(10));
   w.found_group({0, 1, 2, 3});
   for (int i = 0; i < 12; ++i) {
     w.stack(static_cast<ProcessId>(i % 4)).abcast(bytes_of("a" + std::to_string(i)));

@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "explore/artifact.hpp"
 #include "explore/runner.hpp"
@@ -159,6 +162,52 @@ TEST(Artifact, MalformedInputIsRejected) {
   EXPECT_FALSE(explore::parse_artifact("{\"schema\":\"nggcs.repro.v2\"}").has_value());
   EXPECT_FALSE(
       explore::parse_artifact("{\"schema\":\"nggcs.repro.v1\",\"plan_seed\":1}").has_value());
+}
+
+/// A rendered artifact whose field \p key holds the literal \p value.
+std::string artifact_with(const std::string& key, const std::string& value) {
+  explore::Artifact a;
+  a.plan_seed = 1;
+  a.keep = {0, 1};
+  a.outcome = "violation";
+  a.report_json = "{}";
+  std::string json = explore::render_artifact(a);
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = json.find(needle) + needle.size();
+  json.replace(at, json.find(",\n", at) - at, value);
+  return json;
+}
+
+TEST(Artifact, IntegersAtTheirLimitsParse) {
+  const auto seed = explore::parse_artifact(artifact_with("plan_seed", "18446744073709551615"));
+  ASSERT_TRUE(seed.has_value());
+  EXPECT_EQ(seed->plan_seed, 18446744073709551615ULL);
+
+  const auto quorum = explore::parse_artifact(artifact_with("fast_quorum_override", "2147483647"));
+  ASSERT_TRUE(quorum.has_value());
+  EXPECT_EQ(quorum->fast_quorum_override, 2147483647);
+
+  const auto keep = explore::parse_artifact(artifact_with("keep_steps", "[0,4294967295]"));
+  ASSERT_TRUE(keep.has_value());
+  EXPECT_EQ(keep->keep, (std::vector<std::uint32_t>{0, 4294967295U}));
+}
+
+TEST(Artifact, OutOfRangeIntegersAreRejected) {
+  // Each would otherwise wrap or truncate into a different run: e.g. a
+  // fast quorum of 4294967298 would replay with a planted quorum of 2.
+  const std::pair<const char*, const char*> cases[] = {
+      {"plan_seed", "18446744073709551616"},
+      {"plan_seed", "99999999999999999999"},
+      {"plan_n", "4294967301"},
+      {"plan_steps", "2147483648"},
+      {"fast_quorum_override", "4294967298"},
+      {"keep_steps", "[0,4294967296]"},
+      {"keep_steps", "[18446744073709551617]"},
+  };
+  for (const auto& [key, value] : cases) {
+    EXPECT_FALSE(explore::parse_artifact(artifact_with(key, value)).has_value())
+        << key << " = " << value;
+  }
 }
 
 // The end-to-end satellite: a stack configured with the unsafe fast quorum

@@ -210,13 +210,19 @@ TEST(PerfLedgerDiff, MissingMetricFailsUnlessAllowed) {
   EXPECT_TRUE(relaxed.ok());
 }
 
-TEST(PerfLedgerDiff, NewMetricPasses) {
-  const LedgerDiff diff =
-      diff_ledgers({}, {{"latency.mean_us", 100.0}}, gating_rules());
-  ASSERT_EQ(diff.deltas.size(), 1u);
-  EXPECT_EQ(diff.deltas[0].kind, DeltaKind::kNew);
-  EXPECT_EQ(diff.added, 1u);
-  EXPECT_TRUE(diff.ok());
+TEST(PerfLedgerDiff, NewMetricFails) {
+  // A fresh-only metric means the committed baseline is stale; it fails
+  // even under allow_missing, and whether or not a rule gates it.
+  DiffOptions options;
+  options.allow_missing = true;
+  for (const char* metric : {"latency.mean_us", "kernel.ns_per_event"}) {
+    const LedgerDiff diff = diff_ledgers({}, {{metric, 100.0}}, gating_rules(), options);
+    ASSERT_EQ(diff.deltas.size(), 1u);
+    EXPECT_EQ(diff.deltas[0].kind, DeltaKind::kNew);
+    EXPECT_EQ(diff.added, 1u);
+    EXPECT_FALSE(diff.ok()) << metric;
+    EXPECT_NE(render_diff_table(diff, false).find("1 new"), std::string::npos);
+  }
 }
 
 TEST(PerfLedgerDiff, RendersTableAndJsonReport) {

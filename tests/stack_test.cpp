@@ -210,36 +210,6 @@ TEST(Stack, DeterministicAcrossRuns) {
   EXPECT_EQ(run_once(42), run_once(42));
 }
 
-
-TEST(Stack, CausalBroadcastOperation) {
-  // cbcast at the stack level: happened-before order across members.
-  World w(cfg(4, 21));
-  test::ScenarioOracle oracle(w, msec(20), 21);
-  std::vector<std::vector<MsgId>> clogs(4);
-  for (ProcessId p = 0; p < 4; ++p) {
-    w.stack(p).on_cdeliver([&clogs, p](const MsgId& id, const Bytes&) {
-      clogs[static_cast<std::size_t>(p)].push_back(id);
-    });
-  }
-  w.found_group_all();
-  const MsgId m1 = w.stack(0).cbcast(bytes_of("cause"));
-  ASSERT_TRUE(test::run_until(w.engine(), sec(5), [&] { return !clogs[1].empty(); }));
-  const MsgId m2 = w.stack(1).cbcast(bytes_of("effect"));
-  ASSERT_TRUE(test::run_until(w.engine(), sec(5), [&] {
-    for (auto& log : clogs) {
-      if (log.size() < 2) return false;
-    }
-    return true;
-  }));
-  for (ProcessId p = 0; p < 4; ++p) {
-    const auto& log = clogs[static_cast<std::size_t>(p)];
-    EXPECT_EQ(log[0], m1) << "p" << p;
-    EXPECT_EQ(log[1], m2) << "p" << p;
-  }
-  // Causal order costs no consensus.
-  EXPECT_EQ(w.stack(0).consensus().instances_decided(), 0);
-}
-
 TEST(Stack, MetricsAreExposed) {
   World w(cfg(3));
   w.found_group_all();

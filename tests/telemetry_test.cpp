@@ -4,7 +4,8 @@
 ///   1. frame codec — randomized Snapshot round-trips (including the
 ///      IEEE-754 bit-pattern encoding of doubles), strict-prefix rejection
 ///      fuzz in the style of codec_roundtrip_test.cpp, magic/version
-///      gating, trailing-garbage rejection;
+///      gating, trailing-garbage rejection; the publisher, and Probes
+///      folding its gauges into bounded, decimated series;
 ///   2. watchdog rules — synthetic frame streams plant exactly one anomaly
 ///      each (stall, pull storm, fc saturation, view flap, queue growth)
 ///      and every test pins down that exactly its own rule fires, plus the
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "core/stack.hpp"
+#include "obs/probes.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -33,6 +35,7 @@ namespace gcs {
 namespace {
 
 using obs::Alert;
+using obs::Probes;
 using obs::Snapshot;
 using obs::Telemetry;
 using obs::Watchdog;
@@ -277,6 +280,73 @@ TEST(Telemetry, TraceRingHealthInFrames) {
   EXPECT_EQ(s.trace_capacity, 4u);
   EXPECT_EQ(s.trace_records, 4u);
   EXPECT_EQ(s.trace_dropped, 6u);
+}
+
+// ---------------------------------------------------------------------------
+// probes: published gauges folded into bounded time series
+
+/// Publish \p samples frames per process (two processes, two gauges each,
+/// timestamps 1000, 1010, ...) into \p probes.
+void fold_samples(int samples, Probes& probes) {
+  Telemetry t;
+  t.add_sink(probes.sink());
+  int tick = 0;
+  for (ProcessId p = 0; p < 2; ++p) {
+    t.register_process(p, std::make_shared<Metrics>());
+    t.add_gauge(p, "g.tick", [&tick, p] { return tick * 10.0 + p; });
+    t.add_gauge(p, "g.const", [] { return 1.0; });
+  }
+  for (tick = 0; tick < samples; ++tick) t.publish(1000 + tick * 10);
+}
+
+TEST(Probes, OnePointPerGaugePerPublish) {
+  Probes probes;
+  fold_samples(3, probes);
+  EXPECT_EQ(probes.samples_taken(), 3u);
+  EXPECT_EQ(probes.timestamps(), (std::vector<TimePoint>{1000, 1010, 1020}));
+  // Ordered by process, then by gauge name.
+  ASSERT_EQ(probes.series().size(), 4u);
+  EXPECT_EQ(probes.series()[0].proc, 0);
+  EXPECT_EQ(probes.series()[0].name, "g.const");
+  EXPECT_EQ(probes.series()[3].proc, 1);
+  EXPECT_EQ(probes.series()[3].name, "g.tick");
+  EXPECT_EQ(probes.series()[3].values, (std::vector<double>{1, 11, 21}));
+}
+
+TEST(Probes, LongFeedDecimatesWithinBound) {
+  constexpr std::size_t kMax = Probes::kMaxPoints;
+  Probes full;
+  fold_samples(static_cast<int>(kMax), full);
+  EXPECT_EQ(full.stride(), 1u);
+  EXPECT_EQ(full.timestamps().size(), kMax);
+  Probes over;
+  fold_samples(static_cast<int>(kMax) + 1, over);
+  EXPECT_EQ(over.stride(), 2u);  // the stride doubles...
+  EXPECT_EQ(over.timestamps().size(), kMax / 2 + 1);  // ...and half the points go
+
+  Probes a;
+  fold_samples(1300, a);
+  EXPECT_EQ(a.samples_taken(), 1300u);
+  EXPECT_EQ(a.stride(), 4u);
+  ASSERT_LE(a.timestamps().size(), kMax);
+  EXPECT_EQ(a.timestamps().front(), 1000);  // the first sample survives
+  for (std::size_t i = 0; i < a.timestamps().size(); ++i) {
+    // Retained points stay uniform: every stride-th sample, values aligned.
+    const TimePoint ts = a.timestamps()[i];
+    EXPECT_EQ(ts, 1000 + static_cast<TimePoint>(i * a.stride() * 10));
+    EXPECT_EQ(a.series()[3].values[i], static_cast<double>(ts - 1000) + 1);
+  }
+  for (const Probes::Series& s : a.series()) {
+    EXPECT_EQ(s.values.size(), a.timestamps().size()) << s.name;
+  }
+
+  Probes b;
+  fold_samples(1300, b);
+  EXPECT_EQ(a.timestamps(), b.timestamps());
+  ASSERT_EQ(a.series().size(), b.series().size());
+  for (std::size_t i = 0; i < a.series().size(); ++i) {
+    EXPECT_EQ(a.series()[i].values, b.series()[i].values);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "obs/oracle.hpp"
 #include "obs/probes.hpp"
 #include "obs/report.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "util/types.hpp"
 
@@ -137,10 +138,11 @@ class FlightRecorder {
 ///   ... drive the scenario ...
 ///   // destructor: finalize() + EXPECT no violations + report emission
 ///
-/// Construction taps every stack (attach_oracle) and, by default, starts
-/// the state-probe sampler. Destruction finalizes the oracle, adds a test
-/// failure listing every violation if any property was violated, and — when
-/// NGGCS_REPORT_DIR is set — writes scenario_report_<test-name>.json.
+/// Construction taps every stack (attach_oracle) and, by default, publishes
+/// telemetry frames into the state probes. Destruction finalizes the
+/// oracle, adds a test failure listing every violation if any property was
+/// violated, and — when NGGCS_REPORT_DIR is set — writes
+/// scenario_report_<test-name>.json.
 ///
 /// Scenarios that intentionally end mid-flight (messages still undelivered)
 /// can call skip_finalize(); the online safety checks still apply.
@@ -151,7 +153,10 @@ class ScenarioOracle {
                           std::uint64_t seed = 0)
       : world_(&world), seed_(seed) {
     world.attach_oracle(oracle_);
-    if (probe_cadence > 0) world.enable_probes(probes_, probe_cadence);
+    if (probe_cadence > 0) {
+      telemetry_.add_sink(probes_.sink());
+      world.enable_telemetry(telemetry_, probe_cadence);
+    }
   }
 
   ~ScenarioOracle() {
@@ -185,6 +190,7 @@ class ScenarioOracle {
   World* world_;
   obs::Oracle oracle_;
   obs::Probes probes_;
+  obs::Telemetry telemetry_;  // publishes into probes_
   const Metrics* metrics_ = nullptr;
   const obs::Recorder* recorder_ = nullptr;
   std::uint64_t seed_ = 0;

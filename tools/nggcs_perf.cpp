@@ -11,8 +11,11 @@
 /// into one suite-prefixed metric map per side, and exits 1 when any gated
 /// metric regressed beyond tolerance (CI's perf sentinel). A baseline file
 /// with no fresh counterpart is itself a failure — a bench silently not
-/// running must not pass. `show` prints one file's flattened metrics (the
-/// exact identities the tolerance patterns match against).
+/// running must not pass — and so is a metric on one side only: missing
+/// from the fresh run (unless --allow-missing) or absent from the baseline
+/// (a stale baseline; commit the refreshed one). `show` prints one file's
+/// flattened metrics (the exact identities the tolerance patterns match
+/// against).
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
