@@ -10,11 +10,14 @@
 ///   gbcast.fast_latency_us   payload seen -> fast-path delivery
 ///   gbcast.slow_latency_us   payload seen -> resolution delivery
 ///
-/// plus the GB fast-path ratio (fast vs resolved deliveries). Latencies
+/// plus the GB fast-path ratio (fast vs resolved deliveries), and a Paxos
+/// leader-crash scenario reporting retransmissions per delivery, the
+/// exclusion delay and the delivery outage. Latencies
 /// are virtual-time microseconds, so the report is deterministic for a
 /// given seed and comparable across machines.
 ///
 ///   ./bench/bench_protocol_json [--json=PATH]   (default BENCH_protocol.json)
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -68,6 +71,11 @@ struct Scenario {
   std::int64_t gb_resolved = 0;
   std::int64_t consensus_decided = 0;
   std::int64_t views_installed = 0;
+  // Leader-crash scenario only (has_crash): what a dead member costs.
+  bool has_crash = false;
+  double retransmits_per_delivered = 0;
+  double exclusion_ms = 0;  ///< crash -> last survivor installs the view without it
+  double outage_ms = 0;     ///< longest delivery gap at a survivor
 
   double fast_ratio() const {
     const std::int64_t total = gb_fast + gb_resolved;
@@ -171,6 +179,67 @@ Scenario run_view_change() {
   return sc;
 }
 
+/// Paxos leader crash under an open abcast load (perfbench's leader_crash
+/// shape, shortened): the channel keeps resending toward the dead leader
+/// until monitoring excludes it. Reports the retransmissions that cost per
+/// delivery, the exclusion delay and the delivery outage.
+Scenario run_leader_crash() {
+  const int n = 5;
+  World::Config config;
+  config.n = n;
+  config.seed = 23;
+  config.stack.consensus_algorithm = StackConfig::ConsensusAlgo::kPaxos;
+  config.stack.abcast.pipeline_depth = 4;
+  World world(config);
+  OracleScope oracle(world, "protocol_json/leader_crash");
+  std::int64_t delivered = 0;
+  TimePoint last_delivery = 0;
+  Duration outage = 0;
+  for (ProcessId p = 1; p < n; ++p) {
+    world.stack(p).on_adeliver([&, p](const MsgId&, const Bytes&) {
+      ++delivered;
+      if (p != 1) return;
+      const TimePoint now = world.engine().now();
+      if (last_delivery > 0) outage = std::max(outage, now - last_delivery);
+      last_delivery = now;
+    });
+  }
+  const TimePoint crash_at = msec(300);
+  TimePoint excluded_at = -1;
+  for (ProcessId p = 1; p < n; ++p) {
+    world.stack(p).on_view([&](const View& v) {
+      if (!v.contains(0)) excluded_at = world.engine().now();
+    });
+  }
+  world.found_group_all();
+  const TimePoint stop_at = msec(3000);
+  int sent = 0;
+  std::function<void()> tick = [&] {
+    if (world.engine().now() >= stop_at) return;
+    world.stack(static_cast<ProcessId>(1 + sent % (n - 1))).abcast(payload_of(sent));
+    ++sent;
+    world.engine().schedule_after(kGap, tick);
+  };
+  world.engine().schedule_after(0, tick);
+  world.engine().schedule_at(crash_at, [&] { world.crash(0); });
+  world.engine().run_until(stop_at + sec(1));
+
+  Scenario sc;
+  sc.name = "leader_crash";
+  sc.params["n"] = std::to_string(n);
+  sc.params["crash_at_ms"] = std::to_string(crash_at / 1000);
+  sc.params["sends"] = std::to_string(sent);
+  collect(world, n, sc);
+  sc.has_crash = true;
+  sc.retransmits_per_delivered =
+      delivered > 0 ? static_cast<double>(sum_counter(world, n, "channel.retransmits")) /
+                          static_cast<double>(delivered)
+                    : 0.0;
+  sc.exclusion_ms = excluded_at < 0 ? -1.0 : static_cast<double>(excluded_at - crash_at) / 1000.0;
+  sc.outage_ms = static_cast<double>(outage) / 1000.0;
+  return sc;
+}
+
 std::string phase_json(const PhaseStats& st) {
   return "{\"count\": " + std::to_string(st.count) + ", \"mean_us\": " + json_num(st.mean) +
          ", \"p50_us\": " + std::to_string(st.p50) + ", \"p99_us\": " + std::to_string(st.p99) +
@@ -179,14 +248,16 @@ std::string phase_json(const PhaseStats& st) {
 
 int run_suite(const std::string& json_path) {
   banner("protocol perf — per-phase latency breakdown (JSON report)",
-         "E3 generic broadcast (fast path vs conflict fallback) and E5\n"
-         "view change, measured by the per-phase histograms; virtual time");
+         "E3 generic broadcast (fast path vs conflict fallback), E5 view\n"
+         "change and a leader crash, measured by the per-phase histograms;\n"
+         "virtual time");
 
   std::vector<Scenario> scenarios;
   scenarios.push_back(run_generic_broadcast(0.0));
   scenarios.push_back(run_generic_broadcast(0.25));
   scenarios.push_back(run_generic_broadcast(1.0));
   scenarios.push_back(run_view_change());
+  scenarios.push_back(run_leader_crash());
 
   Table table({"scenario", "phase", "count", "mean (ms)", "p50 (ms)", "p99 (ms)"});
   for (const Scenario& sc : scenarios) {
@@ -204,6 +275,11 @@ int run_suite(const std::string& json_path) {
                 sc.name.c_str(), fmt_pct(sc.fast_ratio()).c_str(),
                 static_cast<long long>(sc.gb_fast), static_cast<long long>(sc.gb_resolved),
                 static_cast<long long>(sc.consensus_decided));
+  }
+  for (const Scenario& sc : scenarios) {
+    if (!sc.has_crash) continue;
+    std::printf("  %s: %.2f retransmits/delivery, exclusion %.1f ms, outage %.1f ms\n",
+                sc.name.c_str(), sc.retransmits_per_delivered, sc.exclusion_ms, sc.outage_ms);
   }
 
   std::FILE* out = std::fopen(json_path.c_str(), "w");
@@ -233,11 +309,19 @@ int run_suite(const std::string& json_path) {
     std::fprintf(out,
                  "\n     },\n     \"gb\": {\"fast_delivered\": %lld, \"resolved_delivered\": "
                  "%lld, \"fast_ratio\": %s},\n     \"consensus_decided\": %lld,\n"
-                 "     \"views_installed\": %lld}%s\n",
+                 "     \"views_installed\": %lld",
                  static_cast<long long>(sc.gb_fast), static_cast<long long>(sc.gb_resolved),
                  json_num(sc.fast_ratio()).c_str(),
                  static_cast<long long>(sc.consensus_decided),
-                 static_cast<long long>(sc.views_installed), i + 1 < scenarios.size() ? "," : "");
+                 static_cast<long long>(sc.views_installed));
+    if (sc.has_crash) {
+      std::fprintf(out,
+                   ",\n     \"crash\": {\"retransmits_per_delivered\": %s, \"exclusion_ms\": %s, "
+                   "\"outage_ms\": %s}",
+                   json_num(sc.retransmits_per_delivered).c_str(),
+                   json_num(sc.exclusion_ms).c_str(), json_num(sc.outage_ms).c_str());
+    }
+    std::fprintf(out, "}%s\n", i + 1 < scenarios.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

@@ -7,7 +7,9 @@
 /// proposals and GB resolution reports, so its consensus traffic should be
 /// independent of payload size — that is the claim this report measures.
 /// Each cell also counts every reliable-channel datagram (data frames and
-/// standalone acks alike) per delivered message.
+/// standalone acks alike) and every channel retransmission per delivered
+/// message. One extra abcast cell runs over links that drop 2% of
+/// datagrams, so the retransmission count measures loss recovery.
 ///
 /// This binary opts into the counting operator new/delete of bench_util.hpp
 /// (as bench_e7_micro does), which also powers the GB
@@ -58,6 +60,8 @@ struct Cell {
   std::int64_t flood_wire_bytes = 0;     // rbcast / gbdata payload flooding
   std::int64_t pull_wire_bytes = 0;      // abcast/gbcast channel fallback
   std::int64_t channel_datagrams = 0;    // every channel datagram, acks included
+  std::int64_t retransmits = 0;          // channel frames sent again
+  double loss = 0;                       // link drop probability
   std::uint64_t net_allocs = 0;          // heap growth across the whole run
   bool completed = false;
 
@@ -79,16 +83,18 @@ constexpr Duration kGap = msec(1);
 /// E6-style abcast workload: every member sends in round-robin at a steady
 /// rate; the cell records what each wire tag carried until everyone
 /// delivered everything.
-Cell run_abcast_cell(int n, std::size_t payload_bytes, WireFormat format) {
+Cell run_abcast_cell(int n, std::size_t payload_bytes, WireFormat format, double loss = 0) {
   Cell cell;
   cell.layer = "abcast";
   cell.n = n;
   cell.payload_bytes = payload_bytes;
   cell.format = format;
+  cell.loss = loss;
 
   World::Config config;
   config.n = n;
   config.seed = 101 + static_cast<std::uint64_t>(n);
+  config.link.drop_probability = loss;
   config.stack.wire_format = format;
   World world(config);
   OracleScope oracle(world, std::string("wire/abcast/") + format_name(format));
@@ -125,6 +131,7 @@ Cell run_abcast_cell(int n, std::size_t payload_bytes, WireFormat format) {
   cell.flood_wire_bytes = sum_counter(world, n, "rbcast.wire_bytes");
   cell.pull_wire_bytes = sum_counter(world, n, "abcast.wire_bytes");
   cell.channel_datagrams = sum_counter(world, n, "channel.wire_msgs");
+  cell.retransmits = sum_counter(world, n, "channel.retransmits");
   cell.net_allocs = (a1.allocs - a0.allocs) - (a1.frees - a0.frees);
   return cell;
 }
@@ -178,6 +185,7 @@ Cell run_gbcast_cell(int n, std::size_t payload_bytes, WireFormat format) {
   cell.flood_wire_bytes = sum_counter(world, n, "gbdata.wire_bytes");
   cell.pull_wire_bytes = sum_counter(world, n, "gbcast.wire_bytes");
   cell.channel_datagrams = sum_counter(world, n, "channel.wire_msgs");
+  cell.retransmits = sum_counter(world, n, "channel.retransmits");
   return cell;
 }
 
@@ -327,16 +335,18 @@ int run_suite(const std::string& json_path) {
   for (const WireFormat format : {WireFormat::kSlim, WireFormat::kLegacy}) {
     cells.push_back(run_gbcast_cell(7, 1024, format));
   }
+  cells.push_back(run_abcast_cell(5, 1024, WireFormat::kSlim, 0.02));
 
-  Table table({"layer", "n", "payload", "format", "delivered", "consensus B/msg",
-               "flood B/msg", "pull B/msg", "datagrams/msg"});
+  Table table({"layer", "n", "payload", "format", "loss", "delivered", "consensus B/msg",
+               "flood B/msg", "pull B/msg", "datagrams/msg", "retransmits/msg"});
   for (const Cell& c : cells) {
     table.add_row({c.layer, std::to_string(c.n), std::to_string(c.payload_bytes),
-                   format_name(c.format), std::to_string(c.delivered),
+                   format_name(c.format), fmt_pct(c.loss), std::to_string(c.delivered),
                    fmt_double(c.per_delivered(c.consensus_wire_bytes), 1),
                    fmt_double(c.per_delivered(c.flood_wire_bytes), 1),
                    fmt_double(c.per_delivered(c.pull_wire_bytes), 1),
-                   fmt_double(c.per_delivered(c.channel_datagrams), 1)});
+                   fmt_double(c.per_delivered(c.channel_datagrams), 1),
+                   fmt_double(c.per_delivered(c.retransmits), 2)});
   }
   table.print();
 
@@ -360,15 +370,23 @@ int run_suite(const std::string& json_path) {
   std::fprintf(out, "{\n  \"suite\": \"wire\",\n  \"schema\": 1,\n  \"cells\": [\n");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
+    // A lossy cell shares its layer/n/payload/format key with a loss-free
+    // one; a name keeps the two apart in the perf ledger.
+    const std::string name =
+        c.loss > 0 ? "\"name\": \"" + c.layer + "_n" + std::to_string(c.n) + "_b" +
+                         std::to_string(c.payload_bytes) + "_" + format_name(c.format) +
+                         "_loss" + std::to_string(static_cast<int>(c.loss * 100)) + "\", "
+                   : std::string();
     std::fprintf(
         out,
-        "    {\"layer\": \"%s\", \"n\": %d, \"payload_bytes\": %zu, \"format\": \"%s\",\n"
+        "    {%s\"layer\": \"%s\", \"n\": %d, \"payload_bytes\": %zu, \"format\": \"%s\",\n"
         "     \"completed\": %s, \"delivered\": %lld,\n"
         "     \"consensus_wire_bytes\": %lld, \"consensus_wire_msgs\": %lld,\n"
         "     \"flood_wire_bytes\": %lld, \"pull_wire_bytes\": %lld,\n"
         "     \"consensus_bytes_per_delivered\": %s, \"total_bytes_per_delivered\": %s,\n"
-        "     \"datagrams_per_delivered\": %s, \"net_allocs_per_delivered\": %s}%s\n",
-        c.layer.c_str(), c.n, c.payload_bytes, format_name(c.format),
+        "     \"datagrams_per_delivered\": %s, \"net_allocs_per_delivered\": %s,\n"
+        "     \"retransmits_per_delivered\": %s}%s\n",
+        name.c_str(), c.layer.c_str(), c.n, c.payload_bytes, format_name(c.format),
         c.completed ? "true" : "false", static_cast<long long>(c.delivered),
         static_cast<long long>(c.consensus_wire_bytes),
         static_cast<long long>(c.consensus_wire_msgs),
@@ -376,7 +394,8 @@ int run_suite(const std::string& json_path) {
         json_num(c.per_delivered(c.consensus_wire_bytes)).c_str(),
         json_num(c.per_delivered(c.total_wire_bytes())).c_str(),
         json_num(c.per_delivered(c.channel_datagrams)).c_str(),
-        json_num(c.allocs_per_delivered()).c_str(), i + 1 < cells.size() ? "," : "");
+        json_num(c.allocs_per_delivered()).c_str(),
+        json_num(c.per_delivered(c.retransmits)).c_str(), i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(out,
                "  ],\n  \"fastpath_alloc_check\": {\"layer\": \"gbcast\", \"deliveries\": %lld, "

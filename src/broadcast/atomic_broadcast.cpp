@@ -270,6 +270,12 @@ void AtomicBroadcast::on_decide(std::uint64_t k, const Bytes& value) {
 }
 
 void AtomicBroadcast::process_decisions() {
+  // A delivery upcall can re-enter here: it may abcast, and a proposal for
+  // an instance that is already decided decides inline. The nested call
+  // must not deliver a later instance in the middle of this one; the loop
+  // below picks up whatever it buffered.
+  if (delivering_) return;
+  delivering_ = true;
   // Drop any stale decisions (re-delivered duplicates) so they cannot block
   // the in-order processing loop below, closing their gap spans if open.
   decision_buffer_.erase(decision_buffer_.begin(),
@@ -305,6 +311,7 @@ void AtomicBroadcast::process_decisions() {
                            static_cast<std::int64_t>(missing_.size()));
         }
         request_pull();
+        delivering_ = false;
         return;
       }
     }
@@ -369,6 +376,7 @@ void AtomicBroadcast::process_decisions() {
       delivered_log_.pop_front();
     }
   }
+  delivering_ = false;
   // Old decision values are dead weight; keep a small tail for stragglers'
   // DECIDE echoes, then let consensus forget them. (Forgetting never
   // touches the open pipeline window: it sits at >= next_instance_.)

@@ -227,6 +227,7 @@ class AtomicBroadcast {
   std::uint32_t max_open_ = 0;    // high-water open-window occupancy
   bool window_saturated_ = false; // hit the depth gate since the last tick
   bool proposing_ = false;        // re-entrancy guard (propose can decide inline)
+  bool delivering_ = false;       // re-entrancy guard of process_decisions()
   bool fc_retry_armed_ = false;   // timer to re-try proposals after an fc stall
   bool control_armed_ = false;    // adaptive tick scheduled
   // Controller interval bookkeeping: last-seen histogram totals.

@@ -1,6 +1,7 @@
 #include "channel/reliable_channel.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/codec.hpp"
 
@@ -9,12 +10,18 @@ namespace gcs {
 namespace {
 // Frame layouts (varints per util/codec.hpp); every frame carries the
 // sender's cumulative ack for the receiver right after the kind byte:
-//   kData:  kind | ack | seq | upper | body
-//   kAck:   kind | ack
-//   kBatch: kind | ack | count | count x (seq | upper | body)
+//   kData:  kind | ack | ext | seq | upper | body
+//   kAck:   kind | ack | ext
+//   kBatch: kind | ack | ext | count | count x (seq | upper | body)
+// ext is empty unless flag bits of the kind byte announce extensions:
+//   kSackFlag:  bitmap blob, bit i set = the sender holds seq ack + 1 + i
+//   kFloorFlag: floor (data frames only); the receiver skips seqs below it
 constexpr std::uint8_t kData = 0;
 constexpr std::uint8_t kAck = 1;
 constexpr std::uint8_t kBatch = 2;
+constexpr std::uint8_t kKindMask = 0x0f;
+constexpr std::uint8_t kSackFlag = 0x10;
+constexpr std::uint8_t kFloorFlag = 0x20;
 
 std::size_t varint_size(std::uint64_t v) {
   std::size_t n = 1;
@@ -80,7 +87,7 @@ void ReliableChannel::pump(ProcessId to, PeerOut& peer) {
     it->second.first_sent = ctx_.now();
     ++peer.in_flight;
     peer.next_unsent = it->first + 1;
-    transmit(to, it->first, it->second);
+    transmit(to, peer, it->first, it->second);
   }
   update_fc_stall(to, peer);
 }
@@ -120,15 +127,14 @@ void ReliableChannel::flush(ProcessId to) {
     batch.emplace_back(it->first, &it->second);
   }
   update_fc_stall(to, peer);
-  if (!batch.empty()) transmit_batch(to, batch);
+  if (!batch.empty()) transmit_batch(to, peer, batch);
 }
 
-void ReliableChannel::transmit_batch(ProcessId to, const Batch& msgs) {
+void ReliableChannel::transmit_batch(ProcessId to, const PeerOut& peer, const Batch& msgs) {
   // Split at the transport's datagram limit (less its tag byte). The count
   // header is sized for the whole batch, an upper bound for every chunk.
-  const std::uint64_t ack = take_ack(to);
   const std::size_t limit = transport_.max_datagram() - 1;
-  const std::size_t header = 1 + varint_size(ack) + varint_size(msgs.size());
+  const std::size_t header = header_size(to, peer) + varint_size(msgs.size());
   for (auto first = msgs.begin(); first != msgs.end();) {
     auto last = first;
     std::size_t bytes = header;
@@ -140,22 +146,21 @@ void ReliableChannel::transmit_batch(ProcessId to, const Batch& msgs) {
       bytes += entry;
     }
     if (last - first == 1) {
-      transmit(to, first->first, *first->second);
+      transmit(to, peer, first->first, *first->second);
     } else {
-      emit_batch(to, ack, first, last);
+      emit_batch(to, peer, first, last);
     }
     first = last;
   }
 }
 
-void ReliableChannel::emit_batch(ProcessId to, std::uint64_t ack, Batch::const_iterator first,
+void ReliableChannel::emit_batch(ProcessId to, const PeerOut& peer, Batch::const_iterator first,
                                  Batch::const_iterator last) {
   // Frame into the reusable scratch buffer; u_send copies it into the
   // outgoing datagram synchronously, so reuse per call is safe.
   scratch_.clear();
   Encoder enc(scratch_);
-  enc.put_byte(kBatch);
-  enc.put_u64(ack);
+  put_header(enc, kBatch, to, &peer);
   enc.put_u64(static_cast<std::uint64_t>(last - first));
   for (; first != last; ++first) {
     const auto& [seq, msg] = *first;
@@ -193,9 +198,17 @@ std::size_t ReliableChannel::unacked_count(ProcessId to) const {
 void ReliableChannel::forget(ProcessId to) {
   auto it = out_.find(to);
   if (it != out_.end()) {
+    if (!it->second.unacked.empty()) {
+      // Seqs below next_seq are void from now on; tell the peer to skip
+      // them, or a member that rejoins would wait on the first forever.
+      it->second.floor = it->second.next_seq;
+      it->second.floor_pending = true;
+    }
     it->second.unacked.clear();
     it->second.in_flight = 0;
     it->second.next_unsent = it->second.next_seq;
+    it->second.backoff = 1;
+    it->second.resend_at = 0;
     if (it->second.fc_stalled) {
       // The peer was excluded while its window was full; close the stall
       // span so the flight recorder stays balanced.
@@ -207,21 +220,32 @@ void ReliableChannel::forget(ProcessId to) {
   }
 }
 
+void ReliableChannel::suspect(ProcessId to) { out_[to].suspected = true; }
+
+void ReliableChannel::restore(ProcessId to) {
+  auto it = out_.find(to);
+  if (it == out_.end()) return;
+  PeerOut& peer = it->second;
+  peer.suspected = false;
+  peer.backoff = 1;
+  peer.resend_at = 0;
+  resend_due(to, peer);
+}
+
 std::size_t ReliableChannel::queued_by_flow_control(ProcessId to) const {
   auto it = out_.find(to);
   return it == out_.end() ? 0 : it->second.next_seq - it->second.next_unsent;
 }
 
-void ReliableChannel::transmit(ProcessId to, std::uint64_t seq, const Outgoing& msg) {
+void ReliableChannel::transmit(ProcessId to, const PeerOut& peer, std::uint64_t seq,
+                               const Outgoing& msg) {
   ++datagrams_sent_;
   ctx_.trace_instant(obs::Names::get().channel_tx, MsgId{},
                      obs::pack_channel_arg(to, static_cast<std::uint8_t>(msg.upper),
                                            msg.payload.size()));
-  const std::uint64_t ack = take_ack(to);
   scratch_.clear();
   Encoder enc(scratch_);
-  enc.put_byte(kData);
-  enc.put_u64(ack);
+  put_header(enc, kData, to, &peer);
   const std::size_t before = enc.size();
   enc.put_u64(seq);
   enc.put_byte(static_cast<std::uint8_t>(msg.upper));
@@ -230,22 +254,67 @@ void ReliableChannel::transmit(ProcessId to, std::uint64_t seq, const Outgoing& 
   transport_.u_send(to, Tag::kChannel, scratch_);
 }
 
-std::uint64_t ReliableChannel::take_ack(ProcessId to) {
-  auto it = in_.find(to);
-  if (it == in_.end()) return 0;
-  PeerIn& in = it->second;
+std::uint64_t ReliableChannel::take_ack(PeerIn& in) {
   in.ack_sent = in.next_expected;
   in.ack_due = kNoAckDue;
   return in.next_expected;
 }
 
+bool ReliableChannel::gap_aged(const PeerIn& in) const {
+  return !in.holdback.empty() && in.gap_since != kNoAckDue &&
+         ctx_.now() - in.gap_since >= config_.rto / 8;
+}
+
+std::size_t ReliableChannel::sack_len(const PeerIn& in) const {
+  if (!gap_aged(in)) return 0;
+  // Held seqs all lie at or above next_expected; the bitmap starts one
+  // above it (next_expected itself is the gap) and ends at the highest.
+  const std::uint64_t span = in.holdback.rbegin()->first - in.next_expected;
+  return static_cast<std::size_t>(std::min<std::uint64_t>((span + 7) / 8, kMaxSackBytes));
+}
+
+std::size_t ReliableChannel::header_size(ProcessId to, const PeerOut& peer) const {
+  std::size_t n = 2;  // kind, and the ack of a peer we never heard from
+  if (auto it = in_.find(to); it != in_.end()) {
+    n = 1 + varint_size(it->second.next_expected);
+    if (const std::size_t sack = sack_len(it->second); sack > 0) {
+      n += varint_size(sack) + sack;
+    }
+  }
+  if (peer.floor_pending) n += varint_size(peer.floor);
+  return n;
+}
+
+void ReliableChannel::put_header(Encoder& enc, std::uint8_t kind, ProcessId to,
+                                 const PeerOut* peer) {
+  const auto it = in_.find(to);
+  const std::uint64_t ack = it == in_.end() ? 0 : take_ack(it->second);
+  const std::size_t sack = it == in_.end() ? 0 : sack_len(it->second);
+  const bool floor = peer != nullptr && peer->floor_pending;
+  enc.put_byte(static_cast<std::uint8_t>(kind | (sack > 0 ? kSackFlag : 0) |
+                                         (floor ? kFloorFlag : 0)));
+  enc.put_u64(ack);
+  if (sack > 0) {
+    const PeerIn& in = it->second;
+    std::array<std::uint8_t, kMaxSackBytes> bits{};
+    for (const auto& entry : in.holdback) {
+      // A held seq equal to next_expected is mid-delivery, not SACK news.
+      if (entry.first <= in.next_expected) continue;
+      const std::uint64_t off = entry.first - in.next_expected - 1;
+      if (off >= 8 * sack) break;
+      bits[off / 8] = static_cast<std::uint8_t>(bits[off / 8] | (1u << (off % 8)));
+    }
+    enc.put_bytes(BytesView(bits.data(), sack));
+    ++sacks_sent_;
+  }
+  if (floor) enc.put_u64(peer->floor);
+}
+
 void ReliableChannel::send_ack(ProcessId to) {
-  const std::uint64_t cumulative = take_ack(to);
   ++acks_sent_;
   scratch_.clear();
   Encoder enc(scratch_);
-  enc.put_byte(kAck);
-  enc.put_u64(cumulative);
+  put_header(enc, kAck, to, nullptr);
   transport_.u_send(to, Tag::kChannel, scratch_);
 }
 
@@ -271,13 +340,42 @@ void ReliableChannel::ack_tick() {
   if (next != kNoAckDue) arm_ack_timer(next);
 }
 
-void ReliableChannel::on_ack(ProcessId from, std::uint64_t cumulative) {
+void ReliableChannel::arm_sack_timer(TimePoint due) {
+  // Same invariant as the ack timer: gap deadlines are set at now + hold.
+  if (sack_timer_armed_) return;
+  sack_timer_armed_ = true;
+  ctx_.at(due, [this] { sack_tick(); });
+}
+
+void ReliableChannel::sack_tick() {
+  sack_timer_armed_ = false;
+  TimePoint next = kNoAckDue;
+  for (auto& [from, in] : in_) {
+    if (in.gap_since == kNoAckDue || in.sack_reported) continue;
+    if (gap_aged(in)) {
+      // The gap outlived the hold: it is a loss, not a reordering. Report
+      // what we hold so the sender resends only the missing seqs.
+      in.sack_reported = true;
+      send_ack(from);
+    } else {
+      next = std::min(next, in.gap_since + config_.rto / 8);
+    }
+  }
+  if (next != kNoAckDue) arm_sack_timer(next);
+}
+
+void ReliableChannel::on_ack(ProcessId from, std::uint64_t cumulative, BytesView sack) {
   // Cumulative ack: everything strictly below `cumulative` is received.
   auto oit = out_.find(from);
   if (oit == out_.end()) return;
   PeerOut& peer = oit->second;
+  if (peer.floor_pending && cumulative >= peer.floor) peer.floor_pending = false;
+  if (!sack.empty()) on_sack(from, peer, cumulative, sack);
   auto end = peer.unacked.lower_bound(cumulative);
   if (end == peer.unacked.begin()) return;  // nothing new
+  // Progress: the peer is alive and the path works; back off no more.
+  peer.backoff = 1;
+  peer.resend_at = 0;
   for (auto it = peer.unacked.begin(); it != end; ++it) {
     if (it->second.first_sent != kNeverSent) {
       if (peer.in_flight > 0) --peer.in_flight;
@@ -294,16 +392,59 @@ void ReliableChannel::on_ack(ProcessId from, std::uint64_t cumulative) {
   pump(from, peer);
 }
 
+void ReliableChannel::on_sack(ProcessId from, PeerOut& peer, std::uint64_t cumulative,
+                              BytesView sack) {
+  // The peer holds the marked seqs above its ack; resends skip them. Newly
+  // held seqs prove the peer alive and the path working, like ack progress.
+  // A seq below the highest one held that went out at least a hold ago is
+  // lost (jitter reorders by less): resend it at once, unless it already
+  // went again within the last rto.
+  std::uint64_t highest = cumulative;
+  for (auto it = peer.unacked.upper_bound(cumulative); it != peer.unacked.end(); ++it) {
+    const std::uint64_t off = it->first - cumulative - 1;
+    if (off >= 8 * sack.size()) break;
+    if ((sack[off / 8] >> (off % 8)) & 1u) {
+      if (!it->second.sacked) {
+        it->second.sacked = true;
+        peer.backoff = 1;
+        peer.resend_at = 0;
+      }
+      highest = it->first;
+    }
+  }
+  Batch lost;
+  for (auto it = peer.unacked.lower_bound(cumulative);
+       it != peer.unacked.end() && it->first < highest; ++it) {
+    Outgoing& msg = it->second;
+    if (msg.sacked || it->first >= peer.next_unsent ||
+        ctx_.now() - msg.first_sent < config_.rto / 8 ||
+        (msg.resent_at != kNeverSent && ctx_.now() - msg.resent_at < config_.rto)) {
+      continue;
+    }
+    msg.resent_at = ctx_.now();
+    count_retransmit(from, msg);
+    lost.emplace_back(it->first, &msg);
+  }
+  if (!lost.empty()) transmit_batch(from, peer, lost);
+}
+
 void ReliableChannel::on_datagram(ProcessId from, BytesView payload) {
   Decoder dec(payload);
-  const std::uint8_t kind = dec.get_byte();
+  const std::uint8_t head = dec.get_byte();
+  const std::uint8_t kind = head & kKindMask;
   const std::uint64_t cumulative = dec.get_u64();
+  const BytesView sack = (head & kSackFlag) != 0 ? dec.get_view() : BytesView{};
+  const bool has_floor = (head & kFloorFlag) != 0;
+  const std::uint64_t floor = has_floor ? dec.get_u64() : 0;
   std::uint64_t entries = 0;
   if (kind == kBatch) {
     entries = dec.get_u64();
   } else if (kind == kData) {
     entries = 1;
-  } else if (kind != kAck) {
+  } else if (kind != kAck || has_floor) {
+    return;
+  }
+  if (sack.size() > kMaxSackBytes || (head & ~(kKindMask | kSackFlag | kFloorFlag)) != 0) {
     return;
   }
   // Validate the whole frame before acting on any of it, so a truncated or
@@ -316,11 +457,18 @@ void ReliableChannel::on_datagram(ProcessId from, BytesView payload) {
   }
   if (!check.ok()) return;
   if (entries == 0) {
-    on_ack(from, cumulative);
+    on_ack(from, cumulative, sack);
     return;
   }
   PeerIn& peer = in_[from];
+  const std::uint64_t expected_before = peer.next_expected;
+  if (has_floor && floor > peer.next_expected) {
+    // The sender voided the seqs below the floor when it excluded us.
+    peer.next_expected = floor;
+    peer.holdback.erase(peer.holdback.begin(), peer.holdback.lower_bound(floor));
+  }
   bool duplicate = false;
+  bool held = false;
   for (std::uint64_t i = 0; i < entries; ++i) {
     const std::uint64_t seq = dec.get_u64();
     const Tag upper = static_cast<Tag>(dec.get_byte());
@@ -337,6 +485,7 @@ void ReliableChannel::on_datagram(ProcessId from, BytesView payload) {
       deliver(from, upper, body);
     } else if (peer.holdback.find(seq) == peer.holdback.end()) {
       peer.holdback.emplace(seq, std::make_pair(upper, to_bytes(body)));
+      held = true;
     } else {
       duplicate = true;
     }
@@ -347,12 +496,23 @@ void ReliableChannel::on_datagram(ProcessId from, BytesView payload) {
     ++peer.next_expected;
     deliver(from, node.mapped().first, node.mapped().second);
   }
+  if (peer.holdback.empty()) {
+    peer.gap_since = kNoAckDue;
+  } else if (peer.gap_since == kNoAckDue || peer.next_expected != expected_before) {
+    // A gap opened at next_expected. Jitter closes it within the hold; if
+    // it outlives the hold, the SACK timer reports it.
+    peer.gap_since = ctx_.now();
+    peer.sack_reported = false;
+    arm_sack_timer(ctx_.now() + config_.rto / 8);
+  }
   // The peer's ack may release queued sends, which carry ours.
-  on_ack(from, cumulative);
+  on_ack(from, cumulative, sack);
   const std::uint64_t owed = peer.next_expected - peer.ack_sent;
+  // Frames held behind an aged gap are SACK news: owe an ack for them.
+  const bool sack_owed = held && gap_aged(peer);
   if (duplicate || (config_.send_window > 0 && 2 * owed >= config_.send_window)) {
     send_ack(from);
-  } else if (owed > 0 && peer.ack_due == kNoAckDue) {
+  } else if ((owed > 0 || sack_owed) && peer.ack_due == kNoAckDue) {
     peer.ack_due = ctx_.now() + config_.rto / 8;
     arm_ack_timer(peer.ack_due);
   }
@@ -379,22 +539,36 @@ void ReliableChannel::retransmit_tick() {
   for (auto& [to, peer] : out_) {
     if (peer.unacked.empty()) continue;
     outstanding = true;
-    Batch due;
-    for (auto& [seq, msg] : peer.unacked) {
-      // Only retransmit messages that have been in flight at least one rto;
-      // fresh sends get their first chance and flow-control-queued ones
-      // have never been transmitted at all. first_sent never decreases
-      // along the sent prefix, so the first fresh or unsent entry ends it.
-      if (seq >= peer.next_unsent || ctx_.now() - msg.first_sent < config_.rto) break;
-      ctx_.metrics().inc(m_retransmits_);
-      ctx_.trace_instant(obs::Names::get().channel_retransmit, MsgId{},
-                         obs::pack_channel_arg(to, static_cast<std::uint8_t>(msg.upper),
-                                               msg.payload.size()));
-      due.emplace_back(seq, &msg);
-    }
-    if (!due.empty()) transmit_batch(to, due);
+    if (ctx_.now() >= peer.resend_at) resend_due(to, peer);
   }
   if (outstanding) arm_retransmit_timer();
+}
+
+void ReliableChannel::count_retransmit(ProcessId to, const Outgoing& msg) {
+  ctx_.metrics().inc(m_retransmits_);
+  ctx_.trace_instant(obs::Names::get().channel_retransmit, MsgId{},
+                     obs::pack_channel_arg(to, static_cast<std::uint8_t>(msg.upper),
+                                           msg.payload.size()));
+}
+
+void ReliableChannel::resend_due(ProcessId to, PeerOut& peer) {
+  Batch due;
+  for (auto& [seq, msg] : peer.unacked) {
+    // Only retransmit messages that have been in flight at least one rto;
+    // fresh sends get their first chance and flow-control-queued ones
+    // have never been transmitted at all. first_sent never decreases
+    // along the sent prefix, so the first fresh or unsent entry ends it.
+    if (seq >= peer.next_unsent || ctx_.now() - msg.first_sent < config_.rto) break;
+    if (msg.sacked) continue;  // the peer holds it; only the gaps go again
+    msg.resent_at = ctx_.now();
+    count_retransmit(to, msg);
+    due.emplace_back(seq, &msg);
+    if (peer.suspected) break;  // one probe: the oldest unacked frame
+  }
+  if (due.empty()) return;
+  transmit_batch(to, peer, due);
+  peer.backoff = std::min(2 * peer.backoff, kMaxBackoff);
+  peer.resend_at = ctx_.now() + peer.backoff * config_.rto;
 }
 
 }  // namespace gcs

@@ -14,6 +14,17 @@
 /// within a hold of rto/8, when a duplicate arrives (the previous ack may
 /// have been lost), or when half a send window awaits acknowledgement.
 ///
+/// Retransmission is per peer and driven by evidence. A peer's retransmit
+/// period starts at one rto and doubles on every expiry that resent
+/// something, up to kMaxBackoff rtos; progress (the cumulative ack
+/// advancing, or newly SACKed seqs) resets it. While the failure detector suspects a peer, each expiry sends it a
+/// single probe (the oldest unacked frame) and keeps everything else
+/// buffered: suspicion slows the channel, only exclusion voids it (paper
+/// §3.3). A receiver whose holdback gap outlives the ack hold reports the
+/// seqs it holds above the cumulative ack as a bounded SACK bitmap (RFC
+/// 2018): the sender resends the missing seqs at once (each at most once
+/// per rto) and never resends a held one.
+///
 /// The channel also exposes its output buffer age per peer: a message that
 /// stays unacknowledged for a long time is the basis for *output-triggered
 /// suspicion* (paper §3.3.2), consumed by the monitoring component.
@@ -29,6 +40,8 @@
 #include "transport/transport.hpp"
 
 namespace gcs {
+
+class Encoder;
 
 class ReliableChannel {
  public:
@@ -80,8 +93,18 @@ class ReliableChannel {
 
   /// Discard all buffered output for \p to. Called when \p to is excluded
   /// from the membership: its obligations are void, so the buffer can be
-  /// safely released (paper §3.3.2).
+  /// safely released (paper §3.3.2). Until \p to acknowledges past them,
+  /// later frames carry the first live seq as a floor, so a peer that
+  /// rejoins skips the voided seqs instead of waiting on them forever.
   void forget(ProcessId to);
+
+  /// The failure detector suspects \p to: each retransmit expiry sends it
+  /// one probe instead of every due frame. Nothing is dropped.
+  void suspect(ProcessId to);
+  /// The suspicion of \p to was revoked: reset its backoff and resend the
+  /// due frames at once, so a healed link repairs without waiting out a
+  /// backed-off period.
+  void restore(ProcessId to);
 
   /// Messages queued by flow control (not yet transmitted) for \p to.
   std::size_t queued_by_flow_control(ProcessId to) const;
@@ -91,6 +114,10 @@ class ReliableChannel {
 
   /// Standalone ack datagrams emitted; acks that ride data frames are free.
   std::int64_t acks_sent() const { return acks_sent_; }
+
+  /// Frames that carried a SACK bitmap (0 unless a holdback gap outlived
+  /// the ack hold, i.e. something was lost).
+  std::int64_t sacks_sent() const { return sacks_sent_; }
 
   /// Total work of the transmit scans in pump()/flush(), in map steps: one
   /// per scan start plus one per entry visited. The first-unsent cursor
@@ -110,12 +137,18 @@ class ReliableChannel {
   }
 
  private:
+  static constexpr TimePoint kNeverSent = -1;
   struct Outgoing {
     Tag upper;
     Payload payload;
-    TimePoint first_sent;  // kNeverSent while held back by flow control
+    TimePoint first_sent;              // kNeverSent while held back by flow control
+    TimePoint resent_at = kNeverSent;  // last retransmission
+    bool sacked = false;               // the peer reported holding it above its ack
   };
-  static constexpr TimePoint kNeverSent = -1;
+  /// Retransmit period cap, in rtos.
+  static constexpr int kMaxBackoff = 64;
+  /// SACK bitmap cap: the seqs just above the cumulative ack it can cover.
+  static constexpr std::size_t kMaxSackBytes = 128;
   struct PeerOut {
     std::uint64_t next_seq = 0;
     // First seq never transmitted. Transmission runs in seq order, so the
@@ -127,6 +160,11 @@ class ReliableChannel {
     bool flush_armed = false;                   // batching timer pending
     bool fc_stalled = false;                    // window full, sends held back
     TimePoint fc_since = 0;                     // when the current stall began
+    int backoff = 1;                            // retransmit period, in rtos
+    TimePoint resend_at = 0;                    // no retransmission before this
+    bool suspected = false;                     // FD suspicion: probe only
+    bool floor_pending = false;                 // frames carry `floor` (forget)
+    std::uint64_t floor = 0;                    // seqs below it were voided
   };
   static constexpr TimePoint kNoAckDue = std::numeric_limits<TimePoint>::max();
   struct PeerIn {
@@ -134,24 +172,41 @@ class ReliableChannel {
     std::uint64_t ack_sent = 0;     // cumulative ack last carried to the peer
     TimePoint ack_due = kNoAckDue;  // standalone ack deadline while one is owed
     std::map<std::uint64_t, std::pair<Tag, Bytes>> holdback;  // out-of-order
+    // Since when next_expected has been missing with holdback non-empty
+    // (kNoAckDue: no gap); once older than the hold, acks carry a SACK.
+    TimePoint gap_since = kNoAckDue;
+    bool sack_reported = false;  // the aged gap's standalone SACK went out
   };
   using Batch = std::vector<std::pair<std::uint64_t, const Outgoing*>>;
 
   void on_datagram(ProcessId from, BytesView payload);
-  void on_ack(ProcessId from, std::uint64_t cumulative);
+  // Cumulative ack plus the peer's SACK bitmap (empty when none).
+  void on_ack(ProcessId from, std::uint64_t cumulative, BytesView sack);
+  void on_sack(ProcessId from, PeerOut& peer, std::uint64_t cumulative, BytesView sack);
   void deliver(ProcessId from, Tag upper, BytesView payload);
-  // The cumulative ack for \p to, which the caller is about to put on the
-  // wire: the peer is then owed nothing until more arrives.
-  std::uint64_t take_ack(ProcessId to);
+  // The cumulative ack for the peer of \p in, which the caller is about to
+  // put on the wire: the peer is then owed nothing until more arrives.
+  std::uint64_t take_ack(PeerIn& in);
+  // Frame header: kind | ack | [SACK bitmap] | [floor]; the flag bits in
+  // the kind byte say which extensions follow. Takes the ack. \p peer is
+  // the output state toward \p to (null for an ack frame: no floor).
+  void put_header(Encoder& enc, std::uint8_t kind, ProcessId to, const PeerOut* peer);
+  // Bytes put_header will write for a data frame to \p to.
+  std::size_t header_size(ProcessId to, const PeerOut& peer) const;
+  // SACK bitmap length for \p in (0: no SACK is due).
+  std::size_t sack_len(const PeerIn& in) const;
+  bool gap_aged(const PeerIn& in) const;
   void send_ack(ProcessId to);
   void arm_ack_timer(TimePoint due);
   void ack_tick();
+  void arm_sack_timer(TimePoint due);
+  void sack_tick();
   void account_upper(Tag upper, std::size_t wire_bytes);
-  void transmit(ProcessId to, std::uint64_t seq, const Outgoing& msg);
+  void transmit(ProcessId to, const PeerOut& peer, std::uint64_t seq, const Outgoing& msg);
   // Packs \p msgs into as few frames as the transport's datagram limit
   // allows; a frame holding one message goes as kData.
-  void transmit_batch(ProcessId to, const Batch& msgs);
-  void emit_batch(ProcessId to, std::uint64_t ack, Batch::const_iterator first,
+  void transmit_batch(ProcessId to, const PeerOut& peer, const Batch& msgs);
+  void emit_batch(ProcessId to, const PeerOut& peer, Batch::const_iterator first,
                   Batch::const_iterator last);
   bool window_open(const PeerOut& peer) const {
     return config_.send_window == 0 || peer.in_flight < config_.send_window;
@@ -163,6 +218,9 @@ class ReliableChannel {
   void update_fc_stall(ProcessId to, PeerOut& peer);
   void arm_retransmit_timer();
   void retransmit_tick();
+  // Resend \p peer's due frames (one probe while suspected) and back off.
+  void resend_due(ProcessId to, PeerOut& peer);
+  void count_retransmit(ProcessId to, const Outgoing& msg);
 
   sim::Context& ctx_;
   Transport& transport_;
@@ -185,8 +243,10 @@ class ReliableChannel {
   std::vector<Handler> handlers_;
   bool timer_armed_ = false;
   bool ack_timer_armed_ = false;
+  bool sack_timer_armed_ = false;
   std::int64_t datagrams_sent_ = 0;
   std::int64_t acks_sent_ = 0;
+  std::int64_t sacks_sent_ = 0;
   std::uint64_t pump_steps_ = 0;
   Bytes scratch_;  ///< reusable datagram framing buffer (capacity persists)
 };

@@ -146,6 +146,9 @@ void Consensus::on_message(ProcessId from, BytesView payload) {
   Decoder dec(payload);
   const std::uint8_t kind = dec.get_byte();
   const std::uint64_t k = dec.get_u64();
+  // A message for a forgotten instance is a late echo of a decision; acting
+  // on it would resurrect the instance (ANNOUNCE would even re-propose it).
+  if (k < forgotten_below_) return;
   switch (kind) {
     case kEstimate: {
       const std::int64_t r = dec.get_i64();
@@ -296,6 +299,7 @@ void Consensus::decide(std::uint64_t k, Instance& inst, const Bytes& value) {
 }
 
 void Consensus::forget_below(std::uint64_t k) {
+  forgotten_below_ = std::max(forgotten_below_, k);
   for (auto it = decisions_.begin(); it != decisions_.end();) {
     it = (it->first < k) ? decisions_.erase(it) : ++it;
   }

@@ -72,11 +72,10 @@ class Consensus final : public ConsensusProtocol {
     return n;
   }
 
-  /// Garbage-collect decision values for instances < \p k. Late DECIDE
-  /// echoes for a forgotten instance re-fire on_decide; all users guard
-  /// with their own sequencing (atomic broadcast: instance < next;
-  /// traditional flush: instance != view id), so this is safe and keeps
-  /// memory bounded on long runs.
+  /// Garbage-collect decision values for instances < \p k; keeps memory
+  /// bounded on long runs. Later messages for those instances (late DECIDE
+  /// echoes, stale ANNOUNCEs) are dropped, so a forgotten instance never
+  /// comes back.
   void forget_below(std::uint64_t k) override;
 
  private:
@@ -136,6 +135,9 @@ class Consensus final : public ConsensusProtocol {
   std::unordered_map<std::uint64_t, Bytes> decisions_;
   std::vector<DecideFn> decide_fns_;
   std::int64_t decided_count_ = 0;
+  /// Every instance below this is decided and forgotten (forget_below);
+  /// messages for them are dropped.
+  std::uint64_t forgotten_below_ = 0;
 };
 
 }  // namespace gcs

@@ -459,6 +459,10 @@ void PaxosConsensus::on_message(ProcessId from, BytesView payload) {
   Decoder dec(payload);
   const std::uint8_t kind = dec.get_byte();
   const std::uint64_t k = dec.get_u64();
+  // A per-instance message for a forgotten instance is a late echo of a
+  // decision; acting on it would resurrect the instance (ANNOUNCE would even
+  // re-propose it). The ranged epoch kinds carry a floor in k instead.
+  if (kind < kRangedPrepare && k < forgotten_below_) return;
   switch (kind) {
     case kPrepare: {
       const std::int64_t b = dec.get_i64();

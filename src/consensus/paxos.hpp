@@ -231,7 +231,7 @@ class PaxosConsensus final : public ConsensusProtocol {
   int consecutive_nacks_ = 0;
   bool takeover_pending_ = false;  ///< backoff timer armed
   /// Everything below this is decided (abcast's forget_below watermark) —
-  /// bounds the gap-fill scan.
+  /// bounds the gap-fill scan; per-instance messages below it are dropped.
   std::uint64_t forgotten_below_ = 0;
   /// Highest instance decided locally + 1 (0 = nothing decided): the no-op
   /// gap-fill frontier.

@@ -62,6 +62,10 @@ void GcsStack::wire(StackConfig config) {
   // class's monitored set in sync with the view.
   membership_->on_view(
       [this](const View& v) { fd_->monitor_group(consensus_fd_class_, v.members); });
+  // Suspicion only slows the channel toward a peer (one probe per backoff
+  // period); exclusion, decided by monitoring, is what voids its buffer.
+  fd_->on_suspect(consensus_fd_class_, [this](ProcessId q) { channel_->suspect(q); });
+  fd_->on_restore(consensus_fd_class_, [this](ProcessId q) { channel_->restore(q); });
 }
 
 void GcsStack::init_view(std::vector<ProcessId> members) {

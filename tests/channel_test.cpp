@@ -283,5 +283,138 @@ TEST(ReliableChannel, RetransmitBatchesFitTheDatagramLimit) {
   EXPECT_EQ(channel.unacked_count(1), 1000u);
 }
 
+
+TEST(ReliableChannel, RetransmissionBacksOffTowardSilentPeer) {
+  // One frame to a dead peer for 2 s: the period doubles per expiry up to
+  // kMaxBackoff rtos, so the expiries land at rto * (2^i - 1) until the
+  // cap, then every cap period — not at every one of the ~100 ticks.
+  const ReliableChannel::Config cfg;
+  ChannelWorld w(2, sim::LinkModel{usec(200), 0, 0.0}, cfg);
+  w.network.crash(1);
+  w.procs[0].channel->send(1, Tag::kApp, bytes_of("never"));
+  const Duration span = sec(2);
+  w.engine.run_until(span);
+  int doubling_rounds = 0;  // ceil(log2(cap))
+  for (int b = 1; b < 64; b *= 2) ++doubling_rounds;
+  const Duration capped_from = cfg.rto * 63;  // last doubling expiry
+  const std::int64_t capped_tail = (span - capped_from + cfg.rto * 64 - 1) / (cfg.rto * 64);
+  const std::int64_t retransmits = w.procs[0].ctx->metrics().counter("channel.retransmits");
+  EXPECT_GE(retransmits, doubling_rounds);
+  EXPECT_LE(retransmits, doubling_rounds + capped_tail);
+  // Backoff never rewrites first_sent: the age still feeds output-triggered
+  // suspicion with its original meaning.
+  EXPECT_EQ(w.procs[0].channel->oldest_unacked_age(1), span);
+}
+
+TEST(ReliableChannel, SuspectedPeerGetsOneProbePerPeriod) {
+  // 100 frames to a suspected peer: each expiry resends only the oldest.
+  // Nothing is dropped: exclusion (forget), not suspicion, voids them.
+  const ReliableChannel::Config cfg;
+  ChannelWorld w(2, sim::LinkModel{usec(200), 0, 0.0}, cfg);
+  w.network.crash(1);
+  w.procs[0].channel->suspect(1);
+  for (int i = 0; i < 100; ++i) w.procs[0].channel->send(1, Tag::kApp, bytes_of("x"));
+  w.engine.run_until(sec(2));
+  const std::int64_t retransmits = w.procs[0].ctx->metrics().counter("channel.retransmits");
+  EXPECT_GE(retransmits, 6);
+  EXPECT_LE(retransmits, 7);
+  EXPECT_EQ(w.procs[0].channel->unacked_count(1), 100u);
+  EXPECT_EQ(w.procs[0].channel->oldest_unacked_age(1), sec(2));
+}
+
+TEST(ReliableChannel, RestoreResendsWithinOneTick) {
+  // A link down long enough to back off to the cap heals; the FD's restore
+  // must repair the channel at once, not after the next capped period.
+  const ReliableChannel::Config cfg;
+  ChannelWorld w(2, sim::LinkModel{usec(200), 0, 0.0}, cfg);
+  w.network.set_link(0, 1, sim::LinkModel{usec(200), 0, 1.0});
+  w.procs[0].channel->suspect(1);
+  for (int i = 0; i < 10; ++i) w.procs[0].channel->send(1, Tag::kApp, bytes_of("x"));
+  w.engine.run_until(sec(2));
+  ASSERT_EQ(w.procs[1].received.size(), 0u);
+  w.network.set_link(0, 1, sim::LinkModel{usec(200), 0, 0.0});
+  const std::int64_t before = w.procs[0].ctx->metrics().counter("channel.retransmits");
+  w.procs[0].channel->restore(1);
+  EXPECT_EQ(w.procs[0].ctx->metrics().counter("channel.retransmits"), before + 10);
+  w.engine.run_until(w.engine.now() + cfg.rto);
+  EXPECT_EQ(w.procs[1].received.size(), 10u);
+  EXPECT_EQ(w.procs[0].channel->unacked_count(1), 0u);
+}
+
+/// Forwards to a SimTransport but drops the datagrams whose send index
+/// (0-based) is listed.
+struct DroppingTransport final : Transport {
+  SimTransport& inner;
+  std::vector<std::int64_t> drop;
+  std::int64_t sent = 0;
+
+  DroppingTransport(SimTransport& t, std::vector<std::int64_t> d)
+      : inner(t), drop(std::move(d)) {}
+  ProcessId self() const override { return inner.self(); }
+  int universe_size() const override { return inner.universe_size(); }
+  void u_send(ProcessId to, Tag tag, const Bytes& payload) override {
+    if (std::find(drop.begin(), drop.end(), sent++) == drop.end()) inner.u_send(to, tag, payload);
+  }
+  void subscribe(Tag tag, Handler handler) override { inner.subscribe(tag, std::move(handler)); }
+};
+
+TEST(ReliableChannel, SackResendsOnlyTheLostFrame) {
+  // 1,000 frames in flight, the first one lost: the receiver holds 999
+  // above its ack and reports them in a SACK, so exactly one frame goes
+  // again — not the whole window.
+  sim::Engine engine;
+  sim::Network network(engine, 2, sim::LinkModel{usec(200), 0, 0.0}, 1);
+  sim::Context ctx0(0, engine, Rng(1), Logger(), std::make_shared<Metrics>());
+  sim::Context ctx1(1, engine, Rng(2), Logger(), std::make_shared<Metrics>());
+  SimTransport t0(ctx0, network);
+  SimTransport t1(ctx1, network);
+  DroppingTransport lossy(t0, {0});
+  ReliableChannel sender(ctx0, lossy);
+  ReliableChannel receiver(ctx1, t1);
+  std::vector<std::string> got;
+  receiver.subscribe(Tag::kApp, [&got](ProcessId, BytesView b) { got.push_back(str_of(b)); });
+  for (int i = 0; i < 1000; ++i) sender.send(1, Tag::kApp, bytes_of(std::to_string(i)));
+  ASSERT_TRUE(test::run_until(engine, sec(1), [&] { return sender.unacked_count(1) == 0; }));
+  EXPECT_EQ(ctx0.metrics().counter("channel.retransmits"), 1);
+  EXPECT_GE(receiver.sacks_sent(), 1);
+  ASSERT_EQ(got.size(), 1000u);
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], std::to_string(i));
+}
+
+TEST(ReliableChannel, JitterReorderingSendsNoSack) {
+  // Reordering shorter than the ack hold is not loss: no SACK bytes, no
+  // retransmissions, and the frames still arrive in order.
+  ChannelWorld w(2, sim::LinkModel{usec(100), usec(2000), 0.0});
+  for (int i = 0; i < 1000; ++i) {
+    w.procs[0].channel->send(1, Tag::kApp, bytes_of(std::to_string(i)));
+    w.engine.run_until(w.engine.now() + usec(20));
+  }
+  ASSERT_TRUE(test::run_until(w.engine, sec(1),
+                              [&] { return w.procs[0].channel->unacked_count(1) == 0; }));
+  ASSERT_EQ(w.procs[1].received.size(), 1000u);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(w.procs[1].received[static_cast<std::size_t>(i)].second, std::to_string(i));
+  }
+  EXPECT_EQ(w.procs[1].channel->sacks_sent(), 0);
+  EXPECT_EQ(w.procs[0].ctx->metrics().counter("channel.retransmits"), 0);
+}
+
+TEST(ReliableChannel, ForgottenPeerSkipsVoidedSeqs) {
+  // 0 excludes 1 (forget) with frames unacked. When 1 is back, 0's new
+  // frames carry a floor past the voided seqs, so 1 delivers them instead
+  // of waiting on seq 0 forever.
+  ChannelWorld w(2, sim::LinkModel{usec(200), 0, 0.0});
+  w.network.set_link(0, 1, sim::LinkModel{usec(200), 0, 1.0});
+  for (int i = 0; i < 5; ++i) w.procs[0].channel->send(1, Tag::kApp, bytes_of("void"));
+  w.engine.run_until(msec(50));
+  w.procs[0].channel->forget(1);
+  w.network.set_link(0, 1, sim::LinkModel{usec(200), 0, 0.0});
+  w.procs[0].channel->send(1, Tag::kApp, bytes_of("after"));
+  ASSERT_TRUE(test::run_until(w.engine, sec(1),
+                              [&] { return w.procs[0].channel->unacked_count(1) == 0; }));
+  ASSERT_EQ(w.procs[1].received.size(), 1u);
+  EXPECT_EQ(w.procs[1].received[0].second, "after");
+}
+
 }  // namespace
 }  // namespace gcs

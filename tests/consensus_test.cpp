@@ -5,6 +5,7 @@
 
 #include "consensus/consensus.hpp"
 #include "tests/test_util.hpp"
+#include "util/codec.hpp"
 
 namespace gcs {
 namespace {
@@ -237,6 +238,47 @@ TEST_P(ConsensusProperty, AgreementValidityTermination) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConsensusProperty, ::testing::Range<std::uint64_t>(1, 26));
+
+TEST(Consensus, StaleMessagesBelowTheWatermarkAreDropped) {
+  // As for Paxos: once p0 forgot instances 0..4, a late ESTIMATE, PROPOSE,
+  // ACK, NACK, DECIDE or ANNOUNCE for one of them is dropped.
+  ConsensusWorld w(3);
+  for (std::uint64_t k = 0; k < 5; ++k) {
+    for (ProcessId p = 0; p < 3; ++p) {
+      w.procs[static_cast<std::size_t>(p)].consensus->propose(k, bytes_of("v"), w.all);
+    }
+  }
+  ASSERT_TRUE(test::run_until(w.engine, sec(10), [&] { return w.all_alive_decided(4); }));
+  w.engine.run_until(w.engine.now() + msec(200));
+  auto& p0 = w.procs[0];
+  p0.consensus->forget_below(5);
+  const std::int64_t decided = p0.consensus->instances_decided();
+  const std::int64_t sent = p0.ctx->metrics().counter("consensus.wire_msgs");
+  // Wire kinds of consensus.cpp: ESTIMATE, PROPOSE, ACK, NACK, DECIDE,
+  // ANNOUNCE.
+  for (std::uint8_t kind = 0; kind <= 5; ++kind) {
+    SCOPED_TRACE("kind " + std::to_string(kind));
+    Encoder enc;
+    enc.put_byte(kind);
+    enc.put_u64(2);
+    if (kind == 4) {
+      enc.put_bytes(bytes_of("stale"));
+    } else if (kind == 5) {
+      enc.put_vector(w.all, [](Encoder& e, ProcessId p) { e.put_i32(p); });
+      enc.put_bytes(bytes_of("stale"));
+    } else {
+      enc.put_i64(3);  // round
+      if (kind == 0) enc.put_i64(1);  // estimate timestamp
+      if (kind <= 1) enc.put_bytes(bytes_of("stale"));
+    }
+    w.procs[1].channel->send(0, Tag::kConsensus, enc.take());
+    w.engine.run_until(w.engine.now() + msec(100));
+    EXPECT_EQ(p0.consensus->open_instances(), 0);
+    EXPECT_EQ(p0.consensus->instances_decided(), decided);
+    EXPECT_FALSE(p0.consensus->decided(2));
+    EXPECT_EQ(p0.ctx->metrics().counter("consensus.wire_msgs"), sent);
+  }
+}
 
 }  // namespace
 }  // namespace gcs

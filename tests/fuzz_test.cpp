@@ -228,5 +228,31 @@ TEST(Fuzz, ChannelFramePrefixesAreRejected) {
   EXPECT_EQ(b.unacked_count(0), 0u);
 }
 
+TEST(Fuzz, ChannelFrameExtensionsAreValidated) {
+  // The SACK and floor extensions ride flag bits of the kind byte. An ack
+  // frame claiming a floor, a SACK bitmap over the 128-byte cap, or an
+  // unknown flag bit must be dropped whole; a well-formed SACK ack applies.
+  sim::Engine engine;
+  sim::Context cb(1, engine, Rng(2), Logger(), std::make_shared<Metrics>());
+  FrameTap tb(1);
+  ReliableChannel b(cb, tb);
+  for (int i = 0; i < 3; ++i) b.send(0, Tag::kApp, bytes_of("b"));
+  ASSERT_EQ(b.unacked_count(0), 3u);
+  const auto ack_frame = [](std::uint8_t head, std::size_t sack_bytes, bool floor) {
+    Encoder enc;
+    enc.put_byte(head);
+    enc.put_u64(2);  // cumulative ack: seqs 0 and 1 received
+    if (sack_bytes > 0) enc.put_bytes(Bytes(sack_bytes, 0x01));
+    if (floor) enc.put_u64(7);
+    return enc.take();
+  };
+  tb.deliver(0, ack_frame(0x01 | 0x20, 0, true));    // floor on an ack
+  tb.deliver(0, ack_frame(0x01 | 0x10, 129, false));  // bitmap over the cap
+  tb.deliver(0, ack_frame(0x01 | 0x40, 0, false));    // unknown flag
+  EXPECT_EQ(b.unacked_count(0), 3u);
+  tb.deliver(0, ack_frame(0x01 | 0x10, 1, false));
+  EXPECT_EQ(b.unacked_count(0), 1u);
+}
+
 }  // namespace
 }  // namespace gcs

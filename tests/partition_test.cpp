@@ -148,5 +148,36 @@ TEST(Partition, ExcludedMinorityRejoinsAfterHeal) {
   w.run_for(sec(1));  // settle before the oracle's finalize-time checks
 }
 
+TEST(Partition, RejoinedMemberReceivesNewTraffic) {
+  // p3 is excluded while alive, so every member's channel voided frames it
+  // never received. After the heal and its rejoin, it must still deliver
+  // the group's new traffic: the channel skips it past the voided seqs.
+  StackConfig sc;
+  sc.monitoring.exclusion_timeout = msec(400);
+  World w(cfg(4, 11, sc));
+  test::ScenarioOracle oracle(w, msec(20), 11);
+  w.found_group_all();
+  w.run_for(msec(50));
+  w.network().partition({{0, 1, 2}, {3}});
+  ASSERT_TRUE(test::run_until(w.engine(), sec(30), [&] {
+    return w.stack(0).view().members == std::vector<ProcessId>{0, 1, 2};
+  }));
+  w.network().heal();
+  w.run_for(msec(200));
+  w.stack(3).membership().join(0);
+  ASSERT_TRUE(test::run_until(w.engine(), sec(30), [&] {
+    return w.stack(3).membership().is_member() && w.stack(0).view().contains(3) &&
+           w.stack(3).view().members.size() == 4;
+  }));
+  test::DeliveryLog log;
+  w.stack(3).on_adeliver([&log](const MsgId& id, const Bytes& b) { log.record(id, b); });
+  for (int i = 0; i < 10; ++i) {
+    w.stack(static_cast<ProcessId>(i % 3)).abcast(bytes_of("new" + std::to_string(i)));
+  }
+  EXPECT_TRUE(test::run_until(w.engine(), sec(10), [&] { return log.size() >= 10; }))
+      << "p3 delivered " << log.size() << " of 10";
+  w.run_for(sec(1));  // settle before the oracle's finalize-time checks
+}
+
 }  // namespace
 }  // namespace gcs

@@ -6,6 +6,7 @@
 #include "consensus/paxos.hpp"
 #include "core/stack.hpp"
 #include "tests/test_util.hpp"
+#include "util/codec.hpp"
 
 namespace gcs {
 namespace {
@@ -321,6 +322,48 @@ TEST(PaxosStack, GenericBroadcastFastPathUnaffectedByAlgorithm) {
   ASSERT_TRUE(test::run_until(w.engine(), sec(10), [&] { return delivered >= 8; }));
   // Thrifty regardless of the consensus below: nothing decided.
   EXPECT_EQ(w.stack(0).consensus().instances_decided(), 0);
+}
+
+TEST(Paxos, StaleMessagesBelowTheWatermarkAreDropped) {
+  // Instances 0..4 decide and p0 forgets them. A late message of any
+  // per-instance kind for one of them must not resurrect the instance:
+  // no state, no reply, no second decision.
+  PaxosWorld w(3);
+  for (std::uint64_t k = 0; k < 5; ++k) {
+    for (ProcessId p = 0; p < 3; ++p) {
+      w.procs[static_cast<std::size_t>(p)].paxos->propose(k, bytes_of("v"), w.all);
+    }
+  }
+  ASSERT_TRUE(test::run_until(w.engine, sec(10), [&] { return w.all_alive_decided(4); }));
+  w.engine.run_until(w.engine.now() + msec(200));  // let the DECIDE echoes settle
+  auto& p0 = w.procs[0];
+  p0.paxos->forget_below(5);
+  const std::int64_t decided = p0.paxos->instances_decided();
+  const std::int64_t sent = p0.ctx->metrics().counter("consensus.wire_msgs");
+  // Wire kinds of paxos.cpp: PREPARE, PROMISE, ACCEPT, ACCEPTED, NACK,
+  // DECIDE, ANNOUNCE.
+  for (std::uint8_t kind = 0; kind <= 6; ++kind) {
+    SCOPED_TRACE("kind " + std::to_string(kind));
+    Encoder enc;
+    enc.put_byte(kind);
+    enc.put_u64(2);
+    if (kind == 5) {
+      enc.put_bytes(bytes_of("stale"));
+    } else if (kind == 6) {
+      enc.put_vector(w.all, [](Encoder& e, ProcessId p) { e.put_i32(p); });
+      enc.put_bytes(bytes_of("stale"));
+    } else {
+      enc.put_i64(7);  // ballot
+      if (kind == 1) enc.put_i64(-1);
+      if (kind == 1 || kind == 2) enc.put_bytes(bytes_of("stale"));
+    }
+    w.procs[1].channel->send(0, Tag::kConsensus, enc.take());
+    w.engine.run_until(w.engine.now() + msec(100));
+    EXPECT_EQ(p0.paxos->open_instances(), 0);
+    EXPECT_EQ(p0.paxos->instances_decided(), decided);
+    EXPECT_FALSE(p0.paxos->decided(2));
+    EXPECT_EQ(p0.ctx->metrics().counter("consensus.wire_msgs"), sent);
+  }
 }
 
 }  // namespace

@@ -25,9 +25,8 @@ struct RtWorld {
   std::vector<std::unique_ptr<GcsStack>> stacks;
   std::vector<test::DeliveryLog> logs;
 
-  RtWorld(int n, std::uint16_t base_port) {
+  RtWorld(int n, std::uint16_t base_port, StackConfig sc = {}) {
     logs.resize(static_cast<std::size_t>(n));
-    StackConfig sc;
     sc.fd.heartbeat_interval = msec(5);
     sc.consensus_suspect_timeout = msec(100);
     sc.monitoring.exclusion_timeout = sec(10);
@@ -86,6 +85,53 @@ TEST(RealTime, FullStackAtomicBroadcastOverUdp) {
     return w.logs[0].size() >= 5 && w.logs[1].size() >= 5 && w.logs[2].size() >= 5;
   }));
   // Total order over real sockets.
+  EXPECT_EQ(w.logs[0].order, w.logs[1].order);
+  EXPECT_EQ(w.logs[1].order, w.logs[2].order);
+}
+
+TEST(RealTime, DeepClosedLoopDoesNotCollapse) {
+  // 32 outstanding 1 KiB abcasts per member over loopback UDP. Kernel
+  // drops under this load once fed a consensus storm (stale DECIDE and
+  // ANNOUNCE echoes resurrecting forgotten instances) and whole-window
+  // retransmissions; every message must now be delivered everywhere.
+  StackConfig sc;
+  sc.consensus_algorithm = StackConfig::ConsensusAlgo::kPaxos;
+  sc.abcast.pipeline_depth = 16;
+  sc.abcast.max_batch = 16;
+  sc.abcast.adaptive = true;
+  constexpr int kN = 3;
+  constexpr int kWindow = 32;
+  constexpr int kTotal = 3000;
+  RtWorld w(kN, 39150, sc);
+  w.found_all();
+  const Bytes payload(1024, 0x42);
+  int submitted = 0;
+  std::vector<int> outstanding(kN, 0);
+  const auto submit = [&](ProcessId p) {
+    if (submitted >= kTotal) return;
+    ++submitted;
+    ++outstanding[static_cast<std::size_t>(p)];
+    w.stacks[static_cast<std::size_t>(p)]->abcast(payload);
+  };
+  // Closed loop: a member's own delivery frees its slot for the next one.
+  for (ProcessId p = 0; p < kN; ++p) {
+    w.stacks[static_cast<std::size_t>(p)]->on_adeliver([&, p](const MsgId& id, const Bytes&) {
+      if (id.sender != p) return;
+      --outstanding[static_cast<std::size_t>(p)];
+      submit(p);
+    });
+  }
+  for (ProcessId p = 0; p < kN; ++p) {
+    for (int i = 0; i < kWindow; ++i) submit(p);
+  }
+  const bool done = w.runner.run_until(std::chrono::seconds(20), [&] {
+    for (const auto& log : w.logs) {
+      if (log.size() < static_cast<std::size_t>(kTotal)) return false;
+    }
+    return true;
+  });
+  ASSERT_TRUE(done) << "delivered " << w.logs[0].size() << "/" << w.logs[1].size() << "/"
+                    << w.logs[2].size() << " of " << kTotal;
   EXPECT_EQ(w.logs[0].order, w.logs[1].order);
   EXPECT_EQ(w.logs[1].order, w.logs[2].order);
 }

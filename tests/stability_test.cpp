@@ -4,6 +4,8 @@
 /// crashed member is still in the group.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 
 #include "core/stack.hpp"
@@ -213,6 +215,70 @@ TEST(Stability, WorksAcrossJoins) {
   w.run_for(msec(500));
   EXPECT_GT(w.stack(0).metrics().counter("rbcast.stability_pruned"), before);
 }
+
+/// Loss-storm regression: 2% link loss with frequent stability gossip.
+/// Without per-peer backoff and SACK, every lost frame made the sender
+/// resend its whole rto-old window, and the retransmits fed on each other.
+/// The parent figures are that channel's retransmits and virtual
+/// completion time for the same runs.
+struct StormCase {
+  Duration stability;
+  std::uint64_t seed;
+  std::int64_t parent_retransmits;
+  Duration parent_completion;
+};
+
+class LossStorm : public ::testing::TestWithParam<StormCase> {};
+
+TEST_P(LossStorm, RetransmitsStayProportionalToLoss) {
+  const StormCase c = GetParam();
+  constexpr int kN = 5;
+  constexpr int kMsgs = 150;
+  World::Config config;
+  config.n = kN;
+  config.seed = c.seed;
+  config.link = sim::LinkModel{usec(200), usec(400), 0.02};
+  config.stack.consensus_algorithm = StackConfig::ConsensusAlgo::kPaxos;
+  config.stack.abcast.pipeline_depth = 16;
+  config.stack.abcast.max_batch = 4;
+  config.stack.stability_interval = c.stability;
+  World w(config);
+  std::vector<int> delivered(kN, 0);
+  for (ProcessId p = 0; p < kN; ++p) {
+    w.stack(p).on_adeliver([&delivered, p](const MsgId&, const Bytes&) {
+      ++delivered[static_cast<std::size_t>(p)];
+    });
+  }
+  w.found_group_all();
+  w.run_for(msec(20));
+  const TimePoint start = w.engine().now();
+  int sent = 0;
+  std::function<void()> tick = [&] {
+    if (sent >= kMsgs) return;
+    w.stack(static_cast<ProcessId>(sent % kN)).abcast(bytes_of("m" + std::to_string(sent)));
+    ++sent;
+    w.engine().schedule_after(msec(1), tick);
+  };
+  w.engine().schedule_after(0, tick);
+  ASSERT_TRUE(test::run_until(w.engine(), sec(60), [&] {
+    return std::all_of(delivered.begin(), delivered.end(), [](int d) { return d >= kMsgs; });
+  }));
+  const Duration completion = w.engine().now() - start;
+  std::int64_t retransmits = 0;
+  for (ProcessId p = 0; p < kN; ++p) {
+    retransmits += w.stack(p).metrics().counter("channel.retransmits");
+  }
+  EXPECT_LE(retransmits * 5, c.parent_retransmits);
+  EXPECT_LE(completion, c.parent_completion);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Stability, LossStorm,
+    ::testing::Values(StormCase{msec(1), 31, 7460, 222501}, StormCase{msec(1), 32, 8136, 242316},
+                      StormCase{msec(1), 33, 21882, 301263},
+                      StormCase{msec(10), 31, 2728, 211312},
+                      StormCase{msec(10), 32, 2310, 191384},
+                      StormCase{msec(10), 33, 2061229, 350572}));
 
 }  // namespace
 }  // namespace gcs
