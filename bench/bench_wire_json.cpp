@@ -383,7 +383,8 @@ int run_suite(const std::string& json_path) {
         "     \"completed\": %s, \"delivered\": %lld,\n"
         "     \"consensus_wire_bytes\": %lld, \"consensus_wire_msgs\": %lld,\n"
         "     \"flood_wire_bytes\": %lld, \"pull_wire_bytes\": %lld,\n"
-        "     \"consensus_bytes_per_delivered\": %s, \"total_bytes_per_delivered\": %s,\n"
+        "     \"consensus_bytes_per_delivered\": %s, \"flood_bytes_per_delivered\": %s,\n"
+        "     \"total_bytes_per_delivered\": %s,\n"
         "     \"datagrams_per_delivered\": %s, \"net_allocs_per_delivered\": %s,\n"
         "     \"retransmits_per_delivered\": %s}%s\n",
         name.c_str(), c.layer.c_str(), c.n, c.payload_bytes, format_name(c.format),
@@ -392,6 +393,7 @@ int run_suite(const std::string& json_path) {
         static_cast<long long>(c.consensus_wire_msgs),
         static_cast<long long>(c.flood_wire_bytes), static_cast<long long>(c.pull_wire_bytes),
         json_num(c.per_delivered(c.consensus_wire_bytes)).c_str(),
+        json_num(c.per_delivered(c.flood_wire_bytes)).c_str(),
         json_num(c.per_delivered(c.total_wire_bytes())).c_str(),
         json_num(c.per_delivered(c.channel_datagrams)).c_str(),
         json_num(c.allocs_per_delivered()).c_str(),

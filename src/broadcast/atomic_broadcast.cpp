@@ -35,6 +35,7 @@ AtomicBroadcast::AtomicBroadcast(sim::Context& ctx, ReliableBroadcast& rbcast,
       cur_batch_(config.max_batch), subscribers_(8) {
   rbcast_.on_deliver([this](const MsgId& id, BytesView b) { on_rdeliver(id, b); });
   consensus_.on_decide([this](std::uint64_t k, const Bytes& v) { on_decide(k, v); });
+  consensus_.set_admission([this](const Bytes& v) { return holds_payloads(v); });
   if (channel_) {
     channel_->subscribe(Tag::kAbcast,
                         [this](ProcessId from, BytesView b) { on_channel_message(from, b); });
@@ -61,6 +62,18 @@ bool AtomicBroadcast::is_member() const {
 bool AtomicBroadcast::is_adelivered(const MsgId& id) const {
   auto it = adelivered_.find(id.sender);
   return it != adelivered_.end() && it->second.contains(id.seq);
+}
+
+bool AtomicBroadcast::holds_payloads(const Bytes& value) const {
+  if (value.empty()) return true;  // no-op fill
+  Decoder dec(value);
+  const BatchProposal prop = BatchProposal::decode(dec);
+  // A corrupt value delivers nothing, and a legacy one carries its payloads.
+  if (!dec.ok() || prop.format != WireFormat::kSlim) return true;
+  for (const ProposalEntry& e : prop.entries) {
+    if (!is_adelivered(e.id) && store_.find(e.id) == store_.end()) return false;
+  }
+  return true;
 }
 
 bool AtomicBroadcast::mark_adelivered(const MsgId& id) {
@@ -177,6 +190,7 @@ void AtomicBroadcast::on_rdeliver(const MsgId& id, BytesView payload) {
     ctx_.trace_begin(obs::Names::get().abcast_pending, id, subtag);
     ctx_.trace_begin(obs::Names::get().abcast_batch_wait, id, subtag);
   }
+  consensus_.retry_deferred();
   resolve_missing(id);
   try_start_instances();
 }
@@ -192,7 +206,11 @@ bool AtomicBroadcast::fc_blocked() {
 }
 
 void AtomicBroadcast::try_start_instances() {
-  if (!initialized_ || proposing_ || !is_member()) return;
+  // Not while a decided batch with a view change is being delivered: the
+  // change sets the member set of the next instance, and a proposal made
+  // from an earlier delivery's upcall would use the old set.
+  // process_decisions() proposes once the batch is done.
+  if (!initialized_ || proposing_ || view_change_pending_ || !is_member()) return;
   proposing_ = true;
   // Fill the pipeline window: each proposal takes a fresh instance while
   // earlier ones are still deciding, up to the effective depth. A message
@@ -335,6 +353,9 @@ void AtomicBroadcast::process_decisions() {
               [](const ProposalEntry& a, const ProposalEntry& b) { return a.id < b.id; });
     const std::uint64_t instance = next_instance_;
     ++next_instance_;
+    view_change_pending_ =
+        std::any_of(prop.entries.begin(), prop.entries.end(),
+                    [](const ProposalEntry& e) { return e.subtag == kViewChange; });
     for (std::size_t idx = 0; idx < prop.entries.size(); ++idx) {
       const ProposalEntry& e = prop.entries[idx];
       if (!mark_adelivered(e.id)) continue;  // already ordered
@@ -362,6 +383,7 @@ void AtomicBroadcast::process_decisions() {
       }
       delivered_log_.emplace_back(instance, e.id);
     }
+    view_change_pending_ = false;
     // Messages we proposed into this instance that lost (another proposer's
     // batch decided) become eligible for the next proposal.
     for (auto& [id, meta] : pending_) {
@@ -430,8 +452,10 @@ void AtomicBroadcast::control_tick() {
 
 void AtomicBroadcast::request_pull() {
   if (missing_.empty() || channel_ == nullptr) return;
-  // Rotate targets so one slow/crashed peer cannot stall the pull forever;
-  // rbcast uniformity guarantees some correct member holds the payload.
+  // Rotate targets so one slow/crashed peer cannot stall the pull forever.
+  // Some correct member holds the payload: the gate made a majority hold it
+  // before the decision, and each holder keeps it (store, or else rbcast
+  // retention) until every member has it.
   ProcessId target = kNoProcess;
   for (std::size_t step = 0; step < members_.size(); ++step) {
     const ProcessId candidate = members_[pull_rr_++ % members_.size()];
@@ -473,12 +497,23 @@ void AtomicBroadcast::on_channel_message(ProcessId from, BytesView payload) {
     std::uint64_t found = 0;
     for (std::uint64_t i = 0; i < n && dec.ok(); ++i) {
       const MsgId id = dec.get_msgid();
-      auto sit = store_.find(id);
-      if (sit == store_.end()) continue;
-      entries_enc.put_msgid(id);
-      entries_enc.put_byte(sit->second.subtag);
-      entries_enc.put_bytes(sit->second.payload);
-      ++found;
+      if (auto sit = store_.find(id); sit != store_.end()) {
+        entries_enc.put_msgid(id);
+        entries_enc.put_byte(sit->second.subtag);
+        entries_enc.put_bytes(sit->second.payload);
+        ++found;
+      } else if (auto held = rbcast_.retained(id)) {
+        // Tail-GC'd here, but still retained by rbcast: the frame body is
+        // subtag | payload, as abcast() framed it.
+        Decoder body(*held);
+        const SubTag subtag = body.get_byte();
+        const BytesView payload = body.get_view();
+        if (!body.ok()) continue;
+        entries_enc.put_msgid(id);
+        entries_enc.put_byte(subtag);
+        entries_enc.put_bytes(payload);
+        ++found;
+      }
     }
     if (!dec.ok() || found == 0) return;
     std::shared_ptr<Bytes> wire = ctx_.pool().acquire();
@@ -505,6 +540,7 @@ void AtomicBroadcast::on_channel_message(ProcessId from, BytesView payload) {
     store_.emplace(id, Stored{subtag, to_bytes(body)});
     if (missing_.erase(id) > 0) resolved_any = true;
   }
+  consensus_.retry_deferred();
   if (resolved_any && missing_.empty()) process_decisions();
 }
 

@@ -14,11 +14,17 @@
 /// Wire-path memory model (DESIGN.md §12): under the default slim format,
 /// proposals carry only (MsgId, subtag) tuples — payload bytes never ride
 /// inside consensus. Deliveries resolve payloads from the local store fed
-/// by rbcast flooding. A process that decides an instance without holding
-/// some payload (late join / restore mid-instance; FIFO channels make this
-/// impossible for continuously-present members) stalls that instance and
-/// runs a bounded pull/push exchange over the reliable channel
-/// (Tag::kAbcast) until the payloads arrive, then resumes in order.
+/// by rbcast. In the full stack that substrate sends each payload once
+/// (quorum mode), so uniform agreement rests on the consensus admission
+/// gate this class installs: a member votes for a batch only once it holds
+/// every payload the batch names, so every decided payload is held by a
+/// majority, and rbcast retention keeps it until every member has it.
+/// Channel FIFO order does not make the payload arrive before the
+/// decision: the origin may have crashed mid-send, or the decision may
+/// come from a majority this process is not in. A process that decides an
+/// instance without holding some payload stalls that instance and runs a
+/// bounded pull/push exchange over the reliable channel (Tag::kAbcast)
+/// until the payloads arrive, then resumes in order.
 ///
 /// Dynamic membership (the membership layer lives ABOVE this component):
 /// view changes arrive as ordinary adelivered messages; set_members() takes
@@ -83,7 +89,8 @@ class AtomicBroadcast {
 
   /// \p channel carries the payload-pull fallback (Tag::kAbcast). Null
   /// disables pulling — only safe for static groups that never restore
-  /// mid-instance, where FIFO channels guarantee flood-before-decision.
+  /// mid-instance, whose members each get every payload from its origin or
+  /// from a holder's relay.
   AtomicBroadcast(sim::Context& ctx, ReliableBroadcast& rbcast, ConsensusProtocol& consensus,
                   ReliableChannel* channel, Config config);
   AtomicBroadcast(sim::Context& ctx, ReliableBroadcast& rbcast, ConsensusProtocol& consensus,
@@ -198,6 +205,9 @@ class AtomicBroadcast {
   void control_tick();
   void request_pull();
   void resolve_missing(const MsgId& id);
+  /// The consensus admission gate: true when every id of a slim batch is
+  /// in the store or already adelivered.
+  bool holds_payloads(const Bytes& value) const;
   bool is_adelivered(const MsgId& id) const;
   bool mark_adelivered(const MsgId& id);
 
@@ -228,6 +238,7 @@ class AtomicBroadcast {
   bool window_saturated_ = false; // hit the depth gate since the last tick
   bool proposing_ = false;        // re-entrancy guard (propose can decide inline)
   bool delivering_ = false;       // re-entrancy guard of process_decisions()
+  bool view_change_pending_ = false;  // delivering a batch that changes the members
   bool fc_retry_armed_ = false;   // timer to re-try proposals after an fc stall
   bool control_armed_ = false;    // adaptive tick scheduled
   // Controller interval bookkeeping: last-seen histogram totals.

@@ -60,13 +60,14 @@ void ReliableChannel::account_upper(Tag upper, std::size_t wire_bytes) {
   ctx_.metrics().inc(m_up_wire_bytes_[idx], static_cast<std::int64_t>(wire_bytes));
 }
 
-void ReliableChannel::send(ProcessId to, Tag upper, Payload payload) {
+std::uint64_t ReliableChannel::send(ProcessId to, Tag upper, Payload payload) {
   PeerOut& peer = out_[to];
   const std::uint64_t seq = peer.next_seq++;
   peer.unacked.emplace(seq, Outgoing{upper, std::move(payload), kNeverSent});
   ctx_.metrics().inc(m_sent_);
   pump(to, peer);
   arm_retransmit_timer();
+  return seq;
 }
 
 void ReliableChannel::pump(ProcessId to, PeerOut& peer) {
@@ -193,6 +194,13 @@ Duration ReliableChannel::oldest_unacked_age(ProcessId to) const {
 std::size_t ReliableChannel::unacked_count(ProcessId to) const {
   auto it = out_.find(to);
   return it == out_.end() ? 0 : it->second.unacked.size();
+}
+
+std::uint64_t ReliableChannel::acked_below(ProcessId to) const {
+  auto it = out_.find(to);
+  if (it == out_.end()) return 0;
+  const PeerOut& peer = it->second;
+  return peer.unacked.empty() ? peer.next_seq : peer.unacked.begin()->first;
 }
 
 void ReliableChannel::forget(ProcessId to) {

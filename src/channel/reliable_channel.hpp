@@ -71,8 +71,9 @@ class ReliableChannel {
   /// Reliable FIFO send of \p payload to \p to, for the component owning
   /// \p upper. Messages to self are delivered through the loopback link.
   /// Payload converts implicitly from Bytes; the shared buffer is held in
-  /// the retransmit queue without copying.
-  void send(ProcessId to, Tag upper, Payload payload);
+  /// the retransmit queue without copying. Returns the channel seq the
+  /// message took toward \p to (see acked_below()).
+  std::uint64_t send(ProcessId to, Tag upper, Payload payload);
 
   /// Convenience: send the same payload to every process in \p group. One
   /// shared buffer backs every destination's retransmit-queue entry.
@@ -90,6 +91,10 @@ class ReliableChannel {
 
   /// Number of buffered (unacknowledged) messages to \p to.
   std::size_t unacked_count(ProcessId to) const;
+
+  /// Every channel seq below this, as returned by send(), has been
+  /// cumulatively acknowledged by \p to (or voided by forget()).
+  std::uint64_t acked_below(ProcessId to) const;
 
   /// Discard all buffered output for \p to. Called when \p to is excluded
   /// from the membership: its obligations are void, so the buffer can be

@@ -24,7 +24,8 @@ Consensus::Consensus(sim::Context& ctx, ReliableChannel& channel, FailureDetecto
       m_decided_(metric_id("consensus.decided")),
       h_latency_(metric_id("consensus.latency_us")),
       h_propose_wait_(metric_id("consensus.propose_wait_us")),
-      h_accept_rtt_(metric_id("consensus.accept_rtt_us")) {
+      h_accept_rtt_(metric_id("consensus.accept_rtt_us")),
+      m_deferred_(metric_id("consensus.deferred_votes")) {
   channel_.subscribe(tag_, [this](ProcessId from, BytesView b) { on_message(from, b); });
   fd_.on_suspect(fd_class_, [this](ProcessId q) { on_fd_suspect(q); });
 }
@@ -250,6 +251,14 @@ void Consensus::handle_propose(ProcessId from, std::uint64_t k, std::int64_t r, 
     inst.responded = false;
   }
   if (inst.responded) return;
+  if (!admitted(value)) {
+    // Admission gate: ACK only once the value passes (retry_deferred()).
+    deferred_.insert_or_assign(k, DeferredVote{from, r, std::move(value)});
+    ctx_.metrics().inc(m_deferred_);
+    ctx_.after(fd_.timeout(fd_class_), [this, k, r] { on_deferral_timeout(k, r); });
+    return;
+  }
+  deferred_.erase(k);
   inst.responded = true;
   inst.estimate = std::move(value);
   // Lock with ts = r + 1 so a round-0 lock (ts 1) outranks initial
@@ -298,8 +307,28 @@ void Consensus::decide(std::uint64_t k, Instance& inst, const Bytes& value) {
   // Our own DECIDE arrives via loopback and runs handle_decide.
 }
 
+void Consensus::on_deferral_timeout(std::uint64_t k, std::int64_t r) {
+  auto dit = deferred_.find(k);
+  if (dit == deferred_.end() || dit->second.round != r) return;
+  deferred_.erase(dit);
+  auto it = instances_.find(k);
+  if (it == instances_.end()) return;
+  Instance& inst = it->second;
+  if (inst.decided || inst.round != r || inst.responded) return;
+  // NACKing is always safe; it is what a suspicion of the coordinator
+  // would do. An unlocked estimate is still free to change, and one the
+  // gate refuses would only be picked again: make it a no-op.
+  if (inst.estimate_ts <= 0 && !admitted(inst.estimate)) inst.estimate.clear();
+  if (inst.started) {
+    nack_round(k, inst);
+  } else {
+    inst.round = r + 1;
+  }
+}
+
 void Consensus::forget_below(std::uint64_t k) {
   forgotten_below_ = std::max(forgotten_below_, k);
+  deferred_.erase(deferred_.begin(), deferred_.lower_bound(k));
   for (auto it = decisions_.begin(); it != decisions_.end();) {
     it = (it->first < k) ? decisions_.erase(it) : ++it;
   }
@@ -308,6 +337,7 @@ void Consensus::forget_below(std::uint64_t k) {
 void Consensus::handle_decide(std::uint64_t k, Bytes value) {
   if (decisions_.count(k)) return;
   decisions_.emplace(k, value);
+  deferred_.erase(k);
   ++decided_count_;
   ctx_.metrics().inc(m_decided_);
   ctx_.trace_instant(obs::Names::get().consensus_decide, MsgId{obs::kConsensusKey, k},

@@ -79,6 +79,10 @@ class Consensus final : public ConsensusProtocol {
   void forget_below(std::uint64_t k) override;
 
  private:
+  void cast_deferred(std::uint64_t k, DeferredVote vote) override {
+    handle_propose(vote.from, k, vote.round, std::move(vote.value));
+  }
+
   struct Instance {
     std::vector<ProcessId> members;
     int majority = 0;
@@ -118,6 +122,9 @@ class Consensus final : public ConsensusProtocol {
   void maybe_propose_round(std::uint64_t k, Instance& inst, std::int64_t r);
   void decide(std::uint64_t k, Instance& inst, const Bytes& value);
   void on_fd_suspect(ProcessId q);
+  /// The gate held round \p r's ACK back for a whole suspicion timeout:
+  /// NACK the round, dropping an unlocked estimate the gate refuses.
+  void on_deferral_timeout(std::uint64_t k, std::int64_t r);
   Instance& get_instance(std::uint64_t k, const std::vector<ProcessId>* members_hint);
 
   sim::Context& ctx_;
@@ -131,6 +138,7 @@ class Consensus final : public ConsensusProtocol {
   MetricId h_latency_;       ///< propose() -> local decision (time-in-consensus)
   MetricId h_propose_wait_;  ///< first estimate -> PROPOSE (coordinator side)
   MetricId h_accept_rtt_;    ///< PROPOSE sent -> local decision (coordinator side)
+  MetricId m_deferred_;      ///< votes the admission gate held back
   std::unordered_map<std::uint64_t, Instance> instances_;
   std::unordered_map<std::uint64_t, Bytes> decisions_;
   std::vector<DecideFn> decide_fns_;

@@ -12,8 +12,10 @@
 /// broadcast and replication layers; bench_e8 compares their costs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <vector>
 
 #include "util/types.hpp"
@@ -45,11 +47,62 @@ class ConsensusProtocol {
   /// Garbage-collect decision values for instances < \p k.
   virtual void forget_below(std::uint64_t k) = 0;
 
+  /// -- admission gate (DESIGN.md §12) -------------------------------------
+  ///
+  /// An acceptor votes for a value (Paxos ACCEPTED, CT phase-3 ACK) only
+  /// once \p fn returns true for it; until then the vote waits, so every
+  /// decided value passed the predicate at a majority. Atomic broadcast
+  /// sets it to "I hold every payload this batch names". Unset, everything
+  /// is admitted. DECIDE is never gated.
+  using AdmitFn = std::function<bool(const Bytes& value)>;
+  void set_admission(AdmitFn fn) { admit_ = std::move(fn); }
+
+  /// Re-offer the votes the gate holds back; the owner of the predicate
+  /// calls it when the predicate may have turned true. A vote held back
+  /// for longer than the ◇S suspicion timeout gives up on its value the
+  /// way a suspicion would, so a value that no correct process can ever
+  /// admit does not block its instance.
+  void retry_deferred() {
+    std::vector<std::uint64_t> ready;
+    for (const auto& [k, vote] : deferred_) {
+      if (admitted(vote.value)) ready.push_back(k);
+    }
+    for (const std::uint64_t k : ready) {
+      auto it = deferred_.find(k);
+      if (it == deferred_.end()) continue;
+      DeferredVote vote = std::move(it->second);
+      deferred_.erase(it);
+      cast_deferred(k, std::move(vote));
+    }
+  }
+
+  /// Votes the gate currently holds back (tests, probe gauge).
+  std::size_t deferred_votes() const { return deferred_.size(); }
+
   /// The process this implementation expects to drive the next decrees, or
   /// kNoProcess when the algorithm has no stable-leader notion (CT's
   /// coordinator rotates per round). Used by fault injection to aim
   /// leader-targeted steps and by tests; never consulted for safety.
   virtual ProcessId stable_leader() const { return kNoProcess; }
+
+ protected:
+  /// A vote the gate holds back: the message that asked for it (CT
+  /// PROPOSE of a round, Paxos ACCEPT of a ballot) and the value.
+  struct DeferredVote {
+    ProcessId from;
+    std::int64_t round;
+    Bytes value;
+  };
+
+  bool admitted(const Bytes& value) const { return !admit_ || admit_(value); }
+  /// Handle again the message behind a vote the gate now admits.
+  virtual void cast_deferred(std::uint64_t k, DeferredVote vote) = 0;
+
+  /// Instance -> its held-back vote (one per instance: the latest).
+  std::map<std::uint64_t, DeferredVote> deferred_;
+
+ private:
+  AdmitFn admit_;
 };
 
 }  // namespace gcs

@@ -45,7 +45,8 @@ PaxosConsensus::PaxosConsensus(sim::Context& ctx, ReliableChannel& channel,
       m_noop_fills_(metric_id("paxos.noop_fills")),
       h_latency_(metric_id("consensus.latency_us")),
       h_propose_wait_(metric_id("consensus.propose_wait_us")),
-      h_accept_rtt_(metric_id("consensus.accept_rtt_us")) {
+      h_accept_rtt_(metric_id("consensus.accept_rtt_us")),
+      m_deferred_(metric_id("consensus.deferred_votes")) {
   channel_.subscribe(tag_, [this](ProcessId from, BytesView b) { on_message(from, b); });
   fd_.on_suspect(fd_class_, [this](ProcessId q) { on_fd_suspect(q); });
 }
@@ -378,7 +379,7 @@ void PaxosConsensus::drive_epoch_instances() {
   }
   for (auto& [k, inst] : instances_) {
     if (k >= epoch_.floor && inst.started && !inst.decided && !drive.count(k)) {
-      drive[k] = inst.my_value;
+      drive[k] = admissible(inst.my_value);
     }
   }
   for (std::uint64_t k = epoch_.floor; k < decided_frontier_; ++k) {
@@ -593,6 +594,16 @@ void PaxosConsensus::handle_accept(ProcessId from, std::uint64_t k, std::int64_t
   // ranged promise at a higher ballot must be refused, or the promise is
   // violated.
   const std::int64_t eff = effective_promised(k, inst);
+  if (b >= eff && !admitted(v)) {
+    // Admission gate: vote only once the value passes (retry_deferred()).
+    deferred_.insert_or_assign(k, DeferredVote{from, b, std::move(v)});
+    ctx_.metrics().inc(m_deferred_);
+    ctx_.after(fd_.timeout(fd_class_), [this, k, b] { on_deferral_timeout(k, b); });
+    return;
+  }
+  if (auto dit = deferred_.find(k); dit != deferred_.end() && dit->second.round <= b) {
+    deferred_.erase(dit);
+  }
   Encoder enc;
   if (b >= eff) {
     inst.promised = std::max(inst.promised, b);
@@ -659,6 +670,7 @@ void PaxosConsensus::handle_nack(std::uint64_t k, std::int64_t b_high) {
 void PaxosConsensus::handle_decide(std::uint64_t k, Bytes value) {
   if (decisions_.count(k)) return;
   decisions_.emplace(k, value);
+  deferred_.erase(k);
   ++decided_count_;
   decided_frontier_ = std::max(decided_frontier_, k + 1);
   ctx_.metrics().inc(m_decided_);
@@ -688,8 +700,33 @@ void PaxosConsensus::handle_decide(std::uint64_t k, Bytes value) {
   for (const auto& fn : decide_fns_) fn(k, value);
 }
 
+void PaxosConsensus::on_deferral_timeout(std::uint64_t k, std::int64_t ballot) {
+  auto dit = deferred_.find(k);
+  if (dit == deferred_.end() || dit->second.round != ballot) return;
+  auto it = instances_.find(k);
+  if (it == instances_.end() || it->second.decided) return;
+  Instance& inst = it->second;
+  // A plain acceptor keeps waiting: the payload, or a new ballot, comes.
+  // Our own decree is stuck only if no holder of the payload can vote:
+  // recovery at a higher ballot re-drives whatever a majority may have
+  // chosen, and turns the rest we cannot admit into no-ops.
+  if (config_.leader_stable) {
+    if (!epoch_.mine || epoch_.ballot != ballot) return;
+    std::int64_t next = std::max(epoch_seen_ballot_, epoch_.ballot) + 1;
+    while (epoch_owner(next) != ctx_.self()) ++next;
+    start_epoch(next);
+    return;
+  }
+  auto ait = inst.attempts.find(ballot);
+  if (ait == inst.attempts.end() || !ait->second.accepting) return;
+  inst.my_value = admissible(inst.my_value);
+  start_ballot(k, inst,
+               inst.next_owned_ballot(ctx_.self(), std::max(inst.max_ballot_seen, ballot)));
+}
+
 void PaxosConsensus::forget_below(std::uint64_t k) {
   forgotten_below_ = std::max(forgotten_below_, k);
+  deferred_.erase(deferred_.begin(), deferred_.lower_bound(k));
   for (auto it = decisions_.begin(); it != decisions_.end();) {
     it = (it->first < k) ? decisions_.erase(it) : ++it;
   }

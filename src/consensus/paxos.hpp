@@ -92,6 +92,10 @@ class PaxosConsensus final : public ConsensusProtocol {
   ProcessId stable_leader() const override;
 
  private:
+  void cast_deferred(std::uint64_t k, DeferredVote vote) override {
+    handle_accept(vote.from, k, vote.round, std::move(vote.value));
+  }
+
   struct Instance {
     std::vector<ProcessId> members;
     int majority = 0;
@@ -158,6 +162,13 @@ class PaxosConsensus final : public ConsensusProtocol {
   void handle_nack(std::uint64_t k, std::int64_t b_high);
   void handle_decide(std::uint64_t k, Bytes value);
   void on_fd_suspect(ProcessId q);
+  /// The gate held this acceptor's vote on (\p k, \p ballot) back for a
+  /// whole suspicion timeout. If we drive that decree, drive it again at a
+  /// higher ballot, where values the gate refuses become no-ops unless a
+  /// majority may already have chosen them.
+  void on_deferral_timeout(std::uint64_t k, std::int64_t ballot);
+  /// \p value, or a no-op if the admission gate refuses it.
+  Bytes admissible(const Bytes& value) const { return admitted(value) ? value : Bytes{}; }
   Instance& get_instance(std::uint64_t k, const std::vector<ProcessId>* members_hint);
 
   // -- leader-stable mode ---------------------------------------------------
@@ -209,6 +220,7 @@ class PaxosConsensus final : public ConsensusProtocol {
   MetricId h_latency_;       ///< propose() -> local decision (time-in-consensus)
   MetricId h_propose_wait_;  ///< PREPARE sent -> ACCEPT sent (promise quorum)
   MetricId h_accept_rtt_;    ///< ACCEPT sent -> local decision (owner side)
+  MetricId m_deferred_;      ///< votes the admission gate held back
   std::unordered_map<std::uint64_t, Instance> instances_;
   std::unordered_map<std::uint64_t, Bytes> decisions_;
   std::vector<DecideFn> decide_fns_;

@@ -39,7 +39,11 @@ void GcsStack::wire(StackConfig config) {
   } else {
     consensus_ = std::make_unique<Consensus>(*ctx_, *channel_, *fd_, consensus_fd_class_);
   }
-  ab_rbcast_ = std::make_unique<ReliableBroadcast>(*ctx_, *channel_, Tag::kRbcast);
+  // Atomic broadcast's substrate sends each payload once (O(n)); its
+  // consensus admission gate and suspicion-driven relay keep it uniform.
+  // Generic broadcast's still relays eagerly: its fast path counts holders.
+  ab_rbcast_ = std::make_unique<ReliableBroadcast>(*ctx_, *channel_, Tag::kRbcast,
+                                                   ReliableBroadcast::Dissemination::kQuorum);
   if (config.stability_interval > 0) {
     ab_rbcast_->enable_stability(config.stability_interval);
   }
@@ -64,8 +68,16 @@ void GcsStack::wire(StackConfig config) {
       [this](const View& v) { fd_->monitor_group(consensus_fd_class_, v.members); });
   // Suspicion only slows the channel toward a peer (one probe per backoff
   // period); exclusion, decided by monitoring, is what voids its buffer.
-  fd_->on_suspect(consensus_fd_class_, [this](ProcessId q) { channel_->suspect(q); });
-  fd_->on_restore(consensus_fd_class_, [this](ProcessId q) { channel_->restore(q); });
+  // It also makes abcast's substrate hand on what it retains of the peer's
+  // broadcasts.
+  fd_->on_suspect(consensus_fd_class_, [this](ProcessId q) {
+    channel_->suspect(q);
+    ab_rbcast_->suspect(q);
+  });
+  fd_->on_restore(consensus_fd_class_, [this](ProcessId q) {
+    channel_->restore(q);
+    ab_rbcast_->restore(q);
+  });
 }
 
 void GcsStack::init_view(std::vector<ProcessId> members) {
@@ -152,6 +164,9 @@ void GcsStack::attach_telemetry(obs::Telemetry& telemetry) {
   telemetry.add_gauge(self, "probe.rbcast.dedup", [this] {
     return static_cast<double>(ab_rbcast_->dedup_size() + gb_rbcast_->dedup_size());
   });
+  telemetry.add_gauge(self, "probe.rbcast.retained", [this] {
+    return static_cast<double>(ab_rbcast_->retained_size());
+  });
   telemetry.add_gauge(self, "probe.abcast.pending", [this] {
     return static_cast<double>(abcast_->pending_count());
   });
@@ -160,6 +175,9 @@ void GcsStack::attach_telemetry(obs::Telemetry& telemetry) {
   });
   telemetry.add_gauge(self, "probe.consensus.open", [this] {
     return static_cast<double>(consensus_->open_instances());
+  });
+  telemetry.add_gauge(self, "probe.consensus.deferred", [this] {
+    return static_cast<double>(consensus_->deferred_votes());
   });
   telemetry.add_gauge(self, "probe.gb.store", [this] {
     return static_cast<double>(gbcast_->store_size());

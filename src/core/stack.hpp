@@ -148,11 +148,12 @@ class GcsStack {
 
   /// Register this process with the live-telemetry publisher: its Metrics
   /// registry (every interned counter/histogram including per-tag wire
-  /// accounting), its state gauges (channel send queue, rbcast dedup set,
-  /// abcast backlog, open consensus instances, GB fast-path ratio and
-  /// working set, FD suspicions, monitoring votes; obs::Probes folds them
-  /// into time series) and the flight recorder (trace-ring health) when
-  /// one is installed. The stack must outlive \p telemetry's publishing.
+  /// accounting), its state gauges (channel send queue, rbcast dedup set
+  /// and retained frames, abcast backlog, open consensus instances and
+  /// gated votes, GB fast-path ratio and working set, FD suspicions,
+  /// monitoring votes; obs::Probes folds them into time series) and the
+  /// flight recorder (trace-ring health) when one is installed. The stack
+  /// must outlive \p telemetry's publishing.
   void attach_telemetry(obs::Telemetry& telemetry);
 
  private:
@@ -165,9 +166,9 @@ class GcsStack {
   std::unique_ptr<FailureDetector> fd_;
   FailureDetector::ClassId consensus_fd_class_;
   std::unique_ptr<ConsensusProtocol> consensus_;
-  std::unique_ptr<ReliableBroadcast> ab_rbcast_;  // abcast's flooding substrate
+  std::unique_ptr<ReliableBroadcast> ab_rbcast_;  // abcast's substrate (quorum mode)
   std::unique_ptr<AtomicBroadcast> abcast_;
-  std::unique_ptr<ReliableBroadcast> gb_rbcast_;  // generic broadcast's flooding
+  std::unique_ptr<ReliableBroadcast> gb_rbcast_;  // generic broadcast's flood (eager)
   std::unique_ptr<GenericBroadcast> gbcast_;
   std::unique_ptr<GroupMembership> membership_;
   std::unique_ptr<Monitoring> monitoring_;

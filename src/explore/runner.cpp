@@ -255,6 +255,20 @@ RunResult run_plan(const sim::FaultPlan& plan, const std::vector<std::uint32_t>&
         }
         break;
       }
+      case sim::FaultOp::kPartialCrash:
+        // Same majority guard as kCrash. Links to the non-receivers drop
+        // everything, so only the chosen members ever get the abcast; the
+        // crash follows at the same instant, before any retransmission.
+        if (is_member(p) && 2 * (alive_count() - 1) > n) {
+          for (ProcessId q = 0; q < n; ++q) {
+            if (q != p && (step.arg & (1ULL << q)) == 0) {
+              world.network().set_link(p, q, sim::LinkModel{plan.link.base_delay, 0, 1.0});
+            }
+          }
+          world.stack(p).abcast(bytes_of("c" + std::to_string(i)));
+          world.crash(p);
+        }
+        break;
       case sim::FaultOp::kCount_:
         break;
     }

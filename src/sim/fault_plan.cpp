@@ -18,7 +18,7 @@ constexpr std::array<std::string_view, static_cast<std::size_t>(FaultOp::kCount_
     kOpNames = {"abcast",     "gbcast",       "race",         "crash",
                 "partition",  "heal",         "join",         "suspect",
                 "fd_timeout", "dup_burst",    "reorder_burst", "leader_crash",
-                "leader_suspect"};
+                "leader_suspect", "partial_crash"};
 
 }  // namespace
 
@@ -64,6 +64,9 @@ std::string FaultStep::to_string() const {
     case FaultOp::kFalseSuspicion:
       out += " p" + std::to_string(proc) + " p" + std::to_string(target);
       break;
+    case FaultOp::kPartialCrash:
+      out += " p" + std::to_string(proc);
+      [[fallthrough]];
     case FaultOp::kPartition: {
       out += " {";
       bool first = true;
@@ -74,7 +77,8 @@ std::string FaultStep::to_string() const {
           first = false;
         }
       }
-      out += "} for " + std::to_string(duration) + "us";
+      out += "}";
+      if (op == FaultOp::kPartition) out += " for " + std::to_string(duration) + "us";
       break;
     }
     case FaultOp::kHeal:
@@ -127,8 +131,19 @@ FaultPlan FaultPlan::generate(std::uint64_t seed, FaultPlanOptions options) {
     const auto dice = ops.next_below(100);
     const auto p = static_cast<ProcessId>(ops.next_below(static_cast<std::uint64_t>(n)));
     step.proc = p;
-    if (dice < 42) {
+    if (dice < 40) {
       step.op = FaultOp::kAbcast;
+    } else if (dice < 42) {
+      // The origin's datagrams reach a random subset of the others, then it
+      // crashes: the schedule that separates quorum-held dissemination
+      // from an unsafe lazy one. Gated like kCrash.
+      if (crashes_left > 0) {
+        step.op = FaultOp::kPartialCrash;
+        step.arg = ops.next_below(1ULL << n) & ~(1ULL << p);
+        --crashes_left;
+      } else {
+        step.op = FaultOp::kAbcast;
+      }
     } else if (dice < 44) {
       // Crash the stable leader mid-pipeline (victim resolved at fire
       // time). Gated like kCrash so a solid majority always survives;

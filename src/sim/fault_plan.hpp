@@ -35,6 +35,7 @@
 ///              | 'reorder_burst' pct 'for' duration
 ///              | 'leader_crash'                ; crash the current stable leader
 ///              | 'leader_suspect'              ; false suspicion of the stable leader
+///              | 'partial_crash' proc memberset ; abcast reaching only memberset, then crash
 ///
 /// Plans serialize to the util::codec wire format (digest + artifact
 /// payloads, round-trip tested) and render to JSON for humans.
@@ -66,6 +67,7 @@ enum class FaultOp : std::uint8_t {
   kReorderBurst,      ///< network holds back arg% of datagrams for duration
   kLeaderCrash,       ///< crash whoever is the stable consensus leader at fire time
   kLeaderSuspicion,   ///< non-leaders falsely suspect the stable leader (consensus class)
+  kPartialCrash,      ///< proc abcasts, only the members in bitmask arg receive it, proc crashes
   kCount_,            // sentinel
 };
 
@@ -78,7 +80,7 @@ struct FaultStep {
   ProcessId proc = kNoProcess;    ///< acting process
   ProcessId target = kNoProcess;  ///< suspicion target / race partner / join contact hint
   std::uint8_t cls = 0;           ///< gbcast message class
-  std::uint64_t arg = 0;          ///< partition bitmask / timeout us / burst percent
+  std::uint64_t arg = 0;          ///< partition or receiver bitmask / timeout us / burst percent
   Duration duration = 0;          ///< partition / burst length
 
   friend bool operator==(const FaultStep&, const FaultStep&) = default;

@@ -10,6 +10,7 @@
 /// received everywhere may still appear in a later decision.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <set>
 
@@ -26,13 +27,29 @@ struct DeliveredIndex {
     if (seq < floor) return false;
     if (seq > floor) return beyond.insert(seq).second;
     ++floor;
-    // Collapse the contiguous run that was waiting on this gap.
+    collapse();
+    return true;
+  }
+
+  /// Record every seq below \p to as delivered (a watermark learned from
+  /// elsewhere, e.g. a stability floor or a donor's snapshot).
+  void advance_floor(std::uint64_t to) {
+    if (to <= floor) return;
+    floor = to;
+    beyond.erase(beyond.begin(), beyond.lower_bound(floor));
+    collapse();
+  }
+
+  std::size_t size() const { return beyond.size(); }
+
+ private:
+  // Fold the contiguous run waiting just above the floor into it.
+  void collapse() {
     auto it = beyond.begin();
     while (it != beyond.end() && *it == floor) {
       it = beyond.erase(it);
       ++floor;
     }
-    return true;
   }
 };
 

@@ -4,6 +4,8 @@
 /// assert only coarse outcomes (delivery happened, order agreed).
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include <memory>
 
 #include "core/stack.hpp"
@@ -134,6 +136,51 @@ TEST(RealTime, DeepClosedLoopDoesNotCollapse) {
                     << w.logs[2].size() << " of " << kTotal;
   EXPECT_EQ(w.logs[0].order, w.logs[1].order);
   EXPECT_EQ(w.logs[1].order, w.logs[2].order);
+}
+
+TEST(RealTime, StabilityGcOverUdpDeliversEachMessageOnce) {
+  // Stability gossip every 100 ms moves rbcast's dedup floor and prunes
+  // retained frames while a closed loop of 1 per member runs over loopback
+  // UDP: no member may deliver any message twice.
+  StackConfig sc;
+  sc.consensus_algorithm = StackConfig::ConsensusAlgo::kPaxos;
+  sc.abcast.pipeline_depth = 16;
+  sc.abcast.max_batch = 16;
+  sc.abcast.adaptive = true;
+  sc.stability_interval = msec(100);
+  constexpr int kN = 3;
+  constexpr int kTotal = 3000;
+  RtWorld w(kN, 39160, sc);
+  w.found_all();
+  const Bytes payload(1024, 0x17);
+  int submitted = 0;
+  const auto submit = [&](ProcessId p) {
+    if (submitted >= kTotal) return;
+    ++submitted;
+    w.stacks[static_cast<std::size_t>(p)]->abcast(payload);
+  };
+  for (ProcessId p = 0; p < kN; ++p) {
+    w.stacks[static_cast<std::size_t>(p)]->on_adeliver([&, p](const MsgId& id, const Bytes&) {
+      if (id.sender == p) submit(p);
+    });
+  }
+  for (ProcessId p = 0; p < kN; ++p) submit(p);
+  const bool done = w.runner.run_until(std::chrono::seconds(30), [&] {
+    for (const auto& log : w.logs) {
+      if (log.size() < static_cast<std::size_t>(kTotal)) return false;
+    }
+    return true;
+  });
+  ASSERT_TRUE(done) << "delivered " << w.logs[0].size() << "/" << w.logs[1].size() << "/"
+                    << w.logs[2].size() << " of " << kTotal;
+  w.runner.run_for(std::chrono::milliseconds(300));  // room for a late duplicate
+  for (const auto& log : w.logs) {
+    EXPECT_EQ(log.size(), static_cast<std::size_t>(kTotal));
+    EXPECT_EQ(std::set<MsgId>(log.order.begin(), log.order.end()).size(), log.size());
+  }
+  EXPECT_EQ(w.logs[0].order, w.logs[1].order);
+  EXPECT_EQ(w.logs[1].order, w.logs[2].order);
+  EXPECT_GT(w.stacks[0]->metrics().counter("rbcast.stability_pruned"), 0);
 }
 
 TEST(RealTime, GenericBroadcastFastPathOverUdp) {
