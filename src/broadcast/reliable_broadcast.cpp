@@ -8,10 +8,8 @@ namespace gcs {
 
 namespace {
 // Frame layouts:
-//   kData:       kind | id | body          (eager mode)
 //   kWatermarks: kind | count | count x (sender | upto)
-//   kHeldData:   kind | id | W_o | body    (quorum mode)
-constexpr std::uint8_t kData = 0;
+//   kHeldData:   kind | id | W_o | body
 constexpr std::uint8_t kWatermarks = 1;
 constexpr std::uint8_t kHeldData = 2;
 
@@ -27,9 +25,8 @@ auto seq_lower_bound(Frames& frames, std::uint64_t seq) {
 }
 }  // namespace
 
-ReliableBroadcast::ReliableBroadcast(sim::Context& ctx, ReliableChannel& channel, Tag tag,
-                                     Dissemination mode)
-    : ctx_(ctx), channel_(channel), tag_(tag), mode_(mode),
+ReliableBroadcast::ReliableBroadcast(sim::Context& ctx, ReliableChannel& channel, Tag tag)
+    : ctx_(ctx), channel_(channel), tag_(tag),
       m_broadcasts_(metric_id("rbcast.broadcasts")),
       m_delivered_(metric_id("rbcast.delivered")),
       m_relayed_(metric_id("rbcast.relayed")),
@@ -40,21 +37,19 @@ ReliableBroadcast::ReliableBroadcast(sim::Context& ctx, ReliableChannel& channel
 
 void ReliableBroadcast::set_group(std::vector<ProcessId> group) {
   group_ = std::move(group);
-  if (mode_ == Dissemination::kQuorum) {
-    // A departed origin's obligations pass to its holders: relay what we
-    // retain of it to the new group, then forget it.
-    for (auto it = held_.begin(); it != held_.end();) {
-      if (contains(group_, it->first)) {
-        ++it;
-        continue;
-      }
-      for (const auto& entry : it->second.frames) relay(it->first, entry.second);
-      it = held_.erase(it);
+  // A departed origin's obligations pass to its holders: relay what we
+  // retain of it to the new group, then forget it.
+  for (auto it = held_.begin(); it != held_.end();) {
+    if (contains(group_, it->first)) {
+      ++it;
+      continue;
     }
-    // Departed peers no longer hold W_o back.
-    for (auto it = unacked_.begin(); it != unacked_.end();) {
-      it = contains(group_, it->first) ? ++it : unacked_.erase(it);
-    }
+    for (const auto& entry : it->second.frames) relay(it->first, entry.second);
+    it = held_.erase(it);
+  }
+  // Departed peers no longer hold W_o back.
+  for (auto it = unacked_.begin(); it != unacked_.end();) {
+    it = contains(group_, it->first) ? ++it : unacked_.erase(it);
   }
   if (stability_enabled_) {
     // Membership changed: drop watermarks of departed members (a crashed
@@ -93,21 +88,19 @@ std::uint64_t ReliableBroadcast::own_window(std::uint64_t next) {
 void ReliableBroadcast::broadcast_with_id(const MsgId& id, const Payload& payload) {
   if (id.sender == ctx_.self() && id.seq >= next_seq_) next_seq_ = id.seq + 1;
   if (!mark_seen(id)) return;  // already known
-  const bool quorum = mode_ == Dissemination::kQuorum;
   // Frame into a pooled buffer; the channel's retransmit queues hold the
   // shared buffer, so fan-out costs no copies and steady state no allocs.
   std::shared_ptr<Bytes> wire = ctx_.pool().acquire();
   Encoder enc(*wire);
-  enc.put_byte(quorum ? kHeldData : kData);
+  enc.put_byte(kHeldData);
   enc.put_msgid(id);
-  if (quorum) enc.put_u64(own_window(id.seq));
+  enc.put_u64(own_window(id.seq));
   enc.put_bytes(payload.bytes());
   const Payload frame(std::shared_ptr<const Bytes>(std::move(wire)));
   // One copy to every other member; the origin delivers directly below.
   for (ProcessId p : group_) {
     if (p == ctx_.self()) continue;
-    const std::uint64_t seq = channel_.send(p, tag_, frame);
-    if (quorum) unacked_[p].emplace_back(seq, id.seq);
+    unacked_[p].emplace_back(channel_.send(p, tag_, frame), id.seq);
   }
   ctx_.metrics().inc(m_broadcasts_);
   ctx_.trace_instant(obs::Names::get().rbcast_flood, id,
@@ -119,7 +112,7 @@ void ReliableBroadcast::broadcast_with_id(const MsgId& id, const Payload& payloa
 void ReliableBroadcast::on_message(ProcessId from, BytesView payload) {
   Decoder dec(payload);
   const std::uint8_t kind = dec.get_byte();
-  if (kind == kData || kind == kHeldData) {
+  if (kind == kHeldData) {
     handle_data(from, payload);
   } else if (kind == kWatermarks) {
     handle_watermarks(from, dec);
@@ -142,24 +135,12 @@ void ReliableBroadcast::relay(ProcessId origin, const Payload& frame, ProcessId 
 
 void ReliableBroadcast::handle_data(ProcessId from, BytesView wire) {
   Decoder dec(wire);
-  const std::uint8_t kind = dec.get_byte();
+  dec.get_byte();  // kind
   const MsgId id = dec.get_msgid();
-  const std::uint64_t window = kind == kHeldData ? dec.get_u64() : 0;
+  const std::uint64_t window = dec.get_u64();
   const BytesView body = dec.get_view();
   if (!dec.ok() || id.sender == ctx_.self()) return;
-  if (kind == kData) {
-    if (!mark_seen(id)) return;  // duplicate
-    // Eager: relay before delivering, which makes delivery uniform under
-    // crash-stop. The incoming view is materialized once into a pooled
-    // buffer that every destination's channel queue then shares.
-    std::shared_ptr<Bytes> copy = ctx_.pool().acquire();
-    copy->assign(wire.begin(), wire.end());
-    relay(id.sender, Payload(std::shared_ptr<const Bytes>(std::move(copy))));
-    ctx_.trace_instant(obs::Names::get().rbcast_relay, id);
-    deliver(id, body);
-    return;
-  }
-  // Quorum. W_o is news even on a duplicate.
+  // W_o is news even on a duplicate.
   Held* held = nullptr;
   if (contains(group_, id.sender)) {
     held = &held_[id.sender];
@@ -175,6 +156,8 @@ void ReliableBroadcast::handle_data(ProcessId from, BytesView wire) {
   const bool keep =
       held != nullptr && id.seq >= std::max(held->window, stable_floor(id.sender));
   if (relay_now || keep) {
+    // The incoming view is materialized once into a pooled buffer that the
+    // retention deque and every relay destination's channel queue share.
     std::shared_ptr<Bytes> copy = ctx_.pool().acquire();
     copy->assign(wire.begin(), wire.end());
     Payload frame(std::shared_ptr<const Bytes>(std::move(copy)));
@@ -204,7 +187,7 @@ void ReliableBroadcast::prune(ProcessId origin, Held& held) {
 }
 
 void ReliableBroadcast::suspect(ProcessId origin) {
-  if (mode_ != Dissemination::kQuorum || origin == ctx_.self()) return;
+  if (origin == ctx_.self()) return;
   Held& held = held_[origin];
   if (held.suspected) return;
   held.suspected = true;

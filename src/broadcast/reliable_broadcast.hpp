@@ -1,21 +1,15 @@
 /// \file reliable_broadcast.hpp
 /// Reliable broadcast over reliable channels, with optional stability
-/// tracking. Two dissemination modes, chosen at construction:
+/// tracking. Both atomic and generic broadcast run on one instance each.
 ///
-/// Eager (generic broadcast's substrate): the origin sends the message to
-/// every other member and delivers it; every other member relays it on
-/// first receipt to everyone but itself and the origin, then delivers.
-/// With reliable channels and crash-stop faults this alone yields
-/// *uniform* agreement: if any process delivers m, every correct group
-/// member delivers m. O(n^2) copies per message.
-///
-/// Quorum (atomic broadcast's substrate, DESIGN.md §12): the origin sends
-/// each message to every other member once, and a receiver delivers on
-/// receipt without relaying: n-1 copies per message. Uniformity moves up a
-/// layer. Atomic broadcast's consensus votes only for batches whose
-/// payloads the voter holds, so every decided id is held by a majority,
-/// one of them correct. This class keeps that holder able to hand the
-/// payload on until every member has it:
+/// Dissemination (DESIGN.md §12): the origin sends each message to every
+/// other member once, and a receiver delivers on receipt without relaying:
+/// n-1 copies per message. Uniformity lives a layer up. Atomic broadcast's
+/// consensus votes only for batches whose payloads the voter holds, and
+/// generic broadcast fast-delivers only on ACKs from holders and resolves
+/// only ids that f+1 reports list, so every delivered id has a correct
+/// holder. This class keeps that holder able to hand the payload on until
+/// every member has it:
 ///   - every frame from origin o carries W_o, o's lowest seq that some
 ///     current member has not yet acknowledged at the channel level (the
 ///     origin reads it off channel cumulative acks);
@@ -61,19 +55,15 @@ class ReliableBroadcast {
   /// that keep the bytes copy them into their own stores.
   using DeliverFn = std::function<void(const MsgId& id, BytesView payload)>;
 
-  /// How a message reaches the group (see the file comment).
-  enum class Dissemination { kEager, kQuorum };
-
   /// \param tag distinct wire tag per instance, so independent rbcast
   ///            streams (e.g. atomic broadcast's vs generic broadcast's)
   ///            do not interfere.
-  ReliableBroadcast(sim::Context& ctx, ReliableChannel& channel, Tag tag,
-                    Dissemination mode = Dissemination::kEager);
+  ReliableBroadcast(sim::Context& ctx, ReliableChannel& channel, Tag tag);
 
   /// The destination group. Updated by the membership layer when views
   /// change; joiners receive the current state by state transfer rather
-  /// than by replaying old broadcasts. In quorum mode, a member leaving the
-  /// group has its retained frames relayed and then dropped.
+  /// than by replaying old broadcasts. A member leaving the group has its
+  /// retained frames relayed and then dropped.
   void set_group(std::vector<ProcessId> group);
   const std::vector<ProcessId>& group() const { return group_; }
 
@@ -86,14 +76,14 @@ class ReliableBroadcast {
 
   void on_deliver(DeliverFn fn) { deliver_fns_.push_back(std::move(fn)); }
 
-  /// -- quorum mode: suspicion-driven relay --------------------------------
+  /// -- suspicion-driven relay --------------------------------------------
 
   /// The failure detector suspects \p origin: relay its retained frames,
-  /// and relay its frames on receipt until restore(). No-op in eager mode.
+  /// and relay its frames on receipt until restore().
   void suspect(ProcessId origin);
   void restore(ProcessId origin);
 
-  /// The payload of a retained frame, if \p id is retained (quorum mode).
+  /// The payload of a retained frame, if \p id is retained.
   std::optional<BytesView> retained(const MsgId& id) const;
 
   /// Frames currently retained across all origins (tests, probe gauge).
@@ -130,7 +120,7 @@ class ReliableBroadcast {
   void restore_stability(BytesView snapshot);
 
  private:
-  /// Per-origin receiver state of quorum mode.
+  /// Per-origin receiver state.
   struct Held {
     std::uint64_t window = 0;  // highest W_o heard
     bool suspected = false;
@@ -155,7 +145,6 @@ class ReliableBroadcast {
   sim::Context& ctx_;
   ReliableChannel& channel_;
   Tag tag_;
-  Dissemination mode_;
   MetricId m_broadcasts_;
   MetricId m_delivered_;
   MetricId m_relayed_;
@@ -169,10 +158,10 @@ class ReliableBroadcast {
   Observer observe_broadcast_;
   Observer observe_deliver_;
 
-  // Quorum mode, origin side: per peer, the (channel seq, own seq) of each
+  // Origin side: per peer, the (channel seq, own seq) of each
   // frame sent to it that the channel has not yet seen acknowledged.
   std::map<ProcessId, std::deque<std::pair<std::uint64_t, std::uint64_t>>> unacked_;
-  // Quorum mode, receiver side, per origin.
+  // Receiver side, per origin.
   std::map<ProcessId, Held> held_;
 
   // Stability state.

@@ -51,7 +51,10 @@ void GenericBroadcast::set_group(std::vector<ProcessId> group) {
   group_ = std::move(group);
   rbcast_.set_group(group_);
   // Quorums changed: a pending resolution may now be satisfiable (e.g. a
-  // crashed member was excluded, shrinking report_need).
+  // crashed member was excluded, shrinking report_need). That holds for a
+  // later round this member holds reports of while still delivering its
+  // own, as it does for the others, who are in that round now.
+  for (auto& [r, rr] : reports_) close_round(rr);
   maybe_finalize_round();
 }
 
@@ -113,6 +116,8 @@ void GenericBroadcast::on_gb_data(const MsgId& id, BytesView wire) {
   consider(id);
   // An ACK quorum may have assembled before the payload arrived.
   maybe_fast_deliver(id);
+  // So may a resolution: a round pull-stalled on this payload goes on.
+  if (missing_.erase(id) != 0 && missing_.empty()) maybe_finalize_round();
 }
 
 void GenericBroadcast::consider(const MsgId& id) {
@@ -135,13 +140,17 @@ void GenericBroadcast::consider(const MsgId& id) {
   it->second.acked = true;
   ++acked_cls_[it->second.cls];
   ctx_.trace_instant(obs::Names::get().gb_ack, id, static_cast<std::int64_t>(round_));
+  // Our own ACK counts here and now; the callers check the quorum next.
+  acks_[round_][id].insert(ctx_.self());
   std::shared_ptr<Bytes> wire = ctx_.pool().acquire();
   Encoder enc(*wire);
   enc.put_byte(kGbAck);
   enc.put_u64(round_);
   enc.put_msgid(id);
-  channel_.send_group(group_, Tag::kGbcast,
-                      Payload(std::shared_ptr<const Bytes>(std::move(wire))));
+  const Payload ack(std::shared_ptr<const Bytes>(std::move(wire)));
+  for (ProcessId p : group_) {
+    if (p != ctx_.self()) channel_.send(p, Tag::kGbcast, ack);
+  }
 }
 
 void GenericBroadcast::on_channel_message(ProcessId from, BytesView wire) {
@@ -179,8 +188,32 @@ void GenericBroadcast::on_ack(ProcessId from, Decoder& dec) {
     if (r == round_) maybe_settle(id);
     return;
   }
-  acks_[r][id].insert(from);
-  if (r == round_) maybe_fast_deliver(id);
+  std::set<ProcessId>& ackers = acks_[r][id];
+  ackers.insert(from);
+  if (r != round_) return;
+  if (store_.count(id)) {
+    maybe_fast_deliver(id);
+  } else if (static_cast<int>(ackers.size()) == fast_quorum()) {
+    // A quorum holds a payload this member still lacks. Its origin's copy
+    // is most likely on the way; if not (the origin sent it before this
+    // member joined), fetch it from the ACKers.
+    fetch_from_ackers(id, 0);
+  }
+}
+
+void GenericBroadcast::fetch_from_ackers(const MsgId& id, std::size_t attempt) {
+  ctx_.after(config_.pull_retry, [this, id, attempt] {
+    if (is_delivered(id) || store_.count(id)) return;
+    const auto rit = acks_.find(round_);
+    if (rit == acks_.end()) return;
+    const auto ait = rit->second.find(id);
+    if (ait == rit->second.end() || ait->second.empty()) return;
+    // Every ACKer holds the payload; rotate over them across retries.
+    send_pull(*std::next(ait->second.begin(),
+                         static_cast<std::ptrdiff_t>(attempt % ait->second.size())),
+              {id});
+    fetch_from_ackers(id, attempt + 1);
+  });
 }
 
 void GenericBroadcast::on_pull(ProcessId from, Decoder& dec) {
@@ -226,26 +259,34 @@ void GenericBroadcast::on_push(ProcessId, Decoder& dec) {
     const BytesView body = entries.get_view();
     if (!entries.ok()) break;
     ctx_.metrics().inc(m_pushes_);
-    if (is_delivered(id) || store_.count(id)) continue;
-    // Resolution-path payload: no resolve deadline (the round is already
-    // resolving) and no fast-path latency sample.
-    store_.emplace(id, Stored{cls, to_bytes(body), sim::kNoTimer, 0});
+    if (!is_delivered(id) && !store_.count(id)) {
+      // No resolve deadline (a resolution or an ACK quorum is already
+      // waiting on it) and no fast-path latency sample.
+      store_.emplace(id, Stored{cls, to_bytes(body), sim::kNoTimer, 0});
+      consider(id);
+      maybe_fast_deliver(id);
+    }
+    // The reliable broadcast may have brought the payload since the pull.
     if (missing_.erase(id) != 0) resolved_any = true;
   }
   if (resolved_any && missing_.empty()) maybe_finalize_round();
+}
+
+void GenericBroadcast::send_pull(ProcessId target, const std::set<MsgId>& ids) {
+  std::shared_ptr<Bytes> wire = ctx_.pool().acquire();
+  Encoder enc(*wire);
+  enc.put_byte(kGbPull);
+  enc.put_u64(ids.size());
+  for (const MsgId& id : ids) enc.put_msgid(id);
+  channel_.send(target, Tag::kGbcast, Payload(std::shared_ptr<const Bytes>(std::move(wire))));
+  ctx_.metrics().inc(m_pull_requests_);
 }
 
 void GenericBroadcast::request_pull() {
   if (missing_.empty() || group_.size() < 2) return;
   ProcessId target = ctx_.self();
   while (target == ctx_.self()) target = group_[pull_rr_++ % group_.size()];
-  std::shared_ptr<Bytes> wire = ctx_.pool().acquire();
-  Encoder enc(*wire);
-  enc.put_byte(kGbPull);
-  enc.put_u64(missing_.size());
-  for (const MsgId& id : missing_) enc.put_msgid(id);
-  channel_.send(target, Tag::kGbcast, Payload(std::shared_ptr<const Bytes>(std::move(wire))));
-  ctx_.metrics().inc(m_pull_requests_);
+  send_pull(target, missing_);
   if (!pull_timer_armed_) {
     pull_timer_armed_ = true;
     ctx_.after(config_.pull_retry, [this] {
@@ -256,7 +297,7 @@ void GenericBroadcast::request_pull() {
 }
 
 void GenericBroadcast::maybe_fast_deliver(const MsgId& id) {
-  if (is_delivered(id)) return;
+  if (is_delivered(id) || round_over()) return;
   const auto rit = acks_.find(round_);
   if (rit == acks_.end()) return;
   const auto ait = rit->second.find(id);
@@ -393,12 +434,17 @@ void GenericBroadcast::trigger_resolution() {
 void GenericBroadcast::on_report(const MsgId& report_id, BytesView wire) {
   Decoder dec(wire);
   const std::uint64_t r = dec.get_u64();
-  if (!dec.ok() || r != round_) return;  // late report from a finished round
+  if (!dec.ok() || r < round_) return;  // late report from a finished round
   const std::uint8_t fmt = dec.get_byte();
   if (!dec.ok() || fmt > static_cast<std::uint8_t>(WireFormat::kLegacy)) return;
   const bool inline_payloads = fmt == static_cast<std::uint8_t>(WireFormat::kLegacy);
+  // A report of a later round means the others finished ours while this
+  // member is still delivering it (pull-stalled). It is tallied now, under
+  // the group in force now, as the others tally it.
+  RoundReports& rr = reports_[r];
+  if (rr.sequence) return;  // the round's report set is complete
   const ProcessId reporter = report_id.sender;
-  if (!reporters_.insert(reporter).second) return;  // one report per member
+  if (!rr.reporters.insert(reporter).second) return;  // one report per member
   const std::uint64_t count = dec.get_u64();
   for (std::uint64_t i = 0; i < count && dec.ok(); ++i) {
     const MsgId id = dec.get_msgid();
@@ -407,8 +453,9 @@ void GenericBroadcast::on_report(const MsgId& report_id, BytesView wire) {
     if (inline_payloads) payload = dec.get_view();
     const bool acked = dec.get_bool();
     if (!dec.ok()) break;
-    if (acked) ++report_ack_counts_[id];
-    report_ids_.insert(id);
+    Tally& tally = rr.tally[id];
+    ++tally.listed;
+    if (acked) ++tally.acked;
     if (inline_payloads && !is_delivered(id) && !store_.count(id)) {
       store_.emplace(id, Stored{cls, to_bytes(payload), sim::kNoTimer, 0});
     }
@@ -424,45 +471,66 @@ void GenericBroadcast::on_report(const MsgId& report_id, BytesView wire) {
     if (!dec.ok() || length > kMaxSettled - settled) break;
     settled += length;
     for (std::uint64_t k = 0; k < length; ++k) {
-      const MsgId id{first.sender, first.seq + k};
-      ++report_ack_counts_[id];
-      report_ids_.insert(id);
+      Tally& tally = rr.tally[MsgId{first.sender, first.seq + k}];
+      ++tally.listed;
+      ++tally.acked;
+      tally.settled = true;
     }
   }
+  close_round(rr);
+  if (r != round_) return;
   // A report commits everyone to this round's resolution: contribute ours.
   if (!resolving_) trigger_resolution();
   maybe_finalize_round();
 }
 
-void GenericBroadcast::maybe_finalize_round() {
-  if (reporters_.empty()) return;
-  if (static_cast<int>(reporters_.size()) < report_need()) return;
+void GenericBroadcast::close_round(RoundReports& rr) const {
+  if (rr.sequence || rr.reporters.empty()) return;
+  if (static_cast<int>(rr.reporters.size()) < report_need()) return;
   // Deterministic: every member sees the same adelivered report prefix and
-  // the same group (view changes are adelivered too), so first/second are
-  // identical everywhere.
+  // the same group (view changes are adelivered too), so the sequence is
+  // identical everywhere, and fixed from here on: later reports of the
+  // round are ignored. An id outside first that fewer than f+1 reports list
+  // may have no correct holder: it is left out of this round (holders
+  // carry it into the next) rather than stalling every member on a pull.
+  // A settled id is held by the whole group. tau >= f+1, so first needs no
+  // such check.
+  const int f = static_cast<int>(group_.size() - 1) / 3;
   std::vector<MsgId> first;
   std::vector<MsgId> second;
-  for (const MsgId& id : report_ids_) {
-    const auto cit = report_ack_counts_.find(id);
-    const int ack_count = cit == report_ack_counts_.end() ? 0 : cit->second;
-    if (ack_count >= tau()) {
+  for (const auto& [id, tally] : rr.tally) {
+    if (tally.acked >= tau()) {
       first.push_back(id);
-    } else {
+    } else if (tally.settled || tally.listed > f) {
       second.push_back(id);
     }
   }
-  // std::map iteration is MsgId-ordered already; keep the sort explicit.
-  std::sort(first.begin(), first.end());
-  std::sort(second.begin(), second.end());
+  // The tally iterates in MsgId order, so both lists are sorted.
+  first.insert(first.end(), second.begin(), second.end());
+  rr.sequence = std::move(first);
+  rr.reporters.clear();
+  rr.tally.clear();
+}
+
+void GenericBroadcast::maybe_finalize_round() {
+  const auto rit = reports_.find(round_);
+  if (rit == reports_.end()) return;
+  close_round(rit->second);
+  if (!rit->second.sequence) return;
+  // A copy: a delivery upcall may reach this round's state again.
+  const std::vector<MsgId> sequence = *rit->second.sequence;
+  // The round is over: no more ACKs or reports in it (the fast path is
+  // closed by round_over()).
+  frozen_ = true;
+  resolving_ = true;
   // Slim reports carry no payloads: every undelivered message of the
   // sequence must be resolvable from the local store before the round can
-  // finalize. Anything missing (late join, restore mid-resolution) stalls
-  // the round locally and is pulled; pushes re-enter here.
+  // finalize. Anything missing (late join, restore mid-resolution, a
+  // payload still on its way) stalls the round locally and is pulled;
+  // pushes and rbcast deliveries re-enter here.
   missing_.clear();
-  for (const std::vector<MsgId>* seq : {&first, &second}) {
-    for (const MsgId& id : *seq) {
-      if (!is_delivered(id) && !store_.count(id)) missing_.insert(id);
-    }
+  for (const MsgId& id : sequence) {
+    if (!is_delivered(id) && !store_.count(id)) missing_.insert(id);
   }
   if (!missing_.empty()) {
     if (!pull_stalled_) {
@@ -483,33 +551,40 @@ void GenericBroadcast::maybe_finalize_round() {
   // member attributes the same (round, pos) coordinate to each message even
   // though each skips its own fast-delivered prefix inside deliver().
   std::uint32_t pos = 0;
-  for (const std::vector<MsgId>* seq : {&first, &second}) {
-    for (const MsgId& id : *seq) {
-      if (const auto sit = store_.find(id); sit != store_.end()) {
-        deliver(id, sit->second.cls, sit->second.payload, /*fast=*/false, pos);
-      }
-      ++pos;
+  for (const MsgId& id : sequence) {
+    if (const auto sit = store_.find(id); sit != store_.end()) {
+      deliver(id, sit->second.cls, sit->second.payload, /*fast=*/false, pos);
     }
+    ++pos;
   }
   ++rounds_resolved_;
   ctx_.metrics().inc(m_rounds_resolved_);
   ctx_.trace_end(obs::Names::get().gb_resolve, MsgId{obs::kGbRoundKey, round_},
-                 static_cast<std::int64_t>(first.size() + second.size()));
+                 static_cast<std::int64_t>(sequence.size()));
   start_new_round();
 }
 
 Bytes GenericBroadcast::snapshot() const {
   Encoder enc;
   enc.put_u64(round_);
-  enc.put_u64(reporters_.size());
-  for (ProcessId p : reporters_) enc.put_i32(p);
-  enc.put_u64(report_ack_counts_.size());
-  for (const auto& [id, count] : report_ack_counts_) {
-    enc.put_msgid(id);
-    enc.put_i32(count);
+  enc.put_u64(reports_.size());
+  for (const auto& [r, rr] : reports_) {
+    enc.put_u64(r);
+    enc.put_u64(rr.reporters.size());
+    for (ProcessId p : rr.reporters) enc.put_i32(p);
+    enc.put_u64(rr.tally.size());
+    for (const auto& [id, tally] : rr.tally) {
+      enc.put_msgid(id);
+      enc.put_i32(tally.acked);
+      enc.put_i32(tally.listed);
+      enc.put_bool(tally.settled);
+    }
+    enc.put_bool(rr.sequence.has_value());
+    if (rr.sequence) {
+      enc.put_u64(rr.sequence->size());
+      for (const MsgId& id : *rr.sequence) enc.put_msgid(id);
+    }
   }
-  enc.put_u64(report_ids_.size());
-  for (const MsgId& id : report_ids_) enc.put_msgid(id);
   enc.put_u64(delivered_.size());
   for (const auto& [sender, idx] : delivered_) {
     enc.put_i32(sender);
@@ -529,18 +604,27 @@ Bytes GenericBroadcast::snapshot() const {
 void GenericBroadcast::restore(BytesView snapshot) {
   Decoder dec(snapshot);
   round_ = dec.get_u64();
-  reporters_.clear();
-  const std::uint64_t n_rep = dec.get_u64();
-  for (std::uint64_t i = 0; i < n_rep && dec.ok(); ++i) reporters_.insert(dec.get_i32());
-  report_ack_counts_.clear();
-  const std::uint64_t n_counts = dec.get_u64();
-  for (std::uint64_t i = 0; i < n_counts && dec.ok(); ++i) {
-    const MsgId id = dec.get_msgid();
-    report_ack_counts_[id] = dec.get_i32();
+  reports_.clear();
+  const std::uint64_t n_rounds = dec.get_u64();
+  for (std::uint64_t i = 0; i < n_rounds && dec.ok(); ++i) {
+    RoundReports& rr = reports_[dec.get_u64()];
+    const std::uint64_t n_rep = dec.get_u64();
+    for (std::uint64_t j = 0; j < n_rep && dec.ok(); ++j) rr.reporters.insert(dec.get_i32());
+    const std::uint64_t n_tallies = dec.get_u64();
+    for (std::uint64_t j = 0; j < n_tallies && dec.ok(); ++j) {
+      Tally& tally = rr.tally[dec.get_msgid()];
+      tally.acked = dec.get_i32();
+      tally.listed = dec.get_i32();
+      tally.settled = dec.get_bool();
+    }
+    if (dec.get_bool()) {
+      rr.sequence.emplace();
+      const std::uint64_t n_seq = dec.get_u64();
+      for (std::uint64_t j = 0; j < n_seq && dec.ok(); ++j) {
+        rr.sequence->push_back(dec.get_msgid());
+      }
+    }
   }
-  report_ids_.clear();
-  const std::uint64_t n_ids = dec.get_u64();
-  for (std::uint64_t i = 0; i < n_ids && dec.ok(); ++i) report_ids_.insert(dec.get_msgid());
   delivered_.clear();
   const std::uint64_t n_del = dec.get_u64();
   for (std::uint64_t i = 0; i < n_del && dec.ok(); ++i) {
@@ -590,16 +674,17 @@ void GenericBroadcast::restore(BytesView snapshot) {
 
 void GenericBroadcast::start_new_round() {
   ++round_;
-  frozen_ = false;
-  resolving_ = false;
   settled_ = 0;
   acked_cls_.fill(0);
-  reporters_.clear();
-  report_ack_counts_.clear();
-  report_ids_.clear();
   missing_.clear();
-  // Drop ACK bookkeeping for finished rounds.
+  // Drop report and ACK bookkeeping for finished rounds.
+  reports_.erase(reports_.begin(), reports_.lower_bound(round_));
   acks_.erase(acks_.begin(), acks_.lower_bound(round_));
+  // The others may have resolved this round already, while this member was
+  // still delivering the last one (pull-stalled). Then the round is over:
+  // this member ACKs nothing in it and only delivers their sequence.
+  frozen_ = round_over();
+  resolving_ = frozen_;
   // Carry undelivered messages into the new round: retire delivered
   // entries into the pull window, re-ACK (or re-trigger) the survivors and
   // restart their deadlines.
@@ -623,6 +708,16 @@ void GenericBroadcast::start_new_round() {
     consider(id);
     maybe_fast_deliver(id);
   }
+  // Reports of this round that arrived meanwhile commit this member to it.
+  if (reports_.count(round_) != 0) {
+    if (!resolving_) trigger_resolution();
+    maybe_finalize_round();
+  }
+}
+
+bool GenericBroadcast::round_over() const {
+  const auto rit = reports_.find(round_);
+  return rit != reports_.end() && rit->second.sequence.has_value();
 }
 
 }  // namespace gcs

@@ -8,10 +8,11 @@
 ///
 /// Thrifty implementation, round-based:
 ///
-///   Fast path (no conflict observed): a message is flooded (reliable
-///   broadcast) and every member that sees no conflict with what it already
-///   acknowledged sends an ACK to the group. A message is gdelivered as
-///   soon as ⌈2n/3⌉+ ACKs for it are seen — two communication steps and no
+///   Fast path (no conflict observed): the origin sends a message to every
+///   member once (reliable broadcast) and every member that holds it and
+///   sees no conflict with what it already acknowledged sends an ACK to the
+///   others, counting its own locally. A message is gdelivered as soon as
+///   ⌊2n/3⌋+1 ACKs for it are seen — two communication steps and no
 ///   consensus. Because a member never ACKs two conflicting messages in the
 ///   same round, two conflicting messages can never both reach the fast
 ///   quorum.
@@ -26,20 +27,23 @@
 ///      first  = messages acked in ≥ (fast_quorum − f) of those reports
 ///               — a superset of everything that may have been
 ///               fast-delivered anywhere;
-///      second = all other reported messages.
+///      second = the other messages that ≥ f+1 reports list (or one
+///               reports settled), so some correct member holds each.
 ///   and delivers first, then second (each in MsgId order), skipping what
-///   it already delivered. The round then ends and a new round starts.
+///   it already delivered. The round then ends and a new round starts;
+///   messages in neither set stay with their holders for the next round.
 ///
 /// Wire-path memory model (DESIGN.md §12): under the default slim format a
 /// report carries (MsgId, class, acked) tuples, plus the messages it has
 /// settled as per-sender runs of ids — payloads never ride through
-/// consensus. Each member resolves payloads from its local store
-/// (fed by the reliable-broadcast flood); a member that reaches the
-/// finalize point missing some payload stalls the round locally and runs a
-/// bounded pull/push exchange on Tag::kGbcast against rotating peers, which
-/// serve from their store or from a small window of recently retired
-/// (delivered) payloads. The legacy format (payloads inline in reports) is
-/// kept as the benchmark baseline.
+/// consensus. Each member resolves payloads from its local store (fed by
+/// reliable broadcast); a member that reaches the finalize point missing
+/// some payload stalls the round locally and runs a bounded pull/push
+/// exchange on Tag::kGbcast against rotating peers, which serve from their
+/// store or from a small window of recently retired (delivered) payloads.
+/// The stall also ends when the reliable broadcast brings the payload.
+/// The legacy format (payloads inline in reports) is kept as the benchmark
+/// baseline.
 ///
 /// Quorum arithmetic (n = |group|, f = ⌊(n−1)/3⌋):
 ///   fast_quorum  = ⌊2n/3⌋ + 1     (> 2n/3)
@@ -48,7 +52,10 @@
 /// guarantees: (a) a fast-delivered message appears acked in ≥ tau of any
 /// n−f reports; (b) a message conflicting with a fast-delivered one appears
 /// in < tau (ACK sets of conflicting messages are disjoint); (c) two
-/// conflicting messages cannot both reach tau. Requires n ≥ 4 for f ≥ 1
+/// conflicting messages cannot both reach tau; (d) tau ≥ f+1, so every
+/// resolved message is listed by f+1 reporters, and a reporter lists only
+/// what it holds: one correct holder keeps it retained until every member
+/// has it (reliable_broadcast.hpp). Requires n ≥ 4 for f ≥ 1
 /// fault tolerance on the GB fast path (consensus below still tolerates
 /// f < n/2).
 #pragma once
@@ -57,6 +64,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -114,9 +122,11 @@ class GenericBroadcast {
   const ConflictRelation& relation() const { return relation_; }
 
   /// Serialize the generic-broadcast state a joiner needs: round number,
-  /// resolution progress (which is a pure function of the adelivered prefix
-  /// and hence identical at every member at a view-change point), delivered
-  /// ids, and the payload cache of seen-but-undelivered messages. The
+  /// resolution progress (a pure function of the adelivered prefix, hence
+  /// identical at every member at a view-change point, except that a member
+  /// still pulling payloads of a fixed sequence is behind: it passes on that
+  /// sequence and the later rounds' reports or sequences), delivered ids, and
+  /// the payload cache of seen-but-undelivered messages. The
   /// retired-payload pull window is deliberately excluded: a fresh joiner
   /// simply declines pulls it cannot serve.
   Bytes snapshot() const;
@@ -160,6 +170,22 @@ class GenericBroadcast {
     bool acked = false;         // we ACKed it this round (report flag)
     bool settled = false;       // delivered here and ACKed by the whole group
   };
+  // Per id some report of a round listed: how many reports list it, how
+  // many of those ACKed it, and whether one reported it settled.
+  struct Tally {
+    int acked = 0;
+    int listed = 0;
+    bool settled = false;
+  };
+  // The reports of one round, tallied as they are adelivered, with the
+  // group in force then, until report_need are in; then the round's
+  // first+second sequence is fixed and the tally dropped. Delivering the
+  // sequence may still wait on payload pulls.
+  struct RoundReports {
+    std::set<ProcessId> reporters;
+    std::map<MsgId, Tally> tally;
+    std::optional<std::vector<MsgId>> sequence;
+  };
   /// Delivered payloads stay pullable for this many further rounds.
   static constexpr std::uint64_t kRetiredRounds = 4;
   /// Hard cap on the retired-payload window: rounds only advance on a
@@ -175,12 +201,16 @@ class GenericBroadcast {
 
   bool is_member() const;
   void on_gb_data(const MsgId& id, BytesView wire);
-  void consider(const MsgId& id);  // ack or trigger resolution
+  void consider(const MsgId& id);  // ack (self locally) or trigger resolution
   void on_channel_message(ProcessId from, BytesView wire);
   void on_ack(ProcessId from, Decoder& dec);
   void on_pull(ProcessId from, Decoder& dec);
   void on_push(ProcessId from, Decoder& dec);
+  void send_pull(ProcessId target, const std::set<MsgId>& ids);
   void request_pull();
+  /// After pull_retry, pull \p id from one of its ACKers if it is still
+  /// missing, and retry against the next ACKer until it arrives.
+  void fetch_from_ackers(const MsgId& id, std::size_t attempt);
   void maybe_fast_deliver(const MsgId& id);
   void maybe_settle(const MsgId& id);
   /// Move a store entry's payload into the retired pull window and erase
@@ -189,6 +219,13 @@ class GenericBroadcast {
   void prune_retired();
   void trigger_resolution();
   void on_report(const MsgId& report_id, BytesView wire);
+  /// Fix \p rr's sequence if report_need reports of the current group are
+  /// in; every member does so at the same point of the adelivered prefix.
+  void close_round(RoundReports& rr) const;
+  /// The current round's sequence is fixed: it admits no ACK and no fast
+  /// delivery (after a view change, its ACK counts would be weighed
+  /// against another group's quorum), only the sequence's delivery.
+  bool round_over() const;
   void maybe_finalize_round();
   void deliver(const MsgId& id, MsgClass cls, const Bytes& payload, bool fast,
                std::uint32_t pos = 0);
@@ -238,10 +275,11 @@ class GenericBroadcast {
   std::array<std::uint32_t, 256> acked_cls_{};
   // ACK counts per round (current and future rounds only).
   std::map<std::uint64_t, std::map<MsgId, std::set<ProcessId>>> acks_;
-  // Resolution state for the current round.
-  std::set<ProcessId> reporters_;
-  std::map<MsgId, int> report_ack_counts_;
-  std::set<MsgId> report_ids_;  // every id some report listed
+  // This round's reports and, while this member is still delivering it
+  // (pull-stalled), those of the later rounds the others go on to. A later
+  // round past its report_need keeps only its sequence: the ids this member
+  // must deliver anyway once its stall ends.
+  std::map<std::uint64_t, RoundReports> reports_;
   // Payloads the finalize step needs but the store lacks (slim format /
   // restore); while non-empty the round stalls locally and pulls rotate.
   std::set<MsgId> missing_;

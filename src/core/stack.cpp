@@ -39,11 +39,12 @@ void GcsStack::wire(StackConfig config) {
   } else {
     consensus_ = std::make_unique<Consensus>(*ctx_, *channel_, *fd_, consensus_fd_class_);
   }
-  // Atomic broadcast's substrate sends each payload once (O(n)); its
-  // consensus admission gate and suspicion-driven relay keep it uniform.
-  // Generic broadcast's still relays eagerly: its fast path counts holders.
-  ab_rbcast_ = std::make_unique<ReliableBroadcast>(*ctx_, *channel_, Tag::kRbcast,
-                                                   ReliableBroadcast::Dissemination::kQuorum);
+  // Both substrates send each payload once (O(n)); suspicion-driven relay
+  // and, a layer up, holder counts keep delivery uniform: abcast's consensus
+  // admission gate, GB's fast quorum of holders and its resolution's f+1
+  // holder rule. Two instances, because each layer's DeliveredIndex relies
+  // on dense per-sender seqs.
+  ab_rbcast_ = std::make_unique<ReliableBroadcast>(*ctx_, *channel_, Tag::kRbcast);
   if (config.stability_interval > 0) {
     ab_rbcast_->enable_stability(config.stability_interval);
   }
@@ -68,15 +69,17 @@ void GcsStack::wire(StackConfig config) {
       [this](const View& v) { fd_->monitor_group(consensus_fd_class_, v.members); });
   // Suspicion only slows the channel toward a peer (one probe per backoff
   // period); exclusion, decided by monitoring, is what voids its buffer.
-  // It also makes abcast's substrate hand on what it retains of the peer's
+  // It also makes both substrates hand on what they retain of the peer's
   // broadcasts.
   fd_->on_suspect(consensus_fd_class_, [this](ProcessId q) {
     channel_->suspect(q);
     ab_rbcast_->suspect(q);
+    gb_rbcast_->suspect(q);
   });
   fd_->on_restore(consensus_fd_class_, [this](ProcessId q) {
     channel_->restore(q);
     ab_rbcast_->restore(q);
+    gb_rbcast_->restore(q);
   });
 }
 
@@ -165,7 +168,7 @@ void GcsStack::attach_telemetry(obs::Telemetry& telemetry) {
     return static_cast<double>(ab_rbcast_->dedup_size() + gb_rbcast_->dedup_size());
   });
   telemetry.add_gauge(self, "probe.rbcast.retained", [this] {
-    return static_cast<double>(ab_rbcast_->retained_size());
+    return static_cast<double>(ab_rbcast_->retained_size() + gb_rbcast_->retained_size());
   });
   telemetry.add_gauge(self, "probe.abcast.pending", [this] {
     return static_cast<double>(abcast_->pending_count());

@@ -126,6 +126,7 @@ class GcsStack {
   ConsensusProtocol& consensus() { return *consensus_; }
   AtomicBroadcast& atomic_broadcast() { return *abcast_; }
   ReliableBroadcast& abcast_substrate() { return *ab_rbcast_; }
+  ReliableBroadcast& gbcast_substrate() { return *gb_rbcast_; }
   GenericBroadcast& generic_broadcast() { return *gbcast_; }
   GroupMembership& membership() { return *membership_; }
   Monitoring& monitoring() { return *monitoring_; }
@@ -166,9 +167,9 @@ class GcsStack {
   std::unique_ptr<FailureDetector> fd_;
   FailureDetector::ClassId consensus_fd_class_;
   std::unique_ptr<ConsensusProtocol> consensus_;
-  std::unique_ptr<ReliableBroadcast> ab_rbcast_;  // abcast's substrate (quorum mode)
+  std::unique_ptr<ReliableBroadcast> ab_rbcast_;  // abcast's substrate
   std::unique_ptr<AtomicBroadcast> abcast_;
-  std::unique_ptr<ReliableBroadcast> gb_rbcast_;  // generic broadcast's flood (eager)
+  std::unique_ptr<ReliableBroadcast> gb_rbcast_;  // generic broadcast's substrate
   std::unique_ptr<GenericBroadcast> gbcast_;
   std::unique_ptr<GroupMembership> membership_;
   std::unique_ptr<Monitoring> monitoring_;

@@ -288,6 +288,12 @@ void Oracle::on_view_install(ProcessId p, std::uint64_t view_id,
                              const std::vector<ProcessId>& members,
                              bool via_state_transfer) {
   ++stats_.view_installs;
+  // The exclusion checks below touch proc(q) for every member of p's
+  // previous view. Grow procs_ to cover them first: a resize would leave
+  // pp dangling.
+  ProcessId top = p;
+  for (ProcessId q : proc(p).view_members) top = std::max(top, q);
+  proc(top);
   PerProcess& pp = proc(p);
 
   // View agreement: id -> member list is a global function.

@@ -18,7 +18,7 @@ constexpr std::array<std::string_view, static_cast<std::size_t>(FaultOp::kCount_
     kOpNames = {"abcast",     "gbcast",       "race",         "crash",
                 "partition",  "heal",         "join",         "suspect",
                 "fd_timeout", "dup_burst",    "reorder_burst", "leader_crash",
-                "leader_suspect", "partial_crash"};
+                "leader_suspect", "partial_crash", "partial_gb_crash"};
 
 }  // namespace
 
@@ -65,6 +65,7 @@ std::string FaultStep::to_string() const {
       out += " p" + std::to_string(proc) + " p" + std::to_string(target);
       break;
     case FaultOp::kPartialCrash:
+    case FaultOp::kPartialGbCrash:
       out += " p" + std::to_string(proc);
       [[fallthrough]];
     case FaultOp::kPartition: {
@@ -136,10 +137,14 @@ FaultPlan FaultPlan::generate(std::uint64_t seed, FaultPlanOptions options) {
     } else if (dice < 42) {
       // The origin's datagrams reach a random subset of the others, then it
       // crashes: the schedule that separates quorum-held dissemination
-      // from an unsafe lazy one. Gated like kCrash.
+      // from an unsafe lazy one. Gated like kCrash. The draw's bit for the
+      // origin itself, unused by the mask, picks abcast or gbcast, so plans
+      // without this step draw exactly what they drew before it had a
+      // gbcast variant.
       if (crashes_left > 0) {
-        step.op = FaultOp::kPartialCrash;
-        step.arg = ops.next_below(1ULL << n) & ~(1ULL << p);
+        const std::uint64_t draw = ops.next_below(1ULL << n);
+        step.op = (draw >> p) & 1 ? FaultOp::kPartialGbCrash : FaultOp::kPartialCrash;
+        step.arg = draw & ~(1ULL << p);
         --crashes_left;
       } else {
         step.op = FaultOp::kAbcast;

@@ -36,6 +36,7 @@
 ///              | 'leader_crash'                ; crash the current stable leader
 ///              | 'leader_suspect'              ; false suspicion of the stable leader
 ///              | 'partial_crash' proc memberset ; abcast reaching only memberset, then crash
+///              | 'partial_gb_crash' proc memberset ; gbcast reaching only memberset, then crash
 ///
 /// Plans serialize to the util::codec wire format (digest + artifact
 /// payloads, round-trip tested) and render to JSON for humans.
@@ -68,6 +69,7 @@ enum class FaultOp : std::uint8_t {
   kLeaderCrash,       ///< crash whoever is the stable consensus leader at fire time
   kLeaderSuspicion,   ///< non-leaders falsely suspect the stable leader (consensus class)
   kPartialCrash,      ///< proc abcasts, only the members in bitmask arg receive it, proc crashes
+  kPartialGbCrash,    ///< as kPartialCrash, with an rbcast-class gbcast
   kCount_,            // sentinel
 };
 

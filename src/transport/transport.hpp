@@ -23,13 +23,13 @@ enum class Tag : std::uint8_t {
   kConsensus = 3,    ///< Chandra–Toueg consensus
   kRbcast = 4,       ///< reliable broadcast (atomic broadcast's substrate)
   kAbcast = 5,       ///< atomic broadcast
-  kGbcast = 6,       ///< generic broadcast (acks, data flooding)
+  kGbcast = 6,       ///< generic broadcast (acks, payload pulls)
   kMembership = 7,   ///< join requests, state transfer
   kMonitoring = 8,   ///< suspicion gossip
   kVs = 9,           ///< traditional view-synchrony layer
   kSeqOrder = 10,    ///< traditional fixed-sequencer atomic broadcast
   kToken = 11,       ///< traditional token-ring atomic broadcast
-  kGbData = 12,      ///< generic broadcast data flooding (its own rbcast)
+  kGbData = 12,      ///< generic broadcast payloads (its own rbcast)
   kApp = 13,         ///< application / replication layer
   kMax = 14,
 };

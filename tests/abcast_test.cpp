@@ -45,6 +45,9 @@ struct AbcastWorld {
                                                    proc.fd_class);
       proc.rbcast = std::make_unique<ReliableBroadcast>(*proc.ctx, *proc.channel, Tag::kRbcast);
       proc.abcast = std::make_unique<AtomicBroadcast>(*proc.ctx, *proc.rbcast, *proc.consensus);
+      // As in GcsStack: a suspected origin's retained frames are relayed.
+      proc.fd->on_suspect(proc.fd_class, [&proc](ProcessId q) { proc.rbcast->suspect(q); });
+      proc.fd->on_restore(proc.fd_class, [&proc](ProcessId q) { proc.rbcast->restore(q); });
       proc.abcast->subscribe(AtomicBroadcast::kApp,
                              [&proc](const MsgId& id, const Bytes& b) { proc.log.record(id, b); });
       proc.fd->monitor_group(proc.fd_class, {});

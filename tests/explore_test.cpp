@@ -31,7 +31,8 @@ TEST(FaultPlan, GenerationIsDeterministic) {
 }
 
 TEST(FaultPlan, StepsAreTimeOrderedAndInEnvelope) {
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+  int partial_gb_crashes = 0;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
     const sim::FaultPlan plan = sim::FaultPlan::generate(seed);
     ASSERT_EQ(plan.steps.size(), 60u);
     int crashes = 0;
@@ -41,7 +42,14 @@ TEST(FaultPlan, StepsAreTimeOrderedAndInEnvelope) {
       prev = s.at;
       EXPECT_GE(s.proc, 0);
       EXPECT_LT(s.proc, plan.options.n);
-      if (s.op == sim::FaultOp::kCrash || s.op == sim::FaultOp::kPartialCrash) ++crashes;
+      if (s.op == sim::FaultOp::kCrash || s.op == sim::FaultOp::kLeaderCrash ||
+          s.op == sim::FaultOp::kPartialCrash || s.op == sim::FaultOp::kPartialGbCrash) {
+        ++crashes;
+      }
+      if (s.op == sim::FaultOp::kPartialGbCrash) {
+        ++partial_gb_crashes;
+        EXPECT_EQ(s.arg & (1ULL << s.proc), 0u) << "the origin is not its own receiver";
+      }
       if (s.op == sim::FaultOp::kPartition) {
         EXPECT_EQ(__builtin_popcountll(s.arg), 2);  // minority pair
         EXPECT_GT(s.duration, 0);
@@ -49,6 +57,7 @@ TEST(FaultPlan, StepsAreTimeOrderedAndInEnvelope) {
     }
     EXPECT_LE(crashes, plan.options.max_crashes);
   }
+  EXPECT_GT(partial_gb_crashes, 0) << "60 plans never drew the gbcast partial crash";
 }
 
 TEST(FaultPlan, CodecRoundTrip) {
@@ -156,6 +165,22 @@ TEST(Explorer, ViewChangeBatchProposesWithTheNewMembers) {
   const sim::FaultPlan plan = sim::FaultPlan::generate(8, options);
   const explore::RunResult result = explore::run_plan(plan, explore::all_steps(plan));
   EXPECT_EQ(result.outcome, explore::Outcome::kClean);
+}
+
+TEST(Explorer, PullStalledMemberResolvesLikeTheOthers) {
+  // Generic broadcast over O(n) dissemination: a member resolving a round
+  // stalls on a pull when a payload has not reached it yet. Seeds 12 and
+  // 30: a report adelivered during the stall used to join the stalled
+  // round's tally, so that member resolved from more reports than the
+  // others (gb.fast_path_stability, gb.conflict_order). Seed 141: the
+  // others' reports of the next round, adelivered during the stall, were
+  // dropped as stale, and the member never finished that round
+  // (gb.agreement).
+  for (const std::uint64_t seed : {12, 30, 141}) {
+    const sim::FaultPlan plan = sim::FaultPlan::generate(seed);
+    const explore::RunResult result = explore::run_plan(plan, explore::all_steps(plan));
+    EXPECT_EQ(result.outcome, explore::Outcome::kClean) << "seed " << seed;
+  }
 }
 
 TEST(Explorer, RunIsDeterministic) {

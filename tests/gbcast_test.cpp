@@ -38,8 +38,9 @@ struct GbWorld {
   std::unique_ptr<test::ScenarioOracle> oracle;
 
   explicit GbWorld(int n, ConflictRelation rel = ConflictRelation::rbcast_abcast(),
-                   std::uint64_t seed = 1, sim::LinkModel link = {})
-      : world(make_config(n, std::move(rel), seed, link)), logs(static_cast<std::size_t>(n)) {
+                   std::uint64_t seed = 1, sim::LinkModel link = {}, StackConfig stack = {})
+      : world(make_config(n, std::move(rel), seed, link, std::move(stack))),
+        logs(static_cast<std::size_t>(n)) {
     oracle = std::make_unique<test::ScenarioOracle>(world, msec(20), seed);
     for (ProcessId p = 0; p < n; ++p) {
       auto& log = logs[static_cast<std::size_t>(p)];
@@ -50,11 +51,12 @@ struct GbWorld {
   }
 
   static World::Config make_config(int n, ConflictRelation rel, std::uint64_t seed,
-                                   sim::LinkModel link) {
+                                   sim::LinkModel link, StackConfig stack) {
     World::Config cfg;
     cfg.n = n;
     cfg.seed = seed;
     cfg.link = link;
+    cfg.stack = std::move(stack);
     cfg.stack.conflict = std::move(rel);
     return cfg;
   }
@@ -214,11 +216,14 @@ TEST(GenericBroadcast, SettledMessageStaysInItsRoundsReports) {
   // but two of the acks it needs are still in flight. A conflicting message
   // then ends the round, and the three other reports alone resolve it at p3.
   // They must still list m as acked: otherwise p3 delivers m a round later
-  // than everyone else (the oracle's gb.fast_path_stability).
+  // than everyone else (the oracle's gb.fast_path_stability). p1 and p2
+  // reach p3 last of all: the acks, and the conflicting message and the
+  // reports that only their origins send to p3, whose payloads p3 pulls
+  // from p0 in the meantime.
   GbWorld w(4);
   sim::Network& net = w.world.network();
   const sim::LinkModel slower{msec(30), 0, 0.0};
-  const sim::LinkModel slowest{msec(100), 0, 0.0};
+  const sim::LinkModel slowest{msec(300), 0, 0.0};
   net.set_link(1, 3, slowest);
   net.set_link(2, 3, slowest);
   const MsgId m = w.world.stack(0).rbcast(bytes_of("m"));
@@ -236,6 +241,132 @@ TEST(GenericBroadcast, SettledMessageStaysInItsRoundsReports) {
   }
   EXPECT_EQ(w.world.stack(3).generic_broadcast().fast_deliveries(), 0u);
   for (ProcessId p = 0; p < 3; ++p) net.set_link(p, 3, sim::LinkModel{});
+  w.world.run_for(sec(1));  // settle before the oracle's finalize-time checks
+}
+
+/// p4's message m reaches p2 late and never reaches p0 directly; p4 hears
+/// of the conflicting pair c0/c1 late, so the first four reports are
+/// p0..p3's, and only p1's and p3's list m (enough holders: f+1 = 2). p2
+/// resolves the round before m arrives (10 ms) and stalls on a pull. Its
+/// first pull goes to p0, which cannot serve it.
+MsgId stall_p2_on_a_pull(GbWorld& w) {
+  sim::Network& net = w.world.network();
+  net.set_link(4, 2, sim::LinkModel{msec(10), 0, 0.0});
+  net.set_link(4, 0, sim::LinkModel{usec(200), 0, 1.0});
+  net.set_link(0, 4, sim::LinkModel{msec(20), 0, 0.0});
+  net.set_link(1, 4, sim::LinkModel{msec(20), 0, 0.0});
+  const MsgId m = w.world.stack(4).rbcast(bytes_of("m"));
+  w.world.run_for(msec(1));  // p1 and p3 hold and ACK m
+  w.world.stack(0).gbcast(kAbcastClass, bytes_of("c0"));
+  w.world.stack(1).gbcast(kAbcastClass, bytes_of("c1"));
+  return m;
+}
+
+void heal_and_settle(GbWorld& w) {
+  sim::Network& net = w.world.network();
+  for (ProcessId p = 0; p < 5; ++p) {
+    for (ProcessId q = 0; q < 5; ++q) net.set_link(p, q, sim::LinkModel{});
+  }
+  w.world.run_for(sec(1));  // settle before the oracle's finalize-time checks
+}
+
+TEST(GenericBroadcast, PayloadArrivingDuringAPullStallFinalizesTheRound) {
+  // m arrives by reliable broadcast during the stall, which must end it
+  // (the later push from p1 finds m already stored).
+  GbWorld w(5);
+  const MsgId m = stall_p2_on_a_pull(w);
+  ASSERT_TRUE(test::run_until(w.world, sec(1), [&] { return w.all_alive_delivered(3); }));
+  EXPECT_GT(w.world.stack(2).metrics().counter("gbcast.pull_requests"), 0)
+      << "p2 resolved the round before m arrived";
+  EXPECT_EQ(w.world.stack(2).generic_broadcast().fast_deliveries(), 0u);
+  for (ProcessId p = 0; p < 5; ++p) {
+    EXPECT_NE(w.logs[static_cast<std::size_t>(p)].position(m), static_cast<std::size_t>(-1));
+  }
+  heal_and_settle(w);
+}
+
+TEST(GenericBroadcast, NextRoundsReportsWaitForAStalledMember) {
+  // While p2 is stalled, the others finish the round and resolve the next
+  // one over a second conflicting pair. p2 adelivers those reports before
+  // it has left the stalled round; it must keep them for the next round,
+  // or it never collects enough reports there.
+  GbWorld w(5);
+  stall_p2_on_a_pull(w);
+  ASSERT_TRUE(test::run_until(w.world, msec(5), [&] {
+    return w.world.stack(0).generic_broadcast().current_round() == 1;
+  }));
+  ASSERT_EQ(w.world.stack(2).generic_broadcast().current_round(), 0u);
+  w.world.stack(0).gbcast(kAbcastClass, bytes_of("c2"));
+  w.world.stack(1).gbcast(kAbcastClass, bytes_of("c3"));
+  ASSERT_TRUE(test::run_until(w.world, sec(1), [&] { return w.all_alive_delivered(5); }));
+  EXPECT_GE(w.world.stack(2).generic_broadcast().rounds_resolved(), 2u);
+  heal_and_settle(w);
+}
+
+TEST(GenericBroadcast, ViewChangeDuringAStallLeavesLaterRoundsAsResolved) {
+  // p2 is stalled in round 0 on m: p4's copy never reaches it, its first
+  // pull goes to p0 before p0 holds m, and the next one waits 5 s. The
+  // others resolve round 1 over c2/c3 under n = 5 from the reports of p0,
+  // p1, p4, p3 (in that order): c2 ACKed by p0 and p3, c3 by p1 and p4, so
+  // neither reaches tau = 3 and the sequence is c2, c3. Then p3's removal
+  // is adelivered (n = 4). p2 must resolve round 1 as the others did;
+  // tallied under n = 4 (report_need 3, tau 2) the first three reports
+  // would put c3 first. p2 enters round 1 holding c3 but not c2 (p0's link
+  // to it is down): it must not ACK c3 there, or p1's, p4's and its own
+  // ACK make a fast quorum of the new group and c3 goes out before c2.
+  StackConfig stack;
+  stack.gb.pull_retry = sec(5);
+  GbWorld w(5, ConflictRelation::rbcast_abcast(), 1, {}, stack);
+  sim::Network& net = w.world.network();
+  const sim::LinkModel lost{usec(200), 0, 1.0};
+  net.set_link(4, 2, lost);
+  net.set_link(4, 0, lost);
+  net.set_link(0, 4, sim::LinkModel{msec(20), 0, 0.0});
+  net.set_link(1, 4, sim::LinkModel{msec(20), 0, 0.0});
+  net.set_link(1, 0, sim::LinkModel{msec(3), 0, 0.0});
+  net.set_link(3, 0, sim::LinkModel{msec(3), 0, 0.0});
+  w.world.stack(4).rbcast(bytes_of("m"));
+  w.world.run_for(msec(1));  // p1 and p3 hold and ACK m
+  w.world.stack(0).gbcast(kAbcastClass, bytes_of("c0"));
+  w.world.stack(1).gbcast(kAbcastClass, bytes_of("c1"));
+  ASSERT_TRUE(test::run_until(w.world, msec(50), [&] {
+    return w.world.stack(0).generic_broadcast().current_round() == 1;
+  }));
+  for (const auto& [from, to] : {std::pair{1, 0}, {3, 0}, {0, 4}, {1, 4}}) {
+    net.set_link(from, to, sim::LinkModel{});
+  }
+  w.world.run_for(msec(35));  // drain the slow links' backlog
+  net.set_link(0, 4, sim::LinkModel{msec(5), 0, 0.0});  // p4 sees c3 first
+  net.set_link(1, 3, sim::LinkModel{msec(5), 0, 0.0});  // p3 sees c2 first
+  for (ProcessId q : {0, 1, 2, 4}) net.set_link(3, q, sim::LinkModel{msec(20), 0, 0.0});
+  net.set_link(0, 2, lost);
+  w.world.stack(0).gbcast(kAbcastClass, bytes_of("c2"));
+  w.world.stack(1).gbcast(kAbcastClass, bytes_of("c3"));
+  ASSERT_TRUE(test::run_until(w.world, msec(200), [&] {
+    return w.world.stack(0).generic_broadcast().current_round() == 2;
+  }));
+  w.world.stack(0).membership().remove(3);
+  ASSERT_TRUE(test::run_until(w.world, msec(200), [&] {
+    return w.world.stack(2).generic_broadcast().group().size() == 4;
+  }));
+  ASSERT_EQ(w.world.stack(2).generic_broadcast().current_round(), 0u) << "p2 is not stalled";
+  for (ProcessId p = 0; p < 5; ++p) {
+    for (ProcessId q = 0; q < 5; ++q) {
+      if (p != 0 || q != 2) net.set_link(p, q, sim::LinkModel{});
+    }
+  }
+  ASSERT_TRUE(test::run_until(w.world, msec(200), [&] {
+    return w.world.stack(2).generic_broadcast().current_round() == 1;
+  }));
+  w.world.run_for(msec(5));  // p4's ACK of c3 arrives; c2 only by a pull
+  net.set_link(0, 2, sim::LinkModel{});
+  ASSERT_TRUE(test::run_until(w.world, sec(1), [&] { return w.all_alive_delivered(5); }));
+  EXPECT_EQ(w.logs[0].payloads[w.logs[0].order[3]], "c2");
+  for (ProcessId p = 1; p < 5; ++p) {
+    EXPECT_EQ(w.logs[static_cast<std::size_t>(p)].order, w.logs[0].order) << "at p" << p;
+  }
+  EXPECT_EQ(w.world.stack(2).generic_broadcast().fast_deliveries(), 0u);
+  w.expect_conflict_order(ConflictRelation::rbcast_abcast());
   w.world.run_for(sec(1));  // settle before the oracle's finalize-time checks
 }
 

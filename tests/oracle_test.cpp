@@ -213,6 +213,20 @@ TEST(Oracle, ExclusionAccountability) {
   EXPECT_EQ(o2.verdict(Property::kExclusionAccountability), Verdict::kPass);
 }
 
+TEST(Oracle, ExclusionOfTheHighestIdSeenSoFar) {
+  // Only p0 ever reported anything, so the oracle's per-process table has
+  // one row when p9 drops out of p0's view: marking p9 excluded grows the
+  // table while p0's row is in use.
+  Oracle o;
+  o.on_view_install(0, 0, {0, 9}, false);
+  o.on_remove_proposed(0, 9, false);
+  o.on_view_install(0, 1, {0}, false);
+  EXPECT_EQ(o.verdict(Property::kExclusionAccountability), Verdict::kPass);
+  EXPECT_EQ(o.verdict(Property::kViewMonotonicity), Verdict::kPass);
+  o.on_view_install(0, 2, {0}, false);
+  EXPECT_EQ(o.verdict(Property::kViewMonotonicity), Verdict::kPass);
+}
+
 TEST(Oracle, SummaryAndReportAreDeterministic) {
   Oracle o;
   feed_clean(o);

@@ -1,16 +1,18 @@
 /// Uniform agreement over O(n) dissemination (DESIGN.md §12).
 ///
-/// Atomic broadcast's substrate sends each payload once, from its origin,
-/// and nobody relays in the fault-free case. Uniformity rests on three
-/// mechanisms, and each test below fails without the one it names:
-///   - the consensus admission gate: a member votes only for batches whose
-///     payloads it holds, so a decision implies a majority of holders;
+/// Both substrates send each payload once, from its origin, and nobody
+/// relays in the fault-free case. Uniformity rests on these mechanisms,
+/// and each test below fails without the one it names:
+///   - atomic broadcast's consensus admission gate: a member votes only for
+///     batches whose payloads it holds, so a decision implies a majority of
+///     holders;
+///   - generic broadcast's holder count: a resolution delivers an id only
+///     if f+1 reports list it (the fast path needs a quorum of holders'
+///     ACKs, its own included);
 ///   - retention: a holder keeps an origin's frames until the origin's
 ///     channel acks say every member has them (W_o);
 ///   - relay on suspicion: a holder hands retained frames on when it
 ///     suspects their origin.
-/// The eager substrate generic broadcast still uses (relay before
-/// deliver) is checked at the end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 
 #include "broadcast/reliable_broadcast.hpp"
 #include "core/stack.hpp"
+#include "obs/telemetry.hpp"
 #include "tests/test_util.hpp"
 #include "transport/sim_transport.hpp"
 
@@ -207,7 +210,7 @@ TEST(Uniformity, FaultFreeAbcastSendsEachPayloadOnce) {
   EXPECT_EQ(deferred_votes(w), 0);
 }
 
-/// Bare quorum-mode rbcast processes, for the retention window.
+/// Bare rbcast processes, for the retention window.
 struct RbWorld {
   sim::Engine engine;
   sim::Network network;
@@ -220,7 +223,7 @@ struct RbWorld {
   };
   std::vector<Proc> procs;
 
-  RbWorld(int n, ReliableBroadcast::Dissemination mode, std::uint64_t seed = 1)
+  explicit RbWorld(int n, std::uint64_t seed = 1)
       : network(engine, n, kLan, seed) {
     std::vector<ProcessId> all;
     for (ProcessId p = 0; p < n; ++p) all.push_back(p);
@@ -232,8 +235,7 @@ struct RbWorld {
           std::make_shared<Metrics>());
       proc.transport = std::make_unique<SimTransport>(*proc.ctx, network);
       proc.channel = std::make_unique<ReliableChannel>(*proc.ctx, *proc.transport);
-      proc.rbcast =
-          std::make_unique<ReliableBroadcast>(*proc.ctx, *proc.channel, Tag::kRbcast, mode);
+      proc.rbcast = std::make_unique<ReliableBroadcast>(*proc.ctx, *proc.channel, Tag::kRbcast);
       proc.rbcast->set_group(all);
       proc.rbcast->on_deliver(
           [&proc](const MsgId& id, BytesView) { proc.delivered.push_back(id); });
@@ -252,7 +254,7 @@ struct RbWorld {
 /// member has not acked, everything stays; once every member has (and the
 /// stability floor or a later frame says so), nothing is retained.
 TEST(Uniformity, RetentionEndsOnceEveryMemberAcked) {
-  RbWorld w(4, ReliableBroadcast::Dissemination::kQuorum);
+  RbWorld w(4);
   w.network.set_link(0, 3, kCut);
   for (int i = 0; i < 10; ++i) {
     w.rb(0).broadcast(bytes_of("x"));
@@ -302,20 +304,192 @@ TEST(Uniformity, LaggingMemberGetsPayloadOfCrashedOrigin) {
   EXPECT_EQ(log.delivered[3], log.delivered[0]);
 }
 
-/// Eager mode: the origin's datagrams to p2/p3 are lost, p1 gets and
-/// delivers its copy, the sender crashes before any retransmission
-/// succeeds. p1 relayed on first receipt, so the survivors have it.
-TEST(Uniformity, DefaultEagerRelayPreservesUniformAgreement) {
-  RbWorld w(4, ReliableBroadcast::Dissemination::kEager);
+/// The origin's datagrams to p2/p3 are lost, p1 gets and delivers its
+/// copy, and the origin crashes before any retransmission succeeds. p1
+/// retained the frame and relays it once it suspects the origin, so the
+/// survivors have it.
+TEST(Uniformity, SuspicionRelayPreservesUniformAgreement) {
+  RbWorld w(4);
   w.network.set_link(0, 2, kCut);
   w.network.set_link(0, 3, kCut);
   w.rb(0).broadcast(bytes_of("safe"));
   w.engine.run_until(msec(2));
   EXPECT_EQ(w.procs[1].delivered.size(), 1u);
   w.crash(0);
+  w.engine.run_until(sec(1));
+  EXPECT_EQ(w.procs[2].delivered.size(), 0u) << "nobody relays without a suspicion";
+  w.rb(1).suspect(0);
   w.engine.run_until(sec(2));
   EXPECT_EQ(w.procs[2].delivered.size(), 1u);
   EXPECT_EQ(w.procs[3].delivered.size(), 1u);
+}
+
+// -- generic broadcast -------------------------------------------------------
+
+/// Per-process gdelivery log of payload strings.
+struct GbLog {
+  std::vector<std::vector<std::string>> delivered;
+  explicit GbLog(World& w) : delivered(static_cast<std::size_t>(w.size())) {
+    for (ProcessId p = 0; p < w.size(); ++p) {
+      w.stack(p).on_gdeliver([this, p](const MsgId&, MsgClass, const Bytes& b) {
+        delivered[static_cast<std::size_t>(p)].push_back(str_of(b));
+      });
+    }
+  }
+  int count(ProcessId p, const std::string& s) const {
+    const auto& d = delivered[static_cast<std::size_t>(p)];
+    return static_cast<int>(std::count(d.begin(), d.end(), s));
+  }
+  bool all_have(ProcessId below, const std::string& s) const {
+    for (ProcessId p = 0; p < below; ++p) {
+      if (count(p, s) != 1) return false;
+    }
+    return true;
+  }
+};
+
+std::int64_t sum_counter(World& w, const char* name) {
+  std::int64_t n = 0;
+  for (ProcessId p = 0; p < w.size(); ++p) n += w.stack(p).metrics().counter(name);
+  return n;
+}
+
+/// n=7 (f=2): origin p6 reaches only p5 with an rbcast-class message, then
+/// crashes. A conflicting pair makes the group resolve its round at once;
+/// p4 hears of it last, so p5's report is among the five that resolve it.
+/// That one report lists the message, fewer than f+1, so the round
+/// resolves without it (nobody pulls a payload only p5 holds).
+void gb_held_by_one(World& w, GbLog& log) {
+  constexpr sim::LinkModel kSlow{msec(10), 0, 0.0};
+  w.found_group_all();
+  w.run_for(msec(50));
+  for (ProcessId q = 0; q < 5; ++q) w.network().set_link(6, q, kCut);
+  for (ProcessId q = 0; q < 6; ++q) {
+    if (q != 4) w.network().set_link(q, 4, kSlow);
+  }
+  w.stack(6).gbcast(kRbcastClass, bytes_of("held"));
+  w.crash(6);
+  w.run_for(msec(1));
+  w.stack(0).gbcast(kAbcastClass, bytes_of("c0"));
+  w.stack(1).gbcast(kAbcastClass, bytes_of("c1"));
+  ASSERT_TRUE(test::run_until(w, msec(30), [&] {
+    return log.all_have(6, "c0") && log.all_have(6, "c1");
+  })) << "the conflicting pair resolves well before anyone suspects p6";
+  EXPECT_GT(w.stack(5).metrics().counter("gbcast.resolutions_triggered"), 0);
+  for (ProcessId p = 0; p < 6; ++p) EXPECT_EQ(log.count(p, "held"), 0) << "p" << p;
+  EXPECT_EQ(sum_counter(w, "gbcast.pull_requests"), 0);
+  for (ProcessId q = 0; q < 6; ++q) {
+    if (q != 4) w.network().set_link(q, 4, kLan);
+  }
+}
+
+/// The deferred message's holder is correct: once p5 suspects p6 it relays
+/// the payload, and every correct member delivers it.
+TEST(Uniformity, GbPayloadHeldByFewIsDeferredThenRelayed) {
+  World w(stack_config(7, StackConfig::ConsensusAlgo::kPaxos));
+  GbLog log(w);
+  gb_held_by_one(w, log);
+  ASSERT_TRUE(test::run_until(w, sec(2), [&] { return log.all_have(6, "held"); }));
+  EXPECT_GT(w.stack(5).metrics().counter("rbcast.relayed"), 0);
+  for (ProcessId p = 1; p < 6; ++p) {
+    EXPECT_EQ(log.delivered[static_cast<std::size_t>(p)].size(), log.delivered[0].size());
+  }
+}
+
+/// The sole holder crashes too, before it suspects p6: nobody correct has
+/// the payload, so nobody delivers it, and generic broadcast goes on. Had
+/// the resolution counted p5's report alone, the others would have waited
+/// on a pull nobody can serve.
+TEST(Uniformity, GbPayloadWhoseHoldersAllCrashIsDeliveredNowhere) {
+  World w(stack_config(7, StackConfig::ConsensusAlgo::kPaxos));
+  GbLog log(w);
+  gb_held_by_one(w, log);
+  w.crash(5);
+  w.stack(0).gbcast(kAbcastClass, bytes_of("after"));
+  ASSERT_TRUE(test::run_until(w, sec(2), [&] { return log.all_have(5, "after"); }));
+  w.run_for(sec(1));
+  for (ProcessId p = 0; p < 5; ++p) EXPECT_EQ(log.count(p, "held"), 0) << "p" << p;
+}
+
+/// Fault-free, generic broadcast's substrate costs n-1 copies per message
+/// and nothing is relayed. Every member counts its own ACK without a
+/// datagram: each sends n-1 ACKs per message, and at n=3 (fast quorum 3)
+/// the fast path needs that local ACK.
+TEST(Uniformity, FaultFreeGbcastSendsEachPayloadOnce) {
+  for (const int n : {3, 7}) {
+    World w(stack_config(n, StackConfig::ConsensusAlgo::kPaxos));
+    GbLog log(w);
+    w.found_group_all();
+    w.run_for(msec(20));
+    const std::int64_t frames_before = sum_counter(w, "gbdata.wire_msgs");
+    const std::int64_t acks_before = sum_counter(w, "gbcast.wire_msgs");
+    constexpr int kMsgs = 40;
+    for (int i = 0; i < kMsgs; ++i) {
+      w.stack(static_cast<ProcessId>(i % n)).gbcast(kRbcastClass, bytes_of("m" + std::to_string(i)));
+      w.run_for(usec(500));
+    }
+    ASSERT_TRUE(test::run_until(w, sec(1), [&] {
+      for (ProcessId p = 0; p < n; ++p) {
+        if (log.delivered[static_cast<std::size_t>(p)].size() != kMsgs) return false;
+      }
+      return true;
+    })) << "n=" << n;
+    EXPECT_EQ(sum_counter(w, "gbdata.wire_msgs") - frames_before, kMsgs * (n - 1)) << "n=" << n;
+    EXPECT_EQ(sum_counter(w, "gbcast.wire_msgs") - acks_before, kMsgs * n * (n - 1))
+        << "n=" << n;
+    EXPECT_EQ(sum_counter(w, "rbcast.relayed"), 0) << "n=" << n;
+    EXPECT_EQ(sum_counter(w, "gbcast.fast_delivered"), kMsgs * n) << "n=" << n;
+  }
+}
+
+/// Generic broadcast's receivers retain an origin's frames while one member
+/// has not acked them, and stop once W_o passes them.
+TEST(Uniformity, GbRetentionEndsOnceEveryMemberAcked) {
+  World w(stack_config(4, StackConfig::ConsensusAlgo::kPaxos));
+  GbLog log(w);
+  w.found_group_all();
+  w.run_for(msec(20));
+  w.network().set_link(0, 3, kCut);
+  for (int i = 0; i < 10; ++i) {
+    w.stack(0).gbcast(kRbcastClass, bytes_of("x" + std::to_string(i)));
+    w.run_for(msec(2));
+  }
+  // The fast quorum of 3 holds without p3, which has none of the payloads.
+  EXPECT_EQ(log.delivered[1].size(), 10u);
+  EXPECT_TRUE(log.delivered[3].empty());
+  for (ProcessId p = 1; p < 3; ++p) {
+    EXPECT_EQ(w.stack(p).gbcast_substrate().retained_size(), 10u) << "p" << p;
+  }
+  w.network().set_link(0, 3, kLan);
+  ASSERT_TRUE(test::run_until(w, sec(1), [&] { return log.delivered[3].size() == 10; }));
+  w.run_for(msec(50));
+  w.stack(0).gbcast(kRbcastClass, bytes_of("y"));
+  ASSERT_TRUE(test::run_until(w, sec(1), [&] { return log.all_have(4, "y"); }));
+  for (ProcessId p = 1; p < 4; ++p) {
+    EXPECT_LE(w.stack(p).gbcast_substrate().retained_size(), 1u) << "p" << p;
+  }
+}
+
+/// probe.rbcast.retained, the watchdog's bounded-state gauge, counts the
+/// frames both substrates retain.
+TEST(Uniformity, RetainedGaugeCountsBothSubstrates) {
+  World w(stack_config(4, StackConfig::ConsensusAlgo::kPaxos));
+  obs::Telemetry telemetry;
+  w.stack(1).attach_telemetry(telemetry);
+  w.found_group_all();
+  w.run_for(msec(20));
+  w.network().set_link(0, 3, kCut);
+  for (int i = 0; i < 3; ++i) {
+    w.stack(0).abcast(bytes_of("a" + std::to_string(i)));
+    w.stack(0).gbcast(kRbcastClass, bytes_of("g" + std::to_string(i)));
+    w.run_for(msec(2));
+  }
+  const std::size_t ab = w.stack(1).abcast_substrate().retained_size();
+  const std::size_t gb = w.stack(1).gbcast_substrate().retained_size();
+  EXPECT_EQ(ab, 3u);
+  EXPECT_EQ(gb, 3u);
+  EXPECT_DOUBLE_EQ(telemetry.snapshot(1, w.engine().now()).gauge("probe.rbcast.retained"),
+                   static_cast<double>(ab + gb));
 }
 
 }  // namespace

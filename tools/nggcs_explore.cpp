@@ -2,13 +2,17 @@
 /// Deterministic schedule explorer CLI.
 ///
 ///   nggcs_explore --seeds 0:1000 [--jobs N] [--n N] [--steps N]
-///                 [--break-fast-quorum Q] [--out DIR] [--no-shrink]
-///                 [--shrink-budget N] [--max-failures K] [--quiet]
+///                 [--max-crashes K] [--break-fast-quorum Q] [--out DIR]
+///                 [--no-shrink] [--shrink-budget N] [--max-failures K]
+///                 [--quiet]
 ///       Sweep the seed range, printing one line per failure. Exit 0 when
 ///       every schedule was oracle-clean and live, 1 when failures were
-///       found, 2 on usage errors.
+///       found, 2 on usage errors. --max-crashes sets the generator's crash
+///       budget per plan (default 1; the runner still keeps a strict
+///       majority alive).
 ///
-///   nggcs_explore --run SEED [--n N] [--steps N] [--break-fast-quorum Q]
+///   nggcs_explore --run SEED [--n N] [--steps N] [--max-crashes K]
+///                 [--break-fast-quorum Q]
 ///       Run one schedule verbosely (step listing + report summary).
 ///
 ///   nggcs_explore --replay repro.json
@@ -35,9 +39,10 @@ using namespace gcs;
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --seeds A:B [--jobs N] [--n N] [--steps N]\n"
-               "          [--break-fast-quorum Q] [--out DIR] [--no-shrink]\n"
-               "          [--shrink-budget N] [--max-failures K] [--quiet]\n"
-               "       %s --run SEED [--n N] [--steps N] [--break-fast-quorum Q]\n"
+               "          [--max-crashes K] [--break-fast-quorum Q] [--out DIR]\n"
+               "          [--no-shrink] [--shrink-budget N] [--max-failures K] [--quiet]\n"
+               "       %s --run SEED [--n N] [--steps N] [--max-crashes K]\n"
+               "          [--break-fast-quorum Q]\n"
                "       %s --replay repro.json\n",
                argv0, argv0, argv0);
   return 2;
@@ -138,6 +143,10 @@ int main(int argc, char** argv) {
       }
     } else if (!std::strcmp(arg, "--steps")) {
       if (!parse_int(value(), &plan_options.steps)) return usage(argv[0]);
+    } else if (!std::strcmp(arg, "--max-crashes")) {
+      if (!parse_int(value(), &plan_options.max_crashes) || plan_options.max_crashes < 0) {
+        return usage(argv[0]);
+      }
     } else if (!std::strcmp(arg, "--break-fast-quorum")) {
       if (!parse_int(value(), &run_options.fast_quorum_override)) return usage(argv[0]);
     } else if (!std::strcmp(arg, "--out")) {
@@ -161,8 +170,10 @@ int main(int argc, char** argv) {
 
   if (run_seed) {
     const sim::FaultPlan plan = sim::FaultPlan::generate(*run_seed, plan_options);
-    std::printf("seed %llu: n=%d paxos=%d link(base=%lld us, jitter=%lld us, drop=%.4f)\n",
+    std::printf("seed %llu: n=%d max_crashes=%d paxos=%d link(base=%lld us, jitter=%lld us, "
+                "drop=%.4f)\n",
                 static_cast<unsigned long long>(plan.seed), plan.options.n,
+                plan.options.max_crashes,
                 plan.use_paxos ? 1 : 0, static_cast<long long>(plan.link.base_delay),
                 static_cast<long long>(plan.link.jitter), plan.link.drop_probability);
     for (const sim::FaultStep& step : plan.steps) {
