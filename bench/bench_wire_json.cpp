@@ -1,11 +1,11 @@
 /// \file bench_wire_json.cpp
 /// Bytes-on-wire report for the ordering layers (DESIGN.md §12): runs the
-/// E6-style abcast workload and an E3-style generic-broadcast workload
-/// under both proposal wire formats and emits BENCH_wire.json with, per
-/// cell, the bytes the consensus tag actually carried per delivered
-/// message. The slim format keeps application payloads out of consensus
-/// proposals and GB resolution reports, so its consensus traffic should be
-/// independent of payload size — that is the claim this report measures.
+/// E6-style abcast workload and an E3-style generic-broadcast workload and
+/// emits BENCH_wire.json with, per cell, the bytes the consensus tag
+/// actually carried per delivered message. Consensus proposals and GB
+/// resolution reports carry ids, never application payloads, so consensus
+/// traffic should be independent of payload size — that is the claim this
+/// report measures.
 /// Each cell also counts every reliable-channel datagram (data frames and
 /// standalone acks alike) and every channel retransmission per delivered
 /// message. One extra abcast cell runs over links that drop 2% of
@@ -32,10 +32,6 @@
 namespace gcs::bench {
 namespace {
 
-const char* format_name(WireFormat f) {
-  return f == WireFormat::kSlim ? "slim" : "legacy";
-}
-
 Bytes sized_payload(int i, std::size_t bytes) {
   std::string s = "m" + std::to_string(i) + ":";
   s.resize(bytes, 'x');
@@ -48,12 +44,11 @@ std::int64_t sum_counter(World& world, int n, const std::string& name) {
   return total;
 }
 
-/// One measured (layer, n, payload, format) cell of the report.
+/// One measured (layer, n, payload) cell of the report.
 struct Cell {
   std::string layer;  // "abcast" or "gbcast"
   int n = 0;
   std::size_t payload_bytes = 0;
-  WireFormat format = WireFormat::kSlim;
   std::int64_t delivered = 0;            // deliveries summed over processes
   std::int64_t consensus_wire_bytes = 0; // what rides the consensus tag
   std::int64_t consensus_wire_msgs = 0;
@@ -83,21 +78,19 @@ constexpr Duration kGap = msec(1);
 /// E6-style abcast workload: every member sends in round-robin at a steady
 /// rate; the cell records what each wire tag carried until everyone
 /// delivered everything.
-Cell run_abcast_cell(int n, std::size_t payload_bytes, WireFormat format, double loss = 0) {
+Cell run_abcast_cell(int n, std::size_t payload_bytes, double loss = 0) {
   Cell cell;
   cell.layer = "abcast";
   cell.n = n;
   cell.payload_bytes = payload_bytes;
-  cell.format = format;
   cell.loss = loss;
 
   World::Config config;
   config.n = n;
   config.seed = 101 + static_cast<std::uint64_t>(n);
   config.link.drop_probability = loss;
-  config.stack.wire_format = format;
   World world(config);
-  OracleScope oracle(world, std::string("wire/abcast/") + format_name(format));
+  OracleScope oracle(world, "wire/abcast");
   std::vector<int> delivered(static_cast<std::size_t>(n), 0);
   for (ProcessId p = 0; p < n; ++p) {
     world.stack(p).on_adeliver([&delivered, p](const MsgId&, const Bytes&) {
@@ -138,19 +131,17 @@ Cell run_abcast_cell(int n, std::size_t payload_bytes, WireFormat format, double
 
 /// E3-style gbcast workload with a 25% conflicting mix, so both the fast
 /// path and the resolution reports (which ride consensus) are on the wire.
-Cell run_gbcast_cell(int n, std::size_t payload_bytes, WireFormat format) {
+Cell run_gbcast_cell(int n, std::size_t payload_bytes) {
   Cell cell;
   cell.layer = "gbcast";
   cell.n = n;
   cell.payload_bytes = payload_bytes;
-  cell.format = format;
 
   World::Config config;
   config.n = n;
   config.seed = 211 + static_cast<std::uint64_t>(n);
-  config.stack.wire_format = format;
   World world(config);
-  OracleScope oracle(world, std::string("wire/gbcast/") + format_name(format));
+  OracleScope oracle(world, "wire/gbcast");
   std::vector<int> delivered(static_cast<std::size_t>(n), 0);
   for (ProcessId p = 0; p < n; ++p) {
     world.stack(p).on_gdeliver([&delivered, p](const MsgId&, MsgClass, const Bytes&) {
@@ -211,7 +202,6 @@ FastPathCheck run_fastpath_alloc_check() {
   World::Config config;
   config.n = n;
   config.seed = 307;
-  config.stack.wire_format = WireFormat::kSlim;
   // Steady state needs the bounded-memory machinery running: stability
   // gossip prunes the rbcast dedup index, and the warm-up below pushes
   // more messages than GenericBroadcast's retired-payload cap so the
@@ -270,7 +260,6 @@ FastPathCheck run_telemetry_idle_alloc_check() {
   World::Config config;
   config.n = n;
   config.seed = 311;
-  config.stack.wire_format = WireFormat::kSlim;
   config.stack.stability_interval = msec(20);
   World world(config);
 
@@ -320,28 +309,24 @@ FastPathCheck run_telemetry_idle_alloc_check() {
 
 int run_suite(const std::string& json_path) {
   banner("wire path — bytes on the wire per delivered message",
-         "E6-style abcast and E3-style gbcast workloads under the slim\n"
-         "(id-only) and legacy (payload-inline) proposal formats; the\n"
-         "consensus column is the cost the slim format exists to cut");
+         "E6-style abcast and E3-style gbcast workloads; proposals and\n"
+         "reports carry ids only, so the consensus column should not\n"
+         "grow with the payload");
 
   std::vector<Cell> cells;
   for (const int n : {3, 5, 7}) {
     for (const std::size_t payload : {std::size_t{64}, std::size_t{1024}, std::size_t{8192}}) {
-      for (const WireFormat format : {WireFormat::kSlim, WireFormat::kLegacy}) {
-        cells.push_back(run_abcast_cell(n, payload, format));
-      }
+      cells.push_back(run_abcast_cell(n, payload));
     }
   }
-  for (const WireFormat format : {WireFormat::kSlim, WireFormat::kLegacy}) {
-    cells.push_back(run_gbcast_cell(7, 1024, format));
-  }
-  cells.push_back(run_abcast_cell(5, 1024, WireFormat::kSlim, 0.02));
+  cells.push_back(run_gbcast_cell(7, 1024));
+  cells.push_back(run_abcast_cell(5, 1024, 0.02));
 
-  Table table({"layer", "n", "payload", "format", "loss", "delivered", "consensus B/msg",
-               "flood B/msg", "pull B/msg", "datagrams/msg", "retransmits/msg"});
+  Table table({"layer", "n", "payload", "loss", "delivered", "consensus B/msg", "flood B/msg",
+               "pull B/msg", "datagrams/msg", "retransmits/msg"});
   for (const Cell& c : cells) {
     table.add_row({c.layer, std::to_string(c.n), std::to_string(c.payload_bytes),
-                   format_name(c.format), fmt_pct(c.loss), std::to_string(c.delivered),
+                   fmt_pct(c.loss), std::to_string(c.delivered),
                    fmt_double(c.per_delivered(c.consensus_wire_bytes), 1),
                    fmt_double(c.per_delivered(c.flood_wire_bytes), 1),
                    fmt_double(c.per_delivered(c.pull_wire_bytes), 1),
@@ -370,16 +355,16 @@ int run_suite(const std::string& json_path) {
   std::fprintf(out, "{\n  \"suite\": \"wire\",\n  \"schema\": 1,\n  \"cells\": [\n");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
-    // A lossy cell shares its layer/n/payload/format key with a loss-free
-    // one; a name keeps the two apart in the perf ledger.
+    // A lossy cell shares its layer/n/payload key with a loss-free one; a
+    // name keeps the two apart in the perf ledger.
     const std::string name =
         c.loss > 0 ? "\"name\": \"" + c.layer + "_n" + std::to_string(c.n) + "_b" +
-                         std::to_string(c.payload_bytes) + "_" + format_name(c.format) +
-                         "_loss" + std::to_string(static_cast<int>(c.loss * 100)) + "\", "
+                         std::to_string(c.payload_bytes) + "_loss" +
+                         std::to_string(static_cast<int>(c.loss * 100)) + "\", "
                    : std::string();
     std::fprintf(
         out,
-        "    {%s\"layer\": \"%s\", \"n\": %d, \"payload_bytes\": %zu, \"format\": \"%s\",\n"
+        "    {%s\"layer\": \"%s\", \"n\": %d, \"payload_bytes\": %zu,\n"
         "     \"completed\": %s, \"delivered\": %lld,\n"
         "     \"consensus_wire_bytes\": %lld, \"consensus_wire_msgs\": %lld,\n"
         "     \"flood_wire_bytes\": %lld, \"pull_wire_bytes\": %lld,\n"
@@ -387,7 +372,7 @@ int run_suite(const std::string& json_path) {
         "     \"total_bytes_per_delivered\": %s,\n"
         "     \"datagrams_per_delivered\": %s, \"net_allocs_per_delivered\": %s,\n"
         "     \"retransmits_per_delivered\": %s}%s\n",
-        name.c_str(), c.layer.c_str(), c.n, c.payload_bytes, format_name(c.format),
+        name.c_str(), c.layer.c_str(), c.n, c.payload_bytes,
         c.completed ? "true" : "false", static_cast<long long>(c.delivered),
         static_cast<long long>(c.consensus_wire_bytes),
         static_cast<long long>(c.consensus_wire_msgs),

@@ -68,8 +68,7 @@ bool AtomicBroadcast::holds_payloads(const Bytes& value) const {
   if (value.empty()) return true;  // no-op fill
   Decoder dec(value);
   const BatchProposal prop = BatchProposal::decode(dec);
-  // A corrupt value delivers nothing, and a legacy one carries its payloads.
-  if (!dec.ok() || prop.format != WireFormat::kSlim) return true;
+  if (!dec.ok()) return true;  // a corrupt value delivers nothing
   for (const ProposalEntry& e : prop.entries) {
     if (!is_adelivered(e.id) && store_.find(e.id) == store_.end()) return false;
   }
@@ -234,12 +233,11 @@ void AtomicBroadcast::try_start_instances() {
       }
       break;
     }
-    // Batch eligible pending messages in MsgId order. Under the slim format
-    // the proposal is (id, subtag) tuples — O(batch · ~16B) regardless of
-    // payload size; payloads are resolved at delivery from store_.
+    // Batch eligible pending messages in MsgId order. The proposal is
+    // (id, subtag) tuples — O(batch · ~16B) regardless of payload size;
+    // payloads are resolved at delivery from store_.
     const std::uint64_t k = next_proposal_k_;
     BatchProposal prop;
-    prop.format = config_.wire_format;
     for (auto& [id, meta] : pending_) {
       if (meta.proposed_in != kNotProposed) continue;
       if (cur_batch_ != 0 && prop.entries.size() >= cur_batch_) break;
@@ -252,14 +250,7 @@ void AtomicBroadcast::try_start_instances() {
                        static_cast<std::int64_t>(k));
       }
       meta.proposed_in = k;
-      ProposalEntry e;
-      e.id = id;
-      e.subtag = meta.subtag;
-      if (prop.format == WireFormat::kLegacy) {
-        auto sit = store_.find(id);
-        if (sit != store_.end()) e.payload = sit->second.payload;
-      }
-      prop.entries.push_back(std::move(e));
+      prop.entries.push_back(ProposalEntry{id, meta.subtag});
     }
     if (prop.entries.empty()) break;  // nothing eligible
     next_proposal_k_ = k + 1;
@@ -311,27 +302,23 @@ void AtomicBroadcast::process_decisions() {
     Decoder dec(decision_buffer_.begin()->second);
     BatchProposal prop = BatchProposal::decode(dec);
     if (!dec.ok()) prop.entries.clear();  // corrupt decision: deliver nothing
-    if (prop.format == WireFormat::kSlim) {
-      missing_.clear();
-      for (const ProposalEntry& e : prop.entries) {
-        if (!is_adelivered(e.id) && store_.find(e.id) == store_.end()) {
-          missing_.insert(e.id);
-        }
+    missing_.clear();
+    for (const ProposalEntry& e : prop.entries) {
+      if (!is_adelivered(e.id) && store_.find(e.id) == store_.end()) missing_.insert(e.id);
+    }
+    if (!missing_.empty()) {
+      // Stall this instance (later ones queue behind it, preserving total
+      // order) and fetch the payload bytes from a peer.
+      if (!pull_stalled_) {
+        pull_stalled_ = true;
+        pull_stall_since_ = ctx_.now();
+        ctx_.trace_begin(obs::Names::get().abcast_pull_wait,
+                         MsgId{obs::kConsensusKey, next_instance_},
+                         static_cast<std::int64_t>(missing_.size()));
       }
-      if (!missing_.empty()) {
-        // Stall this instance (later ones queue behind it, preserving total
-        // order) and fetch the payload bytes from a peer.
-        if (!pull_stalled_) {
-          pull_stalled_ = true;
-          pull_stall_since_ = ctx_.now();
-          ctx_.trace_begin(obs::Names::get().abcast_pull_wait,
-                           MsgId{obs::kConsensusKey, next_instance_},
-                           static_cast<std::int64_t>(missing_.size()));
-        }
-        request_pull();
-        delivering_ = false;
-        return;
-      }
+      request_pull();
+      delivering_ = false;
+      return;
     }
     if (pull_stalled_) {
       pull_stalled_ = false;
@@ -373,13 +360,9 @@ void AtomicBroadcast::process_decisions() {
         observe_deliver_(e.id, e.subtag, instance, static_cast<std::uint32_t>(idx));
       }
       if (e.subtag < subscribers_.size()) {
-        if (prop.format == WireFormat::kLegacy) {
-          for (const auto& fn : subscribers_[e.subtag]) fn(e.id, e.payload);
-        } else {
-          // Present by the stall check above; stays alive until tail GC.
-          const Bytes& payload = store_.at(e.id).payload;
-          for (const auto& fn : subscribers_[e.subtag]) fn(e.id, payload);
-        }
+        // Present by the stall check above; stays alive until tail GC.
+        const Bytes& payload = store_.at(e.id).payload;
+        for (const auto& fn : subscribers_[e.subtag]) fn(e.id, payload);
       }
       delivered_log_.emplace_back(instance, e.id);
     }

@@ -11,11 +11,10 @@
 ///               instance k is a batch, delivered in deterministic (MsgId)
 ///               order; then k+1 starts if work remains.
 ///
-/// Wire-path memory model (DESIGN.md §12): under the default slim format,
-/// proposals carry only (MsgId, subtag) tuples — payload bytes never ride
-/// inside consensus. Deliveries resolve payloads from the local store fed
-/// by rbcast. In the full stack that substrate sends each payload once
-/// (quorum mode), so uniform agreement rests on the consensus admission
+/// Wire-path memory model (DESIGN.md §12): proposals carry only (MsgId,
+/// subtag) tuples — payload bytes never ride inside consensus. Deliveries
+/// resolve payloads from the local store fed by rbcast. In the full stack
+/// that substrate sends each payload once (quorum mode), so uniform agreement rests on the consensus admission
 /// gate this class installs: a member votes for a batch only once it holds
 /// every payload the batch names, so every decided payload is held by a
 /// majority, and rbcast retention keeps it until every member has it.
@@ -62,9 +61,6 @@ class AtomicBroadcast {
   using DeliverFn = std::function<void(const MsgId& id, const Bytes& payload)>;
 
   struct Config {
-    /// Proposal wire format. kSlim keeps payloads out of consensus;
-    /// kLegacy is the payload-inline baseline (benchmarks compare both).
-    WireFormat wire_format = WireFormat::kSlim;
     /// Retry period for the payload-pull fallback; each retry rotates to
     /// the next member, so one unresponsive target cannot stall a joiner.
     Duration pull_retry = msec(25);
@@ -205,8 +201,8 @@ class AtomicBroadcast {
   void control_tick();
   void request_pull();
   void resolve_missing(const MsgId& id);
-  /// The consensus admission gate: true when every id of a slim batch is
-  /// in the store or already adelivered.
+  /// The consensus admission gate: true when every id of a batch is in the
+  /// store or already adelivered.
   bool holds_payloads(const Bytes& value) const;
   bool is_adelivered(const MsgId& id) const;
   bool mark_adelivered(const MsgId& id);

@@ -3,23 +3,15 @@
 namespace gcs {
 
 void BatchProposal::encode(Encoder& enc) const {
-  enc.put_byte(static_cast<std::uint8_t>(format));
   enc.put_u64(entries.size());
   for (const ProposalEntry& e : entries) {
     enc.put_msgid(e.id);
     enc.put_byte(e.subtag);
-    if (format == WireFormat::kLegacy) enc.put_bytes(e.payload);
   }
 }
 
 BatchProposal BatchProposal::decode(Decoder& dec) {
   BatchProposal batch;
-  const std::uint8_t fmt = dec.get_byte();
-  if (fmt > static_cast<std::uint8_t>(WireFormat::kLegacy)) {
-    dec.invalidate();
-    return batch;
-  }
-  batch.format = static_cast<WireFormat>(fmt);
   const std::uint64_t count = dec.get_u64();
   // Hostile-length guard: every entry costs at least 3 wire bytes.
   if (count > dec.remaining()) {
@@ -31,8 +23,7 @@ BatchProposal BatchProposal::decode(Decoder& dec) {
     ProposalEntry e;
     e.id = dec.get_msgid();
     e.subtag = dec.get_byte();
-    if (batch.format == WireFormat::kLegacy) e.payload = dec.get_bytes();
-    batch.entries.push_back(std::move(e));
+    batch.entries.push_back(e);
   }
   if (!dec.ok()) batch.entries.clear();
   return batch;

@@ -1,16 +1,11 @@
 /// \file proposal.hpp
 /// The value agreed on by consensus when it orders a batch of messages.
 ///
-/// Two wire formats exist for the batch:
-///   - kSlim (default): entries are (MsgId, subtag) tuples only — 16-ish
-///     bytes each regardless of application payload size. Deliverers look
-///     the payload up in their rbcast-fed store and, when a process decides
-///     without ever having rdelivered (late join, restore mid-instance),
-///     fall back to a bounded pull/push exchange over the reliable channel.
-///   - kLegacy: entries carry the full payload inline, the original
-///     format. Kept as a benchmark baseline and an escape hatch.
-/// Both formats are self-describing (leading format byte), so a decision
-/// value decodes unambiguously whichever side proposed it.
+/// Entries are (MsgId, subtag) tuples only — 16-ish bytes each regardless
+/// of application payload size. Deliverers look the payload up in their
+/// rbcast-fed store and, when a process decides without ever having
+/// rdelivered (late join, restore mid-instance), fall back to a bounded
+/// pull/push exchange over the reliable channel (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
@@ -21,29 +16,21 @@
 
 namespace gcs {
 
-enum class WireFormat : std::uint8_t {
-  kSlim = 0,
-  kLegacy = 1,
-};
-
-/// One ordered message inside a batch proposal. `payload` is populated only
-/// under kLegacy (slim entries resolve payloads from the local store).
+/// One ordered message inside a batch proposal.
 struct ProposalEntry {
   MsgId id;
   std::uint8_t subtag = 0;
-  Bytes payload;
 
   friend bool operator==(const ProposalEntry&, const ProposalEntry&) = default;
 };
 
 /// A batch of messages proposed to (and decided by) one consensus instance.
 struct BatchProposal {
-  WireFormat format = WireFormat::kSlim;
   std::vector<ProposalEntry> entries;
 
   void encode(Encoder& enc) const;
-  /// Hardened: fails the decoder on unknown format bytes, hostile entry
-  /// counts and truncation; returns an empty batch in that case.
+  /// Hardened: fails the decoder on hostile entry counts and truncation;
+  /// returns an empty batch in that case.
   static BatchProposal decode(Decoder& dec);
 
   friend bool operator==(const BatchProposal&, const BatchProposal&) = default;

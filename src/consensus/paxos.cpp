@@ -9,15 +9,15 @@
 namespace gcs {
 
 namespace {
-constexpr std::uint8_t kPrepare = 0;
-constexpr std::uint8_t kPromise = 1;
+// Kinds 0 and 1 (per-instance PREPARE/PROMISE) are retired; the remaining
+// kinds keep their numbers so their bytes on the wire stay the same.
 constexpr std::uint8_t kAccept = 2;
 constexpr std::uint8_t kAccepted = 3;
 constexpr std::uint8_t kNack = 4;
 constexpr std::uint8_t kDecide = 5;
 constexpr std::uint8_t kAnnounce = 6;
-// Leader-stable mode: the epoch (ranged phase-1) messages. The u64 after the
-// kind byte carries the range floor instead of an instance number.
+// The epoch (ranged phase-1) messages. The u64 after the kind byte carries
+// the range floor instead of an instance number.
 constexpr std::uint8_t kRangedPrepare = 7;
 constexpr std::uint8_t kRangedPromise = 8;
 constexpr std::uint8_t kRangedNack = 9;
@@ -68,7 +68,7 @@ PaxosConsensus::Instance& PaxosConsensus::get_instance(
 }
 
 ProcessId PaxosConsensus::stable_leader() const {
-  if (!config_.leader_stable || epoch_members_.empty()) return kNoProcess;
+  if (epoch_members_.empty()) return kNoProcess;
   return epoch_owner(std::max(epoch_seen_ballot_, epoch_.ballot));
 }
 
@@ -83,7 +83,7 @@ std::int64_t PaxosConsensus::effective_promised(std::uint64_t k,
 
 void PaxosConsensus::adopt_epoch_members(std::uint64_t k,
                                          const std::vector<ProcessId>& members) {
-  if (!config_.leader_stable || members.empty()) return;
+  if (members.empty()) return;
   if (epoch_members_.empty()) {
     epoch_members_ = members;
     // Ballot 0 is implicitly established for its owner: no other process
@@ -125,8 +125,8 @@ void PaxosConsensus::propose(std::uint64_t k, Bytes value, std::vector<ProcessId
   ctx_.trace_begin(obs::Names::get().consensus_instance, MsgId{obs::kConsensusKey, k});
   fd_.monitor_group(fd_class_, inst.members);
   // Pull passive members in (they must at least act as acceptors with the
-  // member set known, and as takeover candidates). In leader-stable mode
-  // the announce also carries the value to the epoch owner, who drives it.
+  // member set known, and as takeover candidates). The announce also
+  // carries the value to the epoch owner, who drives it.
   Encoder announce;
   announce.put_byte(kAnnounce);
   announce.put_u64(k);
@@ -135,25 +135,14 @@ void PaxosConsensus::propose(std::uint64_t k, Bytes value, std::vector<ProcessId
   for (ProcessId p : inst.members) {
     if (p != ctx_.self()) channel_.send(p, tag_, announce.bytes());
   }
-  if (config_.leader_stable) {
-    if (epoch_.mine && k >= epoch_.floor) {
-      drive_accept(k, epoch_.ballot, inst.my_value);
-    } else if (!epoch_.mine && !epoch_.preparing &&
-               fd_.suspects(fd_class_, stable_leader())) {
-      maybe_take_over_epoch(/*force=*/false);
-    }
-    return;
-  }
-  // Per-instance mode: ballot 0's owner drives first; everyone else waits
-  // on the FD.
-  if (inst.owner(0) == ctx_.self()) {
-    start_ballot(k, inst, 0);
-  } else if (fd_.suspects(fd_class_, inst.owner(0))) {
-    maybe_take_over(k, inst);
+  if (epoch_.mine && k >= epoch_.floor) {
+    drive_accept(k, epoch_.ballot, inst.my_value);
+  } else if (!epoch_.mine && !epoch_.preparing && fd_.suspects(fd_class_, stable_leader())) {
+    maybe_take_over_epoch(/*force=*/false);
   }
 }
 
-// -- leader-stable mode -------------------------------------------------------
+// -- epochs -------------------------------------------------------------------
 
 void PaxosConsensus::drive_accept(std::uint64_t k, std::int64_t ballot, Bytes value) {
   if (decisions_.count(k)) return;
@@ -181,8 +170,7 @@ void PaxosConsensus::drive_accept(std::uint64_t k, std::int64_t ballot, Bytes va
 }
 
 void PaxosConsensus::maybe_take_over_epoch(bool force) {
-  if (!config_.leader_stable || epoch_members_.empty()) return;
-  if (epoch_.preparing || takeover_pending_) return;
+  if (epoch_members_.empty() || epoch_.preparing || takeover_pending_) return;
   const std::int64_t cur = std::max(epoch_seen_ballot_, epoch_.ballot);
   if (epoch_.mine && cur <= epoch_.ballot) return;  // we already lead
   if (!force && !fd_.suspects(fd_class_, epoch_owner(cur))) return;
@@ -333,7 +321,6 @@ void PaxosConsensus::handle_ranged_promise(ProcessId /*from*/, std::uint64_t /*f
 }
 
 void PaxosConsensus::handle_ranged_nack(std::int64_t b_high) {
-  if (!config_.leader_stable) return;
   if (!epoch_.preparing || b_high <= epoch_.ballot) {
     note_epoch_ballot(b_high);
     return;
@@ -392,91 +379,21 @@ void PaxosConsensus::drive_epoch_instances() {
   for (auto& [k, v] : drive) drive_accept(k, epoch_.ballot, std::move(v));
 }
 
-// -- shared / per-instance mode ----------------------------------------------
-
-void PaxosConsensus::start_ballot(std::uint64_t k, Instance& inst, std::int64_t ballot) {
-  if (inst.decided) return;
-  auto& attempt = inst.attempts[ballot];
-  if (attempt.preparing || attempt.accepting) return;
-  attempt.preparing = true;
-  attempt.value = inst.my_value;
-  attempt.prepare_at = ctx_.now();
-  inst.max_ballot_seen = std::max(inst.max_ballot_seen, ballot);
-  ctx_.metrics().inc(m_ballots_);
-  ctx_.metrics().inc(m_prepares_);
-  ctx_.trace_instant(obs::Names::get().consensus_propose, MsgId{obs::kConsensusKey, k},
-                     ballot);
-  ctx_.trace_instant(obs::Names::get().paxos_prepare, MsgId{obs::kConsensusKey, k},
-                     ballot);
-  // Quorum assembly (promise collection) starts when PREPARE goes out.
-  ctx_.trace_begin(obs::Names::get().consensus_propose_wait, MsgId{obs::kConsensusKey, k},
-                   ballot);
-  Encoder enc;
-  enc.put_byte(kPrepare);
-  enc.put_u64(k);
-  enc.put_i64(ballot);
-  channel_.send_group(inst.members, tag_, enc.take());
-}
-
-void PaxosConsensus::maybe_take_over(std::uint64_t k, Instance& inst) {
-  if (inst.decided || !inst.started || inst.members.empty()) return;
-  const std::int64_t current = std::max<std::int64_t>(0, inst.max_ballot_seen);
-  if (!fd_.suspects(fd_class_, inst.owner(current))) return;
-  const std::int64_t mine = inst.next_owned_ballot(ctx_.self(), current);
-  // Small delay bounds ballot churn and lets heartbeats revoke mistakes.
-  ctx_.after(msec(1), [this, k, mine] {
-    auto it = instances_.find(k);
-    if (it == instances_.end()) return;
-    Instance& i = it->second;
-    if (i.decided || !i.started) return;
-    const std::int64_t cur = std::max<std::int64_t>(0, i.max_ballot_seen);
-    if (mine <= cur) return;  // someone else moved on already
-    if (!fd_.suspects(fd_class_, i.owner(cur))) return;
-    start_ballot(k, i, mine);
-  });
-}
+// -- instance messages --------------------------------------------------------
 
 void PaxosConsensus::on_fd_suspect(ProcessId q) {
-  if (config_.leader_stable) {
-    if (!epoch_members_.empty() && q == stable_leader()) {
-      maybe_take_over_epoch(/*force=*/false);
-    }
-    return;
-  }
-  std::vector<std::uint64_t> candidates;
-  for (auto& [k, inst] : instances_) {
-    if (inst.started && !inst.decided && !inst.members.empty() &&
-        inst.owner(std::max<std::int64_t>(0, inst.max_ballot_seen)) == q) {
-      candidates.push_back(k);
-    }
-  }
-  for (std::uint64_t k : candidates) {
-    auto it = instances_.find(k);
-    if (it != instances_.end()) maybe_take_over(k, it->second);
-  }
+  if (!epoch_members_.empty() && q == stable_leader()) maybe_take_over_epoch(/*force=*/false);
 }
 
 void PaxosConsensus::on_message(ProcessId from, BytesView payload) {
   Decoder dec(payload);
   const std::uint8_t kind = dec.get_byte();
   const std::uint64_t k = dec.get_u64();
-  // A per-instance message for a forgotten instance is a late echo of a
+  // An instance message for a forgotten instance is a late echo of a
   // decision; acting on it would resurrect the instance (ANNOUNCE would even
   // re-propose it). The ranged epoch kinds carry a floor in k instead.
   if (kind < kRangedPrepare && k < forgotten_below_) return;
   switch (kind) {
-    case kPrepare: {
-      const std::int64_t b = dec.get_i64();
-      if (dec.ok()) handle_prepare(from, k, b);
-      break;
-    }
-    case kPromise: {
-      const std::int64_t b = dec.get_i64();
-      const std::int64_t ab = dec.get_i64();
-      Bytes av = dec.get_bytes();
-      if (dec.ok()) handle_promise(from, k, b, ab, std::move(av));
-      break;
-    }
     case kAccept: {
       const std::int64_t b = dec.get_i64();
       Bytes v = dec.get_bytes();
@@ -526,70 +443,12 @@ void PaxosConsensus::on_message(ProcessId from, BytesView payload) {
   }
 }
 
-void PaxosConsensus::handle_prepare(ProcessId from, std::uint64_t k, std::int64_t b) {
-  if (decisions_.count(k)) return;
-  Instance& inst = get_instance(k, nullptr);
-  if (inst.decided) return;
-  inst.max_ballot_seen = std::max(inst.max_ballot_seen, b);
-  // The per-instance promise is joined with any ranged (epoch) promise
-  // covering k — a lower per-instance ballot must not sneak under it.
-  const std::int64_t eff = effective_promised(k, inst);
-  Encoder enc;
-  if (b >= eff) {
-    inst.promised = b;
-    enc.put_byte(kPromise);
-    enc.put_u64(k);
-    enc.put_i64(b);
-    enc.put_i64(inst.accepted_ballot);
-    enc.put_bytes(inst.accepted_value);
-  } else {
-    enc.put_byte(kNack);
-    enc.put_u64(k);
-    enc.put_i64(eff);
-  }
-  channel_.send(from, tag_, enc.take());
-}
-
-void PaxosConsensus::handle_promise(ProcessId /*from*/, std::uint64_t k, std::int64_t b,
-                                    std::int64_t ab, Bytes av) {
-  if (decisions_.count(k)) return;
-  Instance& inst = get_instance(k, nullptr);
-  if (inst.decided || inst.members.empty()) return;
-  auto ait = inst.attempts.find(b);
-  if (ait == inst.attempts.end() || !ait->second.preparing || ait->second.accepting) return;
-  auto& attempt = ait->second;
-  ++attempt.promises;
-  if (ab > attempt.best_accepted_ballot) {
-    attempt.best_accepted_ballot = ab;
-    attempt.best_accepted_value = std::move(av);
-  }
-  if (attempt.promises < inst.majority) return;
-  attempt.accepting = true;
-  if (attempt.prepare_at >= 0) {
-    ctx_.metrics().observe(h_propose_wait_, ctx_.now() - attempt.prepare_at);
-    ctx_.trace_end(obs::Names::get().consensus_propose_wait, MsgId{obs::kConsensusKey, k},
-                   b);
-  }
-  inst.accept_sent_at = ctx_.now();
-  ctx_.trace_begin(obs::Names::get().consensus_accept_wait, MsgId{obs::kConsensusKey, k},
-                   b);
-  // The Paxos invariant: adopt the highest-ballot accepted value seen.
-  const Bytes& chosen = attempt.best_accepted_ballot >= 0 ? attempt.best_accepted_value
-                                                          : attempt.value;
-  Encoder enc;
-  enc.put_byte(kAccept);
-  enc.put_u64(k);
-  enc.put_i64(b);
-  enc.put_bytes(chosen);
-  channel_.send_group(inst.members, tag_, enc.take());
-}
-
 void PaxosConsensus::handle_accept(ProcessId from, std::uint64_t k, std::int64_t b, Bytes v) {
   if (decisions_.count(k)) return;
   Instance& inst = get_instance(k, nullptr);
   if (inst.decided) return;
   inst.max_ballot_seen = std::max(inst.max_ballot_seen, b);
-  if (config_.leader_stable) note_epoch_ballot(b);
+  note_epoch_ballot(b);
   // Gate on the effective promise: a stale ballot-0 ACCEPT arriving after a
   // ranged promise at a higher ballot must be refused, or the promise is
   // violated.
@@ -629,13 +488,10 @@ void PaxosConsensus::handle_accepted(ProcessId /*from*/, std::uint64_t k, std::i
   if (++ait->second.accepteds < inst.majority) return;
   inst.decided = true;
   // The accepted value of this ballot is what we sent in ACCEPT.
-  const Bytes chosen = ait->second.best_accepted_ballot >= 0
-                           ? ait->second.best_accepted_value
-                           : ait->second.value;
   Encoder enc;
   enc.put_byte(kDecide);
   enc.put_u64(k);
-  enc.put_bytes(chosen);
+  enc.put_bytes(ait->second.value);
   channel_.send_group(inst.members, tag_, enc.take());
 }
 
@@ -647,24 +503,17 @@ void PaxosConsensus::handle_nack(std::uint64_t k, std::int64_t b_high) {
   bool was_driving = false;
   for (auto& [ballot, attempt] : inst.attempts) {
     if (ballot < b_high) {
-      was_driving = was_driving || attempt.preparing || attempt.accepting;
-      attempt.preparing = false;
+      was_driving = was_driving || attempt.accepting;
       attempt.accepting = false;
     }
   }
-  if (config_.leader_stable) {
-    // A higher ballot covers this instance; if we were driving it as epoch
-    // owner we lost the lease — re-contest above the nacker after backoff.
-    note_epoch_ballot(b_high);
-    if (was_driving) {
-      ++consecutive_nacks_;
-      maybe_take_over_epoch(/*force=*/true);
-    }
-    return;
+  // A higher ballot covers this instance; if we were driving it as epoch
+  // owner we lost the lease — re-contest above the nacker after backoff.
+  note_epoch_ballot(b_high);
+  if (was_driving) {
+    ++consecutive_nacks_;
+    maybe_take_over_epoch(/*force=*/true);
   }
-  // Someone promised a higher ballot: abandon lower attempts; the FD path
-  // decides whether we should take over later.
-  maybe_take_over(k, inst);
 }
 
 void PaxosConsensus::handle_decide(std::uint64_t k, Bytes value) {
@@ -705,23 +554,14 @@ void PaxosConsensus::on_deferral_timeout(std::uint64_t k, std::int64_t ballot) {
   if (dit == deferred_.end() || dit->second.round != ballot) return;
   auto it = instances_.find(k);
   if (it == instances_.end() || it->second.decided) return;
-  Instance& inst = it->second;
   // A plain acceptor keeps waiting: the payload, or a new ballot, comes.
   // Our own decree is stuck only if no holder of the payload can vote:
   // recovery at a higher ballot re-drives whatever a majority may have
   // chosen, and turns the rest we cannot admit into no-ops.
-  if (config_.leader_stable) {
-    if (!epoch_.mine || epoch_.ballot != ballot) return;
-    std::int64_t next = std::max(epoch_seen_ballot_, epoch_.ballot) + 1;
-    while (epoch_owner(next) != ctx_.self()) ++next;
-    start_epoch(next);
-    return;
-  }
-  auto ait = inst.attempts.find(ballot);
-  if (ait == inst.attempts.end() || !ait->second.accepting) return;
-  inst.my_value = admissible(inst.my_value);
-  start_ballot(k, inst,
-               inst.next_owned_ballot(ctx_.self(), std::max(inst.max_ballot_seen, ballot)));
+  if (!epoch_.mine || epoch_.ballot != ballot) return;
+  std::int64_t next = std::max(epoch_seen_ballot_, epoch_.ballot) + 1;
+  while (epoch_owner(next) != ctx_.self()) ++next;
+  start_epoch(next);
 }
 
 void PaxosConsensus::forget_below(std::uint64_t k) {

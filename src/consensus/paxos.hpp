@@ -1,6 +1,6 @@
 /// \file paxos.hpp
-/// Multi-Paxos with leader leases (plus the classic per-instance mode),
-/// multi-instance manager like consensus.hpp.
+/// Multi-Paxos with leader leases, multi-instance manager like
+/// consensus.hpp.
 ///
 /// The alternative bottom layer proving the architecture's point: any
 /// uniform consensus tolerating false suspicions slots under the same
@@ -9,9 +9,9 @@
 /// take over with their next-owned ballot on suspicion — the standard
 /// Paxos liveness recipe (safety never depends on the FD).
 ///
-/// Leader-stable mode (the default, DESIGN.md §15): one *leadership epoch*
-/// is a stable ballot covering every instance >= a floor. Phase 1 runs at
-/// most once per epoch:
+/// Leader-stable (DESIGN.md §15): one *leadership epoch* is a stable
+/// ballot covering every instance >= a floor. Phase 1 runs at most once
+/// per epoch:
 ///
 ///   epoch 0   ballot 0 is implicitly established for its owner — no other
 ///             process may use ballot 0, so the owner skips phase 1
@@ -30,15 +30,10 @@
 /// backoff before each (re-)prepare, so two simultaneous suspectors
 /// converge without unbounded ballot churn.
 ///
-/// Per-instance mode (Config::leader_stable = false) keeps the classic
-/// 2-RTT protocol: per ballot, the owner runs
-///   phase 1  PREPARE(b) to all; acceptors with promised <= b reply
-///            PROMISE(b, accepted_ballot, accepted_value), else NACK(b).
-///   phase 2  on a majority of PROMISEs: value := highest-ballot accepted
-///            value among them (or the owner's proposal); ACCEPT(b, value);
-///            acceptors with promised <= b record (b, value), reply
-///            ACCEPTED(b); on a majority of ACCEPTEDs the owner DECIDEs.
-/// DECIDE is sent to all members over the reliable channel in both modes.
+/// Phase 2 is per instance: the epoch owner sends ACCEPT(b, value);
+/// acceptors whose effective promise is <= b record (b, value) and reply
+/// ACCEPTED(b), else NACK; on a majority of ACCEPTEDs the owner sends
+/// DECIDE to all members over the reliable channel.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +53,6 @@ class Decoder;
 class PaxosConsensus final : public ConsensusProtocol {
  public:
   struct Config {
-    /// Leader-stable multi-Paxos (epochs + ranged prepare, 1-RTT steady
-    /// state). false = classic per-instance ballots (2 RTT, kept as the
-    /// comparison baseline).
-    bool leader_stable = true;
     /// Takeover backoff: delay before a ranged prepare is backoff_min plus
     /// a seeded-Rng draw from a window that doubles per consecutive NACK,
     /// capped at backoff_max (bounded, deterministic for a fixed seed).
@@ -87,8 +78,7 @@ class PaxosConsensus final : public ConsensusProtocol {
     return n;
   }
   void forget_below(std::uint64_t k) override;
-  /// The current epoch owner (leader-stable mode; kNoProcess before the
-  /// member set is known or in per-instance mode).
+  /// The current epoch owner (kNoProcess before the member set is known).
   ProcessId stable_leader() const override;
 
  private:
@@ -109,36 +99,20 @@ class PaxosConsensus final : public ConsensusProtocol {
     std::int64_t accepted_ballot = -1;
     Bytes accepted_value;
 
-    // Proposer (ballot owner) state, per ballot.
+    // Proposer (epoch owner) state, per ballot.
     struct Attempt {
-      bool preparing = false;
       bool accepting = false;
-      int promises = 0;
       int accepteds = 0;
-      std::int64_t best_accepted_ballot = -1;
-      Bytes best_accepted_value;
       Bytes value;
-      TimePoint prepare_at = -1;  // PREPARE sent (propose-wait metric)
     };
     std::map<std::int64_t, Attempt> attempts;
     TimePoint accept_sent_at = -1;  // ACCEPT round started (accept-RTT metric)
 
     // The highest ballot we have observed anyone drive.
     std::int64_t max_ballot_seen = -1;
-
-    ProcessId owner(std::int64_t ballot) const {
-      return members[static_cast<std::size_t>(ballot) % members.size()];
-    }
-    /// Smallest ballot > from owned by \p self.
-    std::int64_t next_owned_ballot(ProcessId self, std::int64_t from) const {
-      for (std::int64_t b = from + 1;; ++b) {
-        if (owner(b) == self) return b;
-      }
-    }
   };
 
-  /// Leadership-epoch state (leader-stable mode). One per process; the
-  /// candidate/owner side of the ranged-prepare state machine.
+  /// Leadership-epoch state. One per process; the candidate/owner side of the ranged-prepare state machine.
   struct Epoch {
     std::int64_t ballot = 0;    ///< ballot of the epoch we belong to
     std::uint64_t floor = 0;    ///< epoch covers instances >= floor
@@ -152,11 +126,6 @@ class PaxosConsensus final : public ConsensusProtocol {
   };
 
   void on_message(ProcessId from, BytesView payload);
-  void start_ballot(std::uint64_t k, Instance& inst, std::int64_t ballot);
-  void maybe_take_over(std::uint64_t k, Instance& inst);
-  void handle_prepare(ProcessId from, std::uint64_t k, std::int64_t b);
-  void handle_promise(ProcessId from, std::uint64_t k, std::int64_t b, std::int64_t ab,
-                      Bytes av);
   void handle_accept(ProcessId from, std::uint64_t k, std::int64_t b, Bytes v);
   void handle_accepted(ProcessId from, std::uint64_t k, std::int64_t b);
   void handle_nack(std::uint64_t k, std::int64_t b_high);
@@ -171,7 +140,7 @@ class PaxosConsensus final : public ConsensusProtocol {
   Bytes admissible(const Bytes& value) const { return admitted(value) ? value : Bytes{}; }
   Instance& get_instance(std::uint64_t k, const std::vector<ProcessId>* members_hint);
 
-  // -- leader-stable mode ---------------------------------------------------
+  // -- epochs ---------------------------------------------------------------
   ProcessId epoch_owner(std::int64_t ballot) const {
     return epoch_members_[static_cast<std::size_t>(ballot) % epoch_members_.size()];
   }
@@ -214,11 +183,10 @@ class PaxosConsensus final : public ConsensusProtocol {
   MetricId m_ballots_;
   MetricId m_decided_;
   MetricId m_epochs_;        ///< ranged prepares sent (epoch candidacies)
-  MetricId m_prepares_;      ///< any PREPARE sent (per-instance or ranged);
-                             ///< 0 across a fault-free leader-stable run
+  MetricId m_prepares_;      ///< ranged PREPAREs sent; 0 across a fault-free run
   MetricId m_noop_fills_;    ///< gap instances decided as no-ops by a new leader
   MetricId h_latency_;       ///< propose() -> local decision (time-in-consensus)
-  MetricId h_propose_wait_;  ///< PREPARE sent -> ACCEPT sent (promise quorum)
+  MetricId h_propose_wait_;  ///< ranged PREPARE sent -> epoch established
   MetricId h_accept_rtt_;    ///< ACCEPT sent -> local decision (owner side)
   MetricId m_deferred_;      ///< votes the admission gate held back
   std::unordered_map<std::uint64_t, Instance> instances_;
@@ -226,7 +194,7 @@ class PaxosConsensus final : public ConsensusProtocol {
   std::vector<DecideFn> decide_fns_;
   std::int64_t decided_count_ = 0;
 
-  // Leader-stable mode state.
+  // Epoch state.
   std::vector<ProcessId> epoch_members_;  ///< member set the epoch runs under
   /// Instance at which epoch_members_ was adopted; late announces carrying
   /// an older member set (k below this) must not re-reset the epoch.
@@ -243,7 +211,7 @@ class PaxosConsensus final : public ConsensusProtocol {
   int consecutive_nacks_ = 0;
   bool takeover_pending_ = false;  ///< backoff timer armed
   /// Everything below this is decided (abcast's forget_below watermark) —
-  /// bounds the gap-fill scan; per-instance messages below it are dropped.
+  /// bounds the gap-fill scan; instance messages below it are dropped.
   std::uint64_t forgotten_below_ = 0;
   /// Highest instance decided locally + 1 (0 = nothing decided): the no-op
   /// gap-fill frontier.

@@ -394,7 +394,7 @@ void GenericBroadcast::trigger_resolution() {
                      std::to_string(store_.size()));
   }
   // Report = snapshot of our round: every message we know plus whether we
-  // ACKed it. Slim format carries ids and classes only; payloads resolve
+  // ACKed it. It carries ids and classes only; payloads resolve
   // from local stores (the pull fallback covers the holdouts). Settled
   // messages follow as runs of consecutive seqs per sender: they count as
   // ACKed, and every member holds their payloads, so ids suffice.
@@ -414,13 +414,11 @@ void GenericBroadcast::trigger_resolution() {
   }
   Encoder enc;
   enc.put_u64(round_);
-  enc.put_byte(static_cast<std::uint8_t>(config_.wire_format));
   enc.put_u64(open);
   for (const auto& [id, stored] : store_) {
     if (stored.settled) continue;
     enc.put_msgid(id);
     enc.put_byte(stored.cls);
-    if (config_.wire_format == WireFormat::kLegacy) enc.put_bytes(stored.payload);
     enc.put_bool(stored.acked);
   }
   enc.put_u64(runs.size());
@@ -435,9 +433,6 @@ void GenericBroadcast::on_report(const MsgId& report_id, BytesView wire) {
   Decoder dec(wire);
   const std::uint64_t r = dec.get_u64();
   if (!dec.ok() || r < round_) return;  // late report from a finished round
-  const std::uint8_t fmt = dec.get_byte();
-  if (!dec.ok() || fmt > static_cast<std::uint8_t>(WireFormat::kLegacy)) return;
-  const bool inline_payloads = fmt == static_cast<std::uint8_t>(WireFormat::kLegacy);
   // A report of a later round means the others finished ours while this
   // member is still delivering it (pull-stalled). It is tallied now, under
   // the group in force now, as the others tally it.
@@ -448,17 +443,12 @@ void GenericBroadcast::on_report(const MsgId& report_id, BytesView wire) {
   const std::uint64_t count = dec.get_u64();
   for (std::uint64_t i = 0; i < count && dec.ok(); ++i) {
     const MsgId id = dec.get_msgid();
-    const MsgClass cls = dec.get_byte();
-    BytesView payload;
-    if (inline_payloads) payload = dec.get_view();
+    dec.get_byte();  // class: members resolve it from their own store
     const bool acked = dec.get_bool();
     if (!dec.ok()) break;
     Tally& tally = rr.tally[id];
     ++tally.listed;
     if (acked) ++tally.acked;
-    if (inline_payloads && !is_delivered(id) && !store_.count(id)) {
-      store_.emplace(id, Stored{cls, to_bytes(payload), sim::kNoTimer, 0});
-    }
   }
   // A round closes after kSettledCap settlements and only the few already
   // acked by then settle during the resolution, so a longer list is hostile.
@@ -523,7 +513,7 @@ void GenericBroadcast::maybe_finalize_round() {
   // closed by round_over()).
   frozen_ = true;
   resolving_ = true;
-  // Slim reports carry no payloads: every undelivered message of the
+  // Reports carry no payloads: every undelivered message of the
   // sequence must be resolvable from the local store before the round can
   // finalize. Anything missing (late join, restore mid-resolution, a
   // payload still on its way) stalls the round locally and is pulled;
@@ -667,8 +657,8 @@ void GenericBroadcast::restore(BytesView snapshot) {
   acked_cls_.fill(0);
   acks_.clear();
   // We may be the report that completes the quorum count after a member was
-  // excluded; harmless otherwise. Under the slim format this may also park
-  // the round on the pull path until donors push the missing payloads.
+  // excluded; harmless otherwise. This may also park the round on the pull
+  // path until donors push the missing payloads.
   maybe_finalize_round();
 }
 

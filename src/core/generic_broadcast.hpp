@@ -33,17 +33,14 @@
 ///   it already delivered. The round then ends and a new round starts;
 ///   messages in neither set stay with their holders for the next round.
 ///
-/// Wire-path memory model (DESIGN.md §12): under the default slim format a
-/// report carries (MsgId, class, acked) tuples, plus the messages it has
-/// settled as per-sender runs of ids — payloads never ride through
-/// consensus. Each member resolves payloads from its local store (fed by
+/// Wire-path memory model (DESIGN.md §12): a report carries (MsgId, class,
+/// acked) tuples, plus the messages it has settled as per-sender runs of
+/// ids — payloads never ride through consensus. Each member resolves payloads from its local store (fed by
 /// reliable broadcast); a member that reaches the finalize point missing
 /// some payload stalls the round locally and runs a bounded pull/push
 /// exchange on Tag::kGbcast against rotating peers, which serve from their
 /// store or from a small window of recently retired (delivered) payloads.
 /// The stall also ends when the reliable broadcast brings the payload.
-/// The legacy format (payloads inline in reports) is kept as the benchmark
-/// baseline.
 ///
 /// Quorum arithmetic (n = |group|, f = ⌊(n−1)/3⌋):
 ///   fast_quorum  = ⌊2n/3⌋ + 1     (> 2n/3)
@@ -88,9 +85,6 @@ class GenericBroadcast {
     /// A message not gdelivered within this bound triggers resolution even
     /// without an observed conflict (liveness when ackers crash).
     Duration resolve_timeout = msec(200);
-    /// Report wire format. kSlim keeps payloads out of the resolution path;
-    /// kLegacy is the payload-inline baseline (benchmarks compare both).
-    WireFormat wire_format = WireFormat::kSlim;
     /// Retry period for the payload-pull fallback; each retry rotates to
     /// the next member, so one unresponsive peer cannot stall the round.
     Duration pull_retry = msec(25);
@@ -131,9 +125,9 @@ class GenericBroadcast {
   /// simply declines pulls it cannot serve.
   Bytes snapshot() const;
 
-  /// Install a snapshot (joiner side). Under the slim format a snapshot
-  /// taken mid-resolution may reference payloads the donor no longer
-  /// inlines; the finalize step detects those and pulls them.
+  /// Install a snapshot (joiner side). A snapshot taken mid-resolution may
+  /// reference payloads this member never received; the finalize step
+  /// detects those and pulls them.
   void restore(BytesView snapshot);
 
   /// -- statistics (E3/E6 use these) ------------------------------------
@@ -280,8 +274,8 @@ class GenericBroadcast {
   // round past its report_need keeps only its sequence: the ids this member
   // must deliver anyway once its stall ends.
   std::map<std::uint64_t, RoundReports> reports_;
-  // Payloads the finalize step needs but the store lacks (slim format /
-  // restore); while non-empty the round stalls locally and pulls rotate.
+  // Payloads the finalize step needs but the store lacks (a report named
+  // them, or a restore); while non-empty the round stalls locally and pulls rotate.
   std::set<MsgId> missing_;
   std::size_t pull_rr_ = 0;
   bool pull_timer_armed_ = false;

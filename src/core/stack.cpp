@@ -48,15 +48,12 @@ void GcsStack::wire(StackConfig config) {
   if (config.stability_interval > 0) {
     ab_rbcast_->enable_stability(config.stability_interval);
   }
-  AtomicBroadcast::Config ab_config = config.abcast;
-  ab_config.wire_format = config.wire_format;
   abcast_ = std::make_unique<AtomicBroadcast>(*ctx_, *ab_rbcast_, *consensus_,
-                                              channel_.get(), ab_config);
+                                              channel_.get(), config.abcast);
   gb_rbcast_ = std::make_unique<ReliableBroadcast>(*ctx_, *channel_, Tag::kGbData);
   if (config.stability_interval > 0) {
     gb_rbcast_->enable_stability(config.stability_interval);
   }
-  config.gb.wire_format = config.wire_format;
   gbcast_ = std::make_unique<GenericBroadcast>(*ctx_, *channel_, *gb_rbcast_, *abcast_,
                                                config.conflict, config.gb);
   membership_ = std::make_unique<GroupMembership>(*ctx_, *channel_, *abcast_, gbcast_.get());

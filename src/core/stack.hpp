@@ -59,17 +59,11 @@ struct StackConfig {
   /// Stability gossip period for the broadcast substrates; bounds dedup
   /// memory on long runs (0 = disabled; fine for bounded runs).
   Duration stability_interval = 0;
-  /// Proposal/report wire format for the ordering layers (DESIGN.md §12).
-  /// kSlim keeps payloads out of consensus and GB resolution; kLegacy is
-  /// the payload-inline baseline the benchmarks compare against. Applied
-  /// to both AtomicBroadcast and GenericBroadcast.
-  WireFormat wire_format = WireFormat::kSlim;
   /// Ordering-pipeline knobs (DESIGN.md §15): pipeline_depth, max_batch,
-  /// the AIMD adaptive controller and its bounds. wire_format above
-  /// overrides the copy inside this struct so the two never disagree.
+  /// the AIMD adaptive controller and its bounds.
   AtomicBroadcast::Config abcast = {};
   /// Leader-stable multi-Paxos knobs (only used when consensus_algorithm
-  /// == kPaxos): leader_stable mode and the takeover backoff window.
+  /// == kPaxos): the takeover backoff window.
   PaxosConsensus::Config paxos = {};
   /// Flight recorder for message-lifecycle tracing; null (the default)
   /// leaves tracing a branch-predictable no-op. Usually shared by every

@@ -1,9 +1,9 @@
 #include "explore/artifact.hpp"
 
-#include <cctype>
 #include <cstdio>
 #include <limits>
 
+#include "obs/perf_ledger.hpp"
 #include "obs/report.hpp"
 
 namespace gcs::explore {
@@ -14,123 +14,6 @@ std::string hex64(std::uint64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
   return buf;
-}
-
-// ---- minimal extraction parser ------------------------------------------
-//
-// Not a general JSON parser: it locates top-level fields by their (unique)
-// quoted key names and parses just the value shapes this schema uses.
-// Searching for `"key":` cannot false-match inside an embedded escaped
-// string, because there every quote is preceded by a backslash.
-
-std::size_t find_key(const std::string& json, const char* key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t pos = json.find(needle);
-  return pos == std::string::npos ? std::string::npos : pos + needle.size();
-}
-
-/// Parse the unsigned decimal at \p pos (advanced past it). False when
-/// there is no digit or the value exceeds \p max: an out-of-range field
-/// rejects the artifact instead of wrapping into a different run.
-bool parse_uint(const std::string& s, std::size_t& pos, std::uint64_t max, std::uint64_t* out) {
-  if (pos >= s.size() || !std::isdigit(static_cast<unsigned char>(s[pos]))) return false;
-  std::uint64_t v = 0;
-  while (pos < s.size() && std::isdigit(static_cast<unsigned char>(s[pos]))) {
-    const auto d = static_cast<std::uint64_t>(s[pos] - '0');
-    if (v > (max - d) / 10) return false;
-    v = v * 10 + d;
-    ++pos;
-  }
-  *out = v;
-  return true;
-}
-
-bool get_uint(const std::string& json, const char* key, std::uint64_t max, std::uint64_t* out) {
-  std::size_t pos = find_key(json, key);
-  if (pos == std::string::npos) return false;
-  while (pos < json.size() && std::isspace(static_cast<unsigned char>(json[pos]))) ++pos;
-  return parse_uint(json, pos, max, out);
-}
-
-bool get_int(const std::string& json, const char* key, int* out) {
-  std::uint64_t v = 0;
-  if (!get_uint(json, key, std::numeric_limits<int>::max(), &v)) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool unescape(const std::string& s, std::size_t pos, std::string* out, std::size_t* end) {
-  // pos points at the opening quote.
-  if (pos >= s.size() || s[pos] != '"') return false;
-  ++pos;
-  out->clear();
-  while (pos < s.size()) {
-    const char c = s[pos];
-    if (c == '"') {
-      *end = pos + 1;
-      return true;
-    }
-    if (c != '\\') {
-      out->push_back(c);
-      ++pos;
-      continue;
-    }
-    if (pos + 1 >= s.size()) return false;
-    const char esc = s[pos + 1];
-    pos += 2;
-    switch (esc) {
-      case '"': out->push_back('"'); break;
-      case '\\': out->push_back('\\'); break;
-      case 'n': out->push_back('\n'); break;
-      case 't': out->push_back('\t'); break;
-      case 'u': {
-        if (pos + 4 > s.size()) return false;
-        unsigned v = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char h = s[pos + static_cast<std::size_t>(i)];
-          v <<= 4;
-          if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-          else if (h >= 'a' && h <= 'f') v |= static_cast<unsigned>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F') v |= static_cast<unsigned>(h - 'A' + 10);
-          else return false;
-        }
-        // The writer only \u-escapes control bytes (< 0x20).
-        out->push_back(static_cast<char>(v));
-        pos += 4;
-        break;
-      }
-      default: return false;
-    }
-  }
-  return false;  // unterminated
-}
-
-bool get_string(const std::string& json, const char* key, std::string* out) {
-  std::size_t pos = find_key(json, key);
-  if (pos == std::string::npos) return false;
-  while (pos < json.size() && std::isspace(static_cast<unsigned char>(json[pos]))) ++pos;
-  std::size_t end = 0;
-  return unescape(json, pos, out, &end);
-}
-
-bool get_u32_array(const std::string& json, const char* key, std::vector<std::uint32_t>* out) {
-  std::size_t pos = find_key(json, key);
-  if (pos == std::string::npos) return false;
-  while (pos < json.size() && std::isspace(static_cast<unsigned char>(json[pos]))) ++pos;
-  if (pos >= json.size() || json[pos] != '[') return false;
-  ++pos;
-  out->clear();
-  while (pos < json.size()) {
-    while (pos < json.size() &&
-           (std::isspace(static_cast<unsigned char>(json[pos])) || json[pos] == ',')) {
-      ++pos;
-    }
-    if (pos < json.size() && json[pos] == ']') return true;
-    std::uint64_t v = 0;
-    if (!parse_uint(json, pos, std::numeric_limits<std::uint32_t>::max(), &v)) return false;
-    out->push_back(static_cast<std::uint32_t>(v));
-  }
-  return false;  // unterminated
 }
 
 bool parse_hex64(const std::string& s, std::uint64_t* out) {
@@ -165,8 +48,8 @@ Artifact make_artifact(const sim::FaultPlan& plan, const std::vector<std::uint32
 }
 
 std::string render_artifact(const Artifact& a) {
-  // Scalar fields first, embedded documents last: the extractor can then
-  // find every key on its first occurrence.
+  // Scalar fields first, embedded documents last, so the head of the file
+  // reads as a summary.
   std::string out;
   out.reserve(a.report_json.size() + a.trace_tail.size() + 1024);
   out += "{\n";
@@ -196,25 +79,55 @@ std::string render_artifact(const Artifact& a) {
 }
 
 std::optional<Artifact> parse_artifact(const std::string& json) {
-  std::string schema;
-  if (!get_string(json, "schema", &schema) || schema != "nggcs.repro.v1") return std::nullopt;
+  obs::JsonValue doc;
+  if (!obs::parse_json(json, doc) || doc.type != obs::JsonValue::Type::kObject) {
+    return std::nullopt;
+  }
+  // Top-level members only: a key inside an embedded document never stands
+  // in for a missing field.
+  const auto str = [&doc](const char* key, std::string* out) {
+    const obs::JsonValue* v = doc.find(key);
+    if (v == nullptr || v->type != obs::JsonValue::Type::kString) return false;
+    *out = v->str;
+    return true;
+  };
+  // An out-of-range integer rejects the artifact instead of wrapping into a
+  // different run.
+  const auto uint_field = [&doc](const char* key, std::uint64_t max, std::uint64_t* out) {
+    const obs::JsonValue* v = doc.find(key);
+    const std::optional<std::uint64_t> u = v ? v->as_uint(max) : std::nullopt;
+    if (u) *out = *u;
+    return u.has_value();
+  };
+  const auto int_field = [&uint_field](const char* key, int* out) {
+    std::uint64_t v = 0;
+    if (!uint_field(key, std::numeric_limits<int>::max(), &v)) return false;
+    *out = static_cast<int>(v);
+    return true;
+  };
+
   Artifact a;
+  std::string schema;
   std::string digest_hex;
-  if (!get_uint(json, "plan_seed", std::numeric_limits<std::uint64_t>::max(), &a.plan_seed)) {
+  if (!str("schema", &schema) || schema != "nggcs.repro.v1") return std::nullopt;
+  if (!uint_field("plan_seed", std::numeric_limits<std::uint64_t>::max(), &a.plan_seed) ||
+      !int_field("plan_n", &a.plan_options.n) ||
+      !int_field("plan_steps", &a.plan_options.steps) ||
+      !int_field("plan_max_crashes", &a.plan_options.max_crashes) ||
+      !str("plan_digest", &digest_hex) || !parse_hex64(digest_hex, &a.plan_digest) ||
+      !int_field("fast_quorum_override", &a.fast_quorum_override) ||
+      !str("outcome", &a.outcome) || !str("first_violation", &a.first_violation) ||
+      !str("report_json", &a.report_json)) {
     return std::nullopt;
   }
-  if (!get_int(json, "plan_n", &a.plan_options.n)) return std::nullopt;
-  if (!get_int(json, "plan_steps", &a.plan_options.steps)) return std::nullopt;
-  if (!get_int(json, "plan_max_crashes", &a.plan_options.max_crashes)) return std::nullopt;
-  if (!get_string(json, "plan_digest", &digest_hex) || !parse_hex64(digest_hex, &a.plan_digest)) {
-    return std::nullopt;
+  const obs::JsonValue* keep = doc.find("keep_steps");
+  if (keep == nullptr || keep->type != obs::JsonValue::Type::kArray) return std::nullopt;
+  for (const obs::JsonValue& step : keep->array) {
+    const auto v = step.as_uint(std::numeric_limits<std::uint32_t>::max());
+    if (!v) return std::nullopt;
+    a.keep.push_back(static_cast<std::uint32_t>(*v));
   }
-  if (!get_int(json, "fast_quorum_override", &a.fast_quorum_override)) return std::nullopt;
-  if (!get_string(json, "outcome", &a.outcome)) return std::nullopt;
-  if (!get_string(json, "first_violation", &a.first_violation)) return std::nullopt;
-  if (!get_u32_array(json, "keep_steps", &a.keep)) return std::nullopt;
-  if (!get_string(json, "report_json", &a.report_json)) return std::nullopt;
-  get_string(json, "trace_tail", &a.trace_tail);  // optional
+  str("trace_tail", &a.trace_tail);  // optional
   return a;
 }
 

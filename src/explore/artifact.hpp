@@ -16,9 +16,9 @@
 ///     trace tail of the failing run, for byte-exact replay comparison and
 ///     post-mortem reading.
 ///
-/// Replay (`nggcs_explore --replay file`) parses the artifact with the
-/// dependency-free extractor below, regenerates the plan, re-runs the kept
-/// steps and byte-compares the fresh report against the embedded one.
+/// Replay (`nggcs_explore --replay file`) parses the artifact with
+/// obs::parse_json, regenerates the plan, re-runs the kept steps and
+/// byte-compares the fresh report against the embedded one.
 #pragma once
 
 #include <optional>
@@ -54,9 +54,9 @@ Artifact make_artifact(const sim::FaultPlan& plan, const std::vector<std::uint32
 /// Render \p a as the v1 JSON document.
 std::string render_artifact(const Artifact& a);
 
-/// Parse a v1 artifact. Returns nullopt on malformed input (missing field,
-/// wrong schema, truncated string). Only the fields replay needs are
-/// extracted; unknown fields are ignored.
+/// Parse a v1 artifact. Returns nullopt on malformed input (invalid JSON,
+/// missing or out-of-range top-level field, wrong schema). Only the fields
+/// replay needs are read; unknown fields are ignored.
 std::optional<Artifact> parse_artifact(const std::string& json);
 
 /// Regenerate the plan an artifact describes and verify its digest.

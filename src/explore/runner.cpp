@@ -223,8 +223,8 @@ RunResult run_plan(const sim::FaultPlan& plan, const std::vector<std::uint32_t>&
       case sim::FaultOp::kLeaderCrash:
       case sim::FaultOp::kLeaderSuspicion: {
         // Resolve the victim at fire time: ask the first alive member who
-        // the stable consensus leader is (Chandra-Toueg and legacy Paxos
-        // report kNoProcess — fall back to the first alive member, which is
+        // the stable consensus leader is (Chandra-Toueg reports
+        // kNoProcess — fall back to the first alive member, which is
         // the rotating-coordinator anchor anyway).
         ProcessId leader = kNoProcess;
         ProcessId first_alive = kNoProcess;

@@ -15,8 +15,8 @@
 ///                   prepare+promise)
 ///     accept_wait   PROPOSE out .. DECIDE observed locally (ACK quorum
 ///                   round trip plus decision propagation)
-///     pull_wait     head-decision stall on missing payloads (slim-format
-///                   pull fallback), clipped out of the tail
+///     pull_wait     head-decision stall on missing payloads (payload-pull
+///                   fallback), clipped out of the tail
 ///     reorder_wait  DECIDE observed .. adelivery (in-order buffering
 ///                   behind earlier instances)
 ///
@@ -52,7 +52,7 @@ enum class PathPhase : std::uint8_t {
   kBatchWait,        ///< rdelivered -> first consensus proposal
   kProposeWait,      ///< proposal -> coordinator PROPOSE (quorum assembly)
   kAcceptWait,       ///< PROPOSE -> local DECIDE (ACK quorum + propagation)
-  kPullWait,         ///< stalled on the slim-format payload pull fallback
+  kPullWait,         ///< stalled on the payload-pull fallback
   kReorderWait,      ///< DECIDE -> adelivery (in-order buffering)
   kGbAckWait,        ///< payload seen -> GB fast-quorum delivery
   kGbConflictWait,   ///< payload seen -> GB resolution triggered

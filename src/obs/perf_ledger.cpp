@@ -1,7 +1,7 @@
 #include "obs/perf_ledger.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <set>
@@ -15,11 +15,18 @@ namespace {
 
 // -- JSON parser -------------------------------------------------------------
 
+/// Containers nest at most this deep; deeper input is rejected before the
+/// recursive descent can exhaust the stack.
+constexpr int kMaxDepth = 256;
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
 class Parser {
  public:
   Parser(std::string_view text, std::string* error) : text_(text), error_(error) {}
 
   bool parse(JsonValue& out) {
+    out = JsonValue{};
     skip_ws();
     if (!parse_value(out)) return false;
     skip_ws();
@@ -52,9 +59,14 @@ class Parser {
   bool parse_value(JsonValue& out) {
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     const char c = text_[pos_];
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) return fail("nesting deeper than " + std::to_string(kMaxDepth));
+      ++depth_;
+      const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+      --depth_;
+      return ok;
+    }
     switch (c) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
       case '"':
         out.type = JsonValue::Type::kString;
         return parse_string(out.str);
@@ -176,21 +188,40 @@ class Parser {
     return fail("bad literal");
   }
 
+  /// Skip a run of digits; false when there is none.
+  bool digits() {
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
+    return pos_ > start;
+  }
+
+  /// RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
   bool parse_number(JsonValue& out) {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '-' ||
-            text_[pos_] == '+')) {
-      ++pos_;
+    const bool negative = consume('-');
+    if (pos_ >= text_.size() || !is_digit(text_[pos_])) {
+      return fail(negative ? "bad number" : "expected value");
     }
-    if (pos_ == start) return fail("expected value");
+    if (!consume('0')) digits();
+    const std::size_t int_end = pos_;
+    if (consume('.') && !digits()) return fail("bad number");
+    if (consume('e') || consume('E')) {
+      if (!consume('+')) consume('-');
+      if (!digits()) return fail("bad number");
+    }
+    const std::string_view token = text_.substr(start, pos_ - start);
     out.type = JsonValue::Type::kNumber;
     try {
-      out.number = std::stod(std::string(text_.substr(start, pos_ - start)));
+      out.number = std::stod(std::string(token));
     } catch (...) {
       return fail("bad number");
+    }
+    // A plain non-negative integer also keeps its exact value, which a
+    // double loses above 2^53; one that overflows 64 bits keeps none.
+    std::uint64_t v = 0;
+    if (!negative && int_end == pos_ &&
+        std::from_chars(token.data(), token.data() + token.size(), v).ec == std::errc()) {
+      out.exact_uint = v;
     }
     return true;
   }
@@ -198,6 +229,7 @@ class Parser {
   std::string_view text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 // -- flattening --------------------------------------------------------------
@@ -221,8 +253,8 @@ std::string number_segment(double v) {
 }
 
 /// Stable label for an array element: its "name", its identifying members
-/// (layer / n / payload_bytes / format, the wire-suite cell key), or the
-/// index as a last resort.
+/// (layer / scenario / n / payload_bytes; layer + n + payload_bytes is the
+/// wire-suite cell key), or the index as a last resort.
 std::string element_label(const JsonValue& v, std::size_t index) {
   if (v.type == JsonValue::Type::kObject) {
     if (const JsonValue* name = v.find("name");
@@ -232,7 +264,7 @@ std::string element_label(const JsonValue& v, std::size_t index) {
     std::string label;
     for (const auto& [key, member] : v.object) {
       std::string part;
-      if (key == "layer" || key == "format" || key == "scenario") {
+      if (key == "layer" || key == "scenario") {
         if (member.type == JsonValue::Type::kString) part = sanitize_segment(member.str);
       } else if (key == "n" && member.type == JsonValue::Type::kNumber) {
         part = "n" + number_segment(member.number);
@@ -314,6 +346,11 @@ const JsonValue* JsonValue::find(std::string_view key) const {
     if (k == key) return &v;
   }
   return nullptr;
+}
+
+std::optional<std::uint64_t> JsonValue::as_uint(std::uint64_t max) const {
+  if (!exact_uint || *exact_uint > max) return std::nullopt;
+  return exact_uint;
 }
 
 bool parse_json(std::string_view text, JsonValue& out, std::string* error) {

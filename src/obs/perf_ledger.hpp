@@ -9,11 +9,11 @@
 /// prefixed by the suite name:
 ///
 ///   latency.scenarios.abcast_n5.end_to_end.mean_us = 1234.5
-///   wire.cells.abcast_n5_b256_slim.consensus_bytes_per_delivered = 18.2
+///   wire.cells.abcast_n5_b256.consensus_bytes_per_delivered = 18.2
 ///   kernel.results.timer_wheel.ns_per_event = 41.7
 ///
 /// Array elements are labeled by their "name" member when present, by
-/// their identifying members (layer / n / payload_bytes / format) when
+/// their identifying members (layer / scenario / n / payload_bytes) when
 /// not, and by index as a last resort — so adding a cell to a bench never
 /// shifts the identity of existing metrics. Booleans flatten to 0/1 (so
 /// "did the check pass" is diffable); strings are identity, not data, and
@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,13 +52,20 @@ struct JsonValue {
   std::string str;
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> object;
+  /// A number written as a non-negative integer that fits in 64 bits, held
+  /// exactly (`number` rounds above 2^53).
+  std::optional<std::uint64_t> exact_uint;
 
   /// First member with \p key, or nullptr (objects only).
   const JsonValue* find(std::string_view key) const;
+  /// The exact unsigned integer, or nullopt when this is not one or it
+  /// exceeds \p max.
+  std::optional<std::uint64_t> as_uint(std::uint64_t max) const;
 };
 
-/// Parse \p text into \p out. On failure returns false and, when \p error
-/// is non-null, stores a message with the byte offset.
+/// Parse \p text (RFC 8259; containers nest at most 256 deep) into \p out.
+/// On failure returns false and, when \p error is non-null, stores a
+/// message with the byte offset.
 bool parse_json(std::string_view text, JsonValue& out, std::string* error = nullptr);
 
 // -- ledgers -----------------------------------------------------------------

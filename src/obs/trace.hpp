@@ -197,8 +197,8 @@ struct Names {
                              ///< (batch-queue residence); end arg = instance
   NameId abcast_ordered;     ///< instant at adelivery; arg = deciding instance
   NameId abcast_pull_wait;   ///< span keyed by MsgId{kConsensusKey, k}: head
-                             ///< decision stalled on missing payloads (slim
-                             ///< format pull fallback); arg = missing count
+                             ///< decision stalled on missing payloads (pull
+                             ///< fallback); arg = missing count
   NameId abcast_gap_wait;    ///< span keyed by MsgId{kConsensusKey, k}: a
                              ///< decision arrived out of order and is
                              ///< buffered behind undecided earlier

@@ -4,7 +4,7 @@
 /// The oracle certifies safety ("nothing illegal happened"); the watchdog
 /// flags *health* anomalies that are perfectly legal but mean the system
 /// is failing its users: deliveries stalling while submits advance, the
-/// slim wire path degenerating into a pull storm, flow control eating the
+/// id-only wire path degenerating into a pull storm, flow control eating the
 /// whole window, membership flapping, queues growing without bound.
 ///
 /// The engine is a pure fold over the per-process frame stream: observe()
@@ -34,7 +34,7 @@ namespace gcs::obs {
 /// Identifies a watchdog rule; stable order and names (report schema).
 enum class WatchdogRule : std::uint8_t {
   kDeliveryStall = 0,  ///< submits advancing, deliveries flat
-  kPullStorm,          ///< slim-format pull fallback rate spiking
+  kPullStorm,          ///< payload-pull fallback rate spiking
   kFcSaturation,       ///< flow-control stalls dominating the window
   kViewFlap,           ///< views installed in a burst (membership flap)
   kQueueGrowth,        ///< a queue gauge growing monotonically

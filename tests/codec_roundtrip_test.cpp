@@ -324,23 +324,15 @@ TEST(CodecViews, HostileLengthPrefixRejected) {
   EXPECT_FALSE(dec2.ok());
 }
 
-// -- batch proposals (the consensus value under the slim wire path) ----------
+// -- batch proposals (the consensus value: ids, never payloads) --------------
 
-BatchProposal random_batch(Rng& rng, WireFormat format) {
+BatchProposal random_batch(Rng& rng) {
   BatchProposal batch;
-  batch.format = format;
   const auto n = rng.next_below(12);
   for (std::uint64_t i = 0; i < n; ++i) {
-    ProposalEntry e;
-    e.id = MsgId{static_cast<ProcessId>(rng.next_below(64)), random_width_u64(rng)};
-    e.subtag = static_cast<std::uint8_t>(rng.next_below(3));
-    if (format == WireFormat::kLegacy) {
-      const auto len = rng.next_below(200);
-      for (std::uint64_t b = 0; b < len; ++b) {
-        e.payload.push_back(static_cast<std::uint8_t>(rng.next_below(256)));
-      }
-    }
-    batch.entries.push_back(std::move(e));
+    batch.entries.push_back(
+        ProposalEntry{MsgId{static_cast<ProcessId>(rng.next_below(64)), random_width_u64(rng)},
+                      static_cast<std::uint8_t>(rng.next_below(3))});
   }
   return batch;
 }
@@ -348,8 +340,7 @@ BatchProposal random_batch(Rng& rng, WireFormat format) {
 TEST(ProposalRoundTrip, SlimAndLegacyFuzz) {
   Rng rng(0xba7c4);
   for (int round = 0; round < 500; ++round) {
-    const WireFormat format = rng.chance(0.5) ? WireFormat::kSlim : WireFormat::kLegacy;
-    const BatchProposal batch = random_batch(rng, format);
+    const BatchProposal batch = random_batch(rng);
     Encoder enc;
     batch.encode(enc);
     Decoder dec(enc.bytes());
@@ -363,8 +354,7 @@ TEST(ProposalRoundTrip, SlimAndLegacyFuzz) {
 TEST(ProposalRoundTrip, EveryStrictPrefixFailsCleanly) {
   Rng rng(0x5717);
   for (int round = 0; round < 20; ++round) {
-    const WireFormat format = rng.chance(0.5) ? WireFormat::kSlim : WireFormat::kLegacy;
-    BatchProposal batch = random_batch(rng, format);
+    const BatchProposal batch = random_batch(rng);
     if (batch.entries.empty()) continue;  // need at least one entry to cut into
     Encoder enc;
     batch.encode(enc);
@@ -378,24 +368,8 @@ TEST(ProposalRoundTrip, EveryStrictPrefixFailsCleanly) {
   }
 }
 
-TEST(ProposalRoundTrip, UnknownFormatByteRejected) {
-  BatchProposal batch;
-  batch.entries.push_back(ProposalEntry{MsgId{1, 2}, 0, {}});
-  Encoder enc;
-  batch.encode(enc);
-  Bytes wire = enc.bytes();
-  for (int fmt = 2; fmt < 256; fmt += 13) {
-    wire[0] = static_cast<std::uint8_t>(fmt);
-    Decoder dec(wire);
-    const BatchProposal back = BatchProposal::decode(dec);
-    EXPECT_FALSE(dec.ok());
-    EXPECT_TRUE(back.entries.empty());
-  }
-}
-
 TEST(ProposalRoundTrip, HostileEntryCountRejected) {
   Encoder enc;
-  enc.put_byte(static_cast<std::uint8_t>(WireFormat::kSlim));
   enc.put_u64(std::numeric_limits<std::uint64_t>::max());  // absurd count
   enc.put_byte(0);
   Decoder dec(enc.bytes());
@@ -409,8 +383,7 @@ TEST(ProposalRoundTrip, CorruptedBytesNeverCrash) {
   // mutation) or fail cleanly — never UB (run under ASan in CI).
   Rng rng(0xc0a2b7);
   for (int round = 0; round < 500; ++round) {
-    const WireFormat format = rng.chance(0.5) ? WireFormat::kSlim : WireFormat::kLegacy;
-    const BatchProposal batch = random_batch(rng, format);
+    const BatchProposal batch = random_batch(rng);
     Encoder enc;
     batch.encode(enc);
     Bytes wire = enc.bytes();

@@ -247,6 +247,24 @@ TEST(Artifact, OutOfRangeIntegersAreRejected) {
   }
 }
 
+TEST(Artifact, FieldsAreReadAtTopLevelOnly) {
+  // The top-level "outcome" is missing; the same key inside an embedded
+  // violation record must not stand in for it.
+  explore::Artifact a;
+  a.plan_seed = 1;
+  a.outcome = "violation";
+  a.violations_json = R"([{"outcome":"violation","property":"ab.total_order"}])";
+  a.report_json = "{}";
+  std::string json = explore::render_artifact(a);
+  ASSERT_TRUE(explore::parse_artifact(json).has_value());
+  const std::string field = "\"outcome\":\"violation\",\n";
+  const std::size_t at = json.find(field);
+  ASSERT_LT(at, json.find("\"violations\":"));
+  json.erase(at, field.size());
+  ASSERT_NE(json.find("\"outcome\":"), std::string::npos);  // still nested
+  EXPECT_FALSE(explore::parse_artifact(json).has_value());
+}
+
 // The end-to-end satellite: a stack configured with the unsafe fast quorum
 // (2 of 5, well below 2n/3) must be caught by the sweep, shrink to a
 // handful of steps, and the repro artifact must replay byte-identically in

@@ -209,26 +209,6 @@ TEST(Paxos, DuelingTakeoversConvergeWithBoundedChurn) {
   EXPECT_LE(epochs, 12);
 }
 
-// The classic per-instance mode stays available as the comparison baseline
-// and still pays phase 1 per ballot.
-TEST(Paxos, LegacyPerInstanceModeStillDecides) {
-  PaxosConsensus::Config legacy;
-  legacy.leader_stable = false;
-  PaxosWorld w(3, {}, msec(60), 1, legacy);
-  for (std::uint64_t k = 0; k < 3; ++k) {
-    for (ProcessId p = 0; p < 3; ++p) {
-      w.procs[static_cast<std::size_t>(p)].paxos->propose(
-          k, bytes_of("k" + std::to_string(k)), w.all);
-    }
-  }
-  ASSERT_TRUE(test::run_until(w.engine, sec(10), [&] {
-    return w.all_alive_decided(0) && w.all_alive_decided(1) && w.all_alive_decided(2);
-  }));
-  for (std::uint64_t k = 0; k < 3; ++k) EXPECT_EQ(w.agreed_value(k), "k" + std::to_string(k));
-  // Per-instance mode runs phase 1 (ballot 0 owner prepares every instance).
-  EXPECT_GT(w.procs[0].ctx->metrics().counter("paxos.prepares_sent"), 0);
-}
-
 TEST(Paxos, LossyNetworkTerminates) {
   PaxosWorld w(5, sim::LinkModel{usec(300), usec(300), 0.2}, msec(60), 43);
   for (ProcessId p = 0; p < 5; ++p) {
@@ -326,7 +306,7 @@ TEST(PaxosStack, GenericBroadcastFastPathUnaffectedByAlgorithm) {
 
 TEST(Paxos, StaleMessagesBelowTheWatermarkAreDropped) {
   // Instances 0..4 decide and p0 forgets them. A late message of any
-  // per-instance kind for one of them must not resurrect the instance:
+  // instance kind for one of them must not resurrect the instance:
   // no state, no reply, no second decision.
   PaxosWorld w(3);
   for (std::uint64_t k = 0; k < 5; ++k) {
@@ -340,8 +320,8 @@ TEST(Paxos, StaleMessagesBelowTheWatermarkAreDropped) {
   p0.paxos->forget_below(5);
   const std::int64_t decided = p0.paxos->instances_decided();
   const std::int64_t sent = p0.ctx->metrics().counter("consensus.wire_msgs");
-  // Wire kinds of paxos.cpp: PREPARE, PROMISE, ACCEPT, ACCEPTED, NACK,
-  // DECIDE, ANNOUNCE.
+  // Wire kinds of paxos.cpp: 0 and 1 (retired, ignored), ACCEPT, ACCEPTED,
+  // NACK, DECIDE, ANNOUNCE.
   for (std::uint8_t kind = 0; kind <= 6; ++kind) {
     SCOPED_TRACE("kind " + std::to_string(kind));
     Encoder enc;

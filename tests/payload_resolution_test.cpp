@@ -1,16 +1,13 @@
-/// Zero-copy wire path (DESIGN.md §12): slim id-only proposals, payload
-/// pull/push fallback, and slim-vs-legacy equivalence. These tests pin the
-/// behaviours the wire benchmarks rely on: a process that decides an
-/// instance without having rdelivered the payloads (a late joiner) pulls
-/// them over the channel and delivers byte-identically, both formats yield
-/// the same delivery semantics, and slim resolution keeps generic
-/// broadcast's conflict ordering intact.
+/// Zero-copy wire path (DESIGN.md §12): id-only proposals and reports, with
+/// payloads resolved from the local store or the pull/push fallback. These
+/// tests pin the behaviours the wire benchmarks rely on: a process that
+/// decides an instance without having rdelivered the payloads (a late
+/// joiner) pulls them over the channel and delivers byte-identically,
+/// every member delivers the same order and payloads, and id-only
+/// resolution keeps generic broadcast's conflict ordering intact.
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,21 +20,20 @@ namespace {
 
 using test::bytes_of;
 
-World::Config cfg(int n, std::uint64_t seed, WireFormat format) {
+World::Config cfg(int n, std::uint64_t seed) {
   World::Config c;
   c.n = n;
   c.seed = seed;
-  c.stack.wire_format = format;
   return c;
 }
 
-TEST(WireFormat, LateJoinerPullsMissingPayloadsAndDeliversByteIdentically) {
+TEST(PayloadResolution, LateJoinerPullsMissingPayloadsAndDeliversByteIdentically) {
   // The joiner's state snapshot carries adelivered ids but no payload
   // bytes, and the burst below was flooded to {0,1,2} before the join view
   // installed — so the joiner decides those instances without ever having
   // rdelivered the messages. The only way it can deliver them is the
   // Tag::kAbcast pull/push fallback.
-  World w(cfg(4, 23, WireFormat::kSlim));
+  World w(cfg(4, 23));
   std::vector<test::DeliveryLog> logs(4);
   for (ProcessId p = 0; p < 4; ++p) {
     w.stack(p).on_adeliver([&logs, p](const MsgId& id, const Bytes& b) {
@@ -87,70 +83,44 @@ TEST(WireFormat, LateJoinerPullsMissingPayloadsAndDeliversByteIdentically) {
   }
 }
 
-TEST(WireFormat, SlimAndLegacyDeliverTheSameMessages) {
-  // Identical workload under both formats: every process inside each world
-  // delivers the same total order, both worlds deliver the same message
-  // set byte-for-byte, and the slim format puts strictly fewer bytes
-  // through the consensus tag.
+TEST(PayloadResolution, EveryMemberDeliversTheSameOrderAndPayloads) {
+  // Payloads larger than the proposals that order them: every process
+  // delivers the same total order with the same payload bytes.
   const int kN = 5;
   const int kMsgs = 40;
   const std::string filler(512, 'x');
-  std::map<WireFormat, std::vector<test::DeliveryLog>> logs;
-  std::map<WireFormat, std::int64_t> consensus_bytes;
-  for (const WireFormat format : {WireFormat::kSlim, WireFormat::kLegacy}) {
-    World w(cfg(kN, 29, format));
-    auto& l = logs[format];
-    l.resize(kN);
-    for (ProcessId p = 0; p < kN; ++p) {
-      w.stack(p).on_adeliver([&l, p](const MsgId& id, const Bytes& b) {
-        l[static_cast<std::size_t>(p)].record(id, b);
-      });
-    }
-    w.found_group_all();
-    for (int i = 0; i < kMsgs; ++i) {
-      w.stack(static_cast<ProcessId>(i % kN))
-          .abcast(bytes_of("m" + std::to_string(i) + ":" + filler));
-      if (i % 4 == 3) w.run_for(msec(10));
-    }
-    ASSERT_TRUE(test::run_until(w, sec(30), [&] {
-      for (const auto& log : l) {
-        if (log.size() < static_cast<std::size_t>(kMsgs)) return false;
-      }
-      return true;
-    }));
-    w.run_for(msec(200));
-    std::int64_t bytes = 0;
-    for (ProcessId p = 0; p < kN; ++p) {
-      bytes += w.stack(p).metrics().counter("consensus.wire_bytes");
-    }
-    consensus_bytes[format] = bytes;
+  World w(cfg(kN, 29));
+  std::vector<test::DeliveryLog> logs(kN);
+  for (ProcessId p = 0; p < kN; ++p) {
+    w.stack(p).on_adeliver([&logs, p](const MsgId& id, const Bytes& b) {
+      logs[static_cast<std::size_t>(p)].record(id, b);
+    });
   }
-
-  for (const WireFormat format : {WireFormat::kSlim, WireFormat::kLegacy}) {
-    const auto& l = logs[format];
-    for (int p = 1; p < kN; ++p) {
-      EXPECT_EQ(l[static_cast<std::size_t>(p)].order, l[0].order);
-      EXPECT_EQ(l[static_cast<std::size_t>(p)].payloads, l[0].payloads);
+  w.found_group_all();
+  for (int i = 0; i < kMsgs; ++i) {
+    w.stack(static_cast<ProcessId>(i % kN))
+        .abcast(bytes_of("m" + std::to_string(i) + ":" + filler));
+    if (i % 4 == 3) w.run_for(msec(10));
+  }
+  ASSERT_TRUE(test::run_until(w, sec(30), [&] {
+    for (const auto& log : logs) {
+      if (log.size() < static_cast<std::size_t>(kMsgs)) return false;
     }
+    return true;
+  }));
+  w.run_for(msec(200));
+  for (int p = 1; p < kN; ++p) {
+    EXPECT_EQ(logs[static_cast<std::size_t>(p)].order, logs[0].order);
+    EXPECT_EQ(logs[static_cast<std::size_t>(p)].payloads, logs[0].payloads);
   }
-  // Cross-format: schedules may interleave differently, but the delivered
-  // (id → payload) mapping must be identical.
-  std::map<WireFormat, std::map<MsgId, std::string>> sets;
-  for (const WireFormat format : {WireFormat::kSlim, WireFormat::kLegacy}) {
-    const auto& log = logs[format][0];
-    for (std::size_t i = 0; i < log.size(); ++i) sets[format][log.order[i]] = log.payloads[i];
-  }
-  EXPECT_EQ(sets[WireFormat::kSlim], sets[WireFormat::kLegacy]);
-  EXPECT_LT(consensus_bytes[WireFormat::kSlim], consensus_bytes[WireFormat::kLegacy])
-      << "slim proposals should shrink consensus wire traffic";
 }
 
-TEST(WireFormat, GbSlimResolutionOrdersConflictsConsistently) {
-  // Conflicting gbcasts forced through the resolution path under slim
-  // reports: every process gdelivers the conflicting class in the same
+TEST(PayloadResolution, GbResolutionOrdersConflictsConsistently) {
+  // Conflicting gbcasts forced through the resolution path, whose reports
+  // carry ids only: every process gdelivers the conflicting class in the same
   // order, with the payload bytes intact.
   const int kN = 3;
-  World w(cfg(kN, 31, WireFormat::kSlim));
+  World w(cfg(kN, 31));
   std::vector<test::DeliveryLog> logs(kN);
   for (ProcessId p = 0; p < kN; ++p) {
     w.stack(p).on_gdeliver([&logs, p](const MsgId& id, MsgClass, const Bytes& b) {
@@ -179,7 +149,7 @@ TEST(WireFormat, GbSlimResolutionOrdersConflictsConsistently) {
   for (ProcessId p = 0; p < kN; ++p) {
     resolved += w.stack(p).generic_broadcast().resolved_deliveries();
   }
-  EXPECT_GT(resolved, 0u) << "workload never exercised slim resolution reports";
+  EXPECT_GT(resolved, 0u) << "workload never exercised resolution reports";
   for (ProcessId p = 0; p < kN; ++p) {
     auto& log = logs[static_cast<std::size_t>(p)];
     EXPECT_EQ(log.size(), total) << "duplicate or lost gdelivery at p" << p;

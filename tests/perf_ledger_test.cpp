@@ -2,6 +2,7 @@
 /// Perf ledger: JSON parsing, schema-stable flattening (array labels from
 /// "name" / identifying members / index), glob + tolerance-file parsing,
 /// and the diff verdicts the CI perf sentinel gates on.
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -38,6 +39,47 @@ TEST(PerfLedgerJson, RejectsMalformedInput) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(PerfLedgerJson, RejectsNumbersOutsideTheRfcGrammar) {
+  JsonValue v;
+  for (const char* bad : {"[1-2]", "[1.2.3]", "[+5]", "[01]", "[1e]", "[-]", "[1.]", "[.5]",
+                          "[1e+]", "[--1]"}) {
+    std::string error;
+    EXPECT_FALSE(parse_json(bad, v, &error)) << bad;
+    EXPECT_NE(error.find("at offset"), std::string::npos) << bad << ": " << error;
+  }
+  for (const char* good : {"[0]", "[-0]", "[0.5]", "[-12.25e+2]", "[1E3]", "[7e-1]"}) {
+    std::string error;
+    EXPECT_TRUE(parse_json(good, v, &error)) << good << ": " << error;
+  }
+  ASSERT_TRUE(parse_json("[-12.25e+2]", v));
+  EXPECT_DOUBLE_EQ(v.array[0].number, -1225.0);
+}
+
+TEST(PerfLedgerJson, DeepNestingFailsWithOffsetInsteadOfCrashing) {
+  JsonValue v;
+  std::string error;
+  const std::string deep(200000, '[');
+  EXPECT_FALSE(parse_json(deep, v, &error));
+  EXPECT_NE(error.find("nesting deeper than 256 at offset"), std::string::npos) << error;
+  // The cap leaves room for any document the benches write.
+  const std::string nested = std::string(200, '[') + std::string(200, ']');
+  EXPECT_TRUE(parse_json(nested, v, &error)) << error;
+}
+
+TEST(PerfLedgerJson, UnsignedIntegersAreExact) {
+  JsonValue v;
+  ASSERT_TRUE(parse_json(
+      "[18446744073709551615, 18446744073709551616, 9007199254740993, -1, 1.0, 1e3, 0]", v));
+  EXPECT_EQ(v.array[0].as_uint(UINT64_MAX), 18446744073709551615ULL);
+  EXPECT_FALSE(v.array[1].as_uint(UINT64_MAX).has_value());  // overflows 64 bits
+  EXPECT_EQ(v.array[2].as_uint(UINT64_MAX), 9007199254740993ULL);  // 2^53 + 1
+  EXPECT_FALSE(v.array[2].as_uint(9007199254740992ULL).has_value());  // above max
+  EXPECT_FALSE(v.array[3].as_uint(UINT64_MAX).has_value());
+  EXPECT_FALSE(v.array[4].as_uint(UINT64_MAX).has_value());
+  EXPECT_FALSE(v.array[5].as_uint(UINT64_MAX).has_value());
+  EXPECT_EQ(v.array[6].as_uint(0), 0u);
+}
+
 TEST(PerfLedgerFlatten, SuitePrefixNamedElementsAndBools) {
   Ledger ledger;
   std::string error;
@@ -67,16 +109,14 @@ TEST(PerfLedgerFlatten, IdentifyingMembersLabelWireCells) {
   ASSERT_TRUE(load_ledger(
       R"({"suite": "wire",
           "cells": [
-            {"layer": "abcast", "n": 5, "payload_bytes": 256, "format": "slim",
-             "bytes_per_delivered": 18.2},
+            {"layer": "abcast", "n": 5, "payload_bytes": 256, "bytes_per_delivered": 18.2},
             {"plain": 1, "unlabeled": 2.0}
           ]})",
       ledger, &error))
       << error;
-  // Identity = layer + n + payload_bytes + format, so adding a cell never
-  // renames existing metrics; elements with no id members fall back to index.
-  EXPECT_DOUBLE_EQ(ledger.metrics.at("wire.cells.abcast_n5_b256_slim.bytes_per_delivered"),
-                   18.2);
+  // Identity = layer + n + payload_bytes, so adding a cell never renames
+  // existing metrics; elements with no id members fall back to index.
+  EXPECT_DOUBLE_EQ(ledger.metrics.at("wire.cells.abcast_n5_b256.bytes_per_delivered"), 18.2);
   EXPECT_DOUBLE_EQ(ledger.metrics.at("wire.cells.1.plain"), 1.0);
 }
 

@@ -177,11 +177,6 @@ void origin_and_sole_holder_crash(const World::Config& config) {
 TEST(Uniformity, PaxosGivesUpOnUnobtainablePayload) {
   origin_and_sole_holder_crash(stack_config(5, StackConfig::ConsensusAlgo::kPaxos));
 }
-TEST(Uniformity, PerInstancePaxosGivesUpOnUnobtainablePayload) {
-  World::Config config = stack_config(5, StackConfig::ConsensusAlgo::kPaxos);
-  config.stack.paxos.leader_stable = false;
-  origin_and_sole_holder_crash(config);
-}
 TEST(Uniformity, CtGivesUpOnUnobtainablePayload) {
   origin_and_sole_holder_crash(stack_config(5, StackConfig::ConsensusAlgo::kChandraToueg));
 }
