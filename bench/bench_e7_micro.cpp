@@ -375,7 +375,7 @@ int run_kernel_suite(const std::string& json_path) {
                  "    {\"name\": \"%s\", \"events\": %llu, \"wall_ns\": %s, "
                  "\"ns_per_event\": %s, \"events_per_sec\": %s, \"allocs\": %llu, "
                  "\"frees\": %llu, \"allocs_per_event\": %s}%s\n",
-                 bench::json_escape(r.name).c_str(),
+                 obs::json_escape_string(r.name).c_str(),
                  static_cast<unsigned long long>(r.events), bench::json_num(r.wall_ns).c_str(),
                  bench::json_num(r.ns_per_event()).c_str(),
                  bench::json_num(r.events_per_sec()).c_str(),

@@ -208,7 +208,8 @@ int run_suite(const std::string& json_path) {
                  "     \"completed\": %s, \"elapsed_ms\": %s, \"msgs_per_sec\": %s,\n"
                  "     \"prepares\": %lld, \"decided\": %lld, \"max_open\": %u,\n"
                  "     \"phases\": {",
-                 json_escape(c.name).c_str(), c.n, c.depth, c.adaptive ? "true" : "false",
+                 obs::json_escape_string(c.name).c_str(), c.n, c.depth,
+                 c.adaptive ? "true" : "false",
                  c.completed ? "true" : "false", json_num(c.elapsed_ms).c_str(),
                  json_num(c.msgs_per_sec).c_str(), static_cast<long long>(c.prepares),
                  static_cast<long long>(c.decided), c.max_open);

@@ -1,5 +1,5 @@
 /// \file bench_util.hpp
-/// Shared helpers for the experiment benchmarks (E1..E7).
+/// Shared helpers for the experiment benchmarks and JSON perf suites.
 ///
 /// Experiments run under VIRTUAL time: latencies and throughputs reported
 /// in the tables are simulation-time quantities, which is what makes the
@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -17,6 +18,7 @@
 
 #include "core/stack.hpp"
 #include "obs/oracle.hpp"
+#include "obs/report.hpp"
 #include "util/metrics.hpp"
 
 namespace gcs::bench {
@@ -158,29 +160,6 @@ class OracleScope {
   std::unique_ptr<obs::Oracle> oracle_;
 };
 
-/// Escape a string for embedding in a JSON document (BENCH_*.json reports).
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Format a double for JSON: fixed with enough digits for ns-scale values,
 /// trailing zeros trimmed.
 inline std::string json_num(double v) {
@@ -190,6 +169,91 @@ inline std::string json_num(double v) {
   while (s.size() > 1 && s.back() == '0') s.pop_back();
   if (!s.empty() && s.back() == '.') s.pop_back();
   return s;
+}
+
+/// One per-phase latency histogram, merged across a World's members.
+struct PhaseStats {
+  std::size_t count = 0;
+  double mean = 0;
+  Duration p50 = 0;
+  Duration p99 = 0;
+  Duration max = 0;
+};
+
+inline PhaseStats merge_phase(World& world, int n, const std::string& name) {
+  Histogram merged;
+  for (ProcessId p = 0; p < n; ++p) {
+    for (Duration s : world.stack(p).metrics().histogram(name).samples()) merged.add(s);
+  }
+  PhaseStats st;
+  st.count = merged.count();
+  if (merged.empty()) return st;
+  st.mean = merged.mean();
+  st.p50 = merged.percentile(50);
+  st.p99 = merged.percentile(99);
+  st.max = merged.max();
+  return st;
+}
+
+inline std::string phase_json(const PhaseStats& st) {
+  return "{\"count\": " + std::to_string(st.count) + ", \"mean_us\": " + json_num(st.mean) +
+         ", \"p50_us\": " + std::to_string(st.p50) + ", \"p99_us\": " + std::to_string(st.p99) +
+         ", \"max_us\": " + std::to_string(st.max) + "}";
+}
+
+inline std::int64_t sum_counter(World& world, int n, const std::string& name) {
+  std::int64_t total = 0;
+  for (ProcessId p = 0; p < n; ++p) total += world.stack(p).metrics().counter(name);
+  return total;
+}
+
+/// The per-phase latency histograms every stack records:
+///   channel.residence_us     time-in-channel (first transmit -> cum. ack)
+///   consensus.latency_us     propose() -> decision, per instance
+///   abcast.order_latency_us  rdelivered -> adelivered (ordering wait)
+///   gbcast.fast_latency_us   payload seen -> fast-path delivery
+///   gbcast.slow_latency_us   payload seen -> resolution delivery
+inline const char* const kPhaseNames[] = {
+    "channel.residence_us", "consensus.latency_us", "abcast.order_latency_us",
+    "gbcast.fast_latency_us", "gbcast.slow_latency_us",
+};
+
+/// What a finished run's histograms and counters say, summed over members.
+struct PhaseReport {
+  std::map<std::string, PhaseStats> phases;
+  std::int64_t gb_fast = 0;
+  std::int64_t gb_resolved = 0;
+  std::int64_t consensus_decided = 0;
+  std::int64_t views_installed = 0;
+
+  double fast_ratio() const {
+    const std::int64_t total = gb_fast + gb_resolved;
+    return total > 0 ? static_cast<double>(gb_fast) / static_cast<double>(total) : 0.0;
+  }
+  /// {"<phase>": {count, mean_us, p50_us, p99_us, max_us}, ...} on one line.
+  std::string phases_json() const {
+    std::string out;
+    for (const char* phase : kPhaseNames) {
+      out += std::string(out.empty() ? "{" : ", ") + "\"" + phase +
+             "\": " + phase_json(phases.at(phase));
+    }
+    return out + "}";
+  }
+  std::string gb_json() const {
+    return "{\"fast_delivered\": " + std::to_string(gb_fast) +
+           ", \"resolved_delivered\": " + std::to_string(gb_resolved) +
+           ", \"fast_ratio\": " + json_num(fast_ratio()) + "}";
+  }
+};
+
+inline PhaseReport collect(World& world, int n) {
+  PhaseReport r;
+  for (const char* phase : kPhaseNames) r.phases[phase] = merge_phase(world, n, phase);
+  r.gb_fast = sum_counter(world, n, "gbcast.fast_delivered");
+  r.gb_resolved = sum_counter(world, n, "gbcast.resolved_delivered");
+  r.consensus_decided = sum_counter(world, n, "consensus.decided");
+  r.views_installed = sum_counter(world, n, "membership.views_installed");
+  return r;
 }
 
 }  // namespace gcs::bench

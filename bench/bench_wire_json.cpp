@@ -38,12 +38,6 @@ Bytes sized_payload(int i, std::size_t bytes) {
   return Bytes(s.begin(), s.end());
 }
 
-std::int64_t sum_counter(World& world, int n, const std::string& name) {
-  std::int64_t total = 0;
-  for (ProcessId p = 0; p < n; ++p) total += world.stack(p).metrics().counter(name);
-  return total;
-}
-
 /// One measured (layer, n, payload) cell of the report.
 struct Cell {
   std::string layer;  // "abcast" or "gbcast"

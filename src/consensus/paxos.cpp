@@ -38,9 +38,7 @@ PaxosConsensus::PaxosConsensus(sim::Context& ctx, ReliableChannel& channel,
     : ctx_(ctx), channel_(channel), fd_(fd), fd_class_(fd_class), tag_(tag),
       config_(config),
       m_started_(metric_id("paxos.instances_started")),
-      m_ballots_(metric_id("paxos.ballots_started")),
       m_decided_(metric_id("paxos.decided")),
-      m_epochs_(metric_id("paxos.epochs_started")),
       m_prepares_(metric_id("paxos.prepares_sent")),
       m_noop_fills_(metric_id("paxos.noop_fills")),
       h_latency_(metric_id("consensus.latency_us")),
@@ -223,8 +221,6 @@ void PaxosConsensus::start_epoch(std::int64_t ballot) {
   epoch_.floor = forgotten_below_;
   epoch_.prepare_at = ctx_.now();
   epoch_seen_ballot_ = std::max(epoch_seen_ballot_, ballot);
-  ctx_.metrics().inc(m_epochs_);
-  ctx_.metrics().inc(m_ballots_);
   ctx_.metrics().inc(m_prepares_);
   ctx_.trace_instant(obs::Names::get().paxos_prepare,
                      MsgId{obs::kConsensusKey, epoch_.floor}, ballot);

@@ -180,10 +180,9 @@ class PaxosConsensus final : public ConsensusProtocol {
   Tag tag_;
   Config config_;
   MetricId m_started_;
-  MetricId m_ballots_;
   MetricId m_decided_;
-  MetricId m_epochs_;        ///< ranged prepares sent (epoch candidacies)
-  MetricId m_prepares_;      ///< ranged PREPAREs sent; 0 across a fault-free run
+  MetricId m_prepares_;      ///< ranged PREPAREs sent (epoch candidacies); 0 across
+                             ///< a fault-free run
   MetricId m_noop_fills_;    ///< gap instances decided as no-ops by a new leader
   MetricId h_latency_;       ///< propose() -> local decision (time-in-consensus)
   MetricId h_propose_wait_;  ///< ranged PREPARE sent -> epoch established

@@ -418,7 +418,6 @@ void GenericBroadcast::trigger_resolution() {
   for (const auto& [id, stored] : store_) {
     if (stored.settled) continue;
     enc.put_msgid(id);
-    enc.put_byte(stored.cls);
     enc.put_bool(stored.acked);
   }
   enc.put_u64(runs.size());
@@ -443,7 +442,6 @@ void GenericBroadcast::on_report(const MsgId& report_id, BytesView wire) {
   const std::uint64_t count = dec.get_u64();
   for (std::uint64_t i = 0; i < count && dec.ok(); ++i) {
     const MsgId id = dec.get_msgid();
-    dec.get_byte();  // class: members resolve it from their own store
     const bool acked = dec.get_bool();
     if (!dec.ok()) break;
     Tally& tally = rr.tally[id];

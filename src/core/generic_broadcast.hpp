@@ -33,9 +33,10 @@
 ///   it already delivered. The round then ends and a new round starts;
 ///   messages in neither set stay with their holders for the next round.
 ///
-/// Wire-path memory model (DESIGN.md §12): a report carries (MsgId, class,
-/// acked) tuples, plus the messages it has settled as per-sender runs of
-/// ids — payloads never ride through consensus. Each member resolves payloads from its local store (fed by
+/// Wire-path memory model (DESIGN.md §12): a report carries (MsgId, acked)
+/// pairs, plus the messages it has settled as per-sender runs of ids —
+/// payloads and classes never ride through consensus. Each member resolves
+/// payloads and classes from its local store (fed by
 /// reliable broadcast); a member that reaches the finalize point missing
 /// some payload stalls the round locally and runs a bounded pull/push
 /// exchange on Tag::kGbcast against rotating peers, which serve from their

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "obs/report.hpp"
 #include "transport/transport.hpp"
 
 namespace gcs::obs {
@@ -44,28 +45,6 @@ std::string key_of(const Record& r) {
   }
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Category = the subsystem prefix of the name ("consensus.ack" ->
 /// "consensus"), which makes Perfetto's category filter useful.
 std::string category_of(std::string_view name) {
@@ -102,8 +81,8 @@ std::string chrome_trace_json(const std::vector<Record>& records) {
   for (const Record& r : records) {
     const std::string name(name_of(r.name));
     const std::string key = key_of(r);
-    std::string ev = "{\"name\": \"" + json_escape(name) + "\", \"cat\": \"" +
-                     json_escape(category_of(name)) + "\", \"pid\": " +
+    std::string ev = "{\"name\": \"" + json_escape_string(name) + "\", \"cat\": \"" +
+                     json_escape_string(category_of(name)) + "\", \"pid\": " +
                      std::to_string(r.proc) + ", \"tid\": 0, \"ts\": " +
                      std::to_string(r.ts);
     std::string args = "\"arg\": " + std::to_string(r.arg);
@@ -119,8 +98,9 @@ std::string chrome_trace_json(const std::vector<Record>& records) {
       // Correlated: async events grouped by id — Perfetto renders each key
       // as one track, which is the "span tree keyed by message id".
       const char* ph = r.phase == Phase::kBegin ? "b" : r.phase == Phase::kEnd ? "e" : "n";
-      ev += std::string(", \"ph\": \"") + ph + "\", \"id\": \"" + json_escape(key) + "\"";
-      args += ", \"key\": \"" + json_escape(key) + "\"";
+      ev += std::string(", \"ph\": \"") + ph + "\", \"id\": \"" + json_escape_string(key) +
+            "\"";
+      args += ", \"key\": \"" + json_escape_string(key) + "\"";
     }
     ev += ", \"args\": {" + args + "}}";
     emit(ev);

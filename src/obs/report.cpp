@@ -8,12 +8,6 @@
 
 namespace gcs::obs {
 
-namespace {
-
-std::string json_escape(std::string_view s) { return json_escape_string(s); }
-
-}  // namespace
-
 std::string json_escape_string(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -62,7 +56,7 @@ void append_violation(std::string& out, const Violation& v) {
          (v.other.sender == kNoProcess ? std::string() : to_string(v.other)) + "\"";
   out += ",\"a\":" + std::to_string(v.a);
   out += ",\"b\":" + std::to_string(v.b);
-  out += ",\"detail\":\"" + json_escape(v.detail) + "\"}";
+  out += ",\"detail\":\"" + json_escape_string(v.detail) + "\"}";
 }
 
 }  // namespace
@@ -75,7 +69,7 @@ std::string render_scenario_report(const std::string& scenario, std::uint64_t se
   out.reserve(4096);
   out += "{\n";
   out += "\"schema\":\"nggcs.scenario_report.v1\",\n";
-  out += "\"scenario\":\"" + json_escape(scenario) + "\",\n";
+  out += "\"scenario\":\"" + json_escape_string(scenario) + "\",\n";
   out += "\"seed\":" + std::to_string(seed) + ",\n";
 
   // -- oracle ---------------------------------------------------------------
@@ -138,7 +132,7 @@ std::string render_scenario_report(const std::string& scenario, std::uint64_t se
       const Probes::Series& s = probes->series()[i];
       if (i) out += ",";
       out += "\n{\"proc\":" + std::to_string(s.proc) + ",\"metric\":\"" +
-             json_escape(s.name) + "\",\"values\":[";
+             json_escape_string(s.name) + "\",\"values\":[";
       for (std::size_t j = 0; j < s.values.size(); ++j) {
         if (j) out += ",";
         out += json_double(s.values[j]);
@@ -157,14 +151,14 @@ std::string render_scenario_report(const std::string& scenario, std::uint64_t se
     for (const auto& [name, value] : metrics->counters()) {
       if (!first) out += ",";
       first = false;
-      out += "\n\"" + json_escape(name) + "\":" + std::to_string(value);
+      out += "\n\"" + json_escape_string(name) + "\":" + std::to_string(value);
     }
     out += "\n},\n\"histograms\":{";
     first = true;
     for (const auto& [name, h] : metrics->histograms()) {
       if (!first) out += ",";
       first = false;
-      out += "\n\"" + json_escape(name) + "\":{";
+      out += "\n\"" + json_escape_string(name) + "\":{";
       out += "\"count\":" + std::to_string(h->count());
       out += ",\"min_us\":" + std::to_string(h->min());
       out += ",\"max_us\":" + std::to_string(h->max());

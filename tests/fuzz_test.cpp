@@ -93,6 +93,65 @@ TEST(Fuzz, GarbageDatagramsDontBreakTheGroup) {
   for (auto& log : logs) EXPECT_EQ(log.size(), 20u);
 }
 
+/// Generic broadcast's resolution reports (round | open count | (id, acked)*
+/// | run count | (first id, length)*), cut at every length and with random
+/// bytes flipped, are atomically broadcast by p0 for rounds far ahead of
+/// the group's: every member decodes them without harm, and conflicting
+/// traffic still reaches every member in one order.
+TEST(Fuzz, MalformedGbReportsAreDecodedSafely) {
+  World::Config cfg;
+  cfg.n = 4;
+  cfg.seed = 61;
+  cfg.stack.conflict = ConflictRelation::rbcast_abcast();
+  World w(cfg);
+  std::vector<test::DeliveryLog> logs(4);
+  for (ProcessId p = 0; p < 4; ++p) {
+    w.stack(p).on_gdeliver([&logs, p](const MsgId& id, MsgClass, const Bytes& b) {
+      logs[static_cast<std::size_t>(p)].record(id, b);
+    });
+  }
+  w.found_group_all();
+  std::uint64_t round = 1'000'000;
+  const auto report = [&round] {
+    Encoder enc;
+    enc.put_u64(round++);
+    enc.put_u64(2);
+    enc.put_msgid(MsgId{1, 3});
+    enc.put_bool(true);
+    enc.put_msgid(MsgId{2, 0});
+    enc.put_bool(false);
+    enc.put_u64(1);
+    enc.put_msgid(MsgId{0, 0});
+    enc.put_u64(4);
+    return enc.take();
+  };
+  Rng rng(0x6b);
+  const std::size_t full = report().size();
+  for (std::size_t cut = 0; cut <= full + 1; ++cut) {
+    Bytes truncated = report();
+    truncated.resize(std::min(cut, truncated.size()));
+    Bytes flipped = report();
+    flipped[1 + rng.next_below(flipped.size() - 1)] ^=
+        static_cast<std::uint8_t>(1 + rng.next_below(255));
+    for (Bytes* b : {&truncated, &flipped}) {
+      w.stack(0).atomic_broadcast().abcast(AtomicBroadcast::kGbResolve, std::move(*b));
+    }
+  }
+  for (int i = 0; i < 12; ++i) {
+    w.stack(static_cast<ProcessId>(1 + i % 3))
+        .gbcast(kAbcastClass, bytes_of("c" + std::to_string(i)));
+  }
+  ASSERT_TRUE(test::run_until(w.engine(), sec(30), [&] {
+    for (auto& log : logs) {
+      if (log.size() < 12) return false;
+    }
+    return true;
+  }));
+  for (ProcessId p = 1; p < 4; ++p) {
+    EXPECT_EQ(logs[static_cast<std::size_t>(p)].order, logs[0].order);
+  }
+}
+
 /// Same fuzzing against the channel layer specifically: garbage that looks
 /// like channel frames (valid tag, broken interior).
 TEST(Fuzz, MalformedChannelFramesAreDropped) {

@@ -173,7 +173,7 @@ TEST(Paxos, RangedPrepareRecoversPartialDecrees) {
   // Somebody ran a ranged prepare to get there.
   std::int64_t epochs = 0;
   for (ProcessId p = 1; p < 5; ++p) {
-    epochs += w.procs[static_cast<std::size_t>(p)].ctx->metrics().counter("paxos.epochs_started");
+    epochs += w.procs[static_cast<std::size_t>(p)].ctx->metrics().counter("paxos.prepares_sent");
   }
   EXPECT_GE(epochs, 1);
 }
@@ -202,7 +202,7 @@ TEST(Paxos, DuelingTakeoversConvergeWithBoundedChurn) {
   EXPECT_EQ(w.agreed_value(1), "after");
   std::int64_t epochs = 0;
   for (ProcessId p = 0; p < 5; ++p) {
-    epochs += w.procs[static_cast<std::size_t>(p)].ctx->metrics().counter("paxos.epochs_started");
+    epochs += w.procs[static_cast<std::size_t>(p)].ctx->metrics().counter("paxos.prepares_sent");
   }
   // Four candidates, bounded churn: well under one epoch per candidate per
   // backoff doubling.
