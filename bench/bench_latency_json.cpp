@@ -7,15 +7,18 @@
 /// (flood / batch_wait / propose_wait / accept_wait / pull_wait /
 /// reorder_wait, plus the GB fast/slow phases) and an honest residual.
 ///
-/// The run itself is the acceptance check: the process exits nonzero when
-/// any scenario attributes less than 95% of the total end-to-end latency,
-/// when the trace ring wrapped (truncated attribution), or when a delivery
-/// had no submit anchor in the window. Virtual time only, so the report is
-/// byte-identical across machines for a given seed.
+/// The `checks` block states the acceptance bounds, and the process exits
+/// nonzero when one fails: every scenario attributes at least 95% of its
+/// total end-to-end latency, no trace ring wrapped (truncated attribution),
+/// every delivery had a submit anchor in the window, and every delivery's
+/// attributed phases plus residual sum to its end-to-end latency. Virtual
+/// time only, so the report is byte-identical across machines for a given
+/// seed.
 ///
 ///   ./bench/bench_latency_json [--json=PATH] [--oracle]
 ///                              (default PATH: BENCH_latency.json)
-#include <cstring>
+#include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -119,7 +122,7 @@ obs::LatencyScenario run_gbcast_mixed(int n, std::uint64_t seed) {
   return sc;
 }
 
-int run_suite(const std::string& json_path) {
+void run_suite(SuiteReport& report) {
   banner("latency critical path — per-phase attribution (JSON report)",
          "abcast at n=3/5/7 and mixed generic broadcast, traced end to end;\n"
          "every delivery's latency split into exhaustive phases + residual");
@@ -132,15 +135,20 @@ int run_suite(const std::string& json_path) {
 
   Table table({"scenario", "deliveries", "e2e mean (ms)", "dominant phase", "coverage",
                "residual"});
-  int failures = 0;
+  // Each bound lists the scenarios that miss it.
+  std::string low_coverage, truncated, unmatched, inexhaustive;
   for (const obs::LatencyScenario& sc : scenarios) {
     const obs::CriticalPathStats& st = sc.stats;
     // Dominant-phase mode across deliveries, for the human table.
     std::array<std::size_t, obs::kNumPathPhases + 1> dom{};
-    Duration e2e_sum = 0;
+    // The report's phase and residual sums count positive spans only, so
+    // they add up to the end-to-end sum only when no span is negative.
+    Duration e2e_sum = 0, accounted = 0;
     for (const obs::PathBreakdown& p : st.paths) {
       e2e_sum += p.total;
       ++dom[p.dominant < 0 ? obs::kNumPathPhases : static_cast<std::size_t>(p.dominant)];
+      for (const Duration d : p.phase) accounted += std::max<Duration>(d, 0);
+      accounted += std::max<Duration>(p.residual, 0);
     }
     std::size_t best = 0;
     for (std::size_t i = 1; i < dom.size(); ++i) {
@@ -156,46 +164,31 @@ int run_suite(const std::string& json_path) {
     table.add_row({sc.name, std::to_string(st.paths.size()), fmt_ms(mean), dom_name,
                    fmt_pct(st.coverage()), fmt_pct(st.residual_share())});
 
-    if (st.coverage() < kMinCoverage) {
-      std::printf("  FAIL %s: coverage %.4f < %.2f\n", sc.name.c_str(), st.coverage(),
-                  kMinCoverage);
-      ++failures;
-    }
-    if (st.truncated) {
-      std::printf("  FAIL %s: trace ring wrapped (%llu dropped) — raise kRingCapacity\n",
-                  sc.name.c_str(), static_cast<unsigned long long>(st.dropped));
-      ++failures;
-    }
-    if (st.unmatched > 0) {
-      std::printf("  FAIL %s: %llu deliveries had no submit anchor in the window\n",
-                  sc.name.c_str(), static_cast<unsigned long long>(st.unmatched));
-      ++failures;
-    }
+    if (st.coverage() < kMinCoverage) low_coverage += " " + sc.name;
+    if (st.truncated) truncated += " " + sc.name;
+    if (st.unmatched > 0) unmatched += " " + sc.name;
+    if (accounted != e2e_sum) inexhaustive += " " + sc.name;
   }
   table.print();
+  report.members.push_back(obs::render_latency_scenarios(scenarios));
 
-  const std::string json = obs::render_latency_report(scenarios);
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fclose(out);
-  std::printf("\n  wrote %s\n", json_path.c_str());
-  return failures == 0 ? 0 : 1;
+  const auto check = [&report](const char* name, const std::string& misses, std::string claim) {
+    if (!misses.empty()) claim += " (not:" + misses + ")";
+    report.checks.push_back({name, misses.empty(), claim});
+  };
+  check("coverage", low_coverage,
+        "every scenario attributes >= 95% of its end-to-end latency to phases");
+  check("trace_complete", truncated,
+        "no scenario's trace ring wrapped (raise kRingCapacity if one did)");
+  check("every_delivery_anchored", unmatched,
+        "every delivery has its submit anchor in the trace window");
+  check("attribution_exhaustive", inexhaustive,
+        "summed over deliveries, attributed phases + residual == end-to-end latency");
 }
 
 }  // namespace
 }  // namespace gcs::bench
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_latency.json";
-  gcs::bench::oracle_setup(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-  }
-  const int rc = gcs::bench::run_suite(json_path);
-  const int oracle_rc = gcs::bench::oracle_verdict();
-  return rc != 0 ? rc : oracle_rc;
+  return gcs::bench::suite_main(argc, argv, "latency", gcs::bench::run_suite);
 }

@@ -18,7 +18,6 @@
 ///   ./bench/bench_paper_json [--json=PATH] [--oracle]  (default BENCH_paper.json)
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -102,17 +101,11 @@ struct Experiment {
   }
 };
 
-/// A claim of the paper, checked on the measured values.
-struct Check {
-  std::string name;
-  bool passed;
-  std::string claim;
-};
-
-struct Report {
-  std::vector<Experiment> experiments;
-  std::vector<Check> checks;
-};
+/// Print \p t's table and add its rows to the report's JSON.
+void publish(SuiteReport& report, const Experiment& t) {
+  t.print();
+  report.members.push_back(t.json());
+}
 
 // -- shared drivers ------------------------------------------------------------
 
@@ -261,7 +254,7 @@ Flow run_flow(Bcast kind, int n, std::uint64_t seed, int messages) {
 
 // -- E1 ------------------------------------------------------------------------
 
-void e1(Report& report) {
+void e1(SuiteReport& report) {
   constexpr int kMessages = 200;
   Experiment t{"e1", "E1: architecture comparison (paper Figs 1-5 vs 6/7/9) — 200 abcasts, "
                      "4 processes, one per 2 ms, failure-free", {}};
@@ -285,7 +278,7 @@ void e1(Report& report) {
            integer("consensus inst.", "consensus", f.consensus),
            flag("", "same_order", f.same_order, "")});
   }
-  report.experiments.push_back(std::move(t));
+  publish(report, t);
   report.checks.push_back({"e1_same_total_order", same_order,
                            "on each stack every member delivers the same sequence"});
 }
@@ -351,7 +344,7 @@ RaceOutcome race(Duration change_lead, std::uint64_t seed) {
   return out;
 }
 
-void e2(Report& report) {
+void e2(SuiteReport& report) {
   constexpr int kSeeds = 50;
   Experiment t{"e2", "E2: Fig 8 — passive replication, update (p0) vs primary change (p1), "
                      "50 seeds per head start", {}};
@@ -368,7 +361,7 @@ void e2(Report& report) {
     diverged_total += diverged;
     const std::string who = lead < 0 ? "update" : "change";
     const std::string by = std::to_string(std::abs(lead) / 1000) + "ms";
-    const std::string of = "/" + std::to_string(kSeeds);
+    const std::string of = std::string("/") + std::to_string(kSeeds);
     t.add(lead == 0 ? "simultaneous" : who + "_" + by,
           {label("change head start", lead == 0 ? "simultaneous" : who + " +" + by),
            number("outcome 1 (committed)", std::to_string(committed) + of, "committed",
@@ -376,7 +369,7 @@ void e2(Report& report) {
            number("outcome 2 (ignored)", std::to_string(preempted) + of, "ignored", preempted),
            integer("diverged", "diverged", diverged)});
   }
-  report.experiments.push_back(std::move(t));
+  publish(report, t);
   report.checks.push_back({"e2_only_fig8_outcomes",
                            diverged_total == 0 && two_outcomes == 5 * kSeeds,
                            "all 250 races end in one of Fig 8's two outcomes, none diverges"});
@@ -449,7 +442,7 @@ BankRun run_bank(bool use_generic, const std::vector<bool>& pattern) {
   return run;
 }
 
-void e3(Report& report) {
+void e3(SuiteReport& report) {
   constexpr int kCommands = 200;
   Experiment t{"e3", "E3: generic vs atomic broadcast (paper §4.2) — 200 bank commands, "
                      "4 replicas, conflicts = share of withdrawals", {}};
@@ -467,7 +460,7 @@ void e3(Report& report) {
     shrinking = shrinking && speedup <= previous;
     previous = last = speedup;
     const double fast = static_cast<double>(gb.fast) / kCommands;
-    t.add("c" + std::to_string(static_cast<int>(f * 100.0)),
+    t.add(std::string("c") + std::to_string(static_cast<int>(f * 100.0)),
           {number("conflicts", fmt_pct(f), "conflict_fraction", f),
            ms("gbcast lat (ms)", "gbcast_lat_us", gb.latency.mean()),
            ms("abcast lat (ms)", "abcast_lat_us", ab.latency.mean()),
@@ -477,7 +470,7 @@ void e3(Report& report) {
            number("fast-path", fmt_pct(fast), "fast_path", fast),
            data("phases", gb.phases.phases_json()), data("gb", gb.phases.gb_json())});
   }
-  report.experiments.push_back(std::move(t));
+  publish(report, t);
   report.checks.push_back({"e3_identical_state", same_state,
                            "gbcast and abcast runs end in the same replicated state"});
   report.checks.push_back({"e3_speedup_shrinks_with_conflicts", shrinking,
@@ -587,7 +580,7 @@ Disruption run_trad_fault(Duration suspect_timeout, bool false_suspicion) {
   return d;
 }
 
-void e4(Report& report) {
+void e4(SuiteReport& report) {
   Experiment crash{"e4_crash", "E4 (a): responsiveness (paper §4.3) — the coordinator/"
                                "sequencer crashes at t=300ms; stall = worst send->deliver "
                                "latency", {}};
@@ -597,7 +590,7 @@ void e4(Report& report) {
   for (const Duration t : {msec(25), msec(50), msec(100), msec(200), msec(400), msec(800)}) {
     const Disruption n = run_new_fault(t, /*false_suspicion=*/false);
     const Disruption tr = run_trad_fault(t, /*false_suspicion=*/false);
-    const std::string name = "t" + std::to_string(t / 1000);
+    const std::string name = std::string("t") + std::to_string(t / 1000);
     crash.add(name, {ms("suspect timeout (ms)", "timeout_us", static_cast<double>(t)),
                      ms("new arch stall (ms)", "new_stall_us", static_cast<double>(n.stall)),
                      ms("traditional stall (ms)", "trad_stall_us",
@@ -616,8 +609,8 @@ void e4(Report& report) {
                    ms("trad: victim outage (ms)", "trad_victim_outage_us",
                       static_cast<double>(ft.victim_outage))});
   }
-  report.experiments.push_back(std::move(crash));
-  report.experiments.push_back(std::move(suspicion));
+  publish(report, crash);
+  publish(report, suspicion);
   report.checks.push_back({"e4_false_suspicion_excludes_only_traditional", only_trad_excludes,
                            "at every timeout a false suspicion excludes the healthy member "
                            "on the traditional stack and never on the new one"});
@@ -712,7 +705,7 @@ JoinStats run_new_join() {
   return s;
 }
 
-void e5(Report& report) {
+void e5(SuiteReport& report) {
   Experiment t{"e5", "E5: view-change blocking (paper §4.4) — a join at t=200ms while "
                      "p1..p3 take turns sending one message per ms", {}};
   const JoinStats tr = run_trad_join();
@@ -731,7 +724,7 @@ void e5(Report& report) {
   std::vector<Field> nf = row("new AB-GB (membership on top)", nw);
   nf.push_back(data("phases", nw.phases.phases_json()));
   t.add("new", std::move(nf));
-  report.experiments.push_back(std::move(t));
+  publish(report, t);
   report.checks.push_back({"e5_new_stack_never_blocks",
                            nw.joined && nw.sender_blocked == 0 && nw.sends_queued == 0,
                            "on the new stack every send around the join floods at once"});
@@ -810,7 +803,7 @@ Census run_new_churn() {
   return c;
 }
 
-void e6(Report& report) {
+void e6(SuiteReport& report) {
   Experiment t{"e6", "E6: where is ordering solved? (paper §4.1) — 100 msgs + 1 join + "
                      "1 crash per stack, every engagement of every ordering mechanism", {}};
   const struct { const char* name; const char* title; const char* orderer; const char* views;
@@ -838,7 +831,7 @@ void e6(Report& report) {
                    integer("consensus instances", "consensus_instances", a.c.consensus_instances),
                    integer("view changes", "view_changes", a.c.view_changes)});
   }
-  report.experiments.push_back(std::move(t));
+  publish(report, t);
   report.checks.push_back({"e6_ordering_solved_once",
                            counts == std::vector<std::size_t>{3, 3, 1},
                            "the new stack orders with consensus alone, the traditional "
@@ -847,7 +840,7 @@ void e6(Report& report) {
 
 // -- E9 ------------------------------------------------------------------------
 
-void e9(Report& report) {
+void e9(SuiteReport& report) {
   constexpr int kMessages = 60;
   Experiment t{"e9", "E9: group-size scaling (extension) — 60 broadcasts, one per 2 ms, "
                      "failure-free; FD heartbeats subtracted", {}};
@@ -861,7 +854,7 @@ void e9(Report& report) {
     const auto msgs = [](const char* header, const char* key, double v) {
       return number(header, fmt_double(v, 0), key, v);
     };
-    t.add("n" + std::to_string(n),
+    t.add(std::string("n") + std::to_string(n),
           {integer("n", "n", n), ms("abcast lat (ms)", "abcast_lat_us", ab.latency.mean()),
            msgs("abcast msgs", "abcast_msgs", ab.msgs_per_bcast),
            ms("gb-fast lat (ms)", "gbfast_lat_us", gb.latency.mean()),
@@ -869,7 +862,7 @@ void e9(Report& report) {
            ms("sequencer lat (ms)", "sequencer_lat_us", sq.latency.mean()),
            msgs("sequencer msgs", "sequencer_msgs", sq.msgs_per_bcast)});
   }
-  report.experiments.push_back(std::move(t));
+  publish(report, t);
   report.checks.push_back({"e9_message_cost_order", ordered,
                            "at every n: sequencer < GB fast path < abcast messages"});
 }
@@ -879,36 +872,7 @@ void e9(Report& report) {
 
 int main(int argc, char** argv) {
   using namespace gcs::bench;
-  std::string json_path = "BENCH_paper.json";
-  oracle_setup(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-  }
-  Report report;
-  for (auto* experiment : {e1, e2, e3, e4, e5, e6, e9}) experiment(report);
-  for (const Experiment& t : report.experiments) t.print();
-
-  std::printf("\n### checks\n\n");
-  int failures = 0;
-  for (const Check& c : report.checks) {
-    std::printf("- %s %s: %s\n", c.passed ? "ok  " : "FAIL", c.name.c_str(), c.claim.c_str());
-    failures += c.passed ? 0 : 1;
-  }
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"suite\": \"paper\",\n  \"schema\": 1,\n");
-  for (const Experiment& t : report.experiments) std::fprintf(out, "%s,\n", t.json().c_str());
-  std::fprintf(out, "  \"checks\": [");
-  for (std::size_t i = 0; i < report.checks.size(); ++i) {
-    std::fprintf(out, "%s\n    {\"name\": \"%s\", \"passed\": %s}", i ? "," : "",
-                 report.checks[i].name.c_str(), report.checks[i].passed ? "true" : "false");
-  }
-  std::fprintf(out, "\n  ]\n}\n");
-  std::fclose(out);
-  std::printf("\n  wrote %s\n", json_path.c_str());
-  const int oracle_rc = oracle_verdict();
-  return failures > 0 ? 1 : oracle_rc;
+  return suite_main(argc, argv, "paper", [](SuiteReport& report) {
+    for (auto* experiment : {e1, e2, e3, e4, e5, e6, e9}) experiment(report);
+  });
 }

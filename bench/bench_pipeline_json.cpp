@@ -1,22 +1,25 @@
 /// \file bench_pipeline_json.cpp
-/// Ordering-pipeline throughput report (DESIGN.md §15): closed-loop abcast
-/// of 1 KiB payloads on leader-stable multi-Paxos across the grid
+/// Ordering-pipeline report (DESIGN.md §15): closed-loop abcast of 1 KiB
+/// payloads on leader-stable multi-Paxos across the grid
 ///
 ///   n ∈ {3, 5, 7} × pipeline depth ∈ {1, 4, 16} × adaptive {off, on}
 ///
 /// emitting BENCH_pipeline.json with msgs/sec/group (virtual time — the
 /// report is byte-deterministic for a given seed) and the per-phase latency
-/// means (batch_wait / accept_rtt / order_latency / end-to-end consensus).
+/// means (batch_wait / accept_rtt / order_latency / end-to-end consensus),
+/// plus one open-loop Paxos leader crash (`leader_crash`): its per-phase
+/// histograms, the retransmissions the dead leader costs per delivery, the
+/// exclusion delay and the delivery outage.
 ///
-/// The run doubles as the CI sentinel:
-///   - every cell must complete and stay PREPARE-free (leader-stable steady
+/// The `checks` block states the suite's bounds:
+///   - every cell completes and stays PREPARE-free (leader-stable steady
 ///     state is 1-RTT: phase 1 never runs in a fault-free run);
-///   - at n=5, depth=4 static, depth=16 static and the adaptive controller
-///     must each beat the depth=1 baseline by >= 4x msgs/sec.
-/// The process exits nonzero when any of those fail.
+///   - at n=5, depth=4 adaptive, depth=16 adaptive and depth=16 static must
+///     each beat the depth=1 baseline by >= 4x msgs/sec.
 ///
-///   ./bench/bench_pipeline_json [--json=PATH]  (default BENCH_pipeline.json)
-#include <cstring>
+///   ./bench/bench_pipeline_json [--json=PATH] [--oracle]
+///                               (default PATH: BENCH_pipeline.json)
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <string>
@@ -30,7 +33,7 @@ namespace {
 constexpr int kMessagesPerProc = 256;   // closed-loop total per process
 constexpr int kOutstandingPerProc = 64; // closed-loop window per process
 constexpr std::size_t kPayloadBytes = 1024;
-constexpr double kSentinelSpeedup = 4.0;
+constexpr double kRequiredSpeedup = 4.0;
 
 Bytes payload_1k(ProcessId p, int i) {
   Bytes b(kPayloadBytes, static_cast<std::uint8_t>('a' + (i % 26)));
@@ -128,10 +131,115 @@ Cell run_cell(int n, std::uint32_t depth, bool adaptive, std::uint64_t seed) {
   return cell;
 }
 
-int run_suite(const std::string& json_path) {
+constexpr Duration kCrashGap = msec(1);
+constexpr int kCrashProcs = 5;
+constexpr TimePoint kCrashAt = msec(300);
+
+/// What the leader crash measured.
+struct Crash {
+  int sends = 0;
+  PhaseReport report;
+  double retransmits_per_delivered = 0;
+  double exclusion_ms = 0;  ///< crash -> last survivor installs the view without it
+  double outage_ms = 0;     ///< longest delivery gap at a survivor
+};
+
+/// Paxos leader crash under an open abcast load (perfbench's leader_crash
+/// shape, shortened): the channel keeps resending toward the dead leader
+/// until monitoring excludes it.
+Crash run_leader_crash() {
+  const int n = kCrashProcs;
+  World::Config config;
+  config.n = n;
+  config.seed = 23;
+  config.stack.consensus_algorithm = StackConfig::ConsensusAlgo::kPaxos;
+  config.stack.abcast.pipeline_depth = 4;
+  World world(config);
+  OracleScope oracle(world, "pipeline_json/leader_crash");
+  std::int64_t delivered = 0;
+  TimePoint last_delivery = 0;
+  Duration outage = 0;
+  for (ProcessId p = 1; p < n; ++p) {
+    world.stack(p).on_adeliver([&, p](const MsgId&, const Bytes&) {
+      ++delivered;
+      if (p != 1) return;
+      const TimePoint now = world.engine().now();
+      if (last_delivery > 0) outage = std::max(outage, now - last_delivery);
+      last_delivery = now;
+    });
+  }
+  TimePoint excluded_at = -1;
+  for (ProcessId p = 1; p < n; ++p) {
+    world.stack(p).on_view([&](const View& v) {
+      if (!v.contains(0)) excluded_at = world.engine().now();
+    });
+  }
+  world.found_group_all();
+  const TimePoint stop_at = msec(3000);
+  int sent = 0;
+  std::function<void()> tick = [&] {
+    if (world.engine().now() >= stop_at) return;
+    world.stack(static_cast<ProcessId>(1 + sent % (n - 1))).abcast(payload_of(sent));
+    ++sent;
+    world.engine().schedule_after(kCrashGap, tick);
+  };
+  world.engine().schedule_after(0, tick);
+  world.engine().schedule_at(kCrashAt, [&] { world.crash(0); });
+  world.engine().run_until(stop_at + sec(1));
+
+  Crash c;
+  c.sends = sent;
+  c.report = collect(world, n);
+  c.retransmits_per_delivered =
+      delivered > 0 ? static_cast<double>(sum_counter(world, n, "channel.retransmits")) /
+                          static_cast<double>(delivered)
+                    : 0.0;
+  c.exclusion_ms = excluded_at < 0 ? -1.0 : static_cast<double>(excluded_at - kCrashAt) / 1000.0;
+  c.outage_ms = static_cast<double>(outage) / 1000.0;
+  return c;
+}
+
+std::string crash_json(const Crash& c) {
+  const PhaseReport& r = c.report;
+  return "  \"leader_crash\": {\"params\": {\"crash_at_ms\": " + std::to_string(kCrashAt / 1000) +
+         ", \"n\": " + std::to_string(kCrashProcs) + ", \"sends\": " + std::to_string(c.sends) +
+         "},\n    \"phases\": " + r.phases_json() + ",\n    \"gb\": " + r.gb_json() +
+         ", \"consensus_decided\": " + std::to_string(r.consensus_decided) +
+         ", \"views_installed\": " + std::to_string(r.views_installed) +
+         ",\n    \"crash\": {\"retransmits_per_delivered\": " +
+         json_num(c.retransmits_per_delivered) + ", \"exclusion_ms\": " +
+         json_num(c.exclusion_ms) + ", \"outage_ms\": " + json_num(c.outage_ms) + "}}";
+}
+
+std::string cells_json(const std::vector<Cell>& cells) {
+  std::string out = "  \"cells\": [\n";
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const Cell& c = cells[i];
+    out += "    {\"name\": \"" + c.name + "\", \"n\": " + std::to_string(c.n) +
+           ", \"depth\": " + std::to_string(c.depth) +
+           ", \"adaptive\": " + (c.adaptive ? "true" : "false") +
+           ",\n     \"completed\": " + (c.completed ? "true" : "false") +
+           ", \"elapsed_ms\": " + json_num(c.elapsed_ms) +
+           ", \"msgs_per_sec\": " + json_num(c.msgs_per_sec) +
+           ",\n     \"prepares\": " + std::to_string(c.prepares) +
+           ", \"decided\": " + std::to_string(c.decided) +
+           ", \"max_open\": " + std::to_string(c.max_open) + ",\n     \"phases\": {";
+    bool first = true;
+    for (const auto& [phase, mean] : c.phase_means) {
+      out += std::string(first ? "" : ", ") + "\"" + phase + "\": {\"mean_us\": " +
+             json_num(mean) + "}";
+      first = false;
+    }
+    out += std::string("}}") + (i + 1 < cells.size() ? "," : "") + "\n";
+  }
+  return out + "  ]";
+}
+
+void run_suite(SuiteReport& report) {
   banner("ordering pipeline — leader-stable multi-Paxos throughput (JSON report)",
          "closed-loop 1 KiB abcast, n x pipeline-depth x adaptive grid;\n"
-         "virtual-time msgs/sec per group + per-phase latency means");
+         "virtual-time msgs/sec per group + per-phase latency means;\n"
+         "then a Paxos leader crash under open abcast load");
 
   std::vector<Cell> cells;
   std::uint64_t seed = 300;
@@ -153,95 +261,48 @@ int run_suite(const std::string& json_path) {
   }
   table.print();
 
-  // -- sentinel ---------------------------------------------------------------
-  int failures = 0;
-  auto cell_named = [&cells](const std::string& name) -> const Cell& {
-    for (const Cell& c : cells) {
-      if (c.name == name) return c;
-    }
-    static Cell none;
-    return none;
-  };
-  for (const Cell& c : cells) {
-    if (!c.completed) {
-      std::printf("  FAIL %s: did not complete\n", c.name.c_str());
-      ++failures;
-    }
-    if (c.prepares != 0) {
-      std::printf("  FAIL %s: %lld PREPAREs in a fault-free run (steady state must be 1-RTT)\n",
-                  c.name.c_str(), static_cast<long long>(c.prepares));
-      ++failures;
-    }
-  }
-  // The ISSUE-10 sentinel: adaptive pipelining at depth >= 4 must beat the
-  // depth=1 static baseline by >= 4x at n=5 / 1 KiB (the static d16 cell
-  // rides along as the order-of-magnitude trend check).
-  const double base = cell_named("n5_d1_static").msgs_per_sec;
-  struct { const char* cell; double speedup; } sentinels[] = {
-      {"n5_d4_adaptive", 0}, {"n5_d16_adaptive", 0}, {"n5_d16_static", 0}};
-  for (auto& s : sentinels) {
-    s.speedup = base > 0 ? cell_named(s.cell).msgs_per_sec / base : 0;
-    if (s.speedup < kSentinelSpeedup) {
-      std::printf("  FAIL %s: %.2fx over n5_d1_static < %.1fx\n", s.cell, s.speedup,
-                  kSentinelSpeedup);
-      ++failures;
-    } else {
-      std::printf("  sentinel %s: %.2fx over n5_d1_static (>= %.1fx)\n", s.cell, s.speedup,
-                  kSentinelSpeedup);
-    }
-  }
+  const Crash crash = run_leader_crash();
+  std::printf("\n  leader_crash: %.2f retransmits/delivery, exclusion %.1f ms, outage %.1f ms\n",
+              crash.retransmits_per_delivered, crash.exclusion_ms, crash.outage_ms);
 
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-    return 1;
+  report.members = {"  \"params\": {\"messages_per_proc\": " + std::to_string(kMessagesPerProc) +
+                        ", \"outstanding_per_proc\": " + std::to_string(kOutstandingPerProc) +
+                        ", \"payload_bytes\": " + std::to_string(kPayloadBytes) + "}",
+                    cells_json(cells), crash_json(crash)};
+
+  std::string incomplete, preparing;
+  for (const Cell& c : cells) {
+    if (!c.completed) incomplete += " " + c.name;
+    if (c.prepares != 0) preparing += " " + c.name;
   }
-  std::fprintf(out, "{\n  \"suite\": \"pipeline\",\n  \"schema\": 1,\n");
-  std::fprintf(out, "  \"params\": {\"messages_per_proc\": %d, \"outstanding_per_proc\": %d, "
-                    "\"payload_bytes\": %zu},\n",
-               kMessagesPerProc, kOutstandingPerProc, kPayloadBytes);
-  std::fprintf(out, "  \"cells\": [\n");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"n\": %d, \"depth\": %u, \"adaptive\": %s,\n"
-                 "     \"completed\": %s, \"elapsed_ms\": %s, \"msgs_per_sec\": %s,\n"
-                 "     \"prepares\": %lld, \"decided\": %lld, \"max_open\": %u,\n"
-                 "     \"phases\": {",
-                 obs::json_escape_string(c.name).c_str(), c.n, c.depth,
-                 c.adaptive ? "true" : "false",
-                 c.completed ? "true" : "false", json_num(c.elapsed_ms).c_str(),
-                 json_num(c.msgs_per_sec).c_str(), static_cast<long long>(c.prepares),
-                 static_cast<long long>(c.decided), c.max_open);
-    bool first = true;
-    for (const auto& [phase, mean] : c.phase_means) {
-      std::fprintf(out, "%s\"%s\": {\"mean_us\": %s}", first ? "" : ", ", phase.c_str(),
-                   json_num(mean).c_str());
-      first = false;
+  report.checks.push_back({"cells_completed", incomplete.empty(),
+                           "every cell orders all its messages" +
+                               (incomplete.empty() ? "" : " (not:" + incomplete + ")")});
+  report.checks.push_back({"fault_free_prepare_free", preparing.empty(),
+                           "no cell sends a PREPARE: the leader-stable steady state is 1-RTT" +
+                               (preparing.empty() ? "" : " (PREPAREs in:" + preparing + ")")});
+  // Pipelining at depth >= 4 must beat the depth=1 static baseline by >= 4x
+  // at n=5 / 1 KiB; the static d16 cell rides along as the trend check.
+  auto rate_of = [&cells](const std::string& name) {
+    for (const Cell& c : cells) {
+      if (c.name == name) return c.msgs_per_sec;
     }
-    std::fprintf(out, "}}%s\n", i + 1 < cells.size() ? "," : "");
+    return 0.0;
+  };
+  const double base = rate_of("n5_d1_static");
+  for (const char* cell : {"n5_d4_adaptive", "n5_d16_adaptive", "n5_d16_static"}) {
+    const double speedup = base > 0 ? rate_of(cell) / base : 0;
+    report.checks.push_back({std::string(cell) + "_speedup", speedup >= kRequiredSpeedup,
+                             std::string(cell) + " orders >= " + fmt_double(kRequiredSpeedup, 0) +
+                                 "x the msgs/s of n5_d1_static (" + fmt_double(speedup, 2) + "x)",
+                             {{"value", json_num(speedup)},
+                              {"required", json_num(kRequiredSpeedup)}}});
   }
-  std::fprintf(out, "  ],\n  \"sentinel\": {");
-  for (std::size_t i = 0; i < 3; ++i) {
-    std::fprintf(out, "%s\"%s_speedup\": %s", i ? ", " : "", sentinels[i].cell,
-                 json_num(sentinels[i].speedup).c_str());
-  }
-  std::fprintf(out, ", \"required\": %s}\n}\n", json_num(kSentinelSpeedup).c_str());
-  std::fclose(out);
-  std::printf("\n  wrote %s\n", json_path.c_str());
-  return failures == 0 ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace gcs::bench
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_pipeline.json";
-  gcs::bench::oracle_setup(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-  }
-  const int rc = gcs::bench::run_suite(json_path);
-  const int oracle_rc = gcs::bench::oracle_verdict();
-  return rc != 0 ? rc : oracle_rc;
+  return gcs::bench::suite_main(argc, argv, "pipeline", gcs::bench::run_suite);
 }

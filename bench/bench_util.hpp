@@ -114,14 +114,7 @@ struct OracleGate {
   }
 };
 
-/// Call first thing in main(): recognizes --oracle.
-inline void oracle_setup(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--oracle") OracleGate::enabled() = true;
-  }
-}
-
-/// Call last in main(): per-process verdict, 1 iff any checked run violated.
+/// Per-process verdict, 1 iff any checked run violated.
 inline int oracle_verdict() {
   if (!OracleGate::enabled()) return 0;
   if (OracleGate::violated_runs() > 0) {
@@ -134,14 +127,11 @@ inline int oracle_verdict() {
 }
 
 /// RAII oracle attachment for one World; construct right after the World
-/// (so the scope dies first) and before found_group()/join(). Pass
-/// check=false for deliberately unsafe ablations (e.g. E8's sub-2n/3 fast
-/// quorum) whose violations are the point, not a failure.
+/// (so the scope dies first) and before found_group()/join().
 class OracleScope {
  public:
-  OracleScope(World& world, std::string label, bool check = true)
-      : label_(std::move(label)) {
-    if (!OracleGate::enabled() || !check) return;
+  OracleScope(World& world, std::string label) : label_(std::move(label)) {
+    if (!OracleGate::enabled()) return;
     oracle_ = std::make_unique<obs::Oracle>();
     world.attach_oracle(*oracle_);
   }
@@ -169,6 +159,71 @@ inline std::string json_num(double v) {
   while (s.size() > 1 && s.back() == '0') s.pop_back();
   if (!s.empty() && s.back() == '.') s.pop_back();
   return s;
+}
+
+// -- JSON suites ----------------------------------------------------------------
+
+/// A claim a suite makes about its own measurements. `data` holds the
+/// values the claim rests on, as extra `"key": <JSON>` members of its entry
+/// in the suite's `checks` block.
+struct Check {
+  std::string name;
+  bool passed;
+  std::string claim;
+  std::vector<std::pair<std::string, std::string>> data = {};
+};
+
+/// What a suite's run produces: its top-level JSON members in order, each
+/// rendered with its indent as `  "key": <JSON>`, and its checks.
+struct SuiteReport {
+  std::vector<std::string> members;
+  std::vector<Check> checks;
+};
+
+/// The main() of every JSON suite. Recognizes `--json=PATH` (default
+/// BENCH_<suite>.json) and `--oracle`, calls \p run, prints the checks and
+/// writes `{"suite", "schema", <members>, "checks": [...]}`. Exits 1 when a
+/// check fails or the report cannot be written, else with the oracle's
+/// verdict.
+inline int suite_main(int argc, char** argv, const std::string& suite,
+                      const std::function<void(SuiteReport&)>& run) {
+  std::string json_path = "BENCH_" + suite + ".json";
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--oracle") OracleGate::enabled() = true;
+    if (arg.substr(0, 7) == "--json=") json_path = std::string(arg.substr(7));
+  }
+  SuiteReport report;
+  run(report);
+
+  std::printf("\n### checks\n\n");
+  int failures = 0;
+  for (const Check& c : report.checks) {
+    std::printf("- %s %s: %s\n", c.passed ? "ok  " : "FAIL", c.name.c_str(), c.claim.c_str());
+    failures += c.passed ? 0 : 1;
+  }
+  std::FILE* out = std::fopen(json_path.c_str(), "w");
+  if (!out) {
+    std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
+    return 1;
+  }
+  std::fprintf(out, "{\n  \"suite\": \"%s\",\n  \"schema\": 1,\n", suite.c_str());
+  for (const std::string& member : report.members) std::fprintf(out, "%s,\n", member.c_str());
+  std::fprintf(out, "  \"checks\": [");
+  for (std::size_t i = 0; i < report.checks.size(); ++i) {
+    const Check& c = report.checks[i];
+    std::fprintf(out, "%s\n    {\"name\": \"%s\", \"passed\": %s", i ? "," : "", c.name.c_str(),
+                 c.passed ? "true" : "false");
+    for (const auto& [key, json] : c.data) {
+      std::fprintf(out, ", \"%s\": %s", key.c_str(), json.c_str());
+    }
+    std::fprintf(out, "}");
+  }
+  std::fprintf(out, "\n  ]\n}\n");
+  std::fclose(out);
+  std::printf("\n  wrote %s\n", json_path.c_str());
+  const int oracle_rc = oracle_verdict();
+  return failures > 0 ? 1 : oracle_rc;
 }
 
 /// One per-phase latency histogram, merged across a World's members.

@@ -5,23 +5,24 @@
 /// actually carried per delivered message. Consensus proposals and GB
 /// resolution reports carry ids, never application payloads, so consensus
 /// traffic should be independent of payload size — that is the claim this
-/// report measures.
+/// report measures, and the `cells_payload_free_consensus` check states it.
 /// Each cell also counts every reliable-channel datagram (data frames and
 /// standalone acks alike) and every channel retransmission per delivered
 /// message. One extra abcast cell runs over links that drop 2% of
 /// datagrams, so the retransmission count measures loss recovery.
 ///
 /// This binary opts into the counting operator new/delete of bench_util.hpp
-/// (as bench_e7_micro does), which also powers the GB
-/// fast-path steady-state allocation check: after warm-up, a commutative
-/// gbcast workload must not grow the heap per delivery (pooled wire
-/// buffers, recycled map nodes). The check failing flips the exit status.
+/// (as bench_e7_micro does), which also powers two steady-state allocation
+/// checks: after warm-up, a commutative gbcast workload must not grow the
+/// heap per delivery (pooled wire buffers, recycled map nodes), with and
+/// without an idle telemetry publisher attached. A failed check flips the
+/// exit status.
 ///
-///   ./bench/bench_wire_json [--json=PATH]   (default BENCH_wire.json)
+///   ./bench/bench_wire_json [--json=PATH] [--oracle]
+///                           (default PATH: BENCH_wire.json)
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,7 @@ struct Cell {
   std::int64_t consensus_wire_msgs = 0;
   std::int64_t flood_wire_bytes = 0;     // rbcast / gbdata payload flooding
   std::int64_t pull_wire_bytes = 0;      // abcast/gbcast channel fallback
+  std::int64_t report_wire_bytes = 0;    // GB resolution reports (abcast payloads)
   std::int64_t channel_datagrams = 0;    // every channel datagram, acks included
   std::int64_t retransmits = 0;          // channel frames sent again
   double loss = 0;                       // link drop probability
@@ -58,7 +60,7 @@ struct Cell {
     return delivered > 0 ? static_cast<double>(bytes) / static_cast<double>(delivered) : 0.0;
   }
   std::int64_t total_wire_bytes() const {
-    return consensus_wire_bytes + flood_wire_bytes + pull_wire_bytes;
+    return consensus_wire_bytes + flood_wire_bytes + pull_wire_bytes + report_wire_bytes;
   }
   double allocs_per_delivered() const {
     return delivered > 0 ? static_cast<double>(net_allocs) / static_cast<double>(delivered)
@@ -169,39 +171,41 @@ Cell run_gbcast_cell(int n, std::size_t payload_bytes) {
   cell.consensus_wire_msgs = sum_counter(world, n, "consensus.wire_msgs");
   cell.flood_wire_bytes = sum_counter(world, n, "gbdata.wire_bytes");
   cell.pull_wire_bytes = sum_counter(world, n, "gbcast.wire_bytes");
+  cell.report_wire_bytes = sum_counter(world, n, "rbcast.wire_bytes");
   cell.channel_datagrams = sum_counter(world, n, "channel.wire_msgs");
   cell.retransmits = sum_counter(world, n, "channel.retransmits");
   return cell;
 }
 
-/// GB fast-path steady-state allocation check: a purely commutative
-/// workload after warm-up must not grow the heap — wire buffers come from
-/// the pool, dedup/store map nodes are freed as fast as they are made.
-/// The budget of 1 net allocation per delivery absorbs the engine's and
-/// metrics' amortized growth (vector doublings, timing-wheel spill) while
-/// still catching a per-message leak or an unpooled encode path.
-struct FastPathCheck {
-  std::int64_t deliveries = 0;
-  std::int64_t net_allocs = 0;
-  bool passed = false;
-
-  double net_per_delivery() const {
-    return deliveries > 0 ? static_cast<double>(net_allocs) / static_cast<double>(deliveries)
-                          : 0.0;
-  }
-};
-
-FastPathCheck run_fastpath_alloc_check() {
+/// Steady-state allocation check: a purely commutative gbcast workload
+/// after warm-up must not grow the heap — wire buffers come from the pool,
+/// dedup/store map nodes are freed as fast as they are made. The budget of
+/// 1 net allocation per delivery absorbs the engine's and metrics'
+/// amortized growth (vector doublings, timing-wheel spill) while still
+/// catching a per-message leak or an unpooled encode path. With
+/// \p telemetry, a live-telemetry publisher is fully attached (every stack
+/// registered, gauges wired, a sink installed) but no cadence runs:
+/// attachment alone must cost nothing on the delivery hot path, since all
+/// telemetry work happens at publish time and nothing publishes here.
+Check run_alloc_check(const std::string& name, std::uint64_t seed, bool telemetry) {
   const int n = 3;
   World::Config config;
   config.n = n;
-  config.seed = 307;
+  config.seed = seed;
   // Steady state needs the bounded-memory machinery running: stability
   // gossip prunes the rbcast dedup index, and the warm-up below pushes
   // more messages than GenericBroadcast's retired-payload cap so the
   // retire ring is evicting (not growing) when the measurement starts.
   config.stack.stability_interval = msec(20);
   World world(config);
+
+  obs::Telemetry publisher;
+  std::uint64_t sink_calls = 0;
+  if (telemetry) {
+    publisher.add_sink([&sink_calls](const obs::Snapshot&, BytesView) { ++sink_calls; });
+    for (ProcessId p = 0; p < n; ++p) world.stack(p).attach_telemetry(publisher);
+  }
+
   std::int64_t delivered = 0;
   for (ProcessId p = 0; p < n; ++p) {
     world.stack(p).on_gdeliver([&delivered](const MsgId&, MsgClass, const Bytes&) {
@@ -231,87 +235,75 @@ FastPathCheck run_fastpath_alloc_check() {
   world.run_for(msec(100));
   const AllocSnapshot a1 = alloc_snapshot();
 
-  FastPathCheck check;
-  check.deliveries = delivered - base;
-  check.net_allocs = static_cast<std::int64_t>(a1.allocs - a0.allocs) -
-                     static_cast<std::int64_t>(a1.frees - a0.frees);
+  const std::int64_t deliveries = delivered - base;
+  const std::int64_t net_allocs = static_cast<std::int64_t>(a1.allocs - a0.allocs) -
+                                  static_cast<std::int64_t>(a1.frees - a0.frees);
+  const double per_delivery =
+      deliveries > 0 ? static_cast<double>(net_allocs) / static_cast<double>(deliveries) : 0.0;
   // The warm-up drain keeps the ticker running, so part of the nominal
   // kMeasured budget lands before the base snapshot; demand a minimum
-  // window rather than the full count.
-  check.passed = check.deliveries >= std::int64_t{kMeasured} * n / 2 &&
-                 check.net_per_delivery() < 1.0;
-  return check;
+  // window rather than the full count. Idle telemetry means nothing
+  // published.
+  const bool passed = sink_calls == 0 && deliveries >= std::int64_t{kMeasured} * n / 2 &&
+                      per_delivery < 1.0;
+  return {name, passed,
+          std::string(telemetry ? "with idle telemetry attached, " : "") +
+              "the GB fast path's steady state stays under 1 net allocation per delivery (" +
+              std::to_string(net_allocs) + " over " + std::to_string(deliveries) + ")",
+          {{"layer", "\"gbcast\""},
+           {"deliveries", std::to_string(deliveries)},
+           {"net_allocs", std::to_string(net_allocs)},
+           {"net_allocs_per_delivery", json_num(per_delivery)}}};
 }
 
-/// Telemetry-idle allocation check: the same steady-state workload with a
-/// live-telemetry publisher fully attached (every stack registered, gauges
-/// wired, a sink installed) but no cadence running. Attachment alone must
-/// cost nothing on the delivery hot path — all telemetry work happens at
-/// publish time, and nothing publishes here. Same per-delivery budget as
-/// the fast-path check.
-FastPathCheck run_telemetry_idle_alloc_check() {
-  const int n = 3;
-  World::Config config;
-  config.n = n;
-  config.seed = 311;
-  config.stack.stability_interval = msec(20);
-  World world(config);
-
-  obs::Telemetry telemetry;
-  std::uint64_t sink_calls = 0;
-  telemetry.add_sink([&sink_calls](const obs::Snapshot&, BytesView) { ++sink_calls; });
-  for (ProcessId p = 0; p < n; ++p) world.stack(p).attach_telemetry(telemetry);
-
-  std::int64_t delivered = 0;
-  for (ProcessId p = 0; p < n; ++p) {
-    world.stack(p).on_gdeliver([&delivered](const MsgId&, MsgClass, const Bytes&) {
-      ++delivered;
-    });
+std::string cells_json(const std::vector<Cell>& cells) {
+  std::string out = "  \"cells\": [\n";
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const Cell& c = cells[i];
+    // A lossy cell shares its layer/n/payload key with a loss-free one; a
+    // name keeps the two apart in the perf ledger.
+    const std::string name =
+        c.loss > 0 ? "\"name\": \"" + c.layer + "_n" + std::to_string(c.n) + "_b" +
+                         std::to_string(c.payload_bytes) + "_loss" +
+                         std::to_string(static_cast<int>(c.loss * 100)) + "\", "
+                   : std::string();
+    const std::string report =
+        c.layer == "gbcast"
+            ? "\"report_bytes_per_delivered\": " + json_num(c.per_delivered(c.report_wire_bytes)) +
+                  ", "
+            : std::string();
+    out += "    {" + name + "\"layer\": \"" + c.layer + "\", \"n\": " + std::to_string(c.n) +
+           ", \"payload_bytes\": " + std::to_string(c.payload_bytes) +
+           ",\n     \"completed\": " + (c.completed ? "true" : "false") +
+           ", \"delivered\": " + std::to_string(c.delivered) +
+           ",\n     \"consensus_wire_bytes\": " + std::to_string(c.consensus_wire_bytes) +
+           ", \"consensus_wire_msgs\": " + std::to_string(c.consensus_wire_msgs) +
+           ",\n     \"flood_wire_bytes\": " + std::to_string(c.flood_wire_bytes) +
+           ", \"pull_wire_bytes\": " + std::to_string(c.pull_wire_bytes) +
+           ",\n     \"consensus_bytes_per_delivered\": " +
+           json_num(c.per_delivered(c.consensus_wire_bytes)) +
+           ", \"flood_bytes_per_delivered\": " + json_num(c.per_delivered(c.flood_wire_bytes)) +
+           ",\n     " + report + "\"total_bytes_per_delivered\": " +
+           json_num(c.per_delivered(c.total_wire_bytes())) +
+           ",\n     \"datagrams_per_delivered\": " +
+           json_num(c.per_delivered(c.channel_datagrams)) +
+           ", \"net_allocs_per_delivered\": " + json_num(c.allocs_per_delivered()) +
+           ",\n     \"retransmits_per_delivered\": " + json_num(c.per_delivered(c.retransmits)) +
+           "}" + (i + 1 < cells.size() ? "," : "") + "\n";
   }
-  world.found_group_all();
-  world.run_for(msec(20));
-
-  constexpr int kWarmup = 400;
-  constexpr int kMeasured = 400;
-  int sent = 0;
-  std::function<void()> tick = [&] {
-    if (sent >= kWarmup + kMeasured) return;
-    world.stack(static_cast<ProcessId>(sent % n)).gbcast(kRbcastClass, sized_payload(sent, 256));
-    ++sent;
-    world.engine().schedule_after(kGap, tick);
-  };
-  world.engine().schedule_after(0, tick);
-  drive(world.engine(), sec(60), [&] { return delivered >= std::int64_t{kWarmup} * n; });
-  world.run_for(msec(100));
-
-  const std::int64_t base = delivered;
-  const AllocSnapshot a0 = alloc_snapshot();
-  drive(world.engine(), sec(60),
-        [&] { return delivered >= std::int64_t{kWarmup + kMeasured} * n; });
-  world.run_for(msec(100));
-  const AllocSnapshot a1 = alloc_snapshot();
-
-  FastPathCheck check;
-  check.deliveries = delivered - base;
-  check.net_allocs = static_cast<std::int64_t>(a1.allocs - a0.allocs) -
-                     static_cast<std::int64_t>(a1.frees - a0.frees);
-  check.passed = sink_calls == 0 &&  // idle means idle: nothing published
-                 check.deliveries >= std::int64_t{kMeasured} * n / 2 &&
-                 check.net_per_delivery() < 1.0;
-  return check;
+  return out + "  ]";
 }
 
-int run_suite(const std::string& json_path) {
+void run_suite(SuiteReport& report) {
   banner("wire path — bytes on the wire per delivered message",
          "E6-style abcast and E3-style gbcast workloads; proposals and\n"
          "reports carry ids only, so the consensus column should not\n"
          "grow with the payload");
 
+  constexpr std::size_t kPayloads[] = {64, 1024, 8192};
   std::vector<Cell> cells;
   for (const int n : {3, 5, 7}) {
-    for (const std::size_t payload : {std::size_t{64}, std::size_t{1024}, std::size_t{8192}}) {
-      cells.push_back(run_abcast_cell(n, payload));
-    }
+    for (const std::size_t payload : kPayloads) cells.push_back(run_abcast_cell(n, payload));
   }
   cells.push_back(run_gbcast_cell(7, 1024));
   cells.push_back(run_abcast_cell(5, 1024, 0.02));
@@ -328,88 +320,33 @@ int run_suite(const std::string& json_path) {
                    fmt_double(c.per_delivered(c.retransmits), 2)});
   }
   table.print();
+  report.members.push_back(cells_json(cells));
 
-  const FastPathCheck fastpath = run_fastpath_alloc_check();
-  std::printf("\n  gb fast-path steady state: %lld deliveries, net allocs %lld (%.3f/delivery) — %s\n",
-              static_cast<long long>(fastpath.deliveries),
-              static_cast<long long>(fastpath.net_allocs), fastpath.net_per_delivery(),
-              fastpath.passed ? "OK" : "FAILED");
-
-  const FastPathCheck telemetry_idle = run_telemetry_idle_alloc_check();
-  std::printf("  telemetry attached, idle: %lld deliveries, net allocs %lld (%.3f/delivery) — %s\n",
-              static_cast<long long>(telemetry_idle.deliveries),
-              static_cast<long long>(telemetry_idle.net_allocs),
-              telemetry_idle.net_per_delivery(), telemetry_idle.passed ? "OK" : "FAILED");
-
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-    return 1;
+  bool completed = true;
+  for (const Cell& c : cells) completed = completed && c.completed;
+  report.checks.push_back({"cells_completed", completed,
+                           "every member of every cell delivers all its messages"});
+  // Payloads never enter consensus: at each n, the loss-free abcast cells'
+  // consensus bytes per delivered message do not depend on the payload size.
+  bool flat = true;
+  for (std::size_t row = 0; row < 3; ++row) {
+    const Cell* first = &cells[row * std::size(kPayloads)];
+    for (std::size_t k = 1; k < std::size(kPayloads); ++k) {
+      const Cell& c = first[k];
+      flat = flat && c.per_delivered(c.consensus_wire_bytes) ==
+                         first->per_delivered(first->consensus_wire_bytes);
+    }
   }
-  std::fprintf(out, "{\n  \"suite\": \"wire\",\n  \"schema\": 1,\n  \"cells\": [\n");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    // A lossy cell shares its layer/n/payload key with a loss-free one; a
-    // name keeps the two apart in the perf ledger.
-    const std::string name =
-        c.loss > 0 ? "\"name\": \"" + c.layer + "_n" + std::to_string(c.n) + "_b" +
-                         std::to_string(c.payload_bytes) + "_loss" +
-                         std::to_string(static_cast<int>(c.loss * 100)) + "\", "
-                   : std::string();
-    std::fprintf(
-        out,
-        "    {%s\"layer\": \"%s\", \"n\": %d, \"payload_bytes\": %zu,\n"
-        "     \"completed\": %s, \"delivered\": %lld,\n"
-        "     \"consensus_wire_bytes\": %lld, \"consensus_wire_msgs\": %lld,\n"
-        "     \"flood_wire_bytes\": %lld, \"pull_wire_bytes\": %lld,\n"
-        "     \"consensus_bytes_per_delivered\": %s, \"flood_bytes_per_delivered\": %s,\n"
-        "     \"total_bytes_per_delivered\": %s,\n"
-        "     \"datagrams_per_delivered\": %s, \"net_allocs_per_delivered\": %s,\n"
-        "     \"retransmits_per_delivered\": %s}%s\n",
-        name.c_str(), c.layer.c_str(), c.n, c.payload_bytes,
-        c.completed ? "true" : "false", static_cast<long long>(c.delivered),
-        static_cast<long long>(c.consensus_wire_bytes),
-        static_cast<long long>(c.consensus_wire_msgs),
-        static_cast<long long>(c.flood_wire_bytes), static_cast<long long>(c.pull_wire_bytes),
-        json_num(c.per_delivered(c.consensus_wire_bytes)).c_str(),
-        json_num(c.per_delivered(c.flood_wire_bytes)).c_str(),
-        json_num(c.per_delivered(c.total_wire_bytes())).c_str(),
-        json_num(c.per_delivered(c.channel_datagrams)).c_str(),
-        json_num(c.allocs_per_delivered()).c_str(),
-        json_num(c.per_delivered(c.retransmits)).c_str(), i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "  ],\n  \"fastpath_alloc_check\": {\"layer\": \"gbcast\", \"deliveries\": %lld, "
-               "\"net_allocs\": %lld, \"net_allocs_per_delivery\": %s, \"passed\": %s},\n",
-               static_cast<long long>(fastpath.deliveries),
-               static_cast<long long>(fastpath.net_allocs),
-               json_num(fastpath.net_per_delivery()).c_str(), fastpath.passed ? "true" : "false");
-  std::fprintf(out,
-               "  \"telemetry_idle_alloc_check\": {\"layer\": \"gbcast\", \"deliveries\": %lld, "
-               "\"net_allocs\": %lld, \"net_allocs_per_delivery\": %s, \"passed\": %s}\n}\n",
-               static_cast<long long>(telemetry_idle.deliveries),
-               static_cast<long long>(telemetry_idle.net_allocs),
-               json_num(telemetry_idle.net_per_delivery()).c_str(),
-               telemetry_idle.passed ? "true" : "false");
-  std::fclose(out);
-  std::printf("\n  wrote %s\n", json_path.c_str());
-
-  bool all_completed = true;
-  for (const Cell& c : cells) all_completed = all_completed && c.completed;
-  if (!all_completed) std::fprintf(stderr, "some cells did not finish within budget\n");
-  return (fastpath.passed && telemetry_idle.passed && all_completed) ? 0 : 1;
+  report.checks.push_back({"cells_payload_free_consensus", flat,
+                           "at n = 3, 5 and 7, abcast's consensus bytes per delivered message "
+                           "are the same for 64 B, 1 KiB and 8 KiB payloads"});
+  report.checks.push_back(run_alloc_check("fastpath_alloc", 307, false));
+  report.checks.push_back(run_alloc_check("telemetry_idle_alloc", 311, true));
 }
 
 }  // namespace
 }  // namespace gcs::bench
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_wire.json";
-  gcs::bench::oracle_setup(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-  }
-  const int rc = gcs::bench::run_suite(json_path);
-  const int oracle_rc = gcs::bench::oracle_verdict();
-  return rc != 0 ? rc : oracle_rc;
+  return gcs::bench::suite_main(argc, argv, "wire", gcs::bench::run_suite);
 }

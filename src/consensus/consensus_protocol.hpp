@@ -9,7 +9,8 @@
 ///   - Consensus        Chandra–Toueg ◇S rotating coordinator (consensus.hpp)
 ///   - PaxosConsensus   classic single-decree Paxos per instance (paxos.hpp)
 /// Both run unchanged under the same atomic broadcast, membership, generic
-/// broadcast and replication layers; bench_e8 compares their costs.
+/// broadcast and replication layers (the PaxosStack tests run the full
+/// stack on Paxos).
 #pragma once
 
 #include <cstddef>

@@ -91,8 +91,8 @@ class GenericBroadcast {
     Duration pull_retry = msec(25);
     /// TESTING/ABLATION ONLY: override the fast quorum size. Values at or
     /// below 2n/3 BREAK the safety argument (two conflicting messages can
-    /// both gather a quorum); bench_e8 demonstrates exactly that. 0 = use
-    /// the correct formula.
+    /// both gather a quorum); OracleStack.BrokenFastQuorumIsCaught shows
+    /// exactly that. 0 = use the correct formula.
     int unsafe_fast_quorum_override = 0;
   };
 

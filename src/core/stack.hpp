@@ -43,7 +43,7 @@ namespace gcs {
 
 struct StackConfig {
   /// Which consensus algorithm sits at the bottom (the architecture is
-  /// agnostic — both satisfy ConsensusProtocol; bench_e8 compares them).
+  /// agnostic — both satisfy ConsensusProtocol).
   enum class ConsensusAlgo { kChandraToueg, kPaxos };
   ConsensusAlgo consensus_algorithm = ConsensusAlgo::kChandraToueg;
   /// ◇S (consensus) suspicion timeout — may be aggressive; false suspicions

@@ -340,8 +340,8 @@ CriticalPathStats analyze_critical_path(const Recorder& recorder) {
   return stats;
 }
 
-std::string render_latency_report(const std::vector<LatencyScenario>& scenarios) {
-  std::string out = "{\n  \"suite\": \"latency\",\n  \"schema\": 1,\n  \"scenarios\": [\n";
+std::string render_latency_scenarios(const std::vector<LatencyScenario>& scenarios) {
+  std::string out = "  \"scenarios\": [\n";
   for (std::size_t si = 0; si < scenarios.size(); ++si) {
     const LatencyScenario& sc = scenarios[si];
     const CriticalPathStats& st = sc.stats;
@@ -399,7 +399,7 @@ std::string render_latency_report(const std::vector<LatencyScenario>& scenarios)
     out += "}}";
     out += si + 1 < scenarios.size() ? ",\n" : "\n";
   }
-  out += "  ]\n}\n";
+  out += "  ]";
   return out;
 }
 

@@ -121,11 +121,11 @@ struct LatencyScenario {
   CriticalPathStats stats;
 };
 
-/// Render the latency suite report: `{"suite": "latency", "schema": 1,
-/// "scenarios": [...]}` with per-scenario end-to-end and per-phase summary
-/// statistics, coverage, residual, and the dominant-phase distribution.
-/// Deterministic for a deterministic run (fixed phase order, fixed float
-/// formatting, virtual-time only).
-std::string render_latency_report(const std::vector<LatencyScenario>& scenarios);
+/// Render the latency suite's `  "scenarios": [...]` member with
+/// per-scenario end-to-end and per-phase summary statistics, coverage,
+/// residual, and the dominant-phase distribution. Deterministic for a
+/// deterministic run (fixed phase order, fixed float formatting,
+/// virtual-time only).
+std::string render_latency_scenarios(const std::vector<LatencyScenario>& scenarios);
 
 }  // namespace gcs::obs

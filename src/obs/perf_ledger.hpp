@@ -2,11 +2,11 @@
 /// Perf ledger: schema-stable flattening of the JSON bench suites plus a
 /// baseline-diff engine with per-metric tolerance bands (DESIGN.md §13).
 ///
-/// Every JSON bench (BENCH_kernel / BENCH_protocol / BENCH_wire /
-/// BENCH_latency) emits `{"suite": ..., "schema": 1, ...}`. load_ledger()
-/// parses one such document (a minimal built-in JSON parser — no external
-/// dependencies) and flattens every numeric leaf into a dotted metric path
-/// prefixed by the suite name:
+/// Every JSON bench (BENCH_kernel / BENCH_paper / BENCH_wire /
+/// BENCH_latency / BENCH_pipeline) emits `{"suite": ..., "schema": 1,
+/// ...}`. load_ledger() parses one such document (a minimal built-in JSON
+/// parser — no external dependencies) and flattens every numeric leaf into
+/// a dotted metric path prefixed by the suite name:
 ///
 ///   latency.scenarios.abcast_n5.end_to_end.mean_us = 1234.5
 ///   wire.cells.abcast_n5_b256.consensus_bytes_per_delivered = 18.2

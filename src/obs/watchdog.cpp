@@ -7,11 +7,7 @@
 
 namespace gcs::obs {
 
-namespace {
-
-// Deliveries/submits/pulls aggregated across the ordering layers. Counter
-// names are the stable interned metric names (DESIGN.md §9); a frame from
-// a process without a given layer simply contributes zero.
+// Counter names are the stable interned metric names (DESIGN.md §9).
 std::int64_t submits_of(const Snapshot& s) {
   return s.counter("abcast.broadcasts") + s.counter("gbcast.broadcasts");
 }
@@ -22,6 +18,8 @@ std::int64_t deliveries_of(const Snapshot& s) {
 std::int64_t pulls_of(const Snapshot& s) {
   return s.counter("abcast.pull_requests") + s.counter("gbcast.pull_requests");
 }
+
+namespace {
 
 /// Flow-control stall time accumulated up to this frame, from the
 /// channel.fc_stall_us histogram's running statistics (mean * count).

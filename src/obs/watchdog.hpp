@@ -44,6 +44,13 @@ inline constexpr std::size_t kWatchdogRuleCount = 5;
 /// Stable lowercase rule name ("delivery_stall", ...).
 std::string_view watchdog_rule_name(WatchdogRule rule);
 
+/// Counters aggregated across the ordering layers, the way an operator
+/// thinks about the stack: messages submitted, delivered, and payload pulls
+/// requested. A frame from a process without a given layer contributes zero.
+std::int64_t submits_of(const Snapshot& s);
+std::int64_t deliveries_of(const Snapshot& s);
+std::int64_t pulls_of(const Snapshot& s);
+
 /// One structured anomaly record.
 struct Alert {
   WatchdogRule rule = WatchdogRule::kDeliveryStall;

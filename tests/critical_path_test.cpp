@@ -271,7 +271,7 @@ obs::CriticalPathStats run_real_abcast(int n, std::uint64_t seed, std::string* r
   obs::LatencyScenario sc;
   sc.name = "abcast_n" + std::to_string(n);
   sc.stats = obs::analyze_critical_path(*recorder);
-  if (report) *report = obs::render_latency_report({sc});
+  if (report) *report = obs::render_latency_scenarios({sc});
   return sc.stats;
 }
 

@@ -251,60 +251,18 @@ TEST(Oracle, ViolationListIsBoundedButCountsAreNot) {
   EXPECT_GT(o.truncated_violations(), 0u);
 }
 
-/// End-to-end negative test: run a REAL stack with the GB fast quorum
-/// deliberately broken (2 of 4 <= 2n/3), race conflicting pairs, and
-/// require the attached oracle to catch the ordering violation on at least
-/// one seed. Mirrors bench_e8's ablation (e).
-TEST(OracleStack, BrokenFastQuorumIsCaught) {
-  std::uint64_t conflict_violations = 0;
-  for (std::uint64_t seed = 1; seed <= 12 && conflict_violations == 0; ++seed) {
-    World::Config cfg;
-    cfg.n = 4;
-    cfg.seed = 1000 + seed;
-    cfg.link.jitter = usec(400);
-    cfg.stack.gb.unsafe_fast_quorum_override = 2;
-    World w(cfg);
-    obs::Oracle oracle;
-    w.attach_oracle(oracle);
-    std::vector<std::size_t> counts(4, 0);
-    for (ProcessId p = 0; p < 4; ++p) {
-      w.stack(p).on_gdeliver(
-          [&counts, p](const MsgId&, MsgClass, const Bytes&) {
-            ++counts[static_cast<std::size_t>(p)];
-          });
-    }
-    w.found_group_all();
-    for (int i = 0; i < 6; ++i) {
-      w.engine().schedule_at(i * msec(3), [&w, i] {
-        w.stack(static_cast<ProcessId>(i % 4))
-            .gbcast(kAbcastClass, bytes_of("a" + std::to_string(i)));
-        w.stack(static_cast<ProcessId>((i + 1) % 4))
-            .gbcast(kAbcastClass, bytes_of("b" + std::to_string(i)));
-      });
-    }
-    test::run_until(w.engine(), sec(60), [&] {
-      for (auto c : counts) {
-        if (c < 12) return false;
-      }
-      return true;
-    });
-    conflict_violations = oracle.violation_count(Property::kGbConflictOrder) +
-                          oracle.violation_count(Property::kGbFastPathStability);
-  }
-  EXPECT_GT(conflict_violations, 0u)
-      << "a sub-2n/3 fast quorum must eventually double-fast-deliver a "
-         "conflicting pair";
-}
-
-/// Control for the negative test: the CORRECT quorum under the same race
-/// never trips the conflict-order property.
-TEST(OracleStack, CorrectQuorumStaysClean) {
+/// The race behind the fast-quorum tests: n = 4 with 400 us jitter, six
+/// pairs of conflicting gbcasts from neighbouring senders 3 ms apart, run
+/// until every member delivered all 12 or 60 s pass, with the oracle
+/// attached. \p quorum overrides the GB fast quorum (0 = the formula,
+/// ⌊2n/3⌋ + 1 = 3). Returns whether every member delivered all 12.
+bool race_conflicting_pairs(std::uint64_t seed, int quorum, obs::Oracle& oracle) {
   World::Config cfg;
   cfg.n = 4;
-  cfg.seed = 1001;
+  cfg.seed = seed;
   cfg.link.jitter = usec(400);
+  cfg.stack.gb.unsafe_fast_quorum_override = quorum;
   World w(cfg);
-  obs::Oracle oracle;
   w.attach_oracle(oracle);
   std::vector<std::size_t> counts(4, 0);
   for (ProcessId p = 0; p < 4; ++p) {
@@ -316,20 +274,47 @@ TEST(OracleStack, CorrectQuorumStaysClean) {
   for (int i = 0; i < 6; ++i) {
     w.engine().schedule_at(i * msec(3), [&w, i] {
       w.stack(static_cast<ProcessId>(i % 4))
-          .gbcast(kAbcastClass, bytes_of("a" + std::to_string(i)));
+          .gbcast(kAbcastClass, bytes_of(std::string("a") + std::to_string(i)));
       w.stack(static_cast<ProcessId>((i + 1) % 4))
-          .gbcast(kAbcastClass, bytes_of("b" + std::to_string(i)));
+          .gbcast(kAbcastClass, bytes_of(std::string("b") + std::to_string(i)));
     });
   }
-  ASSERT_TRUE(test::run_until(w.engine(), sec(60), [&] {
+  const bool done = test::run_until(w.engine(), sec(60), [&] {
     for (auto c : counts) {
       if (c < 12) return false;
     }
     return true;
-  }));
+  });
   w.run_for(sec(1));
-  oracle.finalize();
-  EXPECT_TRUE(oracle.passed()) << oracle.summary();
+  return done;
+}
+
+/// End-to-end negative test: run a REAL stack with the GB fast quorum
+/// deliberately broken (2 of 4 <= 2n/3), race conflicting pairs, and
+/// require the attached oracle to catch the ordering violation on at least
+/// one seed.
+TEST(OracleStack, BrokenFastQuorumIsCaught) {
+  std::uint64_t conflict_violations = 0;
+  for (std::uint64_t seed = 1; seed <= 12 && conflict_violations == 0; ++seed) {
+    obs::Oracle oracle;
+    race_conflicting_pairs(1000 + seed, 2, oracle);
+    conflict_violations = oracle.violation_count(Property::kGbConflictOrder) +
+                          oracle.violation_count(Property::kGbFastPathStability);
+  }
+  EXPECT_GT(conflict_violations, 0u)
+      << "a sub-2n/3 fast quorum must eventually double-fast-deliver a "
+         "conflicting pair";
+}
+
+/// Control for the negative test: under the same race, the formula quorum
+/// (3) and the all-member quorum (4) never trip a property.
+TEST(OracleStack, CorrectQuorumStaysClean) {
+  for (const int quorum : {0, 4}) {
+    obs::Oracle oracle;
+    ASSERT_TRUE(race_conflicting_pairs(1001, quorum, oracle)) << "quorum " << quorum;
+    oracle.finalize();
+    EXPECT_TRUE(oracle.passed()) << "quorum " << quorum << "\n" << oracle.summary();
+  }
 }
 
 }  // namespace

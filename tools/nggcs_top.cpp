@@ -114,18 +114,6 @@ void dump_frame(const obs::Snapshot& s) {
   }
 }
 
-/// Counters aggregated the way an operator thinks about the stack.
-std::int64_t submits_of(const obs::Snapshot& s) {
-  return s.counter("abcast.broadcasts") + s.counter("gbcast.broadcasts");
-}
-std::int64_t deliveries_of(const obs::Snapshot& s) {
-  return s.counter("abcast.delivered") + s.counter("gbcast.fast_delivered") +
-         s.counter("gbcast.resolved_delivered");
-}
-std::int64_t pulls_of(const obs::Snapshot& s) {
-  return s.counter("abcast.pull_requests") + s.counter("gbcast.pull_requests");
-}
-
 /// One live-view row: rate window between two frames of the same process.
 struct Row {
   bool seeded = false;  ///< has at least one frame
