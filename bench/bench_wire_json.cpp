@@ -48,23 +48,25 @@ struct Cell {
   std::int64_t consensus_wire_bytes = 0; // what rides the consensus tag
   std::int64_t consensus_wire_msgs = 0;
   std::int64_t flood_wire_bytes = 0;     // rbcast / gbdata payload flooding
-  std::int64_t pull_wire_bytes = 0;      // abcast/gbcast channel fallback
+  // Bytes on the layer's own channel tag: abcast's payload pulls and
+  // pushes; for generic broadcast its fast-path ACKs as well as its pulls.
+  std::int64_t control_wire_bytes = 0;
   std::int64_t report_wire_bytes = 0;    // GB resolution reports (abcast payloads)
   std::int64_t channel_datagrams = 0;    // every channel datagram, acks included
   std::int64_t retransmits = 0;          // channel frames sent again
   double loss = 0;                       // link drop probability
   std::uint64_t net_allocs = 0;          // heap growth across the whole run
+  std::uint64_t allocs = 0;              // every allocation across the run
   bool completed = false;
 
   double per_delivered(std::int64_t bytes) const {
     return delivered > 0 ? static_cast<double>(bytes) / static_cast<double>(delivered) : 0.0;
   }
   std::int64_t total_wire_bytes() const {
-    return consensus_wire_bytes + flood_wire_bytes + pull_wire_bytes + report_wire_bytes;
+    return consensus_wire_bytes + flood_wire_bytes + control_wire_bytes + report_wire_bytes;
   }
-  double allocs_per_delivered() const {
-    return delivered > 0 ? static_cast<double>(net_allocs) / static_cast<double>(delivered)
-                         : 0.0;
+  double per_delivered(std::uint64_t count) const {
+    return per_delivered(static_cast<std::int64_t>(count));
   }
 };
 
@@ -118,10 +120,11 @@ Cell run_abcast_cell(int n, std::size_t payload_bytes, double loss = 0) {
   cell.consensus_wire_bytes = sum_counter(world, n, "consensus.wire_bytes");
   cell.consensus_wire_msgs = sum_counter(world, n, "consensus.wire_msgs");
   cell.flood_wire_bytes = sum_counter(world, n, "rbcast.wire_bytes");
-  cell.pull_wire_bytes = sum_counter(world, n, "abcast.wire_bytes");
+  cell.control_wire_bytes = sum_counter(world, n, "abcast.wire_bytes");
   cell.channel_datagrams = sum_counter(world, n, "channel.wire_msgs");
   cell.retransmits = sum_counter(world, n, "channel.retransmits");
-  cell.net_allocs = (a1.allocs - a0.allocs) - (a1.frees - a0.frees);
+  cell.allocs = a1.allocs - a0.allocs;
+  cell.net_allocs = cell.allocs - (a1.frees - a0.frees);
   return cell;
 }
 
@@ -147,6 +150,7 @@ Cell run_gbcast_cell(int n, std::size_t payload_bytes) {
   world.found_group_all();
   world.run_for(msec(20));
 
+  const AllocSnapshot a0 = alloc_snapshot();
   Rng rng(7);
   int sent = 0;
   std::function<void()> tick = [&] {
@@ -164,16 +168,19 @@ Cell run_gbcast_cell(int n, std::size_t payload_bytes) {
     return true;
   });
   world.run_for(msec(200));
+  const AllocSnapshot a1 = alloc_snapshot();
 
   cell.delivered = sum_counter(world, n, "gbcast.fast_delivered") +
                    sum_counter(world, n, "gbcast.resolved_delivered");
   cell.consensus_wire_bytes = sum_counter(world, n, "consensus.wire_bytes");
   cell.consensus_wire_msgs = sum_counter(world, n, "consensus.wire_msgs");
   cell.flood_wire_bytes = sum_counter(world, n, "gbdata.wire_bytes");
-  cell.pull_wire_bytes = sum_counter(world, n, "gbcast.wire_bytes");
+  cell.control_wire_bytes = sum_counter(world, n, "gbcast.wire_bytes");
   cell.report_wire_bytes = sum_counter(world, n, "rbcast.wire_bytes");
   cell.channel_datagrams = sum_counter(world, n, "channel.wire_msgs");
   cell.retransmits = sum_counter(world, n, "channel.retransmits");
+  cell.allocs = a1.allocs - a0.allocs;
+  cell.net_allocs = cell.allocs - (a1.frees - a0.frees);
   return cell;
 }
 
@@ -279,7 +286,7 @@ std::string cells_json(const std::vector<Cell>& cells) {
            ",\n     \"consensus_wire_bytes\": " + std::to_string(c.consensus_wire_bytes) +
            ", \"consensus_wire_msgs\": " + std::to_string(c.consensus_wire_msgs) +
            ",\n     \"flood_wire_bytes\": " + std::to_string(c.flood_wire_bytes) +
-           ", \"pull_wire_bytes\": " + std::to_string(c.pull_wire_bytes) +
+           ", \"control_wire_bytes\": " + std::to_string(c.control_wire_bytes) +
            ",\n     \"consensus_bytes_per_delivered\": " +
            json_num(c.per_delivered(c.consensus_wire_bytes)) +
            ", \"flood_bytes_per_delivered\": " + json_num(c.per_delivered(c.flood_wire_bytes)) +
@@ -287,7 +294,8 @@ std::string cells_json(const std::vector<Cell>& cells) {
            json_num(c.per_delivered(c.total_wire_bytes())) +
            ",\n     \"datagrams_per_delivered\": " +
            json_num(c.per_delivered(c.channel_datagrams)) +
-           ", \"net_allocs_per_delivered\": " + json_num(c.allocs_per_delivered()) +
+           ", \"net_allocs_per_delivered\": " + json_num(c.per_delivered(c.net_allocs)) +
+           ", \"allocs_per_delivered\": " + json_num(c.per_delivered(c.allocs)) +
            ",\n     \"retransmits_per_delivered\": " + json_num(c.per_delivered(c.retransmits)) +
            "}" + (i + 1 < cells.size() ? "," : "") + "\n";
   }
@@ -309,14 +317,15 @@ void run_suite(SuiteReport& report) {
   cells.push_back(run_abcast_cell(5, 1024, 0.02));
 
   Table table({"layer", "n", "payload", "loss", "delivered", "consensus B/msg", "flood B/msg",
-               "pull B/msg", "datagrams/msg", "retransmits/msg"});
+               "control B/msg", "datagrams/msg", "allocs/msg", "retransmits/msg"});
   for (const Cell& c : cells) {
     table.add_row({c.layer, std::to_string(c.n), std::to_string(c.payload_bytes),
                    fmt_pct(c.loss), std::to_string(c.delivered),
                    fmt_double(c.per_delivered(c.consensus_wire_bytes), 1),
                    fmt_double(c.per_delivered(c.flood_wire_bytes), 1),
-                   fmt_double(c.per_delivered(c.pull_wire_bytes), 1),
+                   fmt_double(c.per_delivered(c.control_wire_bytes), 1),
                    fmt_double(c.per_delivered(c.channel_datagrams), 1),
+                   fmt_double(c.per_delivered(c.allocs), 1),
                    fmt_double(c.per_delivered(c.retransmits), 2)});
   }
   table.print();

@@ -13,6 +13,60 @@ constexpr std::uint8_t kPull = 0;  ///< request: ids whose payloads are missing
 constexpr std::uint8_t kPush = 1;  ///< response: (id, subtag, payload) entries
 }  // namespace
 
+AtomicBroadcast::Entry& AtomicBroadcast::Origin::at(std::uint64_t seq) {
+  if (entries.empty()) {
+    base = seq;
+    entries.extend(1);
+  } else if (seq < base) {
+    for (; base > seq; --base) entries.push_front(Entry{});
+  } else if (seq - base >= entries.size()) {
+    entries.extend(static_cast<std::size_t>(seq - base) + 1);
+  }
+  return entries[seq - base];
+}
+
+namespace {
+// First index of the ascending \p ring whose seq is not below \p seq.
+std::size_t lower_bound(const Ring<std::uint64_t>& ring, std::uint64_t seq) {
+  std::size_t lo = 0;
+  std::size_t hi = ring.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (ring[mid] < seq) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+}  // namespace
+
+void AtomicBroadcast::Origin::make_eligible(std::uint64_t seq) {
+  // Usually the highest (a fresh rdelivery) or the lowest (a release), so
+  // the insertion shifts next to nothing.
+  if (eligible.empty() || eligible.back() < seq) {
+    eligible.push_back(seq);
+    return;
+  }
+  const std::size_t i = lower_bound(eligible, seq);
+  if (eligible[i] != seq) eligible.insert(i, seq);
+}
+
+void AtomicBroadcast::Origin::drop_eligible(std::uint64_t seq) {
+  // Decisions order the oldest messages first: usually the front.
+  const std::size_t i = lower_bound(eligible, seq);
+  if (i < eligible.size() && eligible[i] == seq) eligible.erase(i);
+}
+
+void AtomicBroadcast::Origin::trim() {
+  while (!entries.empty() && !entries.front().stored()) {
+    entries.pop_front();
+    ++base;
+  }
+  while (!entries.empty() && !entries.back().stored()) entries.pop_back();
+}
+
 AtomicBroadcast::AtomicBroadcast(sim::Context& ctx, ReliableBroadcast& rbcast,
                                  ConsensusProtocol& consensus, ReliableChannel* channel)
     : AtomicBroadcast(ctx, rbcast, consensus, channel, Config{}) {}
@@ -59,9 +113,29 @@ bool AtomicBroadcast::is_member() const {
   return std::find(members_.begin(), members_.end(), ctx_.self()) != members_.end();
 }
 
+AtomicBroadcast::Origin& AtomicBroadcast::origin(ProcessId sender) {
+  const auto idx = static_cast<std::size_t>(sender);
+  if (idx >= origins_.size()) origins_.resize(idx + 1);
+  return origins_[idx];
+}
+
+const AtomicBroadcast::Entry* AtomicBroadcast::find(const MsgId& id) const {
+  const auto idx = static_cast<std::size_t>(id.sender);
+  return idx < origins_.size() ? origins_[idx].find(id.seq) : nullptr;
+}
+
+AtomicBroadcast::Entry& AtomicBroadcast::store(const MsgId& id, SubTag subtag, BytesView body) {
+  Entry& e = origin(id.sender).at(id.seq);
+  if (e.stored()) return e;
+  e.payload = Payload(std::make_shared<const Bytes>(body.begin(), body.end()));
+  e.subtag = subtag;
+  ++stored_count_;
+  return e;
+}
+
 bool AtomicBroadcast::is_adelivered(const MsgId& id) const {
-  auto it = adelivered_.find(id.sender);
-  return it != adelivered_.end() && it->second.contains(id.seq);
+  const auto idx = static_cast<std::size_t>(id.sender);
+  return idx < origins_.size() && origins_[idx].adelivered.contains(id.seq);
 }
 
 bool AtomicBroadcast::holds_payloads(const Bytes& value) const {
@@ -70,13 +144,13 @@ bool AtomicBroadcast::holds_payloads(const Bytes& value) const {
   const BatchProposal prop = BatchProposal::decode(dec);
   if (!dec.ok()) return true;  // a corrupt value delivers nothing
   for (const ProposalEntry& e : prop.entries) {
-    if (!is_adelivered(e.id) && store_.find(e.id) == store_.end()) return false;
+    if (!is_adelivered(e.id) && !stored(e.id)) return false;
   }
   return true;
 }
 
 bool AtomicBroadcast::mark_adelivered(const MsgId& id) {
-  DeliveredIndex& idx = adelivered_[id.sender];
+  DeliveredIndex& idx = origin(id.sender).adelivered;
   const std::uint64_t floor = idx.floor;
   const bool fresh = idx.insert(id.seq);
   gc_steps_ += idx.floor - floor;
@@ -113,11 +187,13 @@ Bytes AtomicBroadcast::snapshot() const {
   enc.put_vector(members_, [](Encoder& e, ProcessId p) { e.put_i32(p); });
   enc.put_u64(next_instance_);
   std::uint64_t count = 0;
-  for (const auto& [sender, idx] : adelivered_) count += idx.floor + idx.beyond.size();
+  for (const Origin& o : origins_) count += o.adelivered.floor + o.adelivered.beyond.size();
   enc.put_u64(count);
-  for (const auto& [sender, idx] : adelivered_) {
-    for (std::uint64_t seq = 0; seq < idx.floor; ++seq) enc.put_msgid(MsgId{sender, seq});
-    for (const std::uint64_t seq : idx.beyond) enc.put_msgid(MsgId{sender, seq});
+  for (std::size_t sender = 0; sender < origins_.size(); ++sender) {
+    const DeliveredIndex& idx = origins_[sender].adelivered;
+    const auto p = static_cast<ProcessId>(sender);
+    for (std::uint64_t seq = 0; seq < idx.floor; ++seq) enc.put_msgid(MsgId{p, seq});
+    for (const std::uint64_t seq : idx.beyond) enc.put_msgid(MsgId{p, seq});
   }
   enc.put_bytes(rbcast_.stability_snapshot());
   return enc.take();
@@ -135,14 +211,46 @@ void AtomicBroadcast::restore(BytesView snapshot) {
   rbcast_.restore_stability(stability);
   members_ = std::move(members);
   next_instance_ = next;
-  adelivered_.clear();
-  for (const MsgId& id : delivered) mark_adelivered(id);
-  // Discard anything learned while not a member: old pending messages are
-  // either already delivered (covered by adelivered_) or will reappear in
-  // future decisions, with payloads resolved via the store or a pull.
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    it = is_adelivered(it->first) ? pending_.erase(it) : ++it;
+  // Stored payloads this process never delivered itself are outside the
+  // delivery log; those the snapshot covers join it here, so the tail GC
+  // drops them like delivered ones.
+  std::vector<MsgId> unlogged;
+  for (std::size_t sender = 0; sender < origins_.size(); ++sender) {
+    Origin& o = origins_[sender];
+    for (std::size_t i = 0; i < o.entries.size(); ++i) {
+      const std::uint64_t seq = o.base + i;
+      if (o.entries[i].stored() && !o.adelivered.contains(seq)) {
+        unlogged.push_back(MsgId{static_cast<ProcessId>(sender), seq});
+      }
+    }
+    o.adelivered = DeliveredIndex{};
   }
+  for (const MsgId& id : delivered) mark_adelivered(id);
+  for (const MsgId& id : unlogged) {
+    if (is_adelivered(id)) delivered_log_.emplace_back(next_instance_, id);
+  }
+  // Discard anything learned while not a member: old pending messages are
+  // either already delivered (covered by the adelivered index) or will
+  // reappear in future decisions, with payloads resolved via the store or
+  // a pull. Open proposals from before the snapshot are moot; the window
+  // restarts empty and every remaining pending message becomes eligible.
+  for (std::size_t sender = 0; sender < origins_.size(); ++sender) {
+    Origin& o = origins_[sender];
+    o.eligible.clear();
+    for (std::size_t i = 0; i < o.entries.size(); ++i) {
+      Entry& e = o.entries[i];
+      if (!e.pending) continue;
+      if (o.adelivered.contains(o.base + i)) {
+        e.pending = false;
+        --pending_count_;
+      } else {
+        e.proposed_in = kNotProposed;
+        o.eligible.push_back(o.base + i);
+      }
+    }
+  }
+  proposed_ids_.clear();
+  proposed_counts_.clear();
   decision_buffer_.erase(decision_buffer_.begin(),
                          decision_buffer_.lower_bound(next_instance_));
   missing_.clear();
@@ -161,13 +269,7 @@ void AtomicBroadcast::restore(BytesView snapshot) {
     ctx_.trace_end(obs::Names::get().abcast_gap_wait, MsgId{obs::kConsensusKey, k});
   }
   gap_since_.clear();
-  // Open proposals from before the snapshot are moot; the window restarts
-  // empty and pending messages become eligible again.
   next_proposal_k_ = next_instance_;
-  for (auto& [id, meta] : pending_) {
-    (void)id;
-    meta.proposed_in = kNotProposed;
-  }
   initialized_ = true;
   rbcast_.set_group(members_);
   if (config_.adaptive && !control_armed_) {
@@ -183,9 +285,12 @@ void AtomicBroadcast::on_rdeliver(const MsgId& id, BytesView payload) {
   const SubTag subtag = dec.get_byte();
   const BytesView body = dec.get_view();
   if (!dec.ok()) return;
-  if (store_.find(id) == store_.end()) store_.emplace(id, Stored{subtag, to_bytes(body)});
-  if (pending_.find(id) == pending_.end()) {
-    pending_.emplace(id, PendingMeta{subtag, ctx_.now(), /*proposed=*/false});
+  Entry& e = store(id, subtag, body);
+  if (!e.pending) {
+    e.pending = true;
+    e.since = ctx_.now();
+    ++pending_count_;
+    origin(id.sender).make_eligible(id.seq);
     ctx_.trace_begin(obs::Names::get().abcast_pending, id, subtag);
     ctx_.trace_begin(obs::Names::get().abcast_batch_wait, id, subtag);
   }
@@ -233,26 +338,36 @@ void AtomicBroadcast::try_start_instances() {
       }
       break;
     }
-    // Batch eligible pending messages in MsgId order. The proposal is
-    // (id, subtag) tuples — O(batch · ~16B) regardless of payload size;
-    // payloads are resolved at delivery from store_.
+    // Batch eligible pending messages in MsgId order: origins in id order,
+    // each one's eligible seqs from the lowest. The proposal is (id,
+    // subtag) tuples — O(batch · ~16B) regardless of payload size;
+    // payloads are resolved at delivery from the store.
     const std::uint64_t k = next_proposal_k_;
     BatchProposal prop;
-    for (auto& [id, meta] : pending_) {
-      if (meta.proposed_in != kNotProposed) continue;
-      if (cur_batch_ != 0 && prop.entries.size() >= cur_batch_) break;
-      if (!meta.proposed) {
-        // Batch-queue residence ends at the first proposal carrying the
-        // message (re-proposals after a lost instance are ordering work).
-        meta.proposed = true;
-        ctx_.metrics().observe(h_batch_wait_, ctx_.now() - meta.since);
-        ctx_.trace_end(obs::Names::get().abcast_batch_wait, id,
-                       static_cast<std::int64_t>(k));
+    ++proposal_steps_;
+    for (std::size_t sender = 0; sender < origins_.size(); ++sender) {
+      Origin& o = origins_[sender];
+      while (!o.eligible.empty() && (cur_batch_ == 0 || prop.entries.size() < cur_batch_)) {
+        ++proposal_steps_;
+        const MsgId id{static_cast<ProcessId>(sender), o.eligible.front()};
+        o.eligible.pop_front();
+        Entry* e = o.find(id.seq);
+        assert(e != nullptr && e->pending && e->proposed_in == kNotProposed);
+        if (!e->proposed) {
+          // Batch-queue residence ends at the first proposal carrying the
+          // message (re-proposals after a lost instance are ordering work).
+          e->proposed = true;
+          ctx_.metrics().observe(h_batch_wait_, ctx_.now() - e->since);
+          ctx_.trace_end(obs::Names::get().abcast_batch_wait, id,
+                         static_cast<std::int64_t>(k));
+        }
+        e->proposed_in = k;
+        prop.entries.push_back(ProposalEntry{id, e->subtag});
+        proposed_ids_.push_back(id);
       }
-      meta.proposed_in = k;
-      prop.entries.push_back(ProposalEntry{id, meta.subtag});
     }
     if (prop.entries.empty()) break;  // nothing eligible
+    proposed_counts_.push_back({k, static_cast<std::uint32_t>(prop.entries.size())});
     next_proposal_k_ = k + 1;
     max_open_ = std::max(max_open_, static_cast<std::uint32_t>(next_proposal_k_ -
                                                                std::min(next_instance_, k)));
@@ -304,7 +419,7 @@ void AtomicBroadcast::process_decisions() {
     if (!dec.ok()) prop.entries.clear();  // corrupt decision: deliver nothing
     missing_.clear();
     for (const ProposalEntry& e : prop.entries) {
-      if (!is_adelivered(e.id) && store_.find(e.id) == store_.end()) missing_.insert(e.id);
+      if (!is_adelivered(e.id) && !stored(e.id)) missing_.insert(e.id);
     }
     if (!missing_.empty()) {
       // Stall this instance (later ones queue behind it, preserving total
@@ -346,10 +461,18 @@ void AtomicBroadcast::process_decisions() {
     for (std::size_t idx = 0; idx < prop.entries.size(); ++idx) {
       const ProposalEntry& e = prop.entries[idx];
       if (!mark_adelivered(e.id)) continue;  // already ordered
-      if (auto pit = pending_.find(e.id); pit != pending_.end()) {
-        ctx_.metrics().observe(h_order_latency_, ctx_.now() - pit->second.since);
+      // Present by the stall check above; the store keeps it until tail
+      // GC. The upcalls below may grow the store, so hold the buffer, not
+      // the entry.
+      Origin& o = origin(e.id.sender);
+      Entry& entry = o.at(e.id.seq);
+      const Payload payload = entry.payload;
+      if (entry.pending) {
+        if (entry.proposed_in == kNotProposed) o.drop_eligible(e.id.seq);
+        entry.pending = false;
+        --pending_count_;
+        ctx_.metrics().observe(h_order_latency_, ctx_.now() - entry.since);
         ctx_.trace_end(obs::Names::get().abcast_pending, e.id);
-        pending_.erase(pit);
       }
       ++delivered_count_;
       ctx_.metrics().inc(m_delivered_);
@@ -360,25 +483,24 @@ void AtomicBroadcast::process_decisions() {
         observe_deliver_(e.id, e.subtag, instance, static_cast<std::uint32_t>(idx));
       }
       if (e.subtag < subscribers_.size()) {
-        // Present by the stall check above; stays alive until tail GC.
-        const Bytes& payload = store_.at(e.id).payload;
-        for (const auto& fn : subscribers_[e.subtag]) fn(e.id, payload);
+        for (const auto& fn : subscribers_[e.subtag]) fn(e.id, payload.bytes());
       }
       delivered_log_.emplace_back(instance, e.id);
     }
     view_change_pending_ = false;
-    // Messages we proposed into this instance that lost (another proposer's
-    // batch decided) become eligible for the next proposal.
-    for (auto& [id, meta] : pending_) {
-      (void)id;
-      if (meta.proposed_in == instance) meta.proposed_in = kNotProposed;
-    }
+    release_proposed(instance);
     // Tail GC: payloads of long-delivered messages have served every
     // straggler that could still want them; drop them from the store.
     while (!delivered_log_.empty() &&
            delivered_log_.front().first + kPayloadRetainInstances < next_instance_) {
-      store_.erase(delivered_log_.front().second);
+      const MsgId id = delivered_log_.front().second;
       delivered_log_.pop_front();
+      Origin& o = origin(id.sender);
+      if (Entry* e = o.find(id.seq); e != nullptr && e->stored()) {
+        e->payload = Payload{};
+        --stored_count_;
+        o.trim();
+      }
     }
   }
   delivering_ = false;
@@ -387,6 +509,28 @@ void AtomicBroadcast::process_decisions() {
   // touches the open pipeline window: it sits at >= next_instance_.)
   if (next_instance_ > 16) consensus_.forget_below(next_instance_ - 16);
   try_start_instances();
+}
+
+void AtomicBroadcast::release_proposed(std::uint64_t k) {
+  // Messages we proposed into this instance that lost (another proposer's
+  // batch decided) become eligible for the next proposal. The front batch
+  // is not necessarily k's: this process may have made no proposal into k,
+  // and a delivery upcall may already have proposed into k + 1.
+  ++proposal_steps_;
+  while (!proposed_counts_.empty() && proposed_counts_.front().first <= k) {
+    const auto [batch_k, count] = proposed_counts_.front();
+    proposed_counts_.pop_front();
+    for (std::uint32_t i = 0; i < count; ++i) {
+      ++proposal_steps_;
+      const MsgId id = proposed_ids_.front();
+      proposed_ids_.pop_front();
+      Origin& o = origin(id.sender);
+      Entry* e = o.find(id.seq);
+      if (e == nullptr || !e->pending || e->proposed_in != batch_k) continue;
+      e->proposed_in = kNotProposed;
+      o.make_eligible(id.seq);
+    }
+  }
 }
 
 void AtomicBroadcast::control_tick() {
@@ -480,10 +624,10 @@ void AtomicBroadcast::on_channel_message(ProcessId from, BytesView payload) {
     std::uint64_t found = 0;
     for (std::uint64_t i = 0; i < n && dec.ok(); ++i) {
       const MsgId id = dec.get_msgid();
-      if (auto sit = store_.find(id); sit != store_.end()) {
+      if (const Entry* e = find(id); e != nullptr && e->stored()) {
         entries_enc.put_msgid(id);
-        entries_enc.put_byte(sit->second.subtag);
-        entries_enc.put_bytes(sit->second.payload);
+        entries_enc.put_byte(e->subtag);
+        entries_enc.put_bytes(e->payload.bytes());
         ++found;
       } else if (auto held = rbcast_.retained(id)) {
         // Tail-GC'd here, but still retained by rbcast: the frame body is
@@ -519,8 +663,8 @@ void AtomicBroadcast::on_channel_message(ProcessId from, BytesView payload) {
     const BytesView body = entries.get_view();
     if (!entries.ok()) break;
     ctx_.metrics().inc(m_pushes_);
-    if (is_adelivered(id) || store_.find(id) != store_.end()) continue;
-    store_.emplace(id, Stored{subtag, to_bytes(body)});
+    if (is_adelivered(id) || stored(id)) continue;
+    store(id, subtag, body);
     if (missing_.erase(id) > 0) resolved_any = true;
   }
   consensus_.retry_deferred();

@@ -25,6 +25,13 @@
 /// bounded pull/push exchange over the reliable channel (Tag::kAbcast)
 /// until the payloads arrive, then resumes in order.
 ///
+/// Bookkeeping is per origin and indexed by the origin's dense rbcast seq:
+/// one ring of entries (pending meta plus the stored payload) and one
+/// ascending ring of the seqs eligible for the next
+/// proposal. The ids this process proposed into each open instance are kept
+/// in proposal order, so a decision releases only its own batch and a
+/// proposal walks only eligible ids: neither is O(pending).
+///
 /// Dynamic membership (the membership layer lives ABOVE this component):
 /// view changes arrive as ordinary adelivered messages; set_members() takes
 /// effect for instances started after the current decision, so every member
@@ -39,6 +46,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "broadcast/proposal.hpp"
@@ -47,6 +55,7 @@
 #include "consensus/consensus_protocol.hpp"
 #include "sim/context.hpp"
 #include "util/delivered_index.hpp"
+#include "util/ring.hpp"
 
 namespace gcs {
 
@@ -128,7 +137,7 @@ class AtomicBroadcast {
   std::uint64_t delivered_count() const { return delivered_count_; }
 
   /// Messages rdelivered but not yet ordered (probe gauge).
-  std::size_t pending_count() const { return pending_.size(); }
+  std::size_t pending_count() const { return pending_count_; }
 
   /// Consensus instances currently in flight from this proposer (window
   /// occupancy, <= effective pipeline depth) and the high-water mark.
@@ -144,13 +153,22 @@ class AtomicBroadcast {
 
   /// Payloads currently retained for delivery / pull serving (tests assert
   /// boundedness of the tail-GC'd store).
-  std::size_t store_size() const { return store_.size(); }
+  std::size_t store_size() const { return stored_count_; }
 
   /// Total work performed by the GC of the adelivered dedup index, in ids
   /// retired below a sender's watermark. Each id retires once, so this is
   /// O(deliveries); the regression test bounds it against the
   /// full-set-scan behavior of earlier versions.
   std::uint64_t stability_gc_steps() const { return gc_steps_; }
+
+  /// Total work of the proposal bookkeeping, in steps: one per proposal
+  /// built plus one per eligible id it takes, and one per decided instance
+  /// plus one per id it released. Each id is visited O(1) times per
+  /// proposal carrying it, so this is O(decisions + proposed ids),
+  /// independent of how many messages are pending; the
+  /// regression test bounds it against the per-decision scan of the whole
+  /// pending set that it replaced.
+  std::uint64_t proposal_steps() const { return proposal_steps_; }
 
   /// Oracle taps. The delivery observer reports the global total-order
   /// coordinate of each adelivery: consensus instance k plus the message's
@@ -170,18 +188,42 @@ class AtomicBroadcast {
   /// proposed_in sentinel: not currently in any open instance.
   static constexpr std::uint64_t kNotProposed = ~std::uint64_t{0};
 
-  struct PendingMeta {
-    SubTag subtag;
+  /// One message of one origin: live from its rdelivery (or a pushed
+  /// payload) until the store's tail GC drops it. Pending messages are
+  /// always stored.
+  struct Entry {
+    Payload payload;        // empty: a dead slot
     TimePoint since = 0;    // when rdelivered locally (order-latency metric)
-    bool proposed = false;  // included in a consensus proposal at least once
     // Open instance currently carrying this message (proposer-side dedup:
     // a message rides in at most one open instance; reset when that
     // instance decides without it, making it eligible again).
     std::uint64_t proposed_in = kNotProposed;
+    SubTag subtag = 0;
+    bool pending = false;   // rdelivered, not yet ordered
+    bool proposed = false;  // included in a consensus proposal at least once
+    bool stored() const { return payload.shared() != nullptr; }
   };
-  struct Stored {
-    SubTag subtag;
-    Bytes payload;
+  /// Per-origin state, indexed by the origin's rbcast seq.
+  struct Origin {
+    DeliveredIndex adelivered;
+    std::uint64_t base = 0;  // entries[i] is seq base + i
+    Ring<Entry> entries;     // front and back slots always stored
+    // Seqs of pending messages in no open instance, ascending.
+    Ring<std::uint64_t> eligible;
+
+    Entry* find(std::uint64_t seq) {
+      return seq >= base && seq - base < entries.size() ? &entries[seq - base] : nullptr;
+    }
+    const Entry* find(std::uint64_t seq) const {
+      return seq >= base && seq - base < entries.size() ? &entries[seq - base] : nullptr;
+    }
+    Entry& at(std::uint64_t seq);
+    void make_eligible(std::uint64_t seq);
+    // A pending message left the eligible set without being proposed
+    // (another proposer's batch ordered it).
+    void drop_eligible(std::uint64_t seq);
+    // Drop dead slots at both ends.
+    void trim();
   };
   /// Delivered payloads are retained for this many further instances to
   /// serve pulls from processes still catching up, then tail-GC'd.
@@ -199,6 +241,17 @@ class AtomicBroadcast {
   /// AIMD tick (Config::adaptive): adjusts cur_depth_/cur_batch_ from the
   /// interval means of batch_wait vs accept_rtt and the fc-stall signal.
   void control_tick();
+  Origin& origin(ProcessId sender);
+  const Entry* find(const MsgId& id) const;
+  bool stored(const MsgId& id) const {
+    const Entry* e = find(id);
+    return e != nullptr && e->stored();
+  }
+  /// Store \p body for \p id (a no-op if stored already).
+  Entry& store(const MsgId& id, SubTag subtag, BytesView body);
+  /// Ids this process proposed into instance \p k (or earlier) that \p k
+  /// decided without become eligible again.
+  void release_proposed(std::uint64_t k);
   void request_pull();
   void resolve_missing(const MsgId& id);
   /// The consensus admission gate: true when every id of a batch is in the
@@ -242,13 +295,19 @@ class AtomicBroadcast {
   double ctl_bw_sum_ = 0;
   std::uint64_t ctl_rtt_count_ = 0;
   double ctl_rtt_sum_ = 0;
-  std::map<MsgId, PendingMeta> pending_;  // rdelivered, not yet ordered
-  std::map<MsgId, Stored> store_;         // payloads for delivery + pull serving
-  // Adelivered dedup, per sender and watermark-compressed. It shrinks by
-  // local delivery alone: a message received everywhere (stable) may still
-  // ride in a later pipelined decision, which must find it here.
-  std::map<ProcessId, DeliveredIndex> adelivered_;
+  // Per origin, by ProcessId: pending messages, stored payloads, and the
+  // adelivered dedup index (watermark-compressed; it shrinks by local
+  // delivery alone: a message received everywhere, i.e. stable, may still
+  // ride in a later pipelined decision, which must find it there).
+  std::vector<Origin> origins_;
+  std::size_t pending_count_ = 0;
+  std::size_t stored_count_ = 0;
+  // The ids this process proposed into its open instances, in proposal
+  // order, and per proposal its instance and how many ids it took.
+  Ring<MsgId> proposed_ids_;
+  Ring<std::pair<std::uint64_t, std::uint32_t>> proposed_counts_;
   std::uint64_t gc_steps_ = 0;
+  std::uint64_t proposal_steps_ = 0;
   std::map<std::uint64_t, Bytes> decision_buffer_;  // out-of-order decisions
   // Instances whose decision is parked behind an undecided gap (pipelining
   // out-of-order arrivals): k -> when it was buffered, for the gap_wait

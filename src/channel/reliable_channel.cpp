@@ -23,6 +23,13 @@ constexpr std::uint8_t kKindMask = 0x0f;
 constexpr std::uint8_t kSackFlag = 0x10;
 constexpr std::uint8_t kFloorFlag = 0x20;
 
+// Per-peer state of \p p in \p peers (indexed by ProcessId), or null.
+template <typename Peers>
+auto* find_peer(Peers& peers, ProcessId p) {
+  const auto idx = static_cast<std::size_t>(p);
+  return idx < peers.size() ? &peers[idx] : nullptr;
+}
+
 std::size_t varint_size(std::uint64_t v) {
   std::size_t n = 1;
   while (v >= 0x80) {
@@ -43,7 +50,8 @@ ReliableChannel::ReliableChannel(sim::Context& ctx, Transport& transport, Config
       m_retransmits_(metric_id("channel.retransmits")),
       h_residence_(metric_id("channel.residence_us")),
       h_fc_stall_(metric_id("channel.fc_stall_us")),
-      handlers_(static_cast<std::size_t>(Tag::kMax)) {
+      out_(static_cast<std::size_t>(std::max(transport.universe_size(), 0))),
+      in_(out_.size()), handlers_(static_cast<std::size_t>(Tag::kMax)) {
   for (std::size_t t = 0; t < static_cast<std::size_t>(Tag::kMax); ++t) {
     const std::string base = tag_name(static_cast<Tag>(t));
     m_up_wire_bytes_[t] = metric_id(base + ".wire_bytes");
@@ -51,6 +59,18 @@ ReliableChannel::ReliableChannel(sim::Context& ctx, Transport& transport, Config
   }
   transport_.subscribe(Tag::kChannel,
                        [this](ProcessId from, BytesView b) { on_datagram(from, b); });
+}
+
+ReliableChannel::PeerOut& ReliableChannel::out(ProcessId to) {
+  const auto idx = static_cast<std::size_t>(to);
+  if (idx >= out_.size()) out_.resize(idx + 1);
+  return out_[idx];
+}
+
+ReliableChannel::PeerIn& ReliableChannel::in(ProcessId from) {
+  const auto idx = static_cast<std::size_t>(from);
+  if (idx >= in_.size()) in_.resize(idx + 1);
+  return in_[idx];
 }
 
 void ReliableChannel::account_upper(Tag upper, std::size_t wire_bytes) {
@@ -61,9 +81,9 @@ void ReliableChannel::account_upper(Tag upper, std::size_t wire_bytes) {
 }
 
 std::uint64_t ReliableChannel::send(ProcessId to, Tag upper, Payload payload) {
-  PeerOut& peer = out_[to];
+  PeerOut& peer = out(to);
   const std::uint64_t seq = peer.next_seq++;
-  peer.unacked.emplace(seq, Outgoing{upper, std::move(payload), kNeverSent});
+  peer.unacked.push_back(Outgoing{upper, std::move(payload), kNeverSent});
   ctx_.metrics().inc(m_sent_);
   pump(to, peer);
   arm_retransmit_timer();
@@ -82,13 +102,12 @@ void ReliableChannel::pump(ProcessId to, PeerOut& peer) {
   // Transmit queued messages while the flow-control window has room.
   // (With send_window == 0 everything goes immediately.)
   ++pump_steps_;
-  for (auto it = peer.unacked.lower_bound(peer.next_unsent);
-       it != peer.unacked.end() && window_open(peer); ++it) {
+  for (; peer.next_unsent < peer.next_seq && window_open(peer); ++peer.next_unsent) {
     ++pump_steps_;
-    it->second.first_sent = ctx_.now();
+    Outgoing& msg = peer.unacked[peer.next_unsent - peer.base()];
+    msg.first_sent = ctx_.now();
     ++peer.in_flight;
-    peer.next_unsent = it->first + 1;
-    transmit(to, peer, it->first, it->second);
+    transmit(to, peer, peer.next_unsent, msg);
   }
   update_fc_stall(to, peer);
 }
@@ -113,19 +132,16 @@ void ReliableChannel::update_fc_stall(ProcessId to, PeerOut& peer) {
 }
 
 void ReliableChannel::flush(ProcessId to) {
-  auto oit = out_.find(to);
-  if (oit == out_.end()) return;
-  PeerOut& peer = oit->second;
+  PeerOut& peer = out(to);
   peer.flush_armed = false;
   Batch batch;
   ++pump_steps_;
-  for (auto it = peer.unacked.lower_bound(peer.next_unsent);
-       it != peer.unacked.end() && window_open(peer); ++it) {
+  for (; peer.next_unsent < peer.next_seq && window_open(peer); ++peer.next_unsent) {
     ++pump_steps_;
-    it->second.first_sent = ctx_.now();
+    Outgoing& msg = peer.unacked[peer.next_unsent - peer.base()];
+    msg.first_sent = ctx_.now();
     ++peer.in_flight;
-    peer.next_unsent = it->first + 1;
-    batch.emplace_back(it->first, &it->second);
+    batch.emplace_back(peer.next_unsent, &msg);
   }
   update_fc_stall(to, peer);
   if (!batch.empty()) transmit_batch(to, peer, batch);
@@ -184,56 +200,62 @@ void ReliableChannel::subscribe(Tag upper, Handler handler) {
 }
 
 Duration ReliableChannel::oldest_unacked_age(ProcessId to) const {
-  auto it = out_.find(to);
-  if (it == out_.end() || it->second.unacked.empty()) return 0;
+  const PeerOut* peer = find_peer(out_, to);
+  if (peer == nullptr || peer->unacked.empty()) return 0;
   // Sent entries form the prefix, so the oldest one is the first.
-  const Outgoing& first = it->second.unacked.begin()->second;
+  const Outgoing& first = peer->unacked.front();
   return first.first_sent == kNeverSent ? 0 : ctx_.now() - first.first_sent;
 }
 
 std::size_t ReliableChannel::unacked_count(ProcessId to) const {
-  auto it = out_.find(to);
-  return it == out_.end() ? 0 : it->second.unacked.size();
+  const PeerOut* peer = find_peer(out_, to);
+  return peer == nullptr ? 0 : peer->unacked.size();
 }
 
 std::uint64_t ReliableChannel::acked_below(ProcessId to) const {
-  auto it = out_.find(to);
-  if (it == out_.end()) return 0;
-  const PeerOut& peer = it->second;
-  return peer.unacked.empty() ? peer.next_seq : peer.unacked.begin()->first;
+  const PeerOut* peer = find_peer(out_, to);
+  return peer == nullptr ? 0 : peer->base();
+}
+
+std::size_t ReliableChannel::holdback_count(ProcessId from) const {
+  const PeerIn* peer = find_peer(in_, from);
+  if (peer == nullptr) return 0;
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < peer->holdback.size(); ++i) n += peer->holdback[i].occupied() ? 1 : 0;
+  return n;
 }
 
 void ReliableChannel::forget(ProcessId to) {
-  auto it = out_.find(to);
-  if (it != out_.end()) {
-    if (!it->second.unacked.empty()) {
-      // Seqs below next_seq are void from now on; tell the peer to skip
-      // them, or a member that rejoins would wait on the first forever.
-      it->second.floor = it->second.next_seq;
-      it->second.floor_pending = true;
-    }
-    it->second.unacked.clear();
-    it->second.in_flight = 0;
-    it->second.next_unsent = it->second.next_seq;
-    it->second.backoff = 1;
-    it->second.resend_at = 0;
-    if (it->second.fc_stalled) {
-      // The peer was excluded while its window was full; close the stall
-      // span so the flight recorder stays balanced.
-      it->second.fc_stalled = false;
-      ctx_.metrics().observe(h_fc_stall_, ctx_.now() - it->second.fc_since);
-      ctx_.trace_end(obs::Names::get().channel_fc_stall,
-                     MsgId{obs::kPeerKey, static_cast<std::uint64_t>(to)});
-    }
+  PeerOut* found = find_peer(out_, to);
+  if (found == nullptr) return;
+  PeerOut& peer = *found;
+  if (!peer.unacked.empty()) {
+    // Seqs below next_seq are void from now on; tell the peer to skip
+    // them, or a member that rejoins would wait on the first forever.
+    peer.floor = peer.next_seq;
+    peer.floor_pending = true;
+  }
+  peer.unacked.clear();
+  peer.in_flight = 0;
+  peer.next_unsent = peer.next_seq;
+  peer.backoff = 1;
+  peer.resend_at = 0;
+  if (peer.fc_stalled) {
+    // The peer was excluded while its window was full; close the stall
+    // span so the flight recorder stays balanced.
+    peer.fc_stalled = false;
+    ctx_.metrics().observe(h_fc_stall_, ctx_.now() - peer.fc_since);
+    ctx_.trace_end(obs::Names::get().channel_fc_stall,
+                   MsgId{obs::kPeerKey, static_cast<std::uint64_t>(to)});
   }
 }
 
-void ReliableChannel::suspect(ProcessId to) { out_[to].suspected = true; }
+void ReliableChannel::suspect(ProcessId to) { out(to).suspected = true; }
 
 void ReliableChannel::restore(ProcessId to) {
-  auto it = out_.find(to);
-  if (it == out_.end()) return;
-  PeerOut& peer = it->second;
+  PeerOut* found = find_peer(out_, to);
+  if (found == nullptr) return;
+  PeerOut& peer = *found;
   peer.suspected = false;
   peer.backoff = 1;
   peer.resend_at = 0;
@@ -241,8 +263,8 @@ void ReliableChannel::restore(ProcessId to) {
 }
 
 std::size_t ReliableChannel::queued_by_flow_control(ProcessId to) const {
-  auto it = out_.find(to);
-  return it == out_.end() ? 0 : it->second.next_seq - it->second.next_unsent;
+  const PeerOut* peer = find_peer(out_, to);
+  return peer == nullptr ? 0 : peer->next_seq - peer->next_unsent;
 }
 
 void ReliableChannel::transmit(ProcessId to, const PeerOut& peer, std::uint64_t seq,
@@ -277,17 +299,15 @@ std::size_t ReliableChannel::sack_len(const PeerIn& in) const {
   if (!gap_aged(in)) return 0;
   // Held seqs all lie at or above next_expected; the bitmap starts one
   // above it (next_expected itself is the gap) and ends at the highest.
-  const std::uint64_t span = in.holdback.rbegin()->first - in.next_expected;
+  const std::uint64_t span = in.holdback.size() - 1;
   return static_cast<std::size_t>(std::min<std::uint64_t>((span + 7) / 8, kMaxSackBytes));
 }
 
 std::size_t ReliableChannel::header_size(ProcessId to, const PeerOut& peer) const {
   std::size_t n = 2;  // kind, and the ack of a peer we never heard from
-  if (auto it = in_.find(to); it != in_.end()) {
-    n = 1 + varint_size(it->second.next_expected);
-    if (const std::size_t sack = sack_len(it->second); sack > 0) {
-      n += varint_size(sack) + sack;
-    }
+  if (const PeerIn* in = find_peer(in_, to)) {
+    n = 1 + varint_size(in->next_expected);
+    if (const std::size_t sack = sack_len(*in); sack > 0) n += varint_size(sack) + sack;
   }
   if (peer.floor_pending) n += varint_size(peer.floor);
   return n;
@@ -295,21 +315,20 @@ std::size_t ReliableChannel::header_size(ProcessId to, const PeerOut& peer) cons
 
 void ReliableChannel::put_header(Encoder& enc, std::uint8_t kind, ProcessId to,
                                  const PeerOut* peer) {
-  const auto it = in_.find(to);
-  const std::uint64_t ack = it == in_.end() ? 0 : take_ack(it->second);
-  const std::size_t sack = it == in_.end() ? 0 : sack_len(it->second);
+  PeerIn* rx = find_peer(in_, to);
+  const std::uint64_t ack = rx == nullptr ? 0 : take_ack(*rx);
+  const std::size_t sack = rx == nullptr ? 0 : sack_len(*rx);
   const bool floor = peer != nullptr && peer->floor_pending;
   enc.put_byte(static_cast<std::uint8_t>(kind | (sack > 0 ? kSackFlag : 0) |
                                          (floor ? kFloorFlag : 0)));
   enc.put_u64(ack);
   if (sack > 0) {
-    const PeerIn& in = it->second;
+    // Slot 0 (next_expected) is the gap or mid-delivery, not SACK news.
     std::array<std::uint8_t, kMaxSackBytes> bits{};
-    for (const auto& entry : in.holdback) {
-      // A held seq equal to next_expected is mid-delivery, not SACK news.
-      if (entry.first <= in.next_expected) continue;
-      const std::uint64_t off = entry.first - in.next_expected - 1;
-      if (off >= 8 * sack) break;
+    const std::size_t span = std::min<std::size_t>(rx->holdback.size(), 8 * sack + 1);
+    for (std::size_t slot = 1; slot < span; ++slot) {
+      if (!rx->holdback[slot].occupied()) continue;
+      const std::size_t off = slot - 1;
       bits[off / 8] = static_cast<std::uint8_t>(bits[off / 8] | (1u << (off % 8)));
     }
     enc.put_bytes(BytesView(bits.data(), sack));
@@ -337,10 +356,11 @@ void ReliableChannel::arm_ack_timer(TimePoint due) {
 void ReliableChannel::ack_tick() {
   ack_timer_armed_ = false;
   TimePoint next = kNoAckDue;
-  for (auto& [from, in] : in_) {
+  for (std::size_t from = 0; from < in_.size(); ++from) {
+    const PeerIn& in = in_[from];
     if (in.ack_due == kNoAckDue) continue;
     if (in.ack_due <= ctx_.now()) {
-      send_ack(from);
+      send_ack(static_cast<ProcessId>(from));
     } else {
       next = std::min(next, in.ack_due);
     }
@@ -358,13 +378,14 @@ void ReliableChannel::arm_sack_timer(TimePoint due) {
 void ReliableChannel::sack_tick() {
   sack_timer_armed_ = false;
   TimePoint next = kNoAckDue;
-  for (auto& [from, in] : in_) {
+  for (std::size_t from = 0; from < in_.size(); ++from) {
+    PeerIn& in = in_[from];
     if (in.gap_since == kNoAckDue || in.sack_reported) continue;
     if (gap_aged(in)) {
       // The gap outlived the hold: it is a loss, not a reordering. Report
       // what we hold so the sender resends only the missing seqs.
       in.sack_reported = true;
-      send_ack(from);
+      send_ack(static_cast<ProcessId>(from));
     } else {
       next = std::min(next, in.gap_since + config_.rto / 8);
     }
@@ -374,25 +395,27 @@ void ReliableChannel::sack_tick() {
 
 void ReliableChannel::on_ack(ProcessId from, std::uint64_t cumulative, BytesView sack) {
   // Cumulative ack: everything strictly below `cumulative` is received.
-  auto oit = out_.find(from);
-  if (oit == out_.end()) return;
-  PeerOut& peer = oit->second;
+  PeerOut* found = find_peer(out_, from);
+  if (found == nullptr) return;
+  PeerOut& peer = *found;
   if (peer.floor_pending && cumulative >= peer.floor) peer.floor_pending = false;
   if (!sack.empty()) on_sack(from, peer, cumulative, sack);
-  auto end = peer.unacked.lower_bound(cumulative);
-  if (end == peer.unacked.begin()) return;  // nothing new
+  const std::uint64_t base = peer.base();
+  if (cumulative <= base || peer.unacked.empty()) return;  // nothing new
+  const std::uint64_t acked = std::min<std::uint64_t>(cumulative - base, peer.unacked.size());
   // Progress: the peer is alive and the path works; back off no more.
   peer.backoff = 1;
   peer.resend_at = 0;
-  for (auto it = peer.unacked.begin(); it != end; ++it) {
-    if (it->second.first_sent != kNeverSent) {
+  for (std::uint64_t i = 0; i < acked; ++i) {
+    const Outgoing& msg = peer.unacked.front();
+    if (msg.first_sent != kNeverSent) {
       if (peer.in_flight > 0) --peer.in_flight;
       // Time-in-channel: first transmit until the cumulative ack covers
       // the message (the sender-side view of channel residence).
-      ctx_.metrics().observe(h_residence_, ctx_.now() - it->second.first_sent);
+      ctx_.metrics().observe(h_residence_, ctx_.now() - msg.first_sent);
     }
+    peer.unacked.pop_front();
   }
-  peer.unacked.erase(peer.unacked.begin(), end);
   // The ack comes off the wire: should it cover unsent seqs (a receiver
   // whose state predates ours, or a corrupt frame), move the cursor past
   // them so queued_by_flow_control() stays exact.
@@ -407,33 +430,48 @@ void ReliableChannel::on_sack(ProcessId from, PeerOut& peer, std::uint64_t cumul
   // A seq below the highest one held that went out at least a hold ago is
   // lost (jitter reorders by less): resend it at once, unless it already
   // went again within the last rto.
+  const std::uint64_t base = peer.base();
   std::uint64_t highest = cumulative;
-  for (auto it = peer.unacked.upper_bound(cumulative); it != peer.unacked.end(); ++it) {
-    const std::uint64_t off = it->first - cumulative - 1;
+  const std::uint64_t above = cumulative < peer.next_seq ? cumulative + 1 : peer.next_seq;
+  for (std::uint64_t seq = std::max(above, base); seq < peer.next_seq; ++seq) {
+    const std::uint64_t off = seq - cumulative - 1;
     if (off >= 8 * sack.size()) break;
     if ((sack[off / 8] >> (off % 8)) & 1u) {
-      if (!it->second.sacked) {
-        it->second.sacked = true;
+      Outgoing& msg = peer.unacked[seq - base];
+      if (!msg.sacked) {
+        msg.sacked = true;
         peer.backoff = 1;
         peer.resend_at = 0;
       }
-      highest = it->first;
+      highest = seq;
     }
   }
   Batch lost;
-  for (auto it = peer.unacked.lower_bound(cumulative);
-       it != peer.unacked.end() && it->first < highest; ++it) {
-    Outgoing& msg = it->second;
-    if (msg.sacked || it->first >= peer.next_unsent ||
+  for (std::uint64_t seq = std::max(cumulative, base); seq < peer.next_seq && seq < highest;
+       ++seq) {
+    Outgoing& msg = peer.unacked[seq - base];
+    if (msg.sacked || seq >= peer.next_unsent ||
         ctx_.now() - msg.first_sent < config_.rto / 8 ||
         (msg.resent_at != kNeverSent && ctx_.now() - msg.resent_at < config_.rto)) {
       continue;
     }
     msg.resent_at = ctx_.now();
     count_retransmit(from, msg);
-    lost.emplace_back(it->first, &msg);
+    lost.emplace_back(seq, &msg);
   }
   if (!lost.empty()) transmit_batch(from, peer, lost);
+}
+
+bool ReliableChannel::hold(PeerIn& peer, std::uint64_t off, Tag upper, BytesView body) {
+  if (off < peer.holdback.size() && peer.holdback[off].occupied()) return false;
+  peer.holdback.extend(static_cast<std::size_t>(off) + 1);
+  Held& slot = peer.holdback[static_cast<std::size_t>(off)];
+  slot.upper = upper;
+  // The view dies with the datagram: keep a copy in a pooled buffer.
+  std::shared_ptr<Bytes> copy = ctx_.pool().acquire();
+  copy->assign(body.begin(), body.end());
+  slot.body = Payload(std::shared_ptr<const Bytes>(std::move(copy)));
+  return true;
 }
 
 void ReliableChannel::on_datagram(ProcessId from, BytesView payload) {
@@ -468,13 +506,18 @@ void ReliableChannel::on_datagram(ProcessId from, BytesView payload) {
     on_ack(from, cumulative, sack);
     return;
   }
-  PeerIn& peer = in_[from];
+  PeerIn& peer = in(from);
   const std::uint64_t expected_before = peer.next_expected;
   if (has_floor && floor > peer.next_expected) {
     // The sender voided the seqs below the floor when it excluded us.
+    const std::uint64_t skipped = floor - peer.next_expected;
     peer.next_expected = floor;
-    peer.holdback.erase(peer.holdback.begin(), peer.holdback.lower_bound(floor));
+    for (std::uint64_t i = 0; i < skipped && !peer.holdback.empty(); ++i) {
+      peer.holdback.pop_front();
+    }
   }
+  const std::size_t bound =
+      config_.send_window > 0 ? config_.send_window : kHoldbackLimit;
   bool duplicate = false;
   bool held = false;
   for (std::uint64_t i = 0; i < entries; ++i) {
@@ -488,21 +531,25 @@ void ReliableChannel::on_datagram(ProcessId from, BytesView payload) {
     // Zero-copy fast path: the common case (in order, nothing held back)
     // delivers the view straight out of the datagram buffer. Out-of-order
     // arrivals are the only ones that pay a copy into the holdback.
-    if (seq == peer.next_expected && peer.holdback.empty()) {
+    const std::uint64_t off = seq - peer.next_expected;
+    if (off == 0 && peer.holdback.empty()) {
       ++peer.next_expected;
       deliver(from, upper, body);
-    } else if (peer.holdback.find(seq) == peer.holdback.end()) {
-      peer.holdback.emplace(seq, std::make_pair(upper, to_bytes(body)));
+    } else if (off >= bound) {
+      ++holdback_dropped_;  // unacked: the sender resends it
+    } else if (hold(peer, off, upper, body)) {
       held = true;
     } else {
       duplicate = true;
     }
   }
-  // Deliver the in-order prefix of the holdback.
-  while (!peer.holdback.empty() && peer.holdback.begin()->first == peer.next_expected) {
-    auto node = peer.holdback.extract(peer.holdback.begin());
+  // Deliver the in-order prefix of the holdback. The slot leaves the ring
+  // first: a delivery upcall may send, and framing reads the holdback.
+  while (!peer.holdback.empty() && peer.holdback.front().occupied()) {
+    const Held slot = std::move(peer.holdback.front());
+    peer.holdback.pop_front();
     ++peer.next_expected;
-    deliver(from, node.mapped().first, node.mapped().second);
+    deliver(from, slot.upper, slot.body.bytes());
   }
   if (peer.holdback.empty()) {
     peer.gap_since = kNoAckDue;
@@ -544,10 +591,11 @@ void ReliableChannel::arm_retransmit_timer() {
 void ReliableChannel::retransmit_tick() {
   timer_armed_ = false;
   bool outstanding = false;
-  for (auto& [to, peer] : out_) {
+  for (std::size_t to = 0; to < out_.size(); ++to) {
+    PeerOut& peer = out_[to];
     if (peer.unacked.empty()) continue;
     outstanding = true;
-    if (ctx_.now() >= peer.resend_at) resend_due(to, peer);
+    if (ctx_.now() >= peer.resend_at) resend_due(static_cast<ProcessId>(to), peer);
   }
   if (outstanding) arm_retransmit_timer();
 }
@@ -561,7 +609,9 @@ void ReliableChannel::count_retransmit(ProcessId to, const Outgoing& msg) {
 
 void ReliableChannel::resend_due(ProcessId to, PeerOut& peer) {
   Batch due;
-  for (auto& [seq, msg] : peer.unacked) {
+  const std::uint64_t base = peer.base();
+  for (std::uint64_t seq = base; seq < peer.next_seq; ++seq) {
+    Outgoing& msg = peer.unacked[seq - base];
     // Only retransmit messages that have been in flight at least one rto;
     // fresh sends get their first chance and flow-control-queued ones
     // have never been transmitted at all. first_sent never decreases

@@ -25,6 +25,14 @@
 /// 2018): the sender resends the missing seqs at once (each at most once
 /// per rto) and never resends a held one.
 ///
+/// Per-peer state lives in vectors indexed by ProcessId, and both queues are
+/// rings indexed by seq (util/ring.hpp). The retransmit queue holds the
+/// dense seqs [acked_below, next_seq). The holdback holds out-of-order
+/// arrivals at slot `seq - next_expected`, each copied into a pooled buffer
+/// (the datagram's view dies with the receive call). The holdback is bounded
+/// by send_window when flow control is on, else by kHoldbackLimit; a frame
+/// beyond the bound is dropped unacknowledged, and the sender resends it.
+///
 /// The channel also exposes its output buffer age per peer: a message that
 /// stays unacknowledged for a long time is the basis for *output-triggered
 /// suspicion* (paper §3.3.2), consumed by the monitoring component.
@@ -33,11 +41,11 @@
 #include <array>
 #include <functional>
 #include <limits>
-#include <map>
 #include <vector>
 
 #include "sim/context.hpp"
 #include "transport/transport.hpp"
+#include "util/ring.hpp"
 
 namespace gcs {
 
@@ -57,6 +65,7 @@ class ReliableChannel {
     /// Flow control (the role Totem's middle layer plays, paper Fig 4):
     /// at most this many in-flight (transmitted, unacked) messages per
     /// peer; the rest queue locally until acks open the window. 0 = off.
+    /// Also the receive holdback bound (kHoldbackLimit when 0).
     std::size_t send_window = 0;
     /// Batching/piggybacking: hold sends for up to this long and pack
     /// everything queued for a peer into one datagram. Protocols that
@@ -124,7 +133,16 @@ class ReliableChannel {
   /// the ack hold, i.e. something was lost).
   std::int64_t sacks_sent() const { return sacks_sent_; }
 
-  /// Total work of the transmit scans in pump()/flush(), in map steps: one
+  /// Frames dropped because their seq lay beyond the holdback bound.
+  std::int64_t holdback_dropped() const { return holdback_dropped_; }
+
+  /// Out-of-order frames currently held back from \p from.
+  std::size_t holdback_count(ProcessId from) const;
+
+  /// Holdback bound in seqs above next_expected when send_window is 0.
+  static constexpr std::size_t kHoldbackLimit = std::size_t{1} << 14;
+
+  /// Total work of the transmit scans in pump()/flush(), in steps: one
   /// per scan start plus one per entry visited. The first-unsent cursor
   /// makes this O(messages transmitted); the regression test bounds it
   /// against the whole-queue walk it replaced.
@@ -134,10 +152,7 @@ class ReliableChannel {
   /// transmitted-but-unacked and flow-control-held alike (probe gauge).
   std::size_t total_send_queue() const {
     std::size_t n = 0;
-    for (const auto& [to, peer] : out_) {
-      (void)to;
-      n += peer.unacked.size();
-    }
+    for (const PeerOut& peer : out_) n += peer.unacked.size();
     return n;
   }
 
@@ -158,9 +173,11 @@ class ReliableChannel {
     std::uint64_t next_seq = 0;
     // First seq never transmitted. Transmission runs in seq order, so the
     // sent entries of `unacked` are exactly those below it, and their
-    // first_sent times never decrease along the map.
+    // first_sent times never decrease along the ring.
     std::uint64_t next_unsent = 0;
-    std::map<std::uint64_t, Outgoing> unacked;  // seq -> message
+    // unacked[i] is seq base() + i: the dense seqs [base(), next_seq).
+    Ring<Outgoing> unacked;
+    std::uint64_t base() const { return next_seq - unacked.size(); }
     std::size_t in_flight = 0;                  // transmitted, unacked
     bool flush_armed = false;                   // batching timer pending
     bool fc_stalled = false;                    // window full, sends held back
@@ -172,11 +189,21 @@ class ReliableChannel {
     std::uint64_t floor = 0;                    // seqs below it were voided
   };
   static constexpr TimePoint kNoAckDue = std::numeric_limits<TimePoint>::max();
+  /// A holdback slot: the frame's upper tag and a pooled copy of its body.
+  /// An empty body buffer marks a free slot.
+  struct Held {
+    Tag upper{};
+    Payload body;
+    bool occupied() const { return body.shared() != nullptr; }
+  };
   struct PeerIn {
     std::uint64_t next_expected = 0;
     std::uint64_t ack_sent = 0;     // cumulative ack last carried to the peer
     TimePoint ack_due = kNoAckDue;  // standalone ack deadline while one is owed
-    std::map<std::uint64_t, std::pair<Tag, Bytes>> holdback;  // out-of-order
+    // Out-of-order frames: holdback[i] is seq next_expected + i. The back
+    // slot is always occupied, so the ring is empty exactly when nothing
+    // is held, and its size spans to the highest held seq.
+    Ring<Held> holdback;
     // Since when next_expected has been missing with holdback non-empty
     // (kNoAckDue: no gap); once older than the hold, acks carry a SACK.
     TimePoint gap_since = kNoAckDue;
@@ -185,6 +212,12 @@ class ReliableChannel {
   using Batch = std::vector<std::pair<std::uint64_t, const Outgoing*>>;
 
   void on_datagram(ProcessId from, BytesView payload);
+  // Per-peer state, grown on demand (sized to the universe up front).
+  PeerOut& out(ProcessId to);
+  PeerIn& in(ProcessId from);
+  // Hold a copy of \p body at slot \p off of \p peer's holdback; false if
+  // the slot is occupied.
+  bool hold(PeerIn& peer, std::uint64_t off, Tag upper, BytesView body);
   // Cumulative ack plus the peer's SACK bitmap (empty when none).
   void on_ack(ProcessId from, std::uint64_t cumulative, BytesView sack);
   void on_sack(ProcessId from, PeerOut& peer, std::uint64_t cumulative, BytesView sack);
@@ -243,8 +276,8 @@ class ReliableChannel {
   // (re)transmit time so retransmissions are included.
   std::array<MetricId, static_cast<std::size_t>(Tag::kMax)> m_up_wire_bytes_;
   std::array<MetricId, static_cast<std::size_t>(Tag::kMax)> m_up_wire_msgs_;
-  std::map<ProcessId, PeerOut> out_;
-  std::map<ProcessId, PeerIn> in_;
+  std::vector<PeerOut> out_;  // by ProcessId
+  std::vector<PeerIn> in_;    // by ProcessId
   std::vector<Handler> handlers_;
   bool timer_armed_ = false;
   bool ack_timer_armed_ = false;
@@ -252,6 +285,7 @@ class ReliableChannel {
   std::int64_t datagrams_sent_ = 0;
   std::int64_t acks_sent_ = 0;
   std::int64_t sacks_sent_ = 0;
+  std::int64_t holdback_dropped_ = 0;
   std::uint64_t pump_steps_ = 0;
   Bytes scratch_;  ///< reusable datagram framing buffer (capacity persists)
 };

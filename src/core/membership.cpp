@@ -44,7 +44,13 @@ void GroupMembership::init_view(std::vector<ProcessId> members) {
 }
 
 void GroupMembership::join(ProcessId contact) {
-  assert(!is_member());
+  // No assert(!is_member()): a member excluded while cut off (a partition)
+  // still lists itself in its last view until it learns the removal, and
+  // it may ask to rejoin before it does. A sponsor that still lists it
+  // ignores the request, so the retry below keeps asking until a STATE
+  // snapshot arrives; that snapshot replaces the stale view and ordering
+  // state wholesale, exactly as for a fresh joiner. (A process that was
+  // never excluded keeps asking, and every request is ignored.)
   awaiting_state_ = true;
   Encoder enc;
   enc.put_byte(kJoinReq);
@@ -54,7 +60,7 @@ void GroupMembership::join(ProcessId contact) {
   // channel is reliable, so re-sending to the same contact is enough when
   // it is alive; callers pick a different contact if it crashed.
   ctx_.after(msec(500), [this, contact] {
-    if (awaiting_state_ && !is_member()) join(contact);
+    if (awaiting_state_) join(contact);
   });
 }
 

@@ -61,7 +61,11 @@ class GroupMembership {
   /// members. Non-members (future joiners) do not call this.
   void init_view(std::vector<ProcessId> members);
 
-  /// Called by a NON-member that wants in: asks \p contact to sponsor it.
+  /// Called by a process that wants in: asks \p contact to sponsor it.
+  /// Also valid for a member excluded while cut off that has not yet
+  /// learned its exclusion (its view is stale): it retries every 500 ms
+  /// until a sponsor that has excluded it sends the STATE snapshot, which
+  /// replaces that view.
   void join(ProcessId contact);
 
   /// Propose removal of member \p q (Fig 9: remove). Normally invoked by

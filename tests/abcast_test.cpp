@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "broadcast/atomic_broadcast.hpp"
 #include "tests/test_util.hpp"
+#include "util/codec.hpp"
 
 namespace gcs {
 namespace {
@@ -231,6 +233,99 @@ TEST(AtomicBroadcast, SnapshotRestoreBringsJoinerInSync) {
   }
   // ...and new messages are totally ordered at the old members.
   EXPECT_TRUE(consistent_prefix(w.procs[0].log.order, w.procs[1].log.order));
+}
+
+/// Consensus driven by the test: it records proposals and decides only
+/// when told to.
+struct ScriptedConsensus final : ConsensusProtocol {
+  std::map<std::uint64_t, Bytes> proposed;
+  DecideFn decide_fn;
+
+  void propose(std::uint64_t k, Bytes value, std::vector<ProcessId>) override {
+    proposed.emplace(k, std::move(value));
+  }
+  void on_decide(DecideFn fn) override { decide_fn = std::move(fn); }
+  bool decided(std::uint64_t) const override { return false; }
+  std::int64_t instances_decided() const override { return 0; }
+  std::int64_t open_instances() const override { return 0; }
+  void forget_below(std::uint64_t) override {}
+
+ protected:
+  void cast_deferred(std::uint64_t, DeferredVote) override {}
+};
+
+/// A transport that sends nowhere; the test hands frames in by hand.
+struct HandTransport final : Transport {
+  Handler handler;
+  ProcessId self() const override { return 0; }
+  int universe_size() const override { return 2; }
+  void u_send(ProcessId, Tag, const Bytes&) override {}
+  void subscribe(Tag tag, Handler h) override {
+    if (tag == Tag::kChannel) handler = std::move(h);
+  }
+};
+
+Bytes batch_of(const std::vector<MsgId>& ids) {
+  BatchProposal prop;
+  for (const MsgId& id : ids) prop.entries.push_back(ProposalEntry{id, AtomicBroadcast::kApp});
+  Encoder enc;
+  prop.encode(enc);
+  return enc.take();
+}
+
+TEST(AtomicBroadcast, UpcallProposalDoesNotShiftTheReleasedBatch) {
+  // p0 makes no proposal into instance 0, which another proposer's batch
+  // {x} decides; p0 pulls x's payload. Delivering x, a subscriber abcasts
+  // c, and p0 proposes {c} into instance 1 before instance 0's release
+  // runs. Instance 1 then decides without c (a no-op fill). Its release
+  // must free c, so that p0 proposes c again into instance 2; releasing
+  // by position instead pops {c} at instance 0 and strands it for good.
+  sim::Engine engine;
+  sim::Context ctx(0, engine, Rng(1), Logger(), std::make_shared<Metrics>());
+  HandTransport transport;
+  ReliableChannel channel(ctx, transport);
+  ReliableBroadcast rbcast(ctx, channel, Tag::kRbcast);
+  ScriptedConsensus consensus;
+  AtomicBroadcast ab(ctx, rbcast, consensus, &channel);
+  std::vector<std::string> got;
+  ab.subscribe(AtomicBroadcast::kApp, [&](const MsgId&, BytesView b) {
+    got.push_back(test::str_of(b));
+    if (got.size() == 1) ab.abcast(AtomicBroadcast::kApp, bytes_of("c"));
+  });
+  ab.init({0, 1}, 0);
+
+  const MsgId x{1, 0};
+  consensus.decide_fn(0, batch_of({x}));
+  EXPECT_TRUE(got.empty());  // x's payload is missing: pulled from p1
+  // p1's push, as a channel data frame: kind | ack | seq | upper | body.
+  Encoder entries;
+  entries.put_msgid(x);
+  entries.put_byte(AtomicBroadcast::kApp);
+  entries.put_bytes(bytes_of("x"));
+  Encoder push;
+  push.put_byte(1);  // kPush
+  push.put_u64(1);
+  push.put_bytes(entries.bytes());
+  Encoder frame;
+  frame.put_byte(0);  // kData
+  frame.put_u64(0);
+  frame.put_u64(0);
+  frame.put_byte(static_cast<std::uint8_t>(Tag::kAbcast));
+  frame.put_bytes(push.bytes());
+  transport.handler(1, BytesView(frame.bytes()));
+  ASSERT_EQ(got, (std::vector<std::string>{"x"}));
+  ASSERT_EQ(consensus.proposed.count(0), 0u);
+  ASSERT_EQ(consensus.proposed.count(1), 1u);
+  const MsgId c{0, 0};
+  EXPECT_EQ(ab.pending_count(), 1u);
+  EXPECT_EQ(consensus.proposed[1], batch_of({c}));
+
+  consensus.decide_fn(1, Bytes{});  // instance 1 decides without c
+  ASSERT_EQ(consensus.proposed.count(2), 1u) << "c was not proposed again";
+  EXPECT_EQ(consensus.proposed[2], batch_of({c}));
+  consensus.decide_fn(2, consensus.proposed[2]);
+  EXPECT_EQ(got, (std::vector<std::string>{"x", "c"}));
+  EXPECT_EQ(ab.pending_count(), 0u);
 }
 
 }  // namespace
