@@ -9,8 +9,9 @@
 ///   --json[=path]    kernel hot-path suite with the counting allocator:
 ///                    engine steady-state/cold-start/cancel-churn and
 ///                    network fan-out, written as machine-readable JSON
-///                    (default ./BENCH_kernel.json). Used by CI; how to
-///                    read the numbers is documented in
+///                    (default ./BENCH_kernel.json) with one `checks`
+///                    block; exits nonzero when a check fails. Used by
+///                    CI; how to read the numbers is documented in
 ///                    DESIGN.md ("Kernel performance model").
 ///
 /// This binary opts into the counting operator new/delete of
@@ -332,7 +333,7 @@ KernelRow kernel_network_fanout(long long multicasts) {
           a1.allocs - a0.allocs, a1.frees - a0.frees};
 }
 
-int run_kernel_suite(const std::string& json_path) {
+void run_kernel_suite(bench::SuiteReport& report) {
   bench::banner("E7-kernel — engine/event hot-path microbenchmarks",
                 "Wall-clock cost per event with exact allocation counts "
                 "(counting operator new/delete). See DESIGN.md, \"Kernel "
@@ -347,9 +348,6 @@ int run_kernel_suite(const std::string& json_path) {
   rows.push_back(kernel_engine_cancel_churn(2000000, &churn_depth, &churn_pool));
   rows.push_back(kernel_network_fanout(200000));
 
-  const bool steady_zero_alloc = rows[0].allocs == 0 && rows[1].allocs == 0;
-  const bool churn_bounded = churn_depth <= 4096 && churn_pool <= 8192;
-
   bench::Table table({"benchmark", "events", "ns/event", "events/sec", "allocs/event"});
   for (const KernelRow& r : rows) {
     table.add_row({r.name, bench::fmt_int(static_cast<std::int64_t>(r.events)),
@@ -358,65 +356,45 @@ int run_kernel_suite(const std::string& json_path) {
                    bench::fmt_double(r.allocs_per_event(), 4)});
   }
   table.print();
-  std::printf("\n  cancel churn: max queue depth %zu, max pool %zu (window 1024)\n",
-              churn_depth, churn_pool);
-  std::printf("  steady-state zero-alloc: %s\n", steady_zero_alloc ? "PASS" : "FAIL");
-  std::printf("  churn bounded: %s\n", churn_bounded ? "PASS" : "FAIL");
 
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"suite\": \"kernel\",\n  \"schema\": 1,\n  \"results\": [\n");
+  std::string results = "  \"results\": [";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const KernelRow& r = rows[i];
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"events\": %llu, \"wall_ns\": %s, "
-                 "\"ns_per_event\": %s, \"events_per_sec\": %s, \"allocs\": %llu, "
-                 "\"frees\": %llu, \"allocs_per_event\": %s}%s\n",
-                 obs::json_escape_string(r.name).c_str(),
-                 static_cast<unsigned long long>(r.events), bench::json_num(r.wall_ns).c_str(),
-                 bench::json_num(r.ns_per_event()).c_str(),
-                 bench::json_num(r.events_per_sec()).c_str(),
-                 static_cast<unsigned long long>(r.allocs),
-                 static_cast<unsigned long long>(r.frees),
-                 bench::json_num(r.allocs_per_event()).c_str(),
-                 i + 1 < rows.size() ? "," : "");
+    results += std::string(i ? "," : "") + "\n    {\"name\": \"" + obs::json_escape_string(r.name) +
+               "\", \"events\": " + std::to_string(r.events) +
+               ", \"wall_ns\": " + bench::json_num(r.wall_ns) +
+               ", \"ns_per_event\": " + bench::json_num(r.ns_per_event()) +
+               ", \"events_per_sec\": " + bench::json_num(r.events_per_sec()) +
+               ", \"allocs\": " + std::to_string(r.allocs) +
+               ", \"frees\": " + std::to_string(r.frees) +
+               ", \"allocs_per_event\": " + bench::json_num(r.allocs_per_event()) + "}";
   }
-  std::fprintf(out,
-               "  ],\n  \"checks\": {\n    \"steady_state_zero_alloc\": %s,\n"
-               "    \"cancel_churn_bounded\": %s,\n    \"churn_max_queue_depth\": %zu,\n"
-               "    \"churn_max_pool\": %zu\n  }\n}\n",
-               steady_zero_alloc ? "true" : "false", churn_bounded ? "true" : "false",
-               churn_depth, churn_pool);
-  std::fclose(out);
-  std::printf("\n  wrote %s\n", json_path.c_str());
-  return steady_zero_alloc && churn_bounded ? 0 : 1;
+  report.members.push_back(results + "\n  ]");
+
+  report.checks.push_back({"steady_state_zero_alloc", rows[0].allocs == 0 && rows[1].allocs == 0,
+                           "self-rescheduling timers allocate nothing in steady state"});
+  report.checks.push_back({"cancel_churn_bounded", churn_depth <= 4096 && churn_pool <= 8192,
+                           "cancel/reschedule churn keeps queue depth <= 4096 and pool <= 8192",
+                           {{"max_queue_depth", std::to_string(churn_depth)},
+                            {"max_pool", std::to_string(churn_pool)}}});
 }
 
 }  // namespace
 }  // namespace gcs
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  bool json_mode = false;
   std::vector<char*> gbench_args;
   gbench_args.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0 || std::strncmp(argv[i], "--json=", 7) == 0) {
+      return gcs::bench::suite_main(argc, argv, "kernel", gcs::run_kernel_suite);
+    }
     if (std::strcmp(argv[i], "--oracle") == 0) {
       gcs::bench::OracleGate::enabled() = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_mode = true;
-      json_path = "BENCH_kernel.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_mode = true;
-      json_path = argv[i] + 7;
     } else {
       gbench_args.push_back(argv[i]);
     }
   }
-  if (json_mode) return gcs::run_kernel_suite(json_path);
   int gargc = static_cast<int>(gbench_args.size());
   benchmark::Initialize(&gargc, gbench_args.data());
   if (benchmark::ReportUnrecognizedArguments(gargc, gbench_args.data())) return 1;

@@ -7,12 +7,6 @@
 
 namespace gcs {
 
-namespace {
-// Tag::kAbcast channel messages (the payload-pull fallback).
-constexpr std::uint8_t kPull = 0;  ///< request: ids whose payloads are missing
-constexpr std::uint8_t kPush = 1;  ///< response: (id, subtag, payload) entries
-}  // namespace
-
 AtomicBroadcast::Entry& AtomicBroadcast::Origin::at(std::uint64_t seq) {
   if (entries.empty()) {
     base = seq;
@@ -68,32 +62,52 @@ void AtomicBroadcast::Origin::trim() {
 }
 
 AtomicBroadcast::AtomicBroadcast(sim::Context& ctx, ReliableBroadcast& rbcast,
-                                 ConsensusProtocol& consensus, ReliableChannel* channel)
+                                 ConsensusProtocol& consensus, ReliableChannel& channel)
     : AtomicBroadcast(ctx, rbcast, consensus, channel, Config{}) {}
 
 AtomicBroadcast::AtomicBroadcast(sim::Context& ctx, ReliableBroadcast& rbcast,
-                                 ConsensusProtocol& consensus, ReliableChannel* channel,
+                                 ConsensusProtocol& consensus, ReliableChannel& channel,
                                  Config config)
     : ctx_(ctx), rbcast_(rbcast), consensus_(consensus), channel_(channel), config_(config),
       m_broadcasts_(metric_id("abcast.broadcasts")),
       m_delivered_(metric_id("abcast.delivered")),
-      m_pull_requests_(metric_id("abcast.pull_requests")),
-      m_pull_served_(metric_id("abcast.pull_served")),
-      m_pushes_(metric_id("abcast.pushes")),
       h_order_latency_(metric_id("abcast.order_latency_us")),
       h_batch_wait_(metric_id("abcast.batch_wait_us")),
-      h_pull_wait_(metric_id("abcast.pull_wait_us")),
       h_gap_wait_(metric_id("abcast.gap_wait_us")),
       h_accept_rtt_(metric_id("consensus.accept_rtt_us")),
       cur_depth_(std::max<std::uint32_t>(1, config.pipeline_depth)),
-      cur_batch_(config.max_batch), subscribers_(8) {
+      cur_batch_(config.max_batch),
+      pull_(ctx, channel, Tag::kAbcast, members_, "abcast", obs::Names::get().abcast_pull_wait,
+            config.pull_retry,
+            // Some correct member holds every decided payload: the
+            // admission gate made a majority hold it before the decision,
+            // and each holder keeps it (store, or else rbcast retention)
+            // until every member has it.
+            [this](const MsgId& id) -> std::optional<PayloadPull::Held> {
+              if (const Entry* e = find(id); e != nullptr && e->stored()) {
+                return PayloadPull::Held{e->subtag, e->payload.bytes()};
+              }
+              // A retained rbcast frame is subtag | payload, as abcast()
+              // framed it.
+              Decoder body(rbcast_.retained(id).value_or(BytesView{}));
+              const SubTag subtag = body.get_byte();
+              const BytesView payload = body.get_view();
+              if (!body.ok()) return std::nullopt;
+              return PayloadPull::Held{subtag, payload};
+            },
+            [this](const MsgId& id, SubTag subtag, BytesView body) {
+              if (!is_adelivered(id) && !stored(id)) store(id, subtag, body);
+            },
+            [this](bool drained) {
+              consensus_.retry_deferred();
+              if (drained) process_decisions();
+            }),
+      subscribers_(8) {
   rbcast_.on_deliver([this](const MsgId& id, BytesView b) { on_rdeliver(id, b); });
   consensus_.on_decide([this](std::uint64_t k, const Bytes& v) { on_decide(k, v); });
   consensus_.set_admission([this](const Bytes& v) { return holds_payloads(v); });
-  if (channel_) {
-    channel_->subscribe(Tag::kAbcast,
-                        [this](ProcessId from, BytesView b) { on_channel_message(from, b); });
-  }
+  channel_.subscribe(Tag::kAbcast,
+                     [this](ProcessId from, BytesView b) { pull_.on_message(from, b); });
 }
 
 void AtomicBroadcast::init(std::vector<ProcessId> members, std::uint64_t first_instance) {
@@ -253,17 +267,9 @@ void AtomicBroadcast::restore(BytesView snapshot) {
   proposed_counts_.clear();
   decision_buffer_.erase(decision_buffer_.begin(),
                          decision_buffer_.lower_bound(next_instance_));
-  missing_.clear();
-  if (pull_stalled_) {
-    // The stalled head decision was superseded by the snapshot; close the
-    // span so the flight recorder stays balanced.
-    pull_stalled_ = false;
-    ctx_.metrics().observe(h_pull_wait_, ctx_.now() - pull_stall_since_);
-    ctx_.trace_end(obs::Names::get().abcast_pull_wait,
-                   MsgId{obs::kConsensusKey, next_instance_});
-  }
-  // Close any gap spans opened for decisions the snapshot superseded, so
-  // the flight recorder stays balanced.
+  // The snapshot supersedes a stalled head decision and any gap spans
+  // opened for decisions; close them so the flight recorder stays balanced.
+  pull_.reset();
   for (const auto& [k, since] : gap_since_) {
     ctx_.metrics().observe(h_gap_wait_, ctx_.now() - since);
     ctx_.trace_end(obs::Names::get().abcast_gap_wait, MsgId{obs::kConsensusKey, k});
@@ -295,16 +301,15 @@ void AtomicBroadcast::on_rdeliver(const MsgId& id, BytesView payload) {
     ctx_.trace_begin(obs::Names::get().abcast_batch_wait, id, subtag);
   }
   consensus_.retry_deferred();
-  resolve_missing(id);
+  if (pull_.resolve(id)) process_decisions();
   try_start_instances();
 }
 
 bool AtomicBroadcast::fc_blocked() {
-  if (channel_ == nullptr) return false;
   // The channel's Totem-style window is per peer; any member with held-back
   // frames means a follower cannot absorb more ordering traffic.
   for (const ProcessId p : members_) {
-    if (p != ctx_.self() && channel_->queued_by_flow_control(p) > 0) return true;
+    if (p != ctx_.self() && channel_.queued_by_flow_control(p) > 0) return true;
   }
   return false;
 }
@@ -417,29 +422,15 @@ void AtomicBroadcast::process_decisions() {
     Decoder dec(decision_buffer_.begin()->second);
     BatchProposal prop = BatchProposal::decode(dec);
     if (!dec.ok()) prop.entries.clear();  // corrupt decision: deliver nothing
-    missing_.clear();
+    pull_.clear();
     for (const ProposalEntry& e : prop.entries) {
-      if (!is_adelivered(e.id) && !stored(e.id)) missing_.insert(e.id);
+      if (!is_adelivered(e.id) && !stored(e.id)) pull_.need(e.id);
     }
-    if (!missing_.empty()) {
-      // Stall this instance (later ones queue behind it, preserving total
-      // order) and fetch the payload bytes from a peer.
-      if (!pull_stalled_) {
-        pull_stalled_ = true;
-        pull_stall_since_ = ctx_.now();
-        ctx_.trace_begin(obs::Names::get().abcast_pull_wait,
-                         MsgId{obs::kConsensusKey, next_instance_},
-                         static_cast<std::int64_t>(missing_.size()));
-      }
-      request_pull();
+    // Missing payloads stall this instance (later ones queue behind it,
+    // preserving total order) while they are pulled from a peer.
+    if (pull_.wait(MsgId{obs::kConsensusKey, next_instance_})) {
       delivering_ = false;
       return;
-    }
-    if (pull_stalled_) {
-      pull_stalled_ = false;
-      ctx_.metrics().observe(h_pull_wait_, ctx_.now() - pull_stall_since_);
-      ctx_.trace_end(obs::Names::get().abcast_pull_wait,
-                     MsgId{obs::kConsensusKey, next_instance_});
     }
     decision_buffer_.erase(decision_buffer_.begin());
     if (auto git = gap_since_.find(next_instance_); git != gap_since_.end()) {
@@ -551,7 +542,7 @@ void AtomicBroadcast::control_tick() {
   ctl_bw_sum_ = bw_sum;
   ctl_rtt_count_ = rtt_count;
   ctl_rtt_sum_ = rtt_sum;
-  if (fc_blocked() || pull_stalled_) {
+  if (fc_blocked() || pull_.stalled()) {
     // A follower cannot keep up (send window exhausted) or a delivery is
     // stalled on payloads: multiplicative decrease.
     cur_depth_ = std::max<std::uint32_t>(1, cur_depth_ / 2);
@@ -575,100 +566,6 @@ void AtomicBroadcast::control_tick() {
   window_saturated_ = false;
   ctx_.after(config_.control_interval, [this] { control_tick(); });
   try_start_instances();
-}
-
-void AtomicBroadcast::request_pull() {
-  if (missing_.empty() || channel_ == nullptr) return;
-  // Rotate targets so one slow/crashed peer cannot stall the pull forever.
-  // Some correct member holds the payload: the gate made a majority hold it
-  // before the decision, and each holder keeps it (store, or else rbcast
-  // retention) until every member has it.
-  ProcessId target = kNoProcess;
-  for (std::size_t step = 0; step < members_.size(); ++step) {
-    const ProcessId candidate = members_[pull_rr_++ % members_.size()];
-    if (candidate != ctx_.self()) {
-      target = candidate;
-      break;
-    }
-  }
-  if (target == kNoProcess) return;  // singleton group: nothing to pull from
-  std::shared_ptr<Bytes> wire = ctx_.pool().acquire();
-  Encoder enc(*wire);
-  enc.put_byte(kPull);
-  enc.put_u64(missing_.size());
-  for (const MsgId& id : missing_) enc.put_msgid(id);
-  channel_->send(target, Tag::kAbcast, Payload(std::shared_ptr<const Bytes>(std::move(wire))));
-  ctx_.metrics().inc(m_pull_requests_);
-  if (!pull_timer_armed_) {
-    pull_timer_armed_ = true;
-    ctx_.after(config_.pull_retry, [this] {
-      pull_timer_armed_ = false;
-      request_pull();
-    });
-  }
-}
-
-void AtomicBroadcast::resolve_missing(const MsgId& id) {
-  if (missing_.erase(id) > 0 && missing_.empty()) process_decisions();
-}
-
-void AtomicBroadcast::on_channel_message(ProcessId from, BytesView payload) {
-  Decoder dec(payload);
-  const std::uint8_t kind = dec.get_byte();
-  if (kind == kPull) {
-    const std::uint64_t n = dec.get_u64();
-    if (!dec.ok() || n > dec.remaining()) return;
-    // The entry count is only known after the store scan, and varints have
-    // no fixed width to patch, so entries are framed as one inner blob.
-    Encoder entries_enc;
-    std::uint64_t found = 0;
-    for (std::uint64_t i = 0; i < n && dec.ok(); ++i) {
-      const MsgId id = dec.get_msgid();
-      if (const Entry* e = find(id); e != nullptr && e->stored()) {
-        entries_enc.put_msgid(id);
-        entries_enc.put_byte(e->subtag);
-        entries_enc.put_bytes(e->payload.bytes());
-        ++found;
-      } else if (auto held = rbcast_.retained(id)) {
-        // Tail-GC'd here, but still retained by rbcast: the frame body is
-        // subtag | payload, as abcast() framed it.
-        Decoder body(*held);
-        const SubTag subtag = body.get_byte();
-        const BytesView payload = body.get_view();
-        if (!body.ok()) continue;
-        entries_enc.put_msgid(id);
-        entries_enc.put_byte(subtag);
-        entries_enc.put_bytes(payload);
-        ++found;
-      }
-    }
-    if (!dec.ok() || found == 0) return;
-    std::shared_ptr<Bytes> wire = ctx_.pool().acquire();
-    Encoder out(*wire);
-    out.put_byte(kPush);
-    out.put_u64(found);
-    out.put_bytes(entries_enc.bytes());
-    channel_->send(from, Tag::kAbcast, Payload(std::shared_ptr<const Bytes>(std::move(wire))));
-    ctx_.metrics().inc(m_pull_served_, static_cast<std::int64_t>(found));
-    return;
-  }
-  if (kind != kPush) return;
-  const std::uint64_t n = dec.get_u64();
-  if (!dec.ok() || n > dec.remaining()) return;
-  Decoder entries(dec.get_view());
-  bool resolved_any = false;
-  for (std::uint64_t i = 0; i < n && entries.ok(); ++i) {
-    const MsgId id = entries.get_msgid();
-    const SubTag subtag = entries.get_byte();
-    const BytesView body = entries.get_view();
-    if (!entries.ok()) break;
-    ctx_.metrics().inc(m_pushes_);
-    if (is_adelivered(id) || stored(id)) continue;
-    store(id, subtag, body);
-    if (missing_.erase(id) > 0) resolved_any = true;
-  }
-  consensus_.retry_deferred();
-  if (resolved_any && missing_.empty()) process_decisions();
 }
 
 }  // namespace gcs

@@ -21,9 +21,9 @@
 /// Channel FIFO order does not make the payload arrive before the
 /// decision: the origin may have crashed mid-send, or the decision may
 /// come from a majority this process is not in. A process that decides an
-/// instance without holding some payload stalls that instance and runs a
-/// bounded pull/push exchange over the reliable channel (Tag::kAbcast)
-/// until the payloads arrive, then resumes in order.
+/// instance without holding some payload stalls that instance and pulls
+/// the payloads (PayloadPull, on Tag::kAbcast) until they arrive, then
+/// resumes in order.
 ///
 /// Bookkeeping is per origin and indexed by the origin's dense rbcast seq:
 /// one ring of entries (pending meta plus the stored payload) and one
@@ -45,10 +45,10 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
+#include "broadcast/payload_pull.hpp"
 #include "broadcast/proposal.hpp"
 #include "broadcast/reliable_broadcast.hpp"
 #include "consensus/consensus.hpp"
@@ -92,14 +92,12 @@ class AtomicBroadcast {
     Duration control_interval = msec(5);
   };
 
-  /// \p channel carries the payload-pull fallback (Tag::kAbcast). Null
-  /// disables pulling — only safe for static groups that never restore
-  /// mid-instance, whose members each get every payload from its origin or
-  /// from a holder's relay.
+  /// \p channel carries the payload-pull fallback (Tag::kAbcast) and its
+  /// flow-control window backpressures proposals.
   AtomicBroadcast(sim::Context& ctx, ReliableBroadcast& rbcast, ConsensusProtocol& consensus,
-                  ReliableChannel* channel, Config config);
+                  ReliableChannel& channel, Config config);
   AtomicBroadcast(sim::Context& ctx, ReliableBroadcast& rbcast, ConsensusProtocol& consensus,
-                  ReliableChannel* channel = nullptr);
+                  ReliableChannel& channel);
 
   /// Install the initial view (Fig 9: init_view). Must be identical at all
   /// initial members. \p first_instance > 0 is used by joiners after state
@@ -231,7 +229,6 @@ class AtomicBroadcast {
 
   void on_rdeliver(const MsgId& id, BytesView payload);
   void on_decide(std::uint64_t k, const Bytes& value);
-  void on_channel_message(ProcessId from, BytesView payload);
   void process_decisions();
   void try_start_instances();
   /// True while the channel's Totem-style send window is exhausted toward
@@ -252,8 +249,6 @@ class AtomicBroadcast {
   /// Ids this process proposed into instance \p k (or earlier) that \p k
   /// decided without become eligible again.
   void release_proposed(std::uint64_t k);
-  void request_pull();
-  void resolve_missing(const MsgId& id);
   /// The consensus admission gate: true when every id of a batch is in the
   /// store or already adelivered.
   bool holds_payloads(const Bytes& value) const;
@@ -263,16 +258,12 @@ class AtomicBroadcast {
   sim::Context& ctx_;
   ReliableBroadcast& rbcast_;
   ConsensusProtocol& consensus_;
-  ReliableChannel* channel_;
+  ReliableChannel& channel_;
   Config config_;
   MetricId m_broadcasts_;
   MetricId m_delivered_;
-  MetricId m_pull_requests_;
-  MetricId m_pull_served_;
-  MetricId m_pushes_;
   MetricId h_order_latency_;  ///< rdeliver -> adeliver (time-to-order)
   MetricId h_batch_wait_;     ///< rdeliver -> first consensus proposal (batch residence)
-  MetricId h_pull_wait_;      ///< head-decision stall on missing payloads
   MetricId h_gap_wait_;       ///< out-of-order decision parked behind a gap
   MetricId h_accept_rtt_;     ///< consensus accept RTT (read by the controller)
   std::vector<ProcessId> members_;
@@ -313,13 +304,9 @@ class AtomicBroadcast {
   // out-of-order arrivals): k -> when it was buffered, for the gap_wait
   // span/metric closed when k finally processes in order.
   std::map<std::uint64_t, TimePoint> gap_since_;
-  // Payloads the head decision needs but the store lacks; while non-empty
-  // the decision stays buffered and the pull timer rotates through peers.
-  std::set<MsgId> missing_;
-  std::size_t pull_rr_ = 0;  // rotating pull target index
-  bool pull_timer_armed_ = false;
-  bool pull_stalled_ = false;        // head decision currently pull-stalled
-  TimePoint pull_stall_since_ = 0;   // when the current stall began
+  // Payloads the head decision needs but the store lacks; while any is
+  // missing the decision stays buffered.
+  PayloadPull pull_;
   // (instance, id) log of deliveries, driving the store's tail GC.
   std::deque<std::pair<std::uint64_t, MsgId>> delivered_log_;
   std::vector<std::vector<DeliverFn>> subscribers_;

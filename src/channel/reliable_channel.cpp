@@ -91,14 +91,6 @@ std::uint64_t ReliableChannel::send(ProcessId to, Tag upper, Payload payload) {
 }
 
 void ReliableChannel::pump(ProcessId to, PeerOut& peer) {
-  if (config_.batch_delay > 0) {
-    // Batching mode: defer; the flush timer packs everything eligible.
-    if (!peer.flush_armed && peer.next_unsent < peer.next_seq) {
-      peer.flush_armed = true;
-      ctx_.after(config_.batch_delay, [this, to] { flush(to); });
-    }
-    return;
-  }
   // Transmit queued messages while the flow-control window has room.
   // (With send_window == 0 everything goes immediately.)
   ++pump_steps_;
@@ -129,22 +121,6 @@ void ReliableChannel::update_fc_stall(ProcessId to, PeerOut& peer) {
     ctx_.trace_end(obs::Names::get().channel_fc_stall,
                    MsgId{obs::kPeerKey, static_cast<std::uint64_t>(to)});
   }
-}
-
-void ReliableChannel::flush(ProcessId to) {
-  PeerOut& peer = out(to);
-  peer.flush_armed = false;
-  Batch batch;
-  ++pump_steps_;
-  for (; peer.next_unsent < peer.next_seq && window_open(peer); ++peer.next_unsent) {
-    ++pump_steps_;
-    Outgoing& msg = peer.unacked[peer.next_unsent - peer.base()];
-    msg.first_sent = ctx_.now();
-    ++peer.in_flight;
-    batch.emplace_back(peer.next_unsent, &msg);
-  }
-  update_fc_stall(to, peer);
-  if (!batch.empty()) transmit_batch(to, peer, batch);
 }
 
 void ReliableChannel::transmit_batch(ProcessId to, const PeerOut& peer, const Batch& msgs) {

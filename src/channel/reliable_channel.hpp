@@ -67,11 +67,6 @@ class ReliableChannel {
     /// peer; the rest queue locally until acks open the window. 0 = off.
     /// Also the receive holdback bound (kHoldbackLimit when 0).
     std::size_t send_window = 0;
-    /// Batching/piggybacking: hold sends for up to this long and pack
-    /// everything queued for a peer into one datagram. Protocols that
-    /// broadcast in bursts (consensus, GB ACKs) collapse dramatically.
-    /// 0 = off (every message is its own datagram).
-    Duration batch_delay = 0;
   };
 
   ReliableChannel(sim::Context& ctx, Transport& transport, Config config);
@@ -123,7 +118,7 @@ class ReliableChannel {
   /// Messages queued by flow control (not yet transmitted) for \p to.
   std::size_t queued_by_flow_control(ProcessId to) const;
 
-  /// Data datagrams actually emitted (tests assert batching effectiveness).
+  /// Data datagrams actually emitted.
   std::int64_t datagrams_sent() const { return datagrams_sent_; }
 
   /// Standalone ack datagrams emitted; acks that ride data frames are free.
@@ -142,7 +137,7 @@ class ReliableChannel {
   /// Holdback bound in seqs above next_expected when send_window is 0.
   static constexpr std::size_t kHoldbackLimit = std::size_t{1} << 14;
 
-  /// Total work of the transmit scans in pump()/flush(), in steps: one
+  /// Total work of the transmit scans in pump(), in steps: one
   /// per scan start plus one per entry visited. The first-unsent cursor
   /// makes this O(messages transmitted); the regression test bounds it
   /// against the whole-queue walk it replaced.
@@ -179,7 +174,6 @@ class ReliableChannel {
     Ring<Outgoing> unacked;
     std::uint64_t base() const { return next_seq - unacked.size(); }
     std::size_t in_flight = 0;                  // transmitted, unacked
-    bool flush_armed = false;                   // batching timer pending
     bool fc_stalled = false;                    // window full, sends held back
     TimePoint fc_since = 0;                     // when the current stall began
     int backoff = 1;                            // retransmit period, in rtos
@@ -250,7 +244,6 @@ class ReliableChannel {
     return config_.send_window == 0 || peer.in_flight < config_.send_window;
   }
   void pump(ProcessId to, PeerOut& peer);  // flow control: fill the window
-  void flush(ProcessId to);                // batching: emit the packed datagram
   // Flow-control stall edge detection: opens/closes the channel.fc_stall
   // span and feeds the stall-duration histogram.
   void update_fc_stall(ProcessId to, PeerOut& peer);

@@ -22,7 +22,12 @@ constexpr std::uint8_t kRangedPrepare = 7;
 constexpr std::uint8_t kRangedPromise = 8;
 constexpr std::uint8_t kRangedNack = 9;
 
-/// Backoff window doubling is capped here; with backoff_max also clamping
+/// Takeover backoff: delay before a ranged prepare is kBackoffMin plus a
+/// seeded-Rng draw from a window that doubles per consecutive NACK, capped
+/// at kBackoffMax - kBackoffMin (bounded, deterministic for a fixed seed).
+constexpr Duration kBackoffMin = msec(1);
+constexpr Duration kBackoffMax = msec(16);
+/// Backoff window doubling is capped here; with kBackoffMax also clamping
 /// the draw, churn between dueling takeover candidates stays bounded.
 constexpr int kMaxBackoffShift = 6;
 }  // namespace
@@ -30,13 +35,7 @@ constexpr int kMaxBackoffShift = 6;
 PaxosConsensus::PaxosConsensus(sim::Context& ctx, ReliableChannel& channel,
                                FailureDetector& fd, FailureDetector::ClassId fd_class,
                                Tag tag)
-    : PaxosConsensus(ctx, channel, fd, fd_class, tag, Config{}) {}
-
-PaxosConsensus::PaxosConsensus(sim::Context& ctx, ReliableChannel& channel,
-                               FailureDetector& fd, FailureDetector::ClassId fd_class,
-                               Tag tag, Config config)
     : ctx_(ctx), channel_(channel), fd_(fd), fd_class_(fd_class), tag_(tag),
-      config_(config),
       m_started_(metric_id("paxos.instances_started")),
       m_decided_(metric_id("paxos.decided")),
       m_prepares_(metric_id("paxos.prepares_sent")),
@@ -187,9 +186,8 @@ void PaxosConsensus::maybe_take_over_epoch(bool force) {
   // without unbounded ballot churn. Deterministic for a fixed seed.
   const int shift = std::min(consecutive_nacks_, kMaxBackoffShift);
   const Duration span =
-      std::min(config_.backoff_min << shift,
-               std::max<Duration>(0, config_.backoff_max - config_.backoff_min));
-  const Duration delay = config_.backoff_min + ctx_.rng().next_range(0, span);
+      std::min(kBackoffMin << shift, kBackoffMax - kBackoffMin);
+  const Duration delay = kBackoffMin + ctx_.rng().next_range(0, span);
   ctx_.after(delay, [this, force] {
     takeover_pending_ = false;
     if (epoch_.preparing || epoch_members_.empty()) return;

@@ -52,18 +52,8 @@ class Decoder;
 
 class PaxosConsensus final : public ConsensusProtocol {
  public:
-  struct Config {
-    /// Takeover backoff: delay before a ranged prepare is backoff_min plus
-    /// a seeded-Rng draw from a window that doubles per consecutive NACK,
-    /// capped at backoff_max (bounded, deterministic for a fixed seed).
-    Duration backoff_min = msec(1);
-    Duration backoff_max = msec(16);
-  };
-
   PaxosConsensus(sim::Context& ctx, ReliableChannel& channel, FailureDetector& fd,
                  FailureDetector::ClassId fd_class, Tag tag = Tag::kConsensus);
-  PaxosConsensus(sim::Context& ctx, ReliableChannel& channel, FailureDetector& fd,
-                 FailureDetector::ClassId fd_class, Tag tag, Config config);
 
   void propose(std::uint64_t k, Bytes value, std::vector<ProcessId> members) override;
   void on_decide(DecideFn fn) override { decide_fns_.push_back(std::move(fn)); }
@@ -178,7 +168,6 @@ class PaxosConsensus final : public ConsensusProtocol {
   FailureDetector& fd_;
   FailureDetector::ClassId fd_class_;
   Tag tag_;
-  Config config_;
   MetricId m_started_;
   MetricId m_decided_;
   MetricId m_prepares_;      ///< ranged PREPAREs sent (epoch candidacies); 0 across

@@ -8,10 +8,9 @@
 namespace gcs {
 
 namespace {
-// Kind byte of Tag::kGbcast channel messages.
-constexpr std::uint8_t kGbAck = 0;
-constexpr std::uint8_t kGbPull = 1;
-constexpr std::uint8_t kGbPush = 2;
+// Kind byte of a fast-path ACK on Tag::kGbcast; 0 and 1 are the payload
+// pull's.
+constexpr std::uint8_t kAck = 2;
 }  // namespace
 
 GenericBroadcast::GenericBroadcast(sim::Context& ctx, ReliableChannel& channel,
@@ -28,17 +27,40 @@ GenericBroadcast::GenericBroadcast(sim::Context& ctx, ReliableChannel& channel,
       m_resolved_delivered_(metric_id("gbcast.resolved_delivered")),
       m_resolutions_(metric_id("gbcast.resolutions_triggered")),
       m_rounds_resolved_(metric_id("gbcast.rounds_resolved")),
-      m_pull_requests_(metric_id("gbcast.pull_requests")),
-      m_pull_served_(metric_id("gbcast.pull_served")),
-      m_pushes_(metric_id("gbcast.pushes")),
       h_fast_latency_(metric_id("gbcast.fast_latency_us")),
       h_slow_latency_(metric_id("gbcast.slow_latency_us")),
-      h_pull_wait_(metric_id("gbcast.pull_wait_us")),
       channel_(channel), rbcast_(rbcast), abcast_(abcast),
-      relation_(std::move(relation)), config_(config) {
+      relation_(std::move(relation)), config_(config),
+      pull_(ctx, channel, Tag::kGbcast, group_, "gbcast", obs::Names::get().gb_pull_wait,
+            config.pull_retry,
+            [this](const MsgId& id) -> std::optional<PayloadPull::Held> {
+              if (const auto sit = store_.find(id); sit != store_.end()) {
+                return PayloadPull::Held{sit->second.cls, sit->second.payload};
+              }
+              const auto rit = retired_.find(id);
+              if (rit == retired_.end()) return std::nullopt;
+              return PayloadPull::Held{rit->second.first, rit->second.second};
+            },
+            [this](const MsgId& id, MsgClass cls, BytesView body) {
+              if (is_delivered(id) || store_.count(id)) return;
+              // No resolve deadline (a resolution or an ACK quorum is
+              // already waiting on it) and no fast-path latency sample.
+              store_.emplace(id, Stored{cls, to_bytes(body), sim::kNoTimer, 0});
+              consider(id);
+              maybe_fast_deliver(id);
+            },
+            [this](bool drained) {
+              if (drained) maybe_finalize_round();
+            }) {
   rbcast_.on_deliver([this](const MsgId& id, BytesView b) { on_gb_data(id, b); });
-  channel_.subscribe(Tag::kGbcast,
-                     [this](ProcessId from, BytesView b) { on_channel_message(from, b); });
+  channel_.subscribe(Tag::kGbcast, [this](ProcessId from, BytesView b) {
+    Decoder dec(b);
+    if (dec.get_byte() == kAck && dec.ok()) {
+      on_ack(from, dec);
+    } else {
+      pull_.on_message(from, b);
+    }
+  });
   abcast_.subscribe(AtomicBroadcast::kGbResolve,
                     [this](const MsgId& id, const Bytes& b) { on_report(id, b); });
   // No stability hook for the delivered index: it is watermark-compressed
@@ -117,7 +139,7 @@ void GenericBroadcast::on_gb_data(const MsgId& id, BytesView wire) {
   // An ACK quorum may have assembled before the payload arrived.
   maybe_fast_deliver(id);
   // So may a resolution: a round pull-stalled on this payload goes on.
-  if (missing_.erase(id) != 0 && missing_.empty()) maybe_finalize_round();
+  if (pull_.resolve(id)) maybe_finalize_round();
 }
 
 void GenericBroadcast::consider(const MsgId& id) {
@@ -144,31 +166,12 @@ void GenericBroadcast::consider(const MsgId& id) {
   acks_[round_][id].insert(ctx_.self());
   std::shared_ptr<Bytes> wire = ctx_.pool().acquire();
   Encoder enc(*wire);
-  enc.put_byte(kGbAck);
+  enc.put_byte(kAck);
   enc.put_u64(round_);
   enc.put_msgid(id);
   const Payload ack(std::shared_ptr<const Bytes>(std::move(wire)));
   for (ProcessId p : group_) {
     if (p != ctx_.self()) channel_.send(p, Tag::kGbcast, ack);
-  }
-}
-
-void GenericBroadcast::on_channel_message(ProcessId from, BytesView wire) {
-  Decoder dec(wire);
-  const std::uint8_t kind = dec.get_byte();
-  if (!dec.ok()) return;
-  switch (kind) {
-    case kGbAck:
-      on_ack(from, dec);
-      break;
-    case kGbPull:
-      on_pull(from, dec);
-      break;
-    case kGbPush:
-      on_push(from, dec);
-      break;
-    default:
-      break;
   }
 }
 
@@ -209,91 +212,11 @@ void GenericBroadcast::fetch_from_ackers(const MsgId& id, std::size_t attempt) {
     const auto ait = rit->second.find(id);
     if (ait == rit->second.end() || ait->second.empty()) return;
     // Every ACKer holds the payload; rotate over them across retries.
-    send_pull(*std::next(ait->second.begin(),
-                         static_cast<std::ptrdiff_t>(attempt % ait->second.size())),
-              {id});
+    pull_.send(*std::next(ait->second.begin(),
+                          static_cast<std::ptrdiff_t>(attempt % ait->second.size())),
+               {id});
     fetch_from_ackers(id, attempt + 1);
   });
-}
-
-void GenericBroadcast::on_pull(ProcessId from, Decoder& dec) {
-  const std::uint64_t n = dec.get_u64();
-  if (n > dec.remaining()) return;  // hostile count
-  // Collect what we can serve (store first, then the retired window), then
-  // frame the reply in one pooled buffer.
-  Encoder entries_enc;
-  std::uint64_t found = 0;
-  for (std::uint64_t i = 0; i < n && dec.ok(); ++i) {
-    const MsgId id = dec.get_msgid();
-    if (!dec.ok()) break;
-    if (const auto sit = store_.find(id); sit != store_.end()) {
-      entries_enc.put_msgid(id);
-      entries_enc.put_byte(sit->second.cls);
-      entries_enc.put_bytes(sit->second.payload);
-      ++found;
-    } else if (const auto rit = retired_.find(id); rit != retired_.end()) {
-      entries_enc.put_msgid(id);
-      entries_enc.put_byte(rit->second.first);
-      entries_enc.put_bytes(rit->second.second);
-      ++found;
-    }
-  }
-  if (found == 0) return;
-  std::shared_ptr<Bytes> wire = ctx_.pool().acquire();
-  Encoder enc(*wire);
-  enc.put_byte(kGbPush);
-  enc.put_u64(found);
-  enc.put_bytes(entries_enc.bytes());
-  channel_.send(from, Tag::kGbcast, Payload(std::shared_ptr<const Bytes>(std::move(wire))));
-  ctx_.metrics().inc(m_pull_served_, static_cast<std::int64_t>(found));
-}
-
-void GenericBroadcast::on_push(ProcessId, Decoder& dec) {
-  const std::uint64_t n = dec.get_u64();
-  Decoder entries(dec.get_view());
-  if (!dec.ok()) return;
-  bool resolved_any = false;
-  for (std::uint64_t i = 0; i < n && entries.ok(); ++i) {
-    const MsgId id = entries.get_msgid();
-    const MsgClass cls = entries.get_byte();
-    const BytesView body = entries.get_view();
-    if (!entries.ok()) break;
-    ctx_.metrics().inc(m_pushes_);
-    if (!is_delivered(id) && !store_.count(id)) {
-      // No resolve deadline (a resolution or an ACK quorum is already
-      // waiting on it) and no fast-path latency sample.
-      store_.emplace(id, Stored{cls, to_bytes(body), sim::kNoTimer, 0});
-      consider(id);
-      maybe_fast_deliver(id);
-    }
-    // The reliable broadcast may have brought the payload since the pull.
-    if (missing_.erase(id) != 0) resolved_any = true;
-  }
-  if (resolved_any && missing_.empty()) maybe_finalize_round();
-}
-
-void GenericBroadcast::send_pull(ProcessId target, const std::set<MsgId>& ids) {
-  std::shared_ptr<Bytes> wire = ctx_.pool().acquire();
-  Encoder enc(*wire);
-  enc.put_byte(kGbPull);
-  enc.put_u64(ids.size());
-  for (const MsgId& id : ids) enc.put_msgid(id);
-  channel_.send(target, Tag::kGbcast, Payload(std::shared_ptr<const Bytes>(std::move(wire))));
-  ctx_.metrics().inc(m_pull_requests_);
-}
-
-void GenericBroadcast::request_pull() {
-  if (missing_.empty() || group_.size() < 2) return;
-  ProcessId target = ctx_.self();
-  while (target == ctx_.self()) target = group_[pull_rr_++ % group_.size()];
-  send_pull(target, missing_);
-  if (!pull_timer_armed_) {
-    pull_timer_armed_ = true;
-    ctx_.after(config_.pull_retry, [this] {
-      pull_timer_armed_ = false;
-      if (!missing_.empty()) request_pull();
-    });
-  }
 }
 
 void GenericBroadcast::maybe_fast_deliver(const MsgId& id) {
@@ -516,25 +439,11 @@ void GenericBroadcast::maybe_finalize_round() {
   // finalize. Anything missing (late join, restore mid-resolution, a
   // payload still on its way) stalls the round locally and is pulled;
   // pushes and rbcast deliveries re-enter here.
-  missing_.clear();
+  pull_.clear();
   for (const MsgId& id : sequence) {
-    if (!is_delivered(id) && !store_.count(id)) missing_.insert(id);
+    if (!is_delivered(id) && !store_.count(id)) pull_.need(id);
   }
-  if (!missing_.empty()) {
-    if (!pull_stalled_) {
-      pull_stalled_ = true;
-      pull_stall_since_ = ctx_.now();
-      ctx_.trace_begin(obs::Names::get().gb_pull_wait, MsgId{obs::kGbRoundKey, round_},
-                       static_cast<std::int64_t>(missing_.size()));
-    }
-    request_pull();
-    return;
-  }
-  if (pull_stalled_) {
-    pull_stalled_ = false;
-    ctx_.metrics().observe(h_pull_wait_, ctx_.now() - pull_stall_since_);
-    ctx_.trace_end(obs::Names::get().gb_pull_wait, MsgId{obs::kGbRoundKey, round_});
-  }
+  if (pull_.wait(MsgId{obs::kGbRoundKey, round_})) return;
   // Positions are batch-absolute across the first+second sequence, so every
   // member attributes the same (round, pos) coordinate to each message even
   // though each skips its own fast-delivered prefix inside deliver().
@@ -630,14 +539,9 @@ void GenericBroadcast::restore(BytesView snapshot) {
   store_.clear();
   retired_.clear();
   retired_log_.clear();
-  missing_.clear();
-  if (pull_stalled_) {
-    // The stalled round was superseded by the snapshot; close the span so
-    // the flight recorder stays balanced.
-    pull_stalled_ = false;
-    ctx_.metrics().observe(h_pull_wait_, ctx_.now() - pull_stall_since_);
-    ctx_.trace_end(obs::Names::get().gb_pull_wait, MsgId{obs::kGbRoundKey, round_});
-  }
+  // The snapshot supersedes a stalled round; close its span so the flight
+  // recorder stays balanced.
+  pull_.reset();
   const std::uint64_t n_store = dec.get_u64();
   for (std::uint64_t i = 0; i < n_store && dec.ok(); ++i) {
     const MsgId id = dec.get_msgid();
@@ -664,7 +568,6 @@ void GenericBroadcast::start_new_round() {
   ++round_;
   settled_ = 0;
   acked_cls_.fill(0);
-  missing_.clear();
   // Drop report and ACK bookkeeping for finished rounds.
   reports_.erase(reports_.begin(), reports_.lower_bound(round_));
   acks_.erase(acks_.begin(), acks_.lower_bound(round_));

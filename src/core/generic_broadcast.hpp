@@ -38,9 +38,9 @@
 /// payloads and classes never ride through consensus. Each member resolves
 /// payloads and classes from its local store (fed by
 /// reliable broadcast); a member that reaches the finalize point missing
-/// some payload stalls the round locally and runs a bounded pull/push
-/// exchange on Tag::kGbcast against rotating peers, which serve from their
-/// store or from a small window of recently retired (delivered) payloads.
+/// some payload stalls the round locally and pulls it (PayloadPull, on
+/// Tag::kGbcast) from rotating peers, which serve from their store or from
+/// a small window of recently retired (delivered) payloads.
 /// The stall also ends when the reliable broadcast brings the payload.
 ///
 /// Quorum arithmetic (n = |group|, f = ⌊(n−1)/3⌋):
@@ -68,6 +68,7 @@
 #include <vector>
 
 #include "broadcast/atomic_broadcast.hpp"
+#include "broadcast/payload_pull.hpp"
 #include "broadcast/proposal.hpp"
 #include "broadcast/reliable_broadcast.hpp"
 #include "channel/reliable_channel.hpp"
@@ -197,12 +198,7 @@ class GenericBroadcast {
   bool is_member() const;
   void on_gb_data(const MsgId& id, BytesView wire);
   void consider(const MsgId& id);  // ack (self locally) or trigger resolution
-  void on_channel_message(ProcessId from, BytesView wire);
   void on_ack(ProcessId from, Decoder& dec);
-  void on_pull(ProcessId from, Decoder& dec);
-  void on_push(ProcessId from, Decoder& dec);
-  void send_pull(ProcessId target, const std::set<MsgId>& ids);
-  void request_pull();
   /// After pull_retry, pull \p id from one of its ACKers if it is still
   /// missing, and retry against the next ACKer until it arrives.
   void fetch_from_ackers(const MsgId& id, std::size_t attempt);
@@ -237,18 +233,17 @@ class GenericBroadcast {
   MetricId m_resolved_delivered_;
   MetricId m_resolutions_;
   MetricId m_rounds_resolved_;
-  MetricId m_pull_requests_;
-  MetricId m_pull_served_;
-  MetricId m_pushes_;
   MetricId h_fast_latency_;  ///< payload arrival -> fast-path delivery
   MetricId h_slow_latency_;  ///< payload arrival -> resolution delivery
-  MetricId h_pull_wait_;     ///< round-finalize stall on missing payloads
   ReliableChannel& channel_;
   ReliableBroadcast& rbcast_;
   AtomicBroadcast& abcast_;
   ConflictRelation relation_;
   Config config_;
   std::vector<ProcessId> group_;
+  // Payloads the finalize step needs but the store lacks (a report named
+  // them, or a restore); while any is missing the round stalls locally.
+  PayloadPull pull_;
 
   std::uint64_t round_ = 0;
   bool frozen_ = false;     // report sent; no more ACKs this round
@@ -275,13 +270,6 @@ class GenericBroadcast {
   // round past its report_need keeps only its sequence: the ids this member
   // must deliver anyway once its stall ends.
   std::map<std::uint64_t, RoundReports> reports_;
-  // Payloads the finalize step needs but the store lacks (a report named
-  // them, or a restore); while non-empty the round stalls locally and pulls rotate.
-  std::set<MsgId> missing_;
-  std::size_t pull_rr_ = 0;
-  bool pull_timer_armed_ = false;
-  bool pull_stalled_ = false;       // round finalize currently pull-stalled
-  TimePoint pull_stall_since_ = 0;  // when the current stall began
 
   std::vector<DeliverFn> deliver_fns_;
   SubmitObserver observe_submit_;

@@ -52,7 +52,6 @@ class Monitoring {
 
   FailureDetector::ClassId fd_class() const { return fd_class_; }
   const Config& config() const { return config_; }
-  void set_suspicion_threshold(int t) { config_.suspicion_threshold = t; }
 
   /// Members currently suspected (long class) by anyone we know of — the
   /// open vote count (probe gauge).

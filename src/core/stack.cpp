@@ -34,8 +34,7 @@ void GcsStack::wire(StackConfig config) {
   consensus_fd_class_ = fd_->add_class(config.consensus_suspect_timeout);
   if (config.consensus_algorithm == StackConfig::ConsensusAlgo::kPaxos) {
     consensus_ = std::make_unique<PaxosConsensus>(*ctx_, *channel_, *fd_,
-                                                  consensus_fd_class_, Tag::kConsensus,
-                                                  config.paxos);
+                                                  consensus_fd_class_);
   } else {
     consensus_ = std::make_unique<Consensus>(*ctx_, *channel_, *fd_, consensus_fd_class_);
   }
@@ -48,8 +47,8 @@ void GcsStack::wire(StackConfig config) {
   if (config.stability_interval > 0) {
     ab_rbcast_->enable_stability(config.stability_interval);
   }
-  abcast_ = std::make_unique<AtomicBroadcast>(*ctx_, *ab_rbcast_, *consensus_,
-                                              channel_.get(), config.abcast);
+  abcast_ = std::make_unique<AtomicBroadcast>(*ctx_, *ab_rbcast_, *consensus_, *channel_,
+                                              config.abcast);
   gb_rbcast_ = std::make_unique<ReliableBroadcast>(*ctx_, *channel_, Tag::kGbData);
   if (config.stability_interval > 0) {
     gb_rbcast_->enable_stability(config.stability_interval);

@@ -62,9 +62,6 @@ struct StackConfig {
   /// Ordering-pipeline knobs (DESIGN.md §15): pipeline_depth, max_batch,
   /// the AIMD adaptive controller and its bounds.
   AtomicBroadcast::Config abcast = {};
-  /// Leader-stable multi-Paxos knobs (only used when consensus_algorithm
-  /// == kPaxos): the takeover backoff window.
-  PaxosConsensus::Config paxos = {};
   /// Flight recorder for message-lifecycle tracing; null (the default)
   /// leaves tracing a branch-predictable no-op. Usually shared by every
   /// stack of one simulation so the trace interleaves all processes.

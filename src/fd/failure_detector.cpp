@@ -1,7 +1,6 @@
 #include "fd/failure_detector.hpp"
 
 #include <cassert>
-#include <cmath>
 
 namespace gcs {
 
@@ -10,8 +9,7 @@ FailureDetector::FailureDetector(sim::Context& ctx, Transport& transport)
 
 FailureDetector::FailureDetector(sim::Context& ctx, Transport& transport, Config config)
     : ctx_(ctx), transport_(transport), config_(config),
-      last_heard_(static_cast<std::size_t>(transport.universe_size()), 0),
-      arrivals_(static_cast<std::size_t>(transport.universe_size())) {
+      last_heard_(static_cast<std::size_t>(transport.universe_size()), 0) {
   transport_.subscribe(Tag::kFd,
                        [this](ProcessId from, BytesView) { on_heartbeat(from); });
 }
@@ -34,29 +32,6 @@ FailureDetector::ClassId FailureDetector::add_class(Duration timeout) {
 
 void FailureDetector::set_timeout(ClassId cls, Duration timeout) {
   classes_[static_cast<std::size_t>(cls)].timeout = timeout;
-}
-
-void FailureDetector::enable_adaptive(ClassId cls, double safety_factor, Duration slack,
-                                      Duration floor, Duration ceiling) {
-  auto& c = classes_[static_cast<std::size_t>(cls)];
-  c.adaptive = true;
-  c.safety_factor = safety_factor;
-  c.slack = slack;
-  c.floor = floor;
-  c.ceiling = ceiling;
-}
-
-Duration FailureDetector::effective_timeout(ClassId cls, ProcessId q) const {
-  const auto& c = classes_[static_cast<std::size_t>(cls)];
-  if (!c.adaptive) return c.timeout;
-  const auto& stats = arrivals_[static_cast<std::size_t>(q)];
-  if (!stats.primed) return c.ceiling > 0 ? c.ceiling : c.timeout;
-  const double t = stats.ewma_interval + c.safety_factor * stats.ewma_jitter +
-                   static_cast<double>(c.slack);
-  auto clamped = static_cast<Duration>(t);
-  if (clamped < c.floor) clamped = c.floor;
-  if (c.ceiling > 0 && clamped > c.ceiling) clamped = c.ceiling;
-  return clamped;
 }
 
 void FailureDetector::monitor(ClassId cls, ProcessId q) {
@@ -97,19 +72,6 @@ void FailureDetector::inject_suspicion(ClassId cls, ProcessId q) {
 }
 
 void FailureDetector::on_heartbeat(ProcessId from) {
-  auto& stats = arrivals_[static_cast<std::size_t>(from)];
-  const TimePoint prev = last_heard_[static_cast<std::size_t>(from)];
-  if (prev > 0) {
-    const double interval = static_cast<double>(ctx_.now() - prev);
-    if (!stats.primed) {
-      stats.ewma_interval = interval;
-      stats.primed = true;
-    } else {
-      const double err = interval - stats.ewma_interval;
-      stats.ewma_interval += 0.125 * err;                       // alpha 1/8
-      stats.ewma_jitter += 0.25 * (std::abs(err) - stats.ewma_jitter);  // beta 1/4
-    }
-  }
   last_heard_[static_cast<std::size_t>(from)] = ctx_.now();
   for (std::size_t i = 0; i < classes_.size(); ++i) {
     auto& c = classes_[i];
@@ -138,8 +100,7 @@ void FailureDetector::check_tick() {
     auto& c = classes_[i];
     for (ProcessId q : c.monitored) {
       if (c.suspected.count(q)) continue;
-      if (ctx_.now() - last_heard_[static_cast<std::size_t>(q)] >
-          effective_timeout(static_cast<ClassId>(i), q)) {
+      if (ctx_.now() - last_heard_[static_cast<std::size_t>(q)] > c.timeout) {
         mark_suspected(static_cast<ClassId>(i), q);
       }
     }

@@ -44,20 +44,8 @@ class FailureDetector {
   /// monitored process has been seen for \p timeout.
   ClassId add_class(Duration timeout);
 
-  /// Adjust a class's timeout (e.g. adaptive policies).
+  /// Adjust a class's timeout.
   void set_timeout(ClassId cls, Duration timeout);
-
-  /// Switch a class to an ADAPTIVE timeout (Chen-style): per monitored
-  /// process, the timeout becomes
-  ///     ewma(inter-arrival) + safety_factor * ewma(|jitter|) + slack
-  /// clamped to [floor, ceiling]. Adapts to real link behaviour instead of
-  /// guessing — the practical way to get §4.3's aggressive-but-rarely-wrong
-  /// suspicions.
-  void enable_adaptive(ClassId cls, double safety_factor, Duration slack,
-                       Duration floor, Duration ceiling);
-
-  /// Effective timeout the class currently applies to \p q.
-  Duration effective_timeout(ClassId cls, ProcessId q) const;
   Duration timeout(ClassId cls) const { return classes_[static_cast<std::size_t>(cls)].timeout; }
 
   /// Start/stop monitoring q in a class (Fig 9: start_stop_monitor).
@@ -86,18 +74,6 @@ class FailureDetector {
     std::set<ProcessId> suspected;
     std::vector<SuspectFn> suspect_fns;
     std::vector<SuspectFn> restore_fns;
-    // Adaptive mode.
-    bool adaptive = false;
-    double safety_factor = 2.0;
-    Duration slack = 0;
-    Duration floor = 0;
-    Duration ceiling = 0;
-  };
-
-  struct ArrivalStats {
-    double ewma_interval = 0;  // microseconds
-    double ewma_jitter = 0;    // mean absolute deviation
-    bool primed = false;
   };
 
   void on_heartbeat(ProcessId from);
@@ -110,7 +86,6 @@ class FailureDetector {
   Config config_;
   bool running_ = false;
   std::vector<TimePoint> last_heard_;
-  std::vector<ArrivalStats> arrivals_;
   std::vector<TimeoutClass> classes_;
   std::int64_t false_suspicions_ = 0;
 };

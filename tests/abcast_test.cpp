@@ -46,7 +46,8 @@ struct AbcastWorld {
       proc.consensus = std::make_unique<Consensus>(*proc.ctx, *proc.channel, *proc.fd,
                                                    proc.fd_class);
       proc.rbcast = std::make_unique<ReliableBroadcast>(*proc.ctx, *proc.channel, Tag::kRbcast);
-      proc.abcast = std::make_unique<AtomicBroadcast>(*proc.ctx, *proc.rbcast, *proc.consensus);
+      proc.abcast = std::make_unique<AtomicBroadcast>(*proc.ctx, *proc.rbcast, *proc.consensus,
+                                                      *proc.channel);
       // As in GcsStack: a suspected origin's retained frames are relayed.
       proc.fd->on_suspect(proc.fd_class, [&proc](ProcessId q) { proc.rbcast->suspect(q); });
       proc.fd->on_restore(proc.fd_class, [&proc](ProcessId q) { proc.rbcast->restore(q); });
@@ -286,7 +287,7 @@ TEST(AtomicBroadcast, UpcallProposalDoesNotShiftTheReleasedBatch) {
   ReliableChannel channel(ctx, transport);
   ReliableBroadcast rbcast(ctx, channel, Tag::kRbcast);
   ScriptedConsensus consensus;
-  AtomicBroadcast ab(ctx, rbcast, consensus, &channel);
+  AtomicBroadcast ab(ctx, rbcast, consensus, channel);
   std::vector<std::string> got;
   ab.subscribe(AtomicBroadcast::kApp, [&](const MsgId&, BytesView b) {
     got.push_back(test::str_of(b));
@@ -326,6 +327,44 @@ TEST(AtomicBroadcast, UpcallProposalDoesNotShiftTheReleasedBatch) {
   consensus.decide_fn(2, consensus.proposed[2]);
   EXPECT_EQ(got, (std::vector<std::string>{"x", "c"}));
   EXPECT_EQ(ab.pending_count(), 0u);
+}
+
+TEST(AtomicBroadcast, RestoreEndsThePullStallUnderItsBeginKey) {
+  // p0 stalls instance 0 on a pull for x's payload; then a snapshot at
+  // instance 5 supersedes the stall. The abcast_pull_wait span must end
+  // under the key it began with (instance 0), not the restored instance.
+  test::FlightRecorder recorder;
+  sim::Engine engine;
+  sim::Context ctx(0, engine, Rng(1), Logger(), std::make_shared<Metrics>());
+  ctx.set_tracer(obs::Tracer(recorder.recorder().get(), 0));
+  HandTransport transport;
+  ReliableChannel channel(ctx, transport);
+  ReliableBroadcast rbcast(ctx, channel, Tag::kRbcast);
+  ScriptedConsensus consensus;
+  AtomicBroadcast ab(ctx, rbcast, consensus, channel);
+  ab.init({0, 1}, 0);
+  consensus.decide_fn(0, batch_of({MsgId{1, 0}}));  // x's payload is missing
+
+  // snapshot(): members | next instance | delivered ids | stability.
+  Encoder snap;
+  snap.put_vector(std::vector<ProcessId>{0, 1}, [](Encoder& e, ProcessId p) { e.put_i32(p); });
+  snap.put_u64(5);
+  snap.put_u64(0);
+  snap.put_bytes(rbcast.stability_snapshot());
+  ab.restore(BytesView(snap.bytes()));
+  ASSERT_EQ(ab.next_instance(), 5u);
+
+  const obs::NameId span = obs::Names::get().abcast_pull_wait;
+  std::vector<obs::Record> begins;
+  std::vector<obs::Record> ends;
+  for (const obs::Record& r : recorder.recorder()->records()) {
+    if (r.name != span) continue;
+    (r.phase == obs::Phase::kBegin ? begins : ends).push_back(r);
+  }
+  ASSERT_EQ(begins.size(), 1u);
+  ASSERT_EQ(ends.size(), 1u);
+  EXPECT_EQ(begins[0].msg, (MsgId{obs::kConsensusKey, 0}));
+  EXPECT_EQ(ends[0].msg, begins[0].msg);
 }
 
 }  // namespace

@@ -133,27 +133,19 @@ TEST(FlowControl, SendCostIsIndependentOfQueueDepth) {
   // Complexity bound for the first-unsent cursor: with 10k unacked messages
   // queued to a silent peer, each further send costs at most two transmit
   // scan steps (the cursor lookup plus the entry it sends), with and
-  // without a send window or batching, and again after forget(). Walking
-  // the whole queue per send cost ~10k steps each here.
-  struct Case {
-    std::size_t window;
-    Duration batch;
-  };
-  for (const Case c : {Case{0, 0}, Case{64, 0}, Case{0, msec(1)}, Case{64, msec(1)}}) {
+  // without a send window, and again after forget(). Walking the whole
+  // queue per send cost ~10k steps each here.
+  for (const std::size_t window : {std::size_t{0}, std::size_t{64}}) {
     ReliableChannel::Config cfg;
-    cfg.send_window = c.window;
-    cfg.batch_delay = c.batch;
+    cfg.send_window = window;
     FlowWorld w(cfg, sim::LinkModel{msec(1), 0, 1.0});  // every datagram lost: no acks
     auto send = [&](int count) {
       for (int i = 0; i < count; ++i) w.ch0.send(1, Tag::kApp, bytes_of("x"));
-      w.engine.run_until(w.engine.now() + 2 * c.batch);  // let a batching flush fire
     };
-    const std::string label =
-        "window " + std::to_string(c.window) + ", batch " + std::to_string(c.batch);
+    const std::string label = "window " + std::to_string(window);
     send(10000);
     ASSERT_EQ(w.ch0.unacked_count(1), 10000u) << label;
-    EXPECT_EQ(w.ch0.queued_by_flow_control(1), c.window == 0 ? 0u : 10000u - c.window)
-        << label;
+    EXPECT_EQ(w.ch0.queued_by_flow_control(1), window == 0 ? 0u : 10000u - window) << label;
     const int kMore = 100;
     std::uint64_t before = w.ch0.pump_steps();
     send(kMore);
@@ -165,8 +157,7 @@ TEST(FlowControl, SendCostIsIndependentOfQueueDepth) {
     send(kMore);
     EXPECT_LE(w.ch0.pump_steps() - before, 2u * kMore) << label << ", after forget";
     EXPECT_EQ(w.ch0.unacked_count(1), static_cast<std::size_t>(kMore)) << label;
-    EXPECT_EQ(w.ch0.queued_by_flow_control(1), c.window == 0 ? 0u : kMore - c.window)
-        << label;
+    EXPECT_EQ(w.ch0.queued_by_flow_control(1), window == 0 ? 0u : kMore - window) << label;
   }
 }
 

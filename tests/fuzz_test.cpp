@@ -212,6 +212,68 @@ TEST(Fuzz, TruncatedRealMessagesAreDropped) {
   }
   w.stack(2).abcast(bytes_of("still fine"));
   ASSERT_TRUE(test::run_until(w.engine(), sec(20), [&] { return delivered >= 1; }));
+
+  // The payload pull's frames, on both tags that carry it, for a message
+  // p0 holds: pull (0 | count | ids, here the id twice) and push (1 |
+  // count | bytes(id | tag | bytes(body))). p1 sends them through its own
+  // channel, so they reach p0's decoder. Every strict prefix (a pull cut
+  // inside its second id included) and a hostile entry count must get no
+  // reply and store nothing; the whole frames are answered and taken.
+  std::size_t gdelivered = 0;
+  w.stack(0).on_gdeliver([&](const MsgId&, MsgClass, const Bytes&) { ++gdelivered; });
+  const MsgId ab_held = w.stack(0).abcast(bytes_of("held"));
+  const MsgId gb_held = w.stack(0).gbcast(kRbcastClass, bytes_of("held"));
+  ASSERT_TRUE(test::run_until(w.engine(), sec(20),
+                              [&] { return delivered >= 2 && gdelivered >= 1; }));
+  struct PullCase {
+    Tag tag;
+    MsgId id;
+    std::uint8_t label;  // abcast subtag or GB class
+    std::string metrics;
+  };
+  for (const PullCase& c : {PullCase{Tag::kAbcast, ab_held, AtomicBroadcast::kApp, "abcast"},
+                            PullCase{Tag::kGbcast, gb_held, kRbcastClass, "gbcast"}}) {
+    Encoder entries;
+    entries.put_msgid(c.id);
+    entries.put_byte(c.label);
+    entries.put_bytes(bytes_of("held"));
+    const auto frame = [&](std::uint8_t kind, std::uint64_t count) {
+      Encoder enc;
+      enc.put_byte(kind);
+      enc.put_u64(count);
+      if (kind == 0) {
+        enc.put_msgid(c.id);
+        enc.put_msgid(c.id);
+      } else {
+        enc.put_bytes(entries.bytes());
+      }
+      return enc.take();
+    };
+    const Bytes pull = frame(0, 2);
+    const Bytes push = frame(1, 1);
+    const Metrics& m = w.stack(0).metrics();
+    const std::int64_t served = m.counter(c.metrics + ".pull_served");
+    const std::int64_t pushes = m.counter(c.metrics + ".pushes");
+    for (const Bytes* full : {&pull, &push}) {
+      for (std::size_t len = 0; len < full->size(); ++len) {
+        w.stack(1).channel().send(0, c.tag, Bytes(full->begin(), full->begin() + len));
+      }
+    }
+    w.stack(1).channel().send(0, c.tag, frame(0, 1ULL << 40));
+    w.stack(1).channel().send(0, c.tag, frame(1, 1ULL << 40));
+    w.run_for(msec(50));
+    EXPECT_EQ(m.counter(c.metrics + ".pull_served"), served) << c.metrics;
+    EXPECT_EQ(m.counter(c.metrics + ".pushes"), pushes) << c.metrics;
+    w.stack(1).channel().send(0, c.tag, pull);
+    w.stack(1).channel().send(0, c.tag, push);
+    w.run_for(msec(50));
+    EXPECT_EQ(m.counter(c.metrics + ".pull_served"), served + 2) << c.metrics;
+    EXPECT_EQ(m.counter(c.metrics + ".pushes"), pushes + 1) << c.metrics;
+  }
+  w.stack(2).abcast(bytes_of("after pulls"));
+  w.stack(2).gbcast(kRbcastClass, bytes_of("after pulls"));
+  ASSERT_TRUE(test::run_until(w.engine(), sec(20),
+                              [&] { return delivered >= 3 && gdelivered >= 2; }));
 }
 
 /// Two-process wire for the channel layer alone: keeps what a channel
@@ -238,14 +300,13 @@ struct FrameTap final : Transport {
 TEST(Fuzz, ChannelFramePrefixesAreRejected) {
   // Real data, batch and ack frames, each carrying a nonzero cumulative
   // ack: every strict prefix must be dropped whole (no delivery, no ack
-  // applied), and the full frame then accepted.
+  // applied), and the full frame then accepted. The batch frame is a
+  // retransmission, which packs every due frame into one datagram.
   sim::Engine engine;
   sim::Context ca(0, engine, Rng(1), Logger(), std::make_shared<Metrics>());
   sim::Context cb(1, engine, Rng(2), Logger(), std::make_shared<Metrics>());
   FrameTap ta(0), tb(1);
-  ReliableChannel::Config cfg;
-  cfg.batch_delay = usec(50);
-  ReliableChannel a(ca, ta, cfg), b(cb, tb, cfg);
+  ReliableChannel a(ca, ta), b(cb, tb);
   std::vector<std::string> at_b;
   a.subscribe(Tag::kApp, [](ProcessId, BytesView) {});
   b.subscribe(Tag::kApp, [&](ProcessId, BytesView v) { at_b.push_back(test::str_of(v)); });
@@ -253,18 +314,17 @@ TEST(Fuzz, ChannelFramePrefixesAreRejected) {
   // b -> a, so that a owes b an ack.
   b.send(0, Tag::kApp, bytes_of("b0"));
   b.send(0, Tag::kApp, bytes_of("b1"));
-  engine.run_until(usec(100));
-  ta.deliver(1, tb.take_last());  // the batch carrying b0 and b1
+  for (const Bytes& frame : tb.sent) ta.deliver(1, frame);
+  tb.sent.clear();
   a.send(1, Tag::kApp, bytes_of("a0"));
-  engine.run_until(usec(200));
   const Bytes data = ta.take_last();
   for (const char* m : {"a1", "a2", "a3"}) a.send(1, Tag::kApp, bytes_of(m));
-  engine.run_until(usec(300));
+  ta.sent.clear();  // lost: a resends a0..a3 at its first retransmit tick
+  engine.run_until(msec(25));
   const Bytes batch = ta.take_last();
   b.send(0, Tag::kApp, bytes_of("b2"));
-  engine.run_until(usec(400));
   ta.deliver(1, tb.take_last());
-  engine.run_until(msec(10));  // nothing goes back: a's hold expires
+  engine.run_until(msec(35));  // nothing goes back: a's hold expires
   const Bytes ack = ta.take_last();
   ASSERT_EQ(data[0], 0);
   ASSERT_EQ(ack[0], 1);

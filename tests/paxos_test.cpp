@@ -31,7 +31,7 @@ struct PaxosWorld {
   std::vector<ProcessId> all;
 
   explicit PaxosWorld(int n, sim::LinkModel link = {}, Duration suspect_timeout = msec(60),
-                      std::uint64_t seed = 1, PaxosConsensus::Config pconfig = {})
+                      std::uint64_t seed = 1)
       : network(engine, n, link, seed) {
     procs.resize(static_cast<std::size_t>(n));
     for (ProcessId p = 0; p < n; ++p) {
@@ -45,7 +45,7 @@ struct PaxosWorld {
       proc.fd = std::make_unique<FailureDetector>(*proc.ctx, *proc.transport);
       proc.fd_class = proc.fd->add_class(suspect_timeout);
       proc.paxos = std::make_unique<PaxosConsensus>(*proc.ctx, *proc.channel, *proc.fd,
-                                                    proc.fd_class, Tag::kConsensus, pconfig);
+                                                    proc.fd_class);
       proc.paxos->on_decide([&proc](std::uint64_t k, const Bytes& v) {
         ASSERT_EQ(proc.decisions.count(k), 0u) << "double decide";
         proc.decisions[k] = str_of(v);
