@@ -121,7 +121,7 @@ Cell run_cell(int n, std::uint32_t depth, bool adaptive, std::uint64_t seed) {
 
   for (ProcessId p = 0; p < n; ++p) {
     cell.prepares += world.stack(p).metrics().counter("paxos.prepares_sent");
-    cell.decided += world.stack(p).metrics().counter("paxos.decided");
+    cell.decided += world.stack(p).metrics().counter("consensus.decided");
     cell.max_open = std::max(cell.max_open, world.stack(p).atomic_broadcast().max_open_proposals());
   }
   for (const char* phase : {"abcast.batch_wait_us", "consensus.accept_rtt_us",

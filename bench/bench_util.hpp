@@ -306,9 +306,7 @@ inline PhaseReport collect(World& world, int n) {
   for (const char* phase : kPhaseNames) r.phases[phase] = merge_phase(world, n, phase);
   r.gb_fast = sum_counter(world, n, "gbcast.fast_delivered");
   r.gb_resolved = sum_counter(world, n, "gbcast.resolved_delivered");
-  // Each consensus class counts its own decisions; a run uses one of them.
-  r.consensus_decided =
-      sum_counter(world, n, "consensus.decided") + sum_counter(world, n, "paxos.decided");
+  r.consensus_decided = sum_counter(world, n, "consensus.decided");
   r.views_installed = sum_counter(world, n, "membership.views_installed");
   return r;
 }

@@ -465,7 +465,6 @@ void AtomicBroadcast::process_decisions() {
         ctx_.metrics().observe(h_order_latency_, ctx_.now() - entry.since);
         ctx_.trace_end(obs::Names::get().abcast_pending, e.id);
       }
-      ++delivered_count_;
       ctx_.metrics().inc(m_delivered_);
       ctx_.trace_instant(obs::Names::get().abcast_deliver, e.id, e.subtag);
       ctx_.trace_instant(obs::Names::get().abcast_ordered, e.id,

@@ -132,7 +132,9 @@ class AtomicBroadcast {
   void restore(BytesView snapshot);
 
   /// Number of messages adelivered locally.
-  std::uint64_t delivered_count() const { return delivered_count_; }
+  std::uint64_t delivered_count() const {
+    return static_cast<std::uint64_t>(ctx_.metrics().counter(m_delivered_));
+  }
 
   /// Messages rdelivered but not yet ordered (probe gauge).
   std::size_t pending_count() const { return pending_count_; }
@@ -310,7 +312,6 @@ class AtomicBroadcast {
   // (instance, id) log of deliveries, driving the store's tail GC.
   std::deque<std::pair<std::uint64_t, MsgId>> delivered_log_;
   std::vector<std::vector<DeliverFn>> subscribers_;
-  std::uint64_t delivered_count_ = 0;
   SubmitObserver observe_submit_;
   DeliverObserver observe_deliver_;
 };

@@ -1,87 +1,34 @@
 #include "consensus/consensus.hpp"
 
 #include <algorithm>
-#include <cassert>
-
-#include "util/codec.hpp"
 
 namespace gcs {
 
 namespace {
+// DECIDE (5) and ANNOUNCE (6) are the shell's kinds.
 constexpr std::uint8_t kEstimate = 0;
 constexpr std::uint8_t kPropose = 1;
 constexpr std::uint8_t kAck = 2;
 constexpr std::uint8_t kNack = 3;
-constexpr std::uint8_t kDecide = 4;
-constexpr std::uint8_t kAnnounce = 5;
 }  // namespace
 
 Consensus::Consensus(sim::Context& ctx, ReliableChannel& channel, FailureDetector& fd,
-                     FailureDetector::ClassId fd_class, Tag tag)
-    : ctx_(ctx), channel_(channel), fd_(fd), fd_class_(fd_class), tag_(tag),
-      m_started_(metric_id("consensus.instances_started")),
-      m_rounds_(metric_id("consensus.rounds")),
-      m_decided_(metric_id("consensus.decided")),
-      h_latency_(metric_id("consensus.latency_us")),
-      h_propose_wait_(metric_id("consensus.propose_wait_us")),
-      h_accept_rtt_(metric_id("consensus.accept_rtt_us")),
-      m_deferred_(metric_id("consensus.deferred_votes")) {
-  channel_.subscribe(tag_, [this](ProcessId from, BytesView b) { on_message(from, b); });
-  fd_.on_suspect(fd_class_, [this](ProcessId q) { on_fd_suspect(q); });
-}
-
-Consensus::Instance& Consensus::get_instance(std::uint64_t k,
-                                             const std::vector<ProcessId>* members_hint) {
-  auto it = instances_.find(k);
-  if (it == instances_.end()) {
-    Instance inst;
-    if (members_hint) inst.members = *members_hint;
-    inst.majority = inst.members.empty()
-                        ? 0
-                        : static_cast<int>(inst.members.size()) / 2 + 1;
-    it = instances_.emplace(k, std::move(inst)).first;
-  } else if (it->second.members.empty() && members_hint) {
-    it->second.members = *members_hint;
-    it->second.majority = static_cast<int>(members_hint->size()) / 2 + 1;
-  }
-  return it->second;
-}
+                     FailureDetector::ClassId fd_class)
+    : ConsensusShell(ctx, channel, fd, fd_class), m_rounds_(metric_id("consensus.rounds")) {}
 
 void Consensus::propose(std::uint64_t k, Bytes value, std::vector<ProcessId> members) {
-  assert(!members.empty());
-  if (auto it = decisions_.find(k); it != decisions_.end()) {
-    // Instance already decided (we learned the decision passively).
-    for (const auto& fn : decide_fns_) fn(k, it->second);
-    return;
-  }
-  Instance& inst = get_instance(k, &members);
-  if (inst.started || inst.decided) return;
-  inst.started = true;
-  inst.started_at = ctx_.now();
-  ctx_.trace_begin(obs::Names::get().consensus_instance,
-                   MsgId{obs::kConsensusKey, k});
+  if (redeliver(k)) return;
+  Instance* inst = start(k, members);
+  if (!inst) return;
   // Do not clobber an estimate adopted while participating passively: it may
   // be locked by a majority (CT safety argument relies on keeping it).
-  if (inst.estimate_ts < 0) {
-    inst.estimate = std::move(value);
-    inst.estimate_ts = 0;
+  if (inst->estimate_ts < 0) {
+    inst->estimate = std::move(value);
+    inst->estimate_ts = 0;
   }
-  ctx_.metrics().inc(m_started_);
-  // FD must watch everyone who may become coordinator.
-  fd_.monitor_group(fd_class_, inst.members);
-  // CT assumes every correct member proposes. Announce the instance so
-  // members with nothing to propose join in with our value (validity is
-  // preserved: the value is still some process's proposal). This makes a
-  // lone proposer terminate without upper-layer help.
-  Encoder announce;
-  announce.put_byte(kAnnounce);
-  announce.put_u64(k);
-  announce.put_vector(inst.members, [](Encoder& e, ProcessId p) { e.put_i32(p); });
-  announce.put_bytes(inst.estimate);
-  for (ProcessId p : inst.members) {
-    if (p != ctx_.self()) channel_.send(p, tag_, announce.bytes());
-  }
-  enter_round(k, inst, inst.round);
+  // CT assumes every correct member proposes; ANNOUNCE makes the others do.
+  announce(k, *inst, inst->estimate);
+  enter_round(k, *inst, inst->round);
 }
 
 void Consensus::enter_round(std::uint64_t k, Instance& inst, std::int64_t r) {
@@ -99,7 +46,7 @@ void Consensus::enter_round(std::uint64_t k, Instance& inst, std::int64_t r) {
   enc.put_i64(r);
   enc.put_i64(inst.estimate_ts);
   enc.put_bytes(inst.estimate);
-  channel_.send(c, tag_, enc.take());
+  channel_.send(c, Tag::kConsensus, enc.take());
   // Phase 3 shortcut: if the coordinator is already suspected, NACK soon.
   // The small delay bounds round churn when many coordinators are suspected
   // at once (e.g. during a partition) and lets heartbeats revoke mistakes.
@@ -123,7 +70,7 @@ void Consensus::nack_round(std::uint64_t k, Instance& inst) {
   enc.put_byte(kNack);
   enc.put_u64(k);
   enc.put_i64(r);
-  channel_.send(inst.coordinator(r), tag_, enc.take());
+  channel_.send(inst.coordinator(r), Tag::kConsensus, enc.take());
   enter_round(k, inst, r + 1);
 }
 
@@ -143,13 +90,7 @@ void Consensus::on_fd_suspect(ProcessId q) {
   }
 }
 
-void Consensus::on_message(ProcessId from, BytesView payload) {
-  Decoder dec(payload);
-  const std::uint8_t kind = dec.get_byte();
-  const std::uint64_t k = dec.get_u64();
-  // A message for a forgotten instance is a late echo of a decision; acting
-  // on it would resurrect the instance (ANNOUNCE would even re-propose it).
-  if (k < forgotten_below_) return;
+void Consensus::handle(ProcessId from, std::uint8_t kind, std::uint64_t k, Decoder& dec) {
   switch (kind) {
     case kEstimate: {
       const std::int64_t r = dec.get_i64();
@@ -168,19 +109,6 @@ void Consensus::on_message(ProcessId from, BytesView payload) {
     case kNack: {
       const std::int64_t r = dec.get_i64();
       if (dec.ok()) handle_ack(from, k, r, kind == kAck);
-      break;
-    }
-    case kDecide: {
-      Bytes value = dec.get_bytes();
-      if (dec.ok()) handle_decide(k, std::move(value));
-      break;
-    }
-    case kAnnounce: {
-      auto members = dec.get_vector<ProcessId>([](Decoder& d) { return d.get_i32(); });
-      Bytes value = dec.get_bytes();
-      if (!dec.ok() || decisions_.count(k)) break;
-      Instance& inst = get_instance(k, &members);
-      if (!inst.started && !inst.decided) propose(k, std::move(value), std::move(members));
       break;
     }
     default:
@@ -224,7 +152,7 @@ void Consensus::maybe_propose_round(std::uint64_t k, Instance& inst, std::int64_
     ctx_.trace_end(obs::Names::get().consensus_propose_wait,
                    MsgId{obs::kConsensusKey, k}, r);
   }
-  inst.proposed_at = ctx_.now();
+  inst.accept_sent_at = ctx_.now();
   ctx_.trace_instant(obs::Names::get().consensus_propose, MsgId{obs::kConsensusKey, k}, r);
   ctx_.trace_begin(obs::Names::get().consensus_accept_wait, MsgId{obs::kConsensusKey, k},
                    r);
@@ -233,7 +161,7 @@ void Consensus::maybe_propose_round(std::uint64_t k, Instance& inst, std::int64_
   enc.put_u64(k);
   enc.put_i64(r);
   enc.put_bytes(round.proposal);
-  channel_.send_group(inst.members, tag_, enc.take());
+  channel_.send_group(inst.members, Tag::kConsensus, enc.take());
 }
 
 void Consensus::handle_propose(ProcessId from, std::uint64_t k, std::int64_t r, Bytes value) {
@@ -253,9 +181,7 @@ void Consensus::handle_propose(ProcessId from, std::uint64_t k, std::int64_t r, 
   if (inst.responded) return;
   if (!admitted(value)) {
     // Admission gate: ACK only once the value passes (retry_deferred()).
-    deferred_.insert_or_assign(k, DeferredVote{from, r, std::move(value)});
-    ctx_.metrics().inc(m_deferred_);
-    ctx_.after(fd_.timeout(fd_class_), [this, k, r] { on_deferral_timeout(k, r); });
+    park_vote(k, from, r, std::move(value));
     return;
   }
   deferred_.erase(k);
@@ -270,7 +196,7 @@ void Consensus::handle_propose(ProcessId from, std::uint64_t k, std::int64_t r, 
   enc.put_byte(kAck);
   enc.put_u64(k);
   enc.put_i64(r);
-  channel_.send(from, tag_, enc.take());
+  channel_.send(from, Tag::kConsensus, enc.take());
   if (inst.started) {
     enter_round(k, inst, r + 1);
   } else {
@@ -296,17 +222,6 @@ void Consensus::handle_ack(ProcessId /*from*/, std::uint64_t k, std::int64_t r, 
   }
 }
 
-void Consensus::decide(std::uint64_t k, Instance& inst, const Bytes& value) {
-  if (inst.decided) return;
-  inst.decided = true;
-  Encoder enc;
-  enc.put_byte(kDecide);
-  enc.put_u64(k);
-  enc.put_bytes(value);
-  channel_.send_group(inst.members, tag_, enc.take());
-  // Our own DECIDE arrives via loopback and runs handle_decide.
-}
-
 void Consensus::on_deferral_timeout(std::uint64_t k, std::int64_t r) {
   auto dit = deferred_.find(k);
   if (dit == deferred_.end() || dit->second.round != r) return;
@@ -324,51 +239,6 @@ void Consensus::on_deferral_timeout(std::uint64_t k, std::int64_t r) {
   } else {
     inst.round = r + 1;
   }
-}
-
-void Consensus::forget_below(std::uint64_t k) {
-  forgotten_below_ = std::max(forgotten_below_, k);
-  deferred_.erase(deferred_.begin(), deferred_.lower_bound(k));
-  for (auto it = decisions_.begin(); it != decisions_.end();) {
-    it = (it->first < k) ? decisions_.erase(it) : ++it;
-  }
-}
-
-void Consensus::handle_decide(std::uint64_t k, Bytes value) {
-  if (decisions_.count(k)) return;
-  decisions_.emplace(k, value);
-  deferred_.erase(k);
-  ++decided_count_;
-  ctx_.metrics().inc(m_decided_);
-  ctx_.trace_instant(obs::Names::get().consensus_decide, MsgId{obs::kConsensusKey, k},
-                     static_cast<std::int64_t>(value.size()));
-  ctx_.trace_end(obs::Names::get().consensus_instance, MsgId{obs::kConsensusKey, k});
-  if (ctx_.log().enabled(LogLevel::kDebug)) {
-    ctx_.log().debug("consensus decide k=" + std::to_string(k) + " bytes=" +
-                     std::to_string(value.size()));
-  }
-  auto it = instances_.find(k);
-  if (it != instances_.end()) {
-    if (it->second.started_at >= 0) {
-      ctx_.metrics().observe(h_latency_, ctx_.now() - it->second.started_at);
-    }
-    if (it->second.proposed_at >= 0) {
-      // Coordinator-side ACK-quorum round trip: PROPOSE out -> decision in.
-      ctx_.metrics().observe(h_accept_rtt_, ctx_.now() - it->second.proposed_at);
-      ctx_.trace_end(obs::Names::get().consensus_accept_wait,
-                     MsgId{obs::kConsensusKey, k}, it->second.round);
-    }
-    // Echo the decision once to the members we know, then drop round state.
-    if (!it->second.decided && !it->second.members.empty()) {
-      Encoder enc;
-      enc.put_byte(kDecide);
-      enc.put_u64(k);
-      enc.put_bytes(value);
-      channel_.send_group(it->second.members, tag_, enc.take());
-    }
-    instances_.erase(it);
-  }
-  for (const auto& fn : decide_fns_) fn(k, value);
 }
 
 }  // namespace gcs

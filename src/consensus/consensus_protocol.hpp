@@ -5,9 +5,11 @@
 /// by its ordering algorithm. The new architecture inverts that: anything
 /// satisfying this interface — uniform multi-instance consensus over an
 /// explicit member set, tolerating false suspicions — can sit at the
-/// bottom of the stack. Two implementations are provided:
+/// bottom of the stack. Two implementations are provided, both under one
+/// multi-instance shell (consensus_shell.hpp: decision log, ANNOUNCE,
+/// DECIDE, forget watermark):
 ///   - Consensus        Chandra–Toueg ◇S rotating coordinator (consensus.hpp)
-///   - PaxosConsensus   classic single-decree Paxos per instance (paxos.hpp)
+///   - PaxosConsensus   leader-stable multi-Paxos (paxos.hpp)
 /// Both run unchanged under the same atomic broadcast, membership, generic
 /// broadcast and replication layers (the PaxosStack tests run the full
 /// stack on Paxos).

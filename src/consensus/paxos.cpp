@@ -1,7 +1,6 @@
 #include "consensus/paxos.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/trace.hpp"
 #include "util/codec.hpp"
@@ -11,13 +10,12 @@ namespace gcs {
 namespace {
 // Kinds 0 and 1 (per-instance PREPARE/PROMISE) are retired; the remaining
 // kinds keep their numbers so their bytes on the wire stay the same.
+// DECIDE (5) and ANNOUNCE (6) are the shell's kinds.
 constexpr std::uint8_t kAccept = 2;
 constexpr std::uint8_t kAccepted = 3;
 constexpr std::uint8_t kNack = 4;
-constexpr std::uint8_t kDecide = 5;
-constexpr std::uint8_t kAnnounce = 6;
-// The epoch (ranged phase-1) messages. The u64 after the kind byte carries
-// the range floor instead of an instance number.
+// The epoch (ranged phase-1) messages, from the shell's first ranged kind
+// on: the u64 after the kind byte carries the range floor, not an instance.
 constexpr std::uint8_t kRangedPrepare = 7;
 constexpr std::uint8_t kRangedPromise = 8;
 constexpr std::uint8_t kRangedNack = 9;
@@ -33,36 +31,10 @@ constexpr int kMaxBackoffShift = 6;
 }  // namespace
 
 PaxosConsensus::PaxosConsensus(sim::Context& ctx, ReliableChannel& channel,
-                               FailureDetector& fd, FailureDetector::ClassId fd_class,
-                               Tag tag)
-    : ctx_(ctx), channel_(channel), fd_(fd), fd_class_(fd_class), tag_(tag),
-      m_started_(metric_id("paxos.instances_started")),
-      m_decided_(metric_id("paxos.decided")),
+                               FailureDetector& fd, FailureDetector::ClassId fd_class)
+    : ConsensusShell(ctx, channel, fd, fd_class),
       m_prepares_(metric_id("paxos.prepares_sent")),
-      m_noop_fills_(metric_id("paxos.noop_fills")),
-      h_latency_(metric_id("consensus.latency_us")),
-      h_propose_wait_(metric_id("consensus.propose_wait_us")),
-      h_accept_rtt_(metric_id("consensus.accept_rtt_us")),
-      m_deferred_(metric_id("consensus.deferred_votes")) {
-  channel_.subscribe(tag_, [this](ProcessId from, BytesView b) { on_message(from, b); });
-  fd_.on_suspect(fd_class_, [this](ProcessId q) { on_fd_suspect(q); });
-}
-
-PaxosConsensus::Instance& PaxosConsensus::get_instance(
-    std::uint64_t k, const std::vector<ProcessId>* members_hint) {
-  auto it = instances_.find(k);
-  if (it == instances_.end()) {
-    Instance inst;
-    if (members_hint) inst.members = *members_hint;
-    inst.majority =
-        inst.members.empty() ? 0 : static_cast<int>(inst.members.size()) / 2 + 1;
-    it = instances_.emplace(k, std::move(inst)).first;
-  } else if (it->second.members.empty() && members_hint) {
-    it->second.members = *members_hint;
-    it->second.majority = static_cast<int>(members_hint->size()) / 2 + 1;
-  }
-  return it->second;
-}
+      m_noop_fills_(metric_id("paxos.noop_fills")) {}
 
 ProcessId PaxosConsensus::stable_leader() const {
   if (epoch_members_.empty()) return kNoProcess;
@@ -107,33 +79,17 @@ void PaxosConsensus::adopt_epoch_members(std::uint64_t k,
 }
 
 void PaxosConsensus::propose(std::uint64_t k, Bytes value, std::vector<ProcessId> members) {
-  assert(!members.empty());
-  if (auto it = decisions_.find(k); it != decisions_.end()) {
-    for (const auto& fn : decide_fns_) fn(k, it->second);
-    return;
-  }
+  if (redeliver(k)) return;
   adopt_epoch_members(k, members);
-  Instance& inst = get_instance(k, &members);
-  if (inst.started || inst.decided) return;
-  inst.started = true;
-  inst.started_at = ctx_.now();
-  inst.my_value = std::move(value);
-  ctx_.metrics().inc(m_started_);
-  ctx_.trace_begin(obs::Names::get().consensus_instance, MsgId{obs::kConsensusKey, k});
-  fd_.monitor_group(fd_class_, inst.members);
+  Instance* inst = start(k, members);
+  if (!inst) return;
+  inst->my_value = std::move(value);
   // Pull passive members in (they must at least act as acceptors with the
   // member set known, and as takeover candidates). The announce also
   // carries the value to the epoch owner, who drives it.
-  Encoder announce;
-  announce.put_byte(kAnnounce);
-  announce.put_u64(k);
-  announce.put_vector(inst.members, [](Encoder& e, ProcessId p) { e.put_i32(p); });
-  announce.put_bytes(inst.my_value);
-  for (ProcessId p : inst.members) {
-    if (p != ctx_.self()) channel_.send(p, tag_, announce.bytes());
-  }
+  announce(k, *inst, inst->my_value);
   if (epoch_.mine && k >= epoch_.floor) {
-    drive_accept(k, epoch_.ballot, inst.my_value);
+    drive_accept(k, epoch_.ballot, inst->my_value);
   } else if (!epoch_.mine && !epoch_.preparing && fd_.suspects(fd_class_, stable_leader())) {
     maybe_take_over_epoch(/*force=*/false);
   }
@@ -151,7 +107,7 @@ void PaxosConsensus::drive_accept(std::uint64_t k, std::int64_t ballot, Bytes va
   attempt.value = std::move(value);
   inst.started = true;
   if (inst.started_at < 0) inst.started_at = ctx_.now();
-  inst.max_ballot_seen = std::max(inst.max_ballot_seen, ballot);
+  inst.round = std::max(inst.round, ballot);
   inst.accept_sent_at = ctx_.now();
   ctx_.trace_instant(obs::Names::get().consensus_propose, MsgId{obs::kConsensusKey, k},
                      ballot);
@@ -163,7 +119,7 @@ void PaxosConsensus::drive_accept(std::uint64_t k, std::int64_t ballot, Bytes va
   enc.put_u64(k);
   enc.put_i64(ballot);
   enc.put_bytes(attempt.value);
-  channel_.send_group(inst.members, tag_, enc.take());
+  channel_.send_group(inst.members, Tag::kConsensus, enc.take());
 }
 
 void PaxosConsensus::maybe_take_over_epoch(bool force) {
@@ -226,7 +182,7 @@ void PaxosConsensus::start_epoch(std::int64_t ballot) {
   enc.put_byte(kRangedPrepare);
   enc.put_u64(epoch_.floor);
   enc.put_i64(ballot);
-  channel_.send_group(epoch_members_, tag_, enc.take());
+  channel_.send_group(epoch_members_, Tag::kConsensus, enc.take());
 }
 
 void PaxosConsensus::handle_ranged_prepare(ProcessId from, std::uint64_t floor,
@@ -236,7 +192,7 @@ void PaxosConsensus::handle_ranged_prepare(ProcessId from, std::uint64_t floor,
     nack.put_byte(kRangedNack);
     nack.put_u64(0);
     nack.put_i64(epoch_promised_ballot_);
-    channel_.send(from, tag_, nack.take());
+    channel_.send(from, Tag::kConsensus, nack.take());
     return;
   }
   // Promise the whole range: no ballot < b will be accepted at any k >=
@@ -267,7 +223,7 @@ void PaxosConsensus::handle_ranged_prepare(ProcessId from, std::uint64_t floor,
     enc.put_bytes(inst->accepted_value);
   }
   // …and every decision still held: decided instances drop their acceptor
-  // state (handle_decide erases it), so without these entries a new leader
+  // state (learn() erases it), so without these entries a new leader
   // could re-propose a different value for an already-chosen instance.
   std::vector<std::uint64_t> decided;
   for (const auto& [k, v] : decisions_) {
@@ -279,12 +235,15 @@ void PaxosConsensus::handle_ranged_prepare(ProcessId from, std::uint64_t floor,
     enc.put_u64(k);
     enc.put_bytes(decisions_[k]);
   }
-  channel_.send(from, tag_, enc.take());
+  channel_.send(from, Tag::kConsensus, enc.take());
 }
 
 void PaxosConsensus::handle_ranged_promise(ProcessId /*from*/, std::uint64_t /*floor*/,
                                            std::int64_t b, Decoder& dec) {
+  // Each entry takes at least one byte: a count beyond the bytes left is
+  // hostile, and reserving it would throw.
   const std::uint64_t n_accepted = dec.get_u64();
+  if (n_accepted > dec.remaining()) return;
   std::vector<std::tuple<std::uint64_t, std::int64_t, Bytes>> accepted;
   accepted.reserve(n_accepted);
   for (std::uint64_t i = 0; i < n_accepted && dec.ok(); ++i) {
@@ -294,6 +253,7 @@ void PaxosConsensus::handle_ranged_promise(ProcessId /*from*/, std::uint64_t /*f
     accepted.emplace_back(k, ab, std::move(av));
   }
   const std::uint64_t n_decided = dec.get_u64();
+  if (n_decided > dec.remaining()) return;
   std::vector<std::pair<std::uint64_t, Bytes>> decided;
   decided.reserve(n_decided);
   for (std::uint64_t i = 0; i < n_decided && dec.ok(); ++i) {
@@ -303,7 +263,7 @@ void PaxosConsensus::handle_ranged_promise(ProcessId /*from*/, std::uint64_t /*f
   }
   if (!dec.ok()) return;
   // Decisions are final regardless of our candidacy's fate.
-  for (auto& [k, v] : decided) handle_decide(k, std::move(v));
+  for (auto& [k, v] : decided) learn(k, std::move(v));
   if (!epoch_.preparing || b != epoch_.ballot) return;
   for (auto& [k, ab, av] : accepted) {
     auto it = epoch_.recovered.find(k);
@@ -379,14 +339,8 @@ void PaxosConsensus::on_fd_suspect(ProcessId q) {
   if (!epoch_members_.empty() && q == stable_leader()) maybe_take_over_epoch(/*force=*/false);
 }
 
-void PaxosConsensus::on_message(ProcessId from, BytesView payload) {
-  Decoder dec(payload);
-  const std::uint8_t kind = dec.get_byte();
-  const std::uint64_t k = dec.get_u64();
-  // An instance message for a forgotten instance is a late echo of a
-  // decision; acting on it would resurrect the instance (ANNOUNCE would even
-  // re-propose it). The ranged epoch kinds carry a floor in k instead.
-  if (kind < kRangedPrepare && k < forgotten_below_) return;
+void PaxosConsensus::handle(ProcessId from, std::uint8_t kind, std::uint64_t k,
+                            Decoder& dec) {
   switch (kind) {
     case kAccept: {
       const std::int64_t b = dec.get_i64();
@@ -402,19 +356,6 @@ void PaxosConsensus::on_message(ProcessId from, BytesView payload) {
     case kNack: {
       const std::int64_t b_high = dec.get_i64();
       if (dec.ok()) handle_nack(k, b_high);
-      break;
-    }
-    case kDecide: {
-      Bytes v = dec.get_bytes();
-      if (dec.ok()) handle_decide(k, std::move(v));
-      break;
-    }
-    case kAnnounce: {
-      auto members = dec.get_vector<ProcessId>([](Decoder& d) { return d.get_i32(); });
-      Bytes v = dec.get_bytes();
-      if (!dec.ok() || decisions_.count(k)) break;
-      Instance& inst = get_instance(k, &members);
-      if (!inst.started && !inst.decided) propose(k, std::move(v), std::move(members));
       break;
     }
     case kRangedPrepare: {
@@ -441,7 +382,7 @@ void PaxosConsensus::handle_accept(ProcessId from, std::uint64_t k, std::int64_t
   if (decisions_.count(k)) return;
   Instance& inst = get_instance(k, nullptr);
   if (inst.decided) return;
-  inst.max_ballot_seen = std::max(inst.max_ballot_seen, b);
+  inst.round = std::max(inst.round, b);
   note_epoch_ballot(b);
   // Gate on the effective promise: a stale ballot-0 ACCEPT arriving after a
   // ranged promise at a higher ballot must be refused, or the promise is
@@ -449,9 +390,7 @@ void PaxosConsensus::handle_accept(ProcessId from, std::uint64_t k, std::int64_t
   const std::int64_t eff = effective_promised(k, inst);
   if (b >= eff && !admitted(v)) {
     // Admission gate: vote only once the value passes (retry_deferred()).
-    deferred_.insert_or_assign(k, DeferredVote{from, b, std::move(v)});
-    ctx_.metrics().inc(m_deferred_);
-    ctx_.after(fd_.timeout(fd_class_), [this, k, b] { on_deferral_timeout(k, b); });
+    park_vote(k, from, b, std::move(v));
     return;
   }
   if (auto dit = deferred_.find(k); dit != deferred_.end() && dit->second.round <= b) {
@@ -470,7 +409,7 @@ void PaxosConsensus::handle_accept(ProcessId from, std::uint64_t k, std::int64_t
     enc.put_u64(k);
     enc.put_i64(eff);
   }
-  channel_.send(from, tag_, enc.take());
+  channel_.send(from, Tag::kConsensus, enc.take());
 }
 
 void PaxosConsensus::handle_accepted(ProcessId /*from*/, std::uint64_t k, std::int64_t b) {
@@ -480,20 +419,15 @@ void PaxosConsensus::handle_accepted(ProcessId /*from*/, std::uint64_t k, std::i
   auto ait = inst.attempts.find(b);
   if (ait == inst.attempts.end() || !ait->second.accepting) return;
   if (++ait->second.accepteds < inst.majority) return;
-  inst.decided = true;
   // The accepted value of this ballot is what we sent in ACCEPT.
-  Encoder enc;
-  enc.put_byte(kDecide);
-  enc.put_u64(k);
-  enc.put_bytes(ait->second.value);
-  channel_.send_group(inst.members, tag_, enc.take());
+  decide(k, inst, ait->second.value);
 }
 
 void PaxosConsensus::handle_nack(std::uint64_t k, std::int64_t b_high) {
   if (decisions_.count(k)) return;
   Instance& inst = get_instance(k, nullptr);
   if (inst.decided) return;
-  inst.max_ballot_seen = std::max(inst.max_ballot_seen, b_high);
+  inst.round = std::max(inst.round, b_high);
   bool was_driving = false;
   for (auto& [ballot, attempt] : inst.attempts) {
     if (ballot < b_high) {
@@ -510,39 +444,6 @@ void PaxosConsensus::handle_nack(std::uint64_t k, std::int64_t b_high) {
   }
 }
 
-void PaxosConsensus::handle_decide(std::uint64_t k, Bytes value) {
-  if (decisions_.count(k)) return;
-  decisions_.emplace(k, value);
-  deferred_.erase(k);
-  ++decided_count_;
-  decided_frontier_ = std::max(decided_frontier_, k + 1);
-  ctx_.metrics().inc(m_decided_);
-  ctx_.trace_instant(obs::Names::get().consensus_decide, MsgId{obs::kConsensusKey, k},
-                     static_cast<std::int64_t>(value.size()));
-  ctx_.trace_end(obs::Names::get().consensus_instance, MsgId{obs::kConsensusKey, k});
-  auto it = instances_.find(k);
-  if (it != instances_.end()) {
-    if (it->second.started_at >= 0) {
-      ctx_.metrics().observe(h_latency_, ctx_.now() - it->second.started_at);
-    }
-    if (it->second.accept_sent_at >= 0) {
-      // Owner-side ACCEPTED-quorum round trip: ACCEPT out -> decision in.
-      ctx_.metrics().observe(h_accept_rtt_, ctx_.now() - it->second.accept_sent_at);
-      ctx_.trace_end(obs::Names::get().consensus_accept_wait,
-                     MsgId{obs::kConsensusKey, k}, it->second.max_ballot_seen);
-    }
-    if (!it->second.decided && !it->second.members.empty()) {
-      Encoder enc;
-      enc.put_byte(kDecide);
-      enc.put_u64(k);
-      enc.put_bytes(value);
-      channel_.send_group(it->second.members, tag_, enc.take());
-    }
-    instances_.erase(it);
-  }
-  for (const auto& fn : decide_fns_) fn(k, value);
-}
-
 void PaxosConsensus::on_deferral_timeout(std::uint64_t k, std::int64_t ballot) {
   auto dit = deferred_.find(k);
   if (dit == deferred_.end() || dit->second.round != ballot) return;
@@ -556,14 +457,6 @@ void PaxosConsensus::on_deferral_timeout(std::uint64_t k, std::int64_t ballot) {
   std::int64_t next = std::max(epoch_seen_ballot_, epoch_.ballot) + 1;
   while (epoch_owner(next) != ctx_.self()) ++next;
   start_epoch(next);
-}
-
-void PaxosConsensus::forget_below(std::uint64_t k) {
-  forgotten_below_ = std::max(forgotten_below_, k);
-  deferred_.erase(deferred_.begin(), deferred_.lower_bound(k));
-  for (auto it = decisions_.begin(); it != decisions_.end();) {
-    it = (it->first < k) ? decisions_.erase(it) : ++it;
-  }
 }
 
 }  // namespace gcs

@@ -1,6 +1,6 @@
 /// \file paxos.hpp
-/// Multi-Paxos with leader leases, multi-instance manager like
-/// consensus.hpp.
+/// Multi-Paxos with leader leases, under the multi-instance shell of
+/// consensus_shell.hpp (decision log, ANNOUNCE, DECIDE, forget watermark).
 ///
 /// The alternative bottom layer proving the architecture's point: any
 /// uniform consensus tolerating false suspicions slots under the same
@@ -38,69 +38,46 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
-#include "channel/reliable_channel.hpp"
-#include "consensus/consensus_protocol.hpp"
-#include "fd/failure_detector.hpp"
-#include "sim/context.hpp"
+#include "consensus/consensus_shell.hpp"
 
 namespace gcs {
 
-class Decoder;
+/// One Paxos instance: the shell's core (its `round` is the highest ballot
+/// seen) plus the acceptor's and the epoch owner's state.
+struct PaxosInstance : InstanceCore {
+  Bytes my_value;
 
-class PaxosConsensus final : public ConsensusProtocol {
+  // Acceptor state.
+  std::int64_t promised = -1;
+  std::int64_t accepted_ballot = -1;
+  Bytes accepted_value;
+
+  // Proposer (epoch owner) state, per ballot.
+  struct Attempt {
+    bool accepting = false;
+    int accepteds = 0;
+    Bytes value;
+  };
+  std::map<std::int64_t, Attempt> attempts;
+};
+
+class PaxosConsensus final : public ConsensusShell<PaxosInstance> {
  public:
   PaxosConsensus(sim::Context& ctx, ReliableChannel& channel, FailureDetector& fd,
-                 FailureDetector::ClassId fd_class, Tag tag = Tag::kConsensus);
+                 FailureDetector::ClassId fd_class);
 
   void propose(std::uint64_t k, Bytes value, std::vector<ProcessId> members) override;
-  void on_decide(DecideFn fn) override { decide_fns_.push_back(std::move(fn)); }
-  bool decided(std::uint64_t k) const override { return decisions_.count(k) != 0; }
-  std::int64_t instances_decided() const override { return decided_count_; }
-  std::int64_t open_instances() const override {
-    std::int64_t n = 0;
-    for (const auto& [k, inst] : instances_) {
-      (void)k;
-      if (!inst.decided) ++n;
-    }
-    return n;
-  }
-  void forget_below(std::uint64_t k) override;
   /// The current epoch owner (kNoProcess before the member set is known).
   ProcessId stable_leader() const override;
 
  private:
+  using Instance = PaxosInstance;
+
   void cast_deferred(std::uint64_t k, DeferredVote vote) override {
     handle_accept(vote.from, k, vote.round, std::move(vote.value));
   }
-
-  struct Instance {
-    std::vector<ProcessId> members;
-    int majority = 0;
-    bool started = false;
-    bool decided = false;
-    Bytes my_value;
-    TimePoint started_at = -1;  // when propose() ran locally (latency metric)
-
-    // Acceptor state.
-    std::int64_t promised = -1;
-    std::int64_t accepted_ballot = -1;
-    Bytes accepted_value;
-
-    // Proposer (epoch owner) state, per ballot.
-    struct Attempt {
-      bool accepting = false;
-      int accepteds = 0;
-      Bytes value;
-    };
-    std::map<std::int64_t, Attempt> attempts;
-    TimePoint accept_sent_at = -1;  // ACCEPT round started (accept-RTT metric)
-
-    // The highest ballot we have observed anyone drive.
-    std::int64_t max_ballot_seen = -1;
-  };
 
   /// Leadership-epoch state. One per process; the candidate/owner side of the ranged-prepare state machine.
   struct Epoch {
@@ -115,20 +92,18 @@ class PaxosConsensus final : public ConsensusProtocol {
     std::map<std::uint64_t, std::pair<std::int64_t, Bytes>> recovered;
   };
 
-  void on_message(ProcessId from, BytesView payload);
+  void handle(ProcessId from, std::uint8_t kind, std::uint64_t k, Decoder& dec) override;
   void handle_accept(ProcessId from, std::uint64_t k, std::int64_t b, Bytes v);
   void handle_accepted(ProcessId from, std::uint64_t k, std::int64_t b);
   void handle_nack(std::uint64_t k, std::int64_t b_high);
-  void handle_decide(std::uint64_t k, Bytes value);
-  void on_fd_suspect(ProcessId q);
+  void on_fd_suspect(ProcessId q) override;
   /// The gate held this acceptor's vote on (\p k, \p ballot) back for a
   /// whole suspicion timeout. If we drive that decree, drive it again at a
   /// higher ballot, where values the gate refuses become no-ops unless a
   /// majority may already have chosen them.
-  void on_deferral_timeout(std::uint64_t k, std::int64_t ballot);
+  void on_deferral_timeout(std::uint64_t k, std::int64_t ballot) override;
   /// \p value, or a no-op if the admission gate refuses it.
   Bytes admissible(const Bytes& value) const { return admitted(value) ? value : Bytes{}; }
-  Instance& get_instance(std::uint64_t k, const std::vector<ProcessId>* members_hint);
 
   // -- epochs ---------------------------------------------------------------
   ProcessId epoch_owner(std::int64_t ballot) const {
@@ -163,24 +138,9 @@ class PaxosConsensus final : public ConsensusProtocol {
   /// if we held it.
   void note_epoch_ballot(std::int64_t b);
 
-  sim::Context& ctx_;
-  ReliableChannel& channel_;
-  FailureDetector& fd_;
-  FailureDetector::ClassId fd_class_;
-  Tag tag_;
-  MetricId m_started_;
-  MetricId m_decided_;
   MetricId m_prepares_;      ///< ranged PREPAREs sent (epoch candidacies); 0 across
                              ///< a fault-free run
   MetricId m_noop_fills_;    ///< gap instances decided as no-ops by a new leader
-  MetricId h_latency_;       ///< propose() -> local decision (time-in-consensus)
-  MetricId h_propose_wait_;  ///< ranged PREPARE sent -> epoch established
-  MetricId h_accept_rtt_;    ///< ACCEPT sent -> local decision (owner side)
-  MetricId m_deferred_;      ///< votes the admission gate held back
-  std::unordered_map<std::uint64_t, Instance> instances_;
-  std::unordered_map<std::uint64_t, Bytes> decisions_;
-  std::vector<DecideFn> decide_fns_;
-  std::int64_t decided_count_ = 0;
 
   // Epoch state.
   std::vector<ProcessId> epoch_members_;  ///< member set the epoch runs under
@@ -198,12 +158,6 @@ class PaxosConsensus final : public ConsensusProtocol {
   /// Consecutive takeover NACKs; widens the backoff window (capped).
   int consecutive_nacks_ = 0;
   bool takeover_pending_ = false;  ///< backoff timer armed
-  /// Everything below this is decided (abcast's forget_below watermark) —
-  /// bounds the gap-fill scan; instance messages below it are dropped.
-  std::uint64_t forgotten_below_ = 0;
-  /// Highest instance decided locally + 1 (0 = nothing decided): the no-op
-  /// gap-fill frontier.
-  std::uint64_t decided_frontier_ = 0;
 };
 
 }  // namespace gcs

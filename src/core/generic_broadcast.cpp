@@ -230,7 +230,6 @@ void GenericBroadcast::maybe_fast_deliver(const MsgId& id) {
   }
   const auto sit = store_.find(id);
   if (sit == store_.end()) return;  // payload not here yet
-  ++fast_deliveries_;
   ctx_.metrics().inc(m_fast_delivered_);
   ctx_.metrics().observe(h_fast_latency_, ctx_.now() - sit->second.received_at);
   deliver(id, sit->second.cls, sit->second.payload, /*fast=*/true);
@@ -287,7 +286,6 @@ void GenericBroadcast::deliver(const MsgId& id, MsgClass cls, const Bytes& paylo
   if (observe_deliver_) observe_deliver_(id, cls, round_, fast, pos);
   const obs::Names& names = obs::Names::get();
   if (!fast) {
-    ++resolved_deliveries_;
     ctx_.metrics().inc(m_resolved_delivered_);
     if (auto sit = store_.find(id); sit != store_.end() && sit->second.received_at > 0) {
       ctx_.metrics().observe(h_slow_latency_, ctx_.now() - sit->second.received_at);
@@ -454,7 +452,6 @@ void GenericBroadcast::maybe_finalize_round() {
     }
     ++pos;
   }
-  ++rounds_resolved_;
   ctx_.metrics().inc(m_rounds_resolved_);
   ctx_.trace_end(obs::Names::get().gb_resolve, MsgId{obs::kGbRoundKey, round_},
                  static_cast<std::int64_t>(sequence.size()));

@@ -133,9 +133,9 @@ class GenericBroadcast {
   void restore(BytesView snapshot);
 
   /// -- statistics (E3/E6 use these) ------------------------------------
-  std::uint64_t fast_deliveries() const { return fast_deliveries_; }
-  std::uint64_t resolved_deliveries() const { return resolved_deliveries_; }
-  std::uint64_t rounds_resolved() const { return rounds_resolved_; }
+  std::uint64_t fast_deliveries() const { return count(m_fast_delivered_); }
+  std::uint64_t resolved_deliveries() const { return count(m_resolved_delivered_); }
+  std::uint64_t rounds_resolved() const { return count(m_rounds_resolved_); }
   std::uint64_t current_round() const { return round_; }
   /// Messages seen (payload cached) and not yet garbage collected — the
   /// current round's working set (probe gauge).
@@ -158,6 +158,10 @@ class GenericBroadcast {
   }
 
  private:
+  std::uint64_t count(MetricId id) const {
+    return static_cast<std::uint64_t>(ctx_.metrics().counter(id));
+  }
+
   struct Stored {
     MsgClass cls;
     Bytes payload;
@@ -274,9 +278,6 @@ class GenericBroadcast {
   std::vector<DeliverFn> deliver_fns_;
   SubmitObserver observe_submit_;
   DeliverObserver observe_deliver_;
-  std::uint64_t fast_deliveries_ = 0;
-  std::uint64_t resolved_deliveries_ = 0;
-  std::uint64_t rounds_resolved_ = 0;
 };
 
 }  // namespace gcs

@@ -9,7 +9,8 @@ FailureDetector::FailureDetector(sim::Context& ctx, Transport& transport)
 
 FailureDetector::FailureDetector(sim::Context& ctx, Transport& transport, Config config)
     : ctx_(ctx), transport_(transport), config_(config),
-      last_heard_(static_cast<std::size_t>(transport.universe_size()), 0) {
+      last_heard_(static_cast<std::size_t>(transport.universe_size()), 0),
+      m_false_suspicions_(metric_id("fd.false_suspicions")) {
   transport_.subscribe(Tag::kFd,
                        [this](ProcessId from, BytesView) { on_heartbeat(from); });
 }
@@ -77,8 +78,7 @@ void FailureDetector::on_heartbeat(ProcessId from) {
     auto& c = classes_[i];
     if (c.suspected.erase(from) > 0) {
       // The process was alive after all: the suspicion was false.
-      ++false_suspicions_;
-      ctx_.metrics().inc("fd.false_suspicions");
+      ctx_.metrics().inc(m_false_suspicions_);
       ctx_.trace_instant(obs::Names::get().fd_restore, MsgId{}, from);
       for (const auto& fn : c.restore_fns) fn(from);
     }

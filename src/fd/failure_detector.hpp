@@ -65,7 +65,7 @@ class FailureDetector {
   void inject_suspicion(ClassId cls, ProcessId q);
 
   /// Number of false suspicions observed (suspicions later restored).
-  std::int64_t false_suspicions() const { return false_suspicions_; }
+  std::int64_t false_suspicions() const { return ctx_.metrics().counter(m_false_suspicions_); }
 
  private:
   struct TimeoutClass {
@@ -87,7 +87,7 @@ class FailureDetector {
   bool running_ = false;
   std::vector<TimePoint> last_heard_;
   std::vector<TimeoutClass> classes_;
-  std::int64_t false_suspicions_ = 0;
+  MetricId m_false_suspicions_;
 };
 
 }  // namespace gcs

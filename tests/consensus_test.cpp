@@ -254,16 +254,16 @@ TEST(Consensus, StaleMessagesBelowTheWatermarkAreDropped) {
   p0.consensus->forget_below(5);
   const std::int64_t decided = p0.consensus->instances_decided();
   const std::int64_t sent = p0.ctx->metrics().counter("consensus.wire_msgs");
-  // Wire kinds of consensus.cpp: ESTIMATE, PROPOSE, ACK, NACK, DECIDE,
-  // ANNOUNCE.
-  for (std::uint8_t kind = 0; kind <= 5; ++kind) {
+  // Wire kinds: ESTIMATE, PROPOSE, ACK, NACK (consensus.cpp), 4 (unused),
+  // DECIDE and ANNOUNCE (the shell's).
+  for (std::uint8_t kind = 0; kind <= 6; ++kind) {
     SCOPED_TRACE("kind " + std::to_string(kind));
     Encoder enc;
     enc.put_byte(kind);
     enc.put_u64(2);
-    if (kind == 4) {
+    if (kind == 5) {
       enc.put_bytes(bytes_of("stale"));
-    } else if (kind == 5) {
+    } else if (kind == 6) {
       enc.put_vector(w.all, [](Encoder& e, ProcessId p) { e.put_i32(p); });
       enc.put_bytes(bytes_of("stale"));
     } else {

@@ -180,38 +180,118 @@ TEST(Fuzz, MalformedChannelFramesAreDropped) {
   ASSERT_TRUE(test::run_until(w.engine(), sec(20), [&] { return delivered >= 10; }));
 }
 
+/// One consensus frame as the encoders write it: kind | u64 (an instance,
+/// or a ranged floor) | body.
+template <typename Body>
+Bytes consensus_frame(std::uint8_t kind, std::uint64_t k, Body body) {
+  Encoder enc;
+  enc.put_byte(kind);
+  enc.put_u64(k);
+  body(enc);
+  return enc.take();
+}
+
+/// Real frames of every kind \p algo sends, for instance 1,000 (far ahead
+/// of the run): its own kinds, then the shell's DECIDE (5) and ANNOUNCE (6).
+std::vector<Bytes> consensus_frames(StackConfig::ConsensusAlgo algo) {
+  constexpr std::uint64_t k = 1'000;
+  const auto value = [](Encoder& e) { e.put_bytes(bytes_of("value")); };
+  const auto round = [](Encoder& e) { e.put_i64(3); };
+  std::vector<Bytes> frames;
+  if (algo == StackConfig::ConsensusAlgo::kChandraToueg) {
+    frames.push_back(consensus_frame(0, k, [&](Encoder& e) {  // ESTIMATE
+      round(e);
+      e.put_i64(2);  // estimate timestamp
+      value(e);
+    }));
+    frames.push_back(consensus_frame(1, k, [&](Encoder& e) {  // PROPOSE
+      round(e);
+      value(e);
+    }));
+    frames.push_back(consensus_frame(2, k, round));  // ACK
+    frames.push_back(consensus_frame(3, k, round));  // NACK
+  } else {
+    frames.push_back(consensus_frame(2, k, [&](Encoder& e) {  // ACCEPT
+      round(e);
+      value(e);
+    }));
+    frames.push_back(consensus_frame(3, k, round));  // ACCEPTED
+    frames.push_back(consensus_frame(4, k, round));  // NACK
+    frames.push_back(consensus_frame(7, 0, round));  // ranged PREPARE
+    frames.push_back(consensus_frame(8, 0, [&](Encoder& e) {  // ranged PROMISE
+      round(e);
+      e.put_u64(1);  // one accepted decree
+      e.put_u64(k);
+      e.put_i64(1);
+      value(e);
+      e.put_u64(1);  // one decision
+      e.put_u64(k + 1);
+      value(e);
+    }));
+    frames.push_back(consensus_frame(9, 0, round));  // ranged NACK
+  }
+  frames.push_back(consensus_frame(5, k, value));  // DECIDE
+  frames.push_back(consensus_frame(6, k, [&](Encoder& e) {  // ANNOUNCE
+    e.put_vector(std::vector<ProcessId>{0, 1, 2}, [](Encoder& v, ProcessId p) { v.put_i32(p); });
+    value(e);
+  }));
+  return frames;
+}
+
+/// Sends, from p1 through its own channel so that they reach p0's decoder,
+/// every strict prefix of each of \p frames, then each of \p whole. p0's
+/// consensus must not move (no instance, no decision, no reply), and the
+/// group must still deliver an abcast (\p delivered counts p0's).
+void expect_consensus_frames_dropped(World& w, const std::vector<Bytes>& frames,
+                                     const std::vector<Bytes>& whole,
+                                     const std::size_t& delivered) {
+  w.run_for(msec(200));  // let the founding view's traffic settle
+  const ConsensusProtocol& c = w.stack(0).consensus();
+  const std::int64_t open = c.open_instances();
+  const std::int64_t decided = c.instances_decided();
+  const std::int64_t sent = w.stack(0).metrics().counter("consensus.wire_msgs");
+  for (const Bytes& full : frames) {
+    for (std::size_t len = 0; len < full.size(); ++len) {
+      w.stack(1).channel().send(0, Tag::kConsensus, Bytes(full.begin(), full.begin() + len));
+    }
+  }
+  for (const Bytes& frame : whole) w.stack(1).channel().send(0, Tag::kConsensus, frame);
+  w.run_for(msec(50));
+  EXPECT_EQ(c.open_instances(), open);
+  EXPECT_EQ(c.instances_decided(), decided);
+  EXPECT_EQ(w.stack(0).metrics().counter("consensus.wire_msgs"), sent);
+  const std::size_t before = delivered;
+  w.stack(2).abcast(bytes_of("still fine"));
+  ASSERT_TRUE(test::run_until(w.engine(), sec(20), [&] { return delivered > before; }));
+}
+
 TEST(Fuzz, TruncatedRealMessagesAreDropped) {
   // Take REAL encoded protocol messages, truncate them at every length,
-  // and replay: decoders must reject every prefix quietly.
-  Encoder enc;
-  enc.put_byte(0);  // consensus kEstimate
-  enc.put_u64(7);
-  enc.put_i64(3);
-  enc.put_i64(2);
-  enc.put_bytes(bytes_of("estimate-payload"));
-  const Bytes full = enc.take();
+  // and replay: decoders must reject every prefix quietly. Under Paxos, so
+  // must a ranged PROMISE whose entry count (2^40) exceeds its bytes.
   World::Config cfg;
   cfg.n = 3;
   cfg.seed = 31;
-  World w(cfg);
   std::size_t delivered = 0;
+  {
+    World::Config paxos = cfg;
+    paxos.stack.consensus_algorithm = StackConfig::ConsensusAlgo::kPaxos;
+    World w(paxos);
+    w.stack(0).on_adeliver([&](const MsgId&, const Bytes&) { ++delivered; });
+    w.found_group_all();
+    const Bytes hostile = consensus_frame(8, 0, [](Encoder& e) {
+      e.put_i64(1);  // ballot
+      e.put_u64(1ULL << 40);
+    });
+    expect_consensus_frames_dropped(w, consensus_frames(paxos.stack.consensus_algorithm),
+                                    {hostile}, delivered);
+  }
+  World w(cfg);
+  delivered = 0;
   w.stack(0).on_adeliver([&](const MsgId&, const Bytes&) { ++delivered; });
   w.found_group_all();
-  for (std::size_t len = 0; len < full.size(); ++len) {
-    Bytes truncated(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(len));
-    // Wrap as a channel DATA frame the way a peer would send it.
-    Encoder frame;
-    frame.put_byte(0);  // channel kData
-    frame.put_u64(0);   // cumulative ack
-    frame.put_u64(10'000 + len);
-    frame.put_byte(static_cast<std::uint8_t>(Tag::kConsensus));
-    frame.put_bytes(truncated);
-    Bytes wire = frame.take();
-    wire.insert(wire.begin(), static_cast<std::uint8_t>(Tag::kChannel));
-    w.network().send(1, 0, std::move(wire));
-  }
-  w.stack(2).abcast(bytes_of("still fine"));
-  ASSERT_TRUE(test::run_until(w.engine(), sec(20), [&] { return delivered >= 1; }));
+  expect_consensus_frames_dropped(w, consensus_frames(cfg.stack.consensus_algorithm), {},
+                                  delivered);
 
   // The payload pull's frames, on both tags that carry it, for a message
   // p0 holds: pull (0 | count | ids, here the id twice) and push (1 |

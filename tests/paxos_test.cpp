@@ -284,7 +284,7 @@ TEST(PaxosStack, FullStackTotalOrderAndMembership) {
   w.stack(3).abcast(bytes_of("post"));
   ASSERT_TRUE(test::run_until(w.engine(), sec(10), [&] { return logs[0].size() >= 11; }));
   EXPECT_TRUE(consistent_prefix(logs[0].order, logs[1].order));
-  EXPECT_GT(w.stack(0).metrics().counter("paxos.decided"), 0);
+  EXPECT_GT(w.stack(0).metrics().counter("consensus.decided"), 0);
 }
 
 TEST(PaxosStack, GenericBroadcastFastPathUnaffectedByAlgorithm) {
@@ -320,8 +320,8 @@ TEST(Paxos, StaleMessagesBelowTheWatermarkAreDropped) {
   p0.paxos->forget_below(5);
   const std::int64_t decided = p0.paxos->instances_decided();
   const std::int64_t sent = p0.ctx->metrics().counter("consensus.wire_msgs");
-  // Wire kinds of paxos.cpp: 0 and 1 (retired, ignored), ACCEPT, ACCEPTED,
-  // NACK, DECIDE, ANNOUNCE.
+  // Wire kinds: 0 and 1 (retired, ignored), ACCEPT, ACCEPTED, NACK
+  // (paxos.cpp), DECIDE and ANNOUNCE (the shell's).
   for (std::uint8_t kind = 0; kind <= 6; ++kind) {
     SCOPED_TRACE("kind " + std::to_string(kind));
     Encoder enc;

@@ -263,7 +263,7 @@ TEST(Pipeline, LeaderStableSteadyStateIsOneRtt) {
   for (ProcessId p = 0; p < 3; ++p) {
     EXPECT_EQ(w.stack(p).metrics().counter("paxos.prepares_sent"), 0)
         << "fault-free leader-stable run must never run phase 1 (p" << p << ")";
-    EXPECT_GT(w.stack(p).metrics().counter("paxos.decided"), 0);
+    EXPECT_GT(w.stack(p).metrics().counter("consensus.decided"), 0);
   }
   // Trace-level version of the same assert: no paxos.prepare instants.
   const auto records = fr.recorder()->tail(kNoProcess, 100000);
