@@ -20,6 +20,7 @@
 ///
 ///   ./bench/bench_wire_json [--json=PATH] [--oracle]
 ///                           (default PATH: BENCH_wire.json)
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iterator>
@@ -47,6 +48,7 @@ struct Cell {
   std::int64_t delivered = 0;            // deliveries summed over processes
   std::int64_t consensus_wire_bytes = 0; // what rides the consensus tag
   std::int64_t consensus_wire_msgs = 0;
+  std::int64_t instances = 0;            // consensus instances the group decided
   std::int64_t flood_wire_bytes = 0;     // rbcast / gbdata payload flooding
   // Bytes on the layer's own channel tag: abcast's payload pulls and
   // pushes; for generic broadcast its fast-path ACKs as well as its pulls.
@@ -68,7 +70,24 @@ struct Cell {
   double per_delivered(std::uint64_t count) const {
     return per_delivered(static_cast<std::int64_t>(count));
   }
+  /// Consensus frames the group sent per instance: the stand-in for the
+  /// ordering path's message cost.
+  double consensus_msgs_per_instance() const {
+    return instances > 0 ? static_cast<double>(consensus_wire_msgs) /
+                               static_cast<double>(instances)
+                         : 0.0;
+  }
 };
+
+/// Instances the group decided: every live member decides each one, so
+/// the most any member decided.
+std::int64_t group_instances(World& world, int n) {
+  std::int64_t most = 0;
+  for (ProcessId p = 0; p < n; ++p) {
+    most = std::max(most, world.stack(p).metrics().counter("consensus.decided"));
+  }
+  return most;
+}
 
 constexpr int kMsgs = 150;
 constexpr Duration kGap = msec(1);
@@ -119,6 +138,7 @@ Cell run_abcast_cell(int n, std::size_t payload_bytes, double loss = 0) {
   cell.delivered = sum_counter(world, n, "abcast.delivered");
   cell.consensus_wire_bytes = sum_counter(world, n, "consensus.wire_bytes");
   cell.consensus_wire_msgs = sum_counter(world, n, "consensus.wire_msgs");
+  cell.instances = group_instances(world, n);
   cell.flood_wire_bytes = sum_counter(world, n, "rbcast.wire_bytes");
   cell.control_wire_bytes = sum_counter(world, n, "abcast.wire_bytes");
   cell.channel_datagrams = sum_counter(world, n, "channel.wire_msgs");
@@ -174,6 +194,7 @@ Cell run_gbcast_cell(int n, std::size_t payload_bytes) {
                    sum_counter(world, n, "gbcast.resolved_delivered");
   cell.consensus_wire_bytes = sum_counter(world, n, "consensus.wire_bytes");
   cell.consensus_wire_msgs = sum_counter(world, n, "consensus.wire_msgs");
+  cell.instances = group_instances(world, n);
   cell.flood_wire_bytes = sum_counter(world, n, "gbdata.wire_bytes");
   cell.control_wire_bytes = sum_counter(world, n, "gbcast.wire_bytes");
   cell.report_wire_bytes = sum_counter(world, n, "rbcast.wire_bytes");
@@ -285,6 +306,7 @@ std::string cells_json(const std::vector<Cell>& cells) {
            ", \"delivered\": " + std::to_string(c.delivered) +
            ",\n     \"consensus_wire_bytes\": " + std::to_string(c.consensus_wire_bytes) +
            ", \"consensus_wire_msgs\": " + std::to_string(c.consensus_wire_msgs) +
+           ",\n     \"consensus_msgs_per_instance\": " + json_num(c.consensus_msgs_per_instance()) +
            ",\n     \"flood_wire_bytes\": " + std::to_string(c.flood_wire_bytes) +
            ", \"control_wire_bytes\": " + std::to_string(c.control_wire_bytes) +
            ",\n     \"consensus_bytes_per_delivered\": " +
@@ -320,11 +342,13 @@ void run_suite(SuiteReport& report) {
   cells.push_back(run_gbcast_cell(7, 1024));
   cells.push_back(run_abcast_cell(5, 1024, 0.02));
 
-  Table table({"layer", "n", "payload", "loss", "delivered", "consensus B/msg", "flood B/msg",
-               "control B/msg", "datagrams/msg", "allocs/msg", "retransmits/msg"});
+  Table table({"layer", "n", "payload", "loss", "delivered", "consensus msgs/inst",
+               "consensus B/msg", "flood B/msg", "control B/msg", "datagrams/msg", "allocs/msg",
+               "retransmits/msg"});
   for (const Cell& c : cells) {
     table.add_row({c.layer, std::to_string(c.n), std::to_string(c.payload_bytes),
                    fmt_pct(c.loss), std::to_string(c.delivered),
+                   fmt_double(c.consensus_msgs_per_instance(), 1),
                    fmt_double(c.per_delivered(c.consensus_wire_bytes), 1),
                    fmt_double(c.per_delivered(c.flood_wire_bytes), 1),
                    fmt_double(c.per_delivered(c.control_wire_bytes), 1),

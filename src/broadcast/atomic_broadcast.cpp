@@ -199,7 +199,9 @@ void AtomicBroadcast::set_members(std::vector<ProcessId> members) {
 Bytes AtomicBroadcast::snapshot() const {
   Encoder enc;
   enc.put_vector(members_, [](Encoder& e, ProcessId p) { e.put_i32(p); });
-  enc.put_u64(next_instance_);
+  // Mid-batch, the joiner resumes at the batch's own instance.
+  const bool mid_batch = !delivering_batch_.empty();
+  enc.put_u64(mid_batch ? next_instance_ - 1 : next_instance_);
   std::uint64_t count = 0;
   for (const Origin& o : origins_) count += o.adelivered.floor + o.adelivered.beyond.size();
   enc.put_u64(count);
@@ -210,6 +212,7 @@ Bytes AtomicBroadcast::snapshot() const {
     for (const std::uint64_t seq : idx.beyond) enc.put_msgid(MsgId{p, seq});
   }
   enc.put_bytes(rbcast_.stability_snapshot());
+  enc.put_bytes(delivering_batch_);
   return enc.take();
 }
 
@@ -221,6 +224,7 @@ void AtomicBroadcast::restore(BytesView snapshot) {
   std::vector<MsgId> delivered;
   for (std::uint64_t i = 0; i < count && dec.ok(); ++i) delivered.push_back(dec.get_msgid());
   const BytesView stability = dec.get_view();
+  Bytes batch = dec.get_bytes();
   if (!dec.ok()) return;
   rbcast_.restore_stability(stability);
   members_ = std::move(members);
@@ -276,6 +280,13 @@ void AtomicBroadcast::restore(BytesView snapshot) {
   }
   gap_since_.clear();
   next_proposal_k_ = next_instance_;
+  if (!batch.empty()) {
+    // The snapshot was taken inside this batch: its ids up to the view
+    // change are delivered above; deliver the rest once the view is in.
+    decision_buffer_.emplace(next_instance_, std::move(batch));
+    ++next_proposal_k_;
+    ctx_.after(0, [this] { process_decisions(); });
+  }
   initialized_ = true;
   rbcast_.set_group(members_);
   if (config_.adaptive && !control_armed_) {
@@ -432,6 +443,7 @@ void AtomicBroadcast::process_decisions() {
       delivering_ = false;
       return;
     }
+    delivering_batch_ = std::move(decision_buffer_.begin()->second);
     decision_buffer_.erase(decision_buffer_.begin());
     if (auto git = gap_since_.find(next_instance_); git != gap_since_.end()) {
       // This decision waited out of order behind a now-closed gap.
@@ -478,6 +490,7 @@ void AtomicBroadcast::process_decisions() {
       delivered_log_.emplace_back(instance, e.id);
     }
     view_change_pending_ = false;
+    delivering_batch_.clear();
     release_proposed(instance);
     // Tail GC: payloads of long-delivered messages have served every
     // straggler that could still want them; drop them from the store.

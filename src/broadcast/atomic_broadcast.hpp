@@ -125,7 +125,9 @@ class AtomicBroadcast {
   /// Serialize the ordering state a joiner needs: member set, next
   /// instance, and the ids already delivered (so relayed copies of old
   /// messages are not re-ordered). Taken at a view-change adelivery point,
-  /// where it is identical at every member.
+  /// where it is identical at every member. That point may lie inside a
+  /// batch: the snapshot then names the batch's instance and carries the
+  /// batch, and the joiner delivers the rest of it, in the new view.
   Bytes snapshot() const;
 
   /// Install a snapshot (joiner side). Replaces init().
@@ -302,6 +304,7 @@ class AtomicBroadcast {
   std::uint64_t gc_steps_ = 0;
   std::uint64_t proposal_steps_ = 0;
   std::map<std::uint64_t, Bytes> decision_buffer_;  // out-of-order decisions
+  Bytes delivering_batch_;  // the decision being delivered (for snapshot())
   // Instances whose decision is parked behind an undecided gap (pipelining
   // out-of-order arrivals): k -> when it was buffered, for the gap_wait
   // span/metric closed when k finally processes in order.

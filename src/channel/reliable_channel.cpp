@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
 #include "util/codec.hpp"
 
@@ -171,8 +172,8 @@ void ReliableChannel::emit_batch(ProcessId to, const PeerOut& peer, Batch::const
   transport_.u_send(to, Tag::kChannel, scratch_);
 }
 
-void ReliableChannel::subscribe(Tag upper, Handler handler) {
-  handlers_[static_cast<std::size_t>(upper)] = std::move(handler);
+ReliableChannel::Handler ReliableChannel::subscribe(Tag upper, Handler handler) {
+  return std::exchange(handlers_[static_cast<std::size_t>(upper)], std::move(handler));
 }
 
 Duration ReliableChannel::oldest_unacked_age(ProcessId to) const {

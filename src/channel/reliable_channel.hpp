@@ -85,8 +85,9 @@ class ReliableChannel {
     for (ProcessId p : group) send(p, upper, payload);
   }
 
-  /// Register the upper-layer receive handler for \p upper.
-  void subscribe(Tag upper, Handler handler);
+  /// Register the upper-layer receive handler for \p upper; returns the
+  /// one it replaces, so a tap can hand frames on to it.
+  Handler subscribe(Tag upper, Handler handler);
 
   /// -- output-triggered suspicion hooks (paper §3.3.2) ------------------
 

@@ -28,7 +28,9 @@ void Consensus::propose(std::uint64_t k, Bytes value, std::vector<ProcessId> mem
   }
   // CT assumes every correct member proposes; ANNOUNCE makes the others do.
   announce(k, *inst, inst->estimate);
-  enter_round(k, *inst, inst->round);
+  // After a passive ACK, start at the next round: the ACK was sent before
+  // we knew the member set, so a NACK of that round could have passed us.
+  enter_round(k, *inst, inst->responded ? inst->round + 1 : inst->round);
 }
 
 void Consensus::enter_round(std::uint64_t k, Instance& inst, std::int64_t r) {
@@ -55,8 +57,8 @@ void Consensus::enter_round(std::uint64_t k, Instance& inst, std::int64_t r) {
       auto it = instances_.find(k);
       if (it == instances_.end()) return;
       Instance& i = it->second;
-      if (i.decided || i.round != r || i.responded) return;
-      if (fd_.suspects(fd_class_, i.coordinator(r))) nack_round(k, i);
+      if (i.decided || i.round != r) return;
+      if (fd_.suspects(fd_class_, i.coordinator(r))) leave_round(k, i);
     });
   }
 }
@@ -66,27 +68,50 @@ void Consensus::nack_round(std::uint64_t k, Instance& inst) {
   inst.responded = true;
   const std::int64_t r = inst.round;
   ctx_.trace_instant(obs::Names::get().consensus_nack, MsgId{obs::kConsensusKey, k}, r);
+  send_nack(k, r, {inst.coordinator(r)});
+  next_round(k, inst);
+}
+
+void Consensus::next_round(std::uint64_t k, Instance& inst) {
+  if (inst.started) {
+    enter_round(k, inst, inst.round + 1);
+  } else {
+    // Passive participant: advance the round marker so a later propose()
+    // resumes at the right round instead of regressing.
+    ++inst.round;
+    inst.responded = false;
+  }
+}
+
+void Consensus::send_nack(std::uint64_t k, std::int64_t r, const std::vector<ProcessId>& to) {
   Encoder enc;
   enc.put_byte(kNack);
   enc.put_u64(k);
   enc.put_i64(r);
-  channel_.send(inst.coordinator(r), Tag::kConsensus, enc.take());
-  enter_round(k, inst, r + 1);
+  channel_.send_group(to, Tag::kConsensus, enc.take());
 }
 
 void Consensus::on_fd_suspect(ProcessId q) {
-  // A suspicion may unblock any started instance waiting on coordinator q.
-  // Collect the instance ids first: nack_round() mutates instances_ state.
+  // A suspicion unblocks every started instance whose current round q
+  // coordinates. Collect the ids first: leave_round() mutates instances_.
   std::vector<std::uint64_t> waiting;
   for (auto& [k, inst] : instances_) {
-    if (inst.started && !inst.decided && !inst.responded && !inst.members.empty() &&
+    if (inst.started && !inst.decided && !inst.members.empty() &&
         inst.coordinator(inst.round) == q) {
       waiting.push_back(k);
     }
   }
   for (std::uint64_t k : waiting) {
     auto it = instances_.find(k);
-    if (it != instances_.end()) nack_round(k, it->second);
+    if (it != instances_.end()) leave_round(k, it->second);
+  }
+}
+
+void Consensus::leave_round(std::uint64_t k, Instance& inst) {
+  if (inst.responded) {
+    enter_round(k, inst, inst.round + 1);  // ACKed: stop waiting for DECIDE
+  } else {
+    nack_round(k, inst);
   }
 }
 
@@ -105,10 +130,14 @@ void Consensus::handle(ProcessId from, std::uint8_t kind, std::uint64_t k, Decod
       if (dec.ok()) handle_propose(from, k, r, std::move(value));
       break;
     }
-    case kAck:
+    case kAck: {
+      const std::int64_t r = dec.get_i64();
+      if (dec.ok()) handle_ack(k, r);
+      break;
+    }
     case kNack: {
       const std::int64_t r = dec.get_i64();
-      if (dec.ok()) handle_ack(from, k, r, kind == kAck);
+      if (dec.ok()) handle_nack(from, k, r);
       break;
     }
     default:
@@ -116,12 +145,18 @@ void Consensus::handle(ProcessId from, std::uint8_t kind, std::uint64_t k, Decod
   }
 }
 
-void Consensus::handle_estimate(ProcessId /*from*/, std::uint64_t k, std::int64_t r,
+void Consensus::handle_estimate(ProcessId from, std::uint64_t k, std::int64_t r,
                                 std::int64_t ts, Bytes value) {
   if (decisions_.count(k)) return;
   Instance& inst = get_instance(k, nullptr);
   if (inst.decided) return;
   auto& round = inst.rounds[r];
+  if (round.failed) {
+    // A latecomer to a round we dropped: our NACK to the members may have
+    // reached it before it entered the round. Repeat it.
+    send_nack(k, r, {from});
+    return;
+  }
   round.estimates.emplace_back(ts, std::move(value));
   maybe_propose_round(k, inst, r);
 }
@@ -140,7 +175,10 @@ void Consensus::maybe_propose_round(std::uint64_t k, Instance& inst, std::int64_
     ctx_.trace_begin(obs::Names::get().consensus_propose_wait,
                      MsgId{obs::kConsensusKey, k}, r);
   }
-  if (round.proposed || static_cast<int>(round.estimates.size()) < inst.majority) return;
+  if (round.proposed || round.failed ||
+      static_cast<int>(round.estimates.size()) < inst.majority) {
+    return;
+  }
   // Adopt the estimate with the highest timestamp (most recently locked).
   const auto best = std::max_element(
       round.estimates.begin(), round.estimates.end(),
@@ -197,29 +235,36 @@ void Consensus::handle_propose(ProcessId from, std::uint64_t k, std::int64_t r, 
   enc.put_u64(k);
   enc.put_i64(r);
   channel_.send(from, Tag::kConsensus, enc.take());
-  if (inst.started) {
-    enter_round(k, inst, r + 1);
-  } else {
-    // Passive participant: advance the round marker so a later propose()
-    // resumes at the right round instead of regressing to round 0.
-    inst.round = r + 1;
-    inst.responded = false;
-  }
+  // Having ACKed, wait in round r for its DECIDE: on_fd_suspect() or the
+  // coordinator's NACK moves us on if the round fails.
 }
 
-void Consensus::handle_ack(ProcessId /*from*/, std::uint64_t k, std::int64_t r, bool positive) {
+void Consensus::handle_ack(std::uint64_t k, std::int64_t r) {
   if (decisions_.count(k)) return;
   Instance& inst = get_instance(k, nullptr);
   if (inst.decided || inst.members.empty()) return;
   auto& round = inst.rounds[r];
   if (!round.proposed) return;  // not our round / never proposed
-  if (positive) {
-    if (++round.acks >= inst.majority) {
-      decide(k, inst, round.proposal);
+  if (++round.acks >= inst.majority) decide(k, inst, round.proposal);
+}
+
+void Consensus::handle_nack(ProcessId from, std::uint64_t k, std::int64_t r) {
+  if (decisions_.count(k)) return;
+  Instance& inst = get_instance(k, nullptr);
+  if (inst.decided || inst.members.empty()) return;
+  if (inst.coordinator(r) == ctx_.self()) {
+    // A member gave up on our round: it may no longer reach a majority of
+    // ACKs (or of estimates), and those who ACKed wait for its DECIDE. Tell
+    // them once; a round we have not proposed yet is dropped.
+    auto& round = inst.rounds[r];
+    if (!round.failed) {
+      round.failed = true;
+      send_nack(k, r, inst.members);
     }
-  } else {
-    ++round.nacks;
   }
+  // The coordinator's NACK: its round failed, so leave it (an ACKer stops
+  // waiting for its DECIDE).
+  if (from == inst.coordinator(r) && inst.round == r) next_round(k, inst);
 }
 
 void Consensus::on_deferral_timeout(std::uint64_t k, std::int64_t r) {
@@ -234,11 +279,11 @@ void Consensus::on_deferral_timeout(std::uint64_t k, std::int64_t r) {
   // would do. An unlocked estimate is still free to change, and one the
   // gate refuses would only be picked again: make it a no-op.
   if (inst.estimate_ts <= 0 && !admitted(inst.estimate)) inst.estimate.clear();
-  if (inst.started) {
-    nack_round(k, inst);
-  } else {
-    inst.round = r + 1;
+  if (inst.members.empty()) {
+    ++inst.round;  // passive, member set unknown: no coordinator to NACK
+    return;
   }
+  nack_round(k, inst);
 }
 
 }  // namespace gcs

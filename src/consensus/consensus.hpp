@@ -14,15 +14,22 @@
 ///   phase 2  c(r) collects a majority of estimates, adopts the one with
 ///            the highest ts, sends (PROPOSE, r, v) to all
 ///   phase 3  a process either receives PROPOSE (adopts v, ts := r, ACKs)
-///            or comes to suspect c(r) (NACKs); either way it proceeds to
-///            round r + 1
-///   phase 4  c(r) collects a majority of ACKs and broadcasts DECIDE
+///            or comes to suspect c(r) (NACKs and proceeds to round r + 1)
+///   phase 4  c(r) collects a majority of ACKs and sends DECIDE
 ///
-/// DECIDE messages travel over reliable channels to all members, so every
-/// correct member terminates. ANNOUNCE, DECIDE and the decision log live in
-/// the multi-instance shell (consensus_shell.hpp). A process that receives round messages for an
-/// instance it has not locally started participates passively (it can
-/// coordinate and ACK) and starts driving rounds once propose() is called.
+/// An ACKer waits in round r for the DECIDE instead of starting round r + 1
+/// at once, so a fault-free instance runs one round. It moves on when it
+/// comes to suspect c(r), or when c(r) NACKs the round: a coordinator that
+/// receives a NACK for its round sends one NACK of its own to the members
+/// (proposed or not, the round may no longer reach a majority) and drops
+/// the round.
+///
+/// DECIDE travels over reliable channels to all members, so every correct
+/// member terminates. ANNOUNCE, DECIDE and the decision log live in the
+/// multi-instance shell (consensus_shell.hpp). A process that receives
+/// round messages for an instance it has not locally started participates
+/// passively (it can coordinate and ACK) and starts driving rounds once
+/// propose() is called.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +53,7 @@ struct CtInstance : InstanceCore {
     bool proposed = false;
     Bytes proposal;
     int acks = 0;
-    int nacks = 0;
+    bool failed = false;  ///< a member NACKed: we told the members, propose no more
     TimePoint first_estimate_at = -1;  // quorum-assembly start (propose-wait)
   };
   std::map<std::int64_t, RoundState> rounds;
@@ -79,9 +86,20 @@ class Consensus final : public ConsensusShell<CtInstance> {
   void handle_estimate(ProcessId from, std::uint64_t k, std::int64_t r, std::int64_t ts,
                        Bytes value);
   void handle_propose(ProcessId from, std::uint64_t k, std::int64_t r, Bytes value);
-  void handle_ack(ProcessId from, std::uint64_t k, std::int64_t r, bool positive);
+  void handle_ack(std::uint64_t k, std::int64_t r);
+  /// A NACK of round \p r: from a member to us as its coordinator, or
+  /// from the coordinator to the members (the round failed).
+  void handle_nack(ProcessId from, std::uint64_t k, std::int64_t r);
   void enter_round(std::uint64_t k, Instance& inst, std::int64_t r);
+  /// Give up on the current round: NACK it to its coordinator, move on.
   void nack_round(std::uint64_t k, Instance& inst);
+  /// The current round's coordinator is suspected: NACK the round, or, if
+  /// we ACKed it, stop waiting for its DECIDE.
+  void leave_round(std::uint64_t k, Instance& inst);
+  /// Leave the current round for the next (a passive participant only
+  /// moves its round marker).
+  void next_round(std::uint64_t k, Instance& inst);
+  void send_nack(std::uint64_t k, std::int64_t r, const std::vector<ProcessId>& to);
   void maybe_propose_round(std::uint64_t k, Instance& inst, std::int64_t r);
   void on_fd_suspect(ProcessId q) override;
   /// The gate held round \p r's ACK back for a whole suspicion timeout:

@@ -50,6 +50,11 @@ class ConsensusProtocol {
   /// Garbage-collect decision values for instances < \p k.
   virtual void forget_below(std::uint64_t k) = 0;
 
+  /// The members of the current view; the stack calls it on every view
+  /// change. What the implementation keeps per member (an acknowledgement
+  /// it waits for) ends for members outside it.
+  virtual void set_view_members(const std::vector<ProcessId>& members) { (void)members; }
+
   /// -- admission gate (DESIGN.md §12) -------------------------------------
   ///
   /// An acceptor votes for a value (Paxos ACCEPTED, CT phase-3 ACK) only

@@ -63,18 +63,22 @@ void PaxosConsensus::adopt_epoch_members(std::uint64_t k,
     return;
   }
   // A changed member set is a view change: instances >= k run under the new
-  // configuration, whose ballot 0 is again implicitly owned. Stale ranged
-  // promises from the old configuration stay in force (over-promising is
-  // safe); if they block the new ballot-0 owner it recovers via NACK ->
-  // ranged takeover at a higher ballot.
+  // configuration. The highest ballot seen is kept, so it names the same
+  // leader under the new set at every member that saw it; that member
+  // prepares it anew (leaderless()). Only while no ballot above 0 was seen
+  // is ballot 0 again implicitly owned. Stale ranged promises from the old
+  // configuration stay in force (over-promising is safe); if they block
+  // the new ballot-0 owner it recovers via NACK -> ranged takeover at a
+  // higher ballot.
   if (members != epoch_members_ && k >= epoch_adopted_at_) {
+    const ProcessId before = stable_leader();
     epoch_members_ = members;
     epoch_adopted_at_ = k;
     epoch_ = Epoch{};
     epoch_.floor = k;
-    epoch_.mine = epoch_owner(0) == ctx_.self();
-    epoch_seen_ballot_ = 0;
+    epoch_.mine = epoch_seen_ballot_ == 0 && epoch_owner(0) == ctx_.self();
     consecutive_nacks_ = 0;
+    if (stable_leader() != before) reannounce(stable_leader());
   }
 }
 
@@ -84,15 +88,38 @@ void PaxosConsensus::propose(std::uint64_t k, Bytes value, std::vector<ProcessId
   Instance* inst = start(k, members);
   if (!inst) return;
   inst->my_value = std::move(value);
-  // Pull passive members in (they must at least act as acceptors with the
-  // member set known, and as takeover candidates). The announce also
-  // carries the value to the epoch owner, who drives it.
-  announce(k, *inst, inst->my_value);
+  inst->proposed = true;
   if (epoch_.mine && k >= epoch_.floor) {
     drive_accept(k, epoch_.ballot, inst->my_value);
-  } else if (!epoch_.mine && !epoch_.preparing && fd_.suspects(fd_class_, stable_leader())) {
+    return;
+  }
+  // The leader drives the value; the other members join from its ACCEPT.
+  announce_to(stable_leader(), k, *inst);
+  if (!epoch_.mine && !epoch_.preparing && leaderless(stable_leader())) {
     maybe_take_over_epoch(/*force=*/false);
   }
+}
+
+void PaxosConsensus::announce_to(ProcessId leader, std::uint64_t k, Instance& inst) {
+  if (leader == ctx_.self() || leader == kNoProcess || inst.announced_to == leader) return;
+  inst.announced_to = leader;
+  announce(k, inst, inst.my_value, leader);
+}
+
+void PaxosConsensus::reannounce(ProcessId leader) {
+  for (auto& [k, inst] : instances_) {
+    if (inst.proposed && !inst.decided) announce_to(leader, k, inst);
+  }
+}
+
+bool PaxosConsensus::has_undecided() const {
+  // Our own proposals, and decrees we accepted: if the leader that sent
+  // them proposed alone and crashed, nobody else may know of them.
+  for (const auto& [k, inst] : instances_) {
+    (void)k;
+    if ((inst.started || inst.accepted_ballot >= 0) && !inst.decided) return true;
+  }
+  return false;
 }
 
 // -- epochs -------------------------------------------------------------------
@@ -126,16 +153,8 @@ void PaxosConsensus::maybe_take_over_epoch(bool force) {
   if (epoch_members_.empty() || epoch_.preparing || takeover_pending_) return;
   const std::int64_t cur = std::max(epoch_seen_ballot_, epoch_.ballot);
   if (epoch_.mine && cur <= epoch_.ballot) return;  // we already lead
-  if (!force && !fd_.suspects(fd_class_, epoch_owner(cur))) return;
-  bool undecided = false;
-  for (const auto& [k, inst] : instances_) {
-    (void)k;
-    if (inst.started && !inst.decided) {
-      undecided = true;
-      break;
-    }
-  }
-  if (!undecided) return;  // nothing to lead for
+  if (!force && !leaderless(epoch_owner(cur))) return;
+  if (!has_undecided()) return;  // nothing to lead for
   takeover_pending_ = true;
   // Bounded deterministic backoff: a seeded-Rng draw from a window that
   // doubles per consecutive NACK, so dueling candidates de-synchronize
@@ -149,16 +168,8 @@ void PaxosConsensus::maybe_take_over_epoch(bool force) {
     if (epoch_.preparing || epoch_members_.empty()) return;
     const std::int64_t now_cur = std::max(epoch_seen_ballot_, epoch_.ballot);
     if (epoch_.mine && now_cur <= epoch_.ballot) return;
-    bool still_undecided = false;
-    for (const auto& [k, inst] : instances_) {
-      (void)k;
-      if (inst.started && !inst.decided) {
-        still_undecided = true;
-        break;
-      }
-    }
-    if (!still_undecided) return;  // the contested decrees landed meanwhile
-    if (!force && !fd_.suspects(fd_class_, epoch_owner(now_cur))) return;
+    if (!has_undecided()) return;  // the contested decrees landed meanwhile
+    if (!force && !leaderless(epoch_owner(now_cur))) return;
     // Smallest ballot above everything seen that we own.
     std::int64_t b = now_cur + 1;
     while (epoch_owner(b) != ctx_.self()) ++b;
@@ -226,14 +237,14 @@ void PaxosConsensus::handle_ranged_prepare(ProcessId from, std::uint64_t floor,
   // state (learn() erases it), so without these entries a new leader
   // could re-propose a different value for an already-chosen instance.
   std::vector<std::uint64_t> decided;
-  for (const auto& [k, v] : decisions_) {
-    (void)v;
+  for (const auto& [k, held] : decisions_) {
+    (void)held;
     if (k >= floor) decided.push_back(k);
   }
   enc.put_u64(decided.size());
   for (std::uint64_t k : decided) {
     enc.put_u64(k);
-    enc.put_bytes(decisions_[k]);
+    enc.put_bytes(decisions_[k].value);
   }
   channel_.send(from, Tag::kConsensus, enc.take());
 }
@@ -262,8 +273,9 @@ void PaxosConsensus::handle_ranged_promise(ProcessId /*from*/, std::uint64_t /*f
     decided.emplace_back(k, std::move(v));
   }
   if (!dec.ok()) return;
-  // Decisions are final regardless of our candidacy's fate.
-  for (auto& [k, v] : decided) learn(k, std::move(v));
+  // Decisions are final regardless of our candidacy's fate. Their holder
+  // answers for them, so we learn them as our own (we relay none).
+  for (auto& [k, v] : decided) learn(k, std::move(v), ctx_.self(), 0);
   if (!epoch_.preparing || b != epoch_.ballot) return;
   for (auto& [k, ab, av] : accepted) {
     auto it = epoch_.recovered.find(k);
@@ -289,13 +301,23 @@ void PaxosConsensus::handle_ranged_nack(std::int64_t b_high) {
 }
 
 void PaxosConsensus::note_epoch_ballot(std::int64_t b) {
-  if (b > epoch_seen_ballot_) epoch_seen_ballot_ = b;
   if (b > epoch_.ballot) {
     // A higher epoch exists: we are deposed (if leading) and any candidacy
     // at the lower ballot is stale.
     epoch_.mine = false;
     epoch_.preparing = false;
   }
+  if (b > epoch_seen_ballot_) {
+    const ProcessId before = stable_leader();
+    epoch_seen_ballot_ = b;
+    // A new leader: hand it our undecided proposals.
+    if (stable_leader() != before) reannounce(stable_leader());
+  }
+  // A ballot that names us while we neither lead nor prepare it was
+  // prepared under another member set (members adopt a new set at
+  // different times, and a ballot's owner depends on the set): nobody
+  // drives it, so we contest it.
+  if (stable_leader() == ctx_.self()) maybe_take_over_epoch(/*force=*/false);
 }
 
 void PaxosConsensus::establish_epoch() {
@@ -336,7 +358,11 @@ void PaxosConsensus::drive_epoch_instances() {
 // -- instance messages --------------------------------------------------------
 
 void PaxosConsensus::on_fd_suspect(ProcessId q) {
-  if (!epoch_members_.empty() && q == stable_leader()) maybe_take_over_epoch(/*force=*/false);
+  if (epoch_members_.empty() || q != stable_leader()) return;
+  // Hand our undecided proposals to the owner of the next ballot, the
+  // likely successor, and contest the epoch ourselves if we have any.
+  reannounce(epoch_owner(std::max(epoch_seen_ballot_, epoch_.ballot) + 1));
+  maybe_take_over_epoch(/*force=*/false);
 }
 
 void PaxosConsensus::handle(ProcessId from, std::uint8_t kind, std::uint64_t k,
@@ -380,7 +406,10 @@ void PaxosConsensus::handle(ProcessId from, std::uint8_t kind, std::uint64_t k,
 
 void PaxosConsensus::handle_accept(ProcessId from, std::uint64_t k, std::int64_t b, Bytes v) {
   if (decisions_.count(k)) return;
-  Instance& inst = get_instance(k, nullptr);
+  // A member no ANNOUNCE reached joins here, with the epoch's member set
+  // if the sender owns this ballot under it.
+  const bool epoch_known = !epoch_members_.empty() && epoch_owner(b) == from;
+  Instance& inst = get_instance(k, epoch_known ? &epoch_members_ : nullptr);
   if (inst.decided) return;
   inst.round = std::max(inst.round, b);
   note_epoch_ballot(b);

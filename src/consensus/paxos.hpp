@@ -15,7 +15,9 @@
 ///
 ///   epoch 0   ballot 0 is implicitly established for its owner — no other
 ///             process may use ballot 0, so the owner skips phase 1
-///             entirely and drives ACCEPT-only decrees from the start.
+///             entirely and drives ACCEPT-only decrees from the start. A
+///             view change restarts the epoch at its first instance; ballot
+///             0 is implicit again only if no higher ballot was ever seen.
 ///   takeover  on ◇S suspicion of the epoch owner, the next owner sends one
 ///             *ranged* PREPARE(b, floor) covering all instances >= floor.
 ///             Acceptors promise b for the whole range and report every
@@ -28,12 +30,23 @@
 ///
 /// Dueling takeover candidates are damped with a bounded, seeded-Rng
 /// backoff before each (re-)prepare, so two simultaneous suspectors
-/// converge without unbounded ballot churn.
+/// converge without unbounded ballot churn. A ballot's owner depends on
+/// the member set, and members adopt a new set at different times, so a
+/// member can see a ballot that names it although it never prepared it;
+/// nobody drives that ballot, and the member named contests the epoch as
+/// it would a suspected leader's.
+///
+/// A member that is not the leader ANNOUNCEs its proposal to the leader
+/// only, and again to each new leader (a higher epoch seen, or the likely
+/// successor of a suspected one) while it is undecided. The others join
+/// from the leader's ACCEPT, with the epoch's member set. An accepted but
+/// undecided decree is something to lead for: if a leader that proposed
+/// alone crashes after its ACCEPT, its acceptors take over and recover it.
 ///
 /// Phase 2 is per instance: the epoch owner sends ACCEPT(b, value);
 /// acceptors whose effective promise is <= b record (b, value) and reply
 /// ACCEPTED(b), else NACK; on a majority of ACCEPTEDs the owner sends
-/// DECIDE to all members over the reliable channel.
+/// DECIDE to all members over the reliable channel, once.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +61,8 @@ namespace gcs {
 /// seen) plus the acceptor's and the epoch owner's state.
 struct PaxosInstance : InstanceCore {
   Bytes my_value;
+  bool proposed = false;                 ///< propose() gave us my_value
+  ProcessId announced_to = kNoProcess;   ///< leader our ANNOUNCE went to
 
   // Acceptor state.
   std::int64_t promised = -1;
@@ -93,6 +108,21 @@ class PaxosConsensus final : public ConsensusShell<PaxosInstance> {
   };
 
   void handle(ProcessId from, std::uint8_t kind, std::uint64_t k, Decoder& dec) override;
+  /// ANNOUNCE our proposal for \p k to \p leader, unless that is us or
+  /// it already has it.
+  void announce_to(ProcessId leader, std::uint64_t k, Instance& inst);
+  /// A new leader, or the likely successor of a suspected one: ANNOUNCE
+  /// every undecided proposal of ours to \p leader.
+  void reannounce(ProcessId leader);
+  /// Some instance here still needs a leader: one we proposed or drive,
+  /// or a decree we accepted.
+  bool has_undecided() const;
+  /// \p leader, the owner of the highest ballot seen, will not drive: we
+  /// suspect it, or it is us although we do not lead (the ballot was
+  /// prepared under another member set).
+  bool leaderless(ProcessId leader) const {
+    return leader == ctx_.self() || fd_.suspects(fd_class_, leader);
+  }
   void handle_accept(ProcessId from, std::uint64_t k, std::int64_t b, Bytes v);
   void handle_accepted(ProcessId from, std::uint64_t k, std::int64_t b);
   void handle_nack(std::uint64_t k, std::int64_t b_high);
@@ -114,7 +144,8 @@ class PaxosConsensus final : public ConsensusShell<PaxosInstance> {
   /// with the ranged (epoch) promise covering k.
   std::int64_t effective_promised(std::uint64_t k, const Instance& inst) const;
   /// First sight of a member set (or a view change): adopt it as the epoch
-  /// member set; a changed set resets the epoch to ballot 0 at \p k.
+  /// member set; a changed set restarts the epoch at \p k, and the highest
+  /// ballot seen, kept, names its leader under the new set.
   void adopt_epoch_members(std::uint64_t k, const std::vector<ProcessId>& members);
   /// ACCEPT(ballot, value) directly (phase 2 only) for instance \p k.
   void drive_accept(std::uint64_t k, std::int64_t ballot, Bytes value);
@@ -135,7 +166,8 @@ class PaxosConsensus final : public ConsensusShell<PaxosInstance> {
                              Decoder& dec);
   void handle_ranged_nack(std::int64_t b_high);
   /// A ballot above our epoch's surfaced: remember it and drop leadership
-  /// if we held it.
+  /// if we held it. If the highest ballot seen names us and we do not lead,
+  /// contest the epoch.
   void note_epoch_ballot(std::int64_t b);
 
   MetricId m_prepares_;      ///< ranged PREPAREs sent (epoch candidacies); 0 across
@@ -149,7 +181,8 @@ class PaxosConsensus final : public ConsensusShell<PaxosInstance> {
   std::uint64_t epoch_adopted_at_ = 0;
   Epoch epoch_;
   /// Highest epoch ballot observed anywhere (ranged prepares, accepts,
-  /// nacks). Its owner is who the FD watches for takeover.
+  /// nacks), kept across member-set changes. Its owner is who the FD
+  /// watches for takeover.
   std::int64_t epoch_seen_ballot_ = 0;
   /// Acceptor-side ranged promise: for all k >= floor, promised >= ballot.
   /// Updated monotonically (ballot max, floor min) — over-promising is safe.

@@ -60,9 +60,11 @@ void GcsStack::wire(StackConfig config) {
                                              config.monitoring);
 
   // Consensus suspects members with the aggressive class; keep the short
-  // class's monitored set in sync with the view.
-  membership_->on_view(
-      [this](const View& v) { fd_->monitor_group(consensus_fd_class_, v.members); });
+  // class's monitored set, and consensus's own view, in sync with the view.
+  membership_->on_view([this](const View& v) {
+    fd_->monitor_group(consensus_fd_class_, v.members);
+    consensus_->set_view_members(v.members);
+  });
   // Suspicion only slows the channel toward a peer (one probe per backoff
   // period); exclusion, decided by monitoring, is what voids its buffer.
   // It also makes both substrates hand on what they retain of the peer's

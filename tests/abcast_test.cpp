@@ -345,12 +345,14 @@ TEST(AtomicBroadcast, RestoreEndsThePullStallUnderItsBeginKey) {
   ab.init({0, 1}, 0);
   consensus.decide_fn(0, batch_of({MsgId{1, 0}}));  // x's payload is missing
 
-  // snapshot(): members | next instance | delivered ids | stability.
+  // snapshot(): members | next instance | delivered ids | stability |
+  // batch (empty: taken between batches).
   Encoder snap;
   snap.put_vector(std::vector<ProcessId>{0, 1}, [](Encoder& e, ProcessId p) { e.put_i32(p); });
   snap.put_u64(5);
   snap.put_u64(0);
   snap.put_bytes(rbcast.stability_snapshot());
+  snap.put_bytes(Bytes{});
   ab.restore(BytesView(snap.bytes()));
   ASSERT_EQ(ab.next_instance(), 5u);
 

@@ -23,6 +23,7 @@ struct ConsensusWorld {
     std::unique_ptr<FailureDetector> fd;
     FailureDetector::ClassId fd_class = 0;
     std::unique_ptr<Consensus> consensus;
+    test::ConsensusTap tap;
     std::map<std::uint64_t, std::string> decisions;
   };
   std::vector<Proc> procs;
@@ -44,6 +45,7 @@ struct ConsensusWorld {
       proc.fd_class = proc.fd->add_class(suspect_timeout);
       proc.consensus = std::make_unique<Consensus>(*proc.ctx, *proc.channel, *proc.fd,
                                                    proc.fd_class);
+      proc.tap.attach(*proc.channel);
       proc.consensus->on_decide([&proc](std::uint64_t k, const Bytes& v) {
         // Exactly-once delivery is part of the contract.
         ASSERT_EQ(proc.decisions.count(k), 0u);
@@ -57,6 +59,15 @@ struct ConsensusWorld {
     procs[static_cast<std::size_t>(p)].ctx->kill();
     network.crash(p);
   }
+
+  /// Drop everything sent between \p a and \p b (both ways), or stop.
+  void cut(ProcessId a, ProcessId b, bool on = true) {
+    const sim::LinkModel link = on ? sim::LinkModel{usec(200), usec(100), 1.0} : sim::LinkModel{};
+    network.set_link(a, b, link);
+    network.set_link(b, a, link);
+  }
+
+  Proc& proc(ProcessId p) { return procs[static_cast<std::size_t>(p)]; }
 
   bool all_alive_decided(std::uint64_t k) {
     for (ProcessId p = 0; p < static_cast<ProcessId>(procs.size()); ++p) {
@@ -92,6 +103,99 @@ TEST(Consensus, FailureFreeDecides) {
   const std::string v = w.agreed_value(0);
   // Validity: the decision is one of the proposals.
   EXPECT_TRUE(v == "v0" || v == "v1" || v == "v2") << v;
+}
+
+// A member that ACKs waits for the DECIDE rather than starting the next
+// round, and the coordinator's DECIDE is the only one: a fault-free
+// instance costs one round per started member and one DECIDE per member.
+TEST(Consensus, FaultFreeInstanceRunsOneRoundAndOneDecide) {
+  ConsensusWorld w(5);
+  constexpr int kInstances = 10;
+  for (std::uint64_t k = 0; k < kInstances; ++k) {
+    for (ProcessId p = 0; p < 5; ++p) {
+      w.proc(p).consensus->propose(k, bytes_of("v" + std::to_string(p)), w.all);
+    }
+    ASSERT_TRUE(test::run_until(w.engine, sec(5), [&] { return w.all_alive_decided(k); }));
+  }
+  test::run_until(w.engine, msec(100), [] { return false; });  // stragglers land
+  std::int64_t rounds = 0;
+  for (ProcessId p = 0; p < 5; ++p) {
+    rounds += w.proc(p).ctx->metrics().counter("consensus.rounds");
+    EXPECT_EQ(w.proc(p).tap.received[5], kInstances) << "DECIDEs received by p" << p;
+  }
+  EXPECT_EQ(rounds, 5 * kInstances);  // every member started every instance
+}
+
+// The decider reaches every member but p4, decides and crashes. p4 asks
+// the next coordinator in vain (it holds the decision and p4 is a member
+// it does not answer), so only the members' relay on suspicion of the
+// decider reaches it.
+TEST(Consensus, DecisionReachesAMemberCutOffFromTheCrashedDecider) {
+  ConsensusWorld w(5);
+  w.cut(0, 4);
+  for (ProcessId p = 0; p < 5; ++p) {
+    w.proc(p).consensus->propose(0, bytes_of("v" + std::to_string(p)), w.all);
+  }
+  ASSERT_TRUE(test::run_until(w.engine, sec(1), [&] {
+    for (ProcessId p = 0; p < 4; ++p) {
+      if (!w.proc(p).decisions.count(0)) return false;
+    }
+    return true;
+  }));
+  EXPECT_FALSE(w.proc(4).decisions.count(0));
+  w.crash(0);
+  w.cut(0, 4, false);
+  ASSERT_TRUE(test::run_until(w.engine, sec(5), [&] { return w.all_alive_decided(0); }));
+  w.agreed_value(0);
+}
+
+// As above, but the members that decided forget the instance, as atomic
+// broadcast does once it has delivered it, before they come to suspect
+// the decider. p4 never acknowledged the decider's DECIDE, so the decider
+// never confirmed it and they keep the decision for the relay.
+TEST(Consensus, ForgottenDecisionIsKeptUntilTheDeciderConfirmsIt) {
+  ConsensusWorld w(5);
+  w.cut(0, 4);
+  for (ProcessId p = 0; p < 5; ++p) {
+    w.proc(p).consensus->propose(0, bytes_of("v" + std::to_string(p)), w.all);
+  }
+  ASSERT_TRUE(test::run_until(w.engine, sec(1), [&] {
+    for (ProcessId p = 0; p < 4; ++p) {
+      if (!w.proc(p).decisions.count(0)) return false;
+    }
+    return true;
+  }));
+  for (ProcessId p = 1; p < 4; ++p) w.proc(p).consensus->forget_below(1);
+  w.crash(0);
+  w.cut(0, 4, false);
+  ASSERT_TRUE(test::run_until(w.engine, sec(5), [&] { return w.all_alive_decided(0); }));
+  w.agreed_value(0);
+}
+
+// Every member ACKs round 0 and then its coordinator crashes before any
+// ACK reaches it. The ACKers wait for a DECIDE that never comes until they
+// suspect the coordinator; then they move to round 1 and decide the value
+// they locked.
+TEST(Consensus, AnAckerMovesOnWhenTheCoordinatorCrashes) {
+  ConsensusWorld w(5);
+  for (ProcessId p = 0; p < 5; ++p) {
+    w.proc(p).consensus->propose(0, bytes_of("v" + std::to_string(p)), w.all);
+  }
+  // PROPOSE lands everywhere within the link's jitter, before the first
+  // ACK can travel back to p0.
+  ASSERT_TRUE(test::run_until(w.engine, sec(1), [&] {
+    for (ProcessId p = 1; p < 5; ++p) {
+      if (w.proc(p).tap.received[1] == 0) return false;
+    }
+    return true;
+  }));
+  EXPECT_FALSE(w.proc(0).decisions.count(0));
+  w.crash(0);
+  ASSERT_TRUE(test::run_until(w.engine, sec(5), [&] { return w.all_alive_decided(0); }));
+  w.agreed_value(0);
+  for (ProcessId p = 1; p < 5; ++p) {
+    EXPECT_EQ(w.proc(p).ctx->metrics().counter("consensus.rounds"), 2) << "p" << p;
+  }
 }
 
 TEST(Consensus, SingleProposerStillDecides) {

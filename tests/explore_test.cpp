@@ -167,6 +167,24 @@ TEST(Explorer, ViewChangeBatchProposesWithTheNewMembers) {
   EXPECT_EQ(result.outcome, explore::Outcome::kClean);
 }
 
+TEST(Explorer, PaxosViewChangeKeepsALeaderThatLeads) {
+  // Paxos ballot b belongs to members[b mod n], so across a view change
+  // the same ballot names different processes under the old and the new
+  // member set. Seeds 274 and 958 (default plan): a candidate that adopted
+  // the new set dropped the ballot it had just prepared while the others
+  // named it. Seeds 1036 and 1774 (seven members, three crashes): a member
+  // named by a ballot prepared under the old set never drove it. Every
+  // member then waited on a leader that did not lead (wedged).
+  const std::pair<std::uint64_t, sim::FaultPlanOptions> cases[] = {
+      {274, {}}, {958, {}}, {1036, {7, 60, 3}}, {1774, {7, 60, 3}}};
+  for (const auto& [seed, options] : cases) {
+    const sim::FaultPlan plan = sim::FaultPlan::generate(seed, options);
+    ASSERT_TRUE(plan.use_paxos) << "seed " << seed;
+    const explore::RunResult result = explore::run_plan(plan, explore::all_steps(plan));
+    EXPECT_EQ(result.outcome, explore::Outcome::kClean) << "seed " << seed;
+  }
+}
+
 TEST(Explorer, PullStalledMemberResolvesLikeTheOthers) {
   // Generic broadcast over O(n) dissemination: a member resolving a round
   // stalls on a pull when a payload has not reached it yet. Seeds 12 and

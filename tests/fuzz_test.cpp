@@ -230,7 +230,11 @@ std::vector<Bytes> consensus_frames(StackConfig::ConsensusAlgo algo) {
     }));
     frames.push_back(consensus_frame(9, 0, round));  // ranged NACK
   }
-  frames.push_back(consensus_frame(5, k, value));  // DECIDE
+  frames.push_back(consensus_frame(5, k, [&](Encoder& e) {  // DECIDE
+    e.put_u64(7);  // the sender's send number
+    e.put_u64(3);  // its confirmed watermark
+    value(e);
+  }));
   frames.push_back(consensus_frame(6, k, [&](Encoder& e) {  // ANNOUNCE
     e.put_vector(std::vector<ProcessId>{0, 1, 2}, [](Encoder& v, ProcessId p) { v.put_i32(p); });
     value(e);
@@ -292,6 +296,22 @@ TEST(Fuzz, TruncatedRealMessagesAreDropped) {
   w.found_group_all();
   expect_consensus_frames_dropped(w, consensus_frames(cfg.stack.consensus_algorithm), {},
                                   delivered);
+  {
+    // A whole DECIDE, twice, for an instance p0 never started, from p1,
+    // which is not its decider: p0 learns it once and, trusting p1,
+    // relays nothing.
+    const ConsensusProtocol& c = w.stack(0).consensus();
+    const std::int64_t decided = c.instances_decided();
+    const std::int64_t sent = w.stack(0).metrics().counter("consensus.wire_msgs");
+    const Bytes decide = consensus_frames(cfg.stack.consensus_algorithm)[4];
+    ASSERT_EQ(decide[0], 5);
+    w.stack(1).channel().send(0, Tag::kConsensus, decide);
+    w.stack(1).channel().send(0, Tag::kConsensus, decide);
+    w.run_for(msec(50));
+    EXPECT_TRUE(c.decided(1'000));
+    EXPECT_EQ(c.instances_decided(), decided + 1);
+    EXPECT_EQ(w.stack(0).metrics().counter("consensus.wire_msgs"), sent);
+  }
 
   // The payload pull's frames, on both tags that carry it, for a message
   // p0 holds: pull (0 | count | ids, here the id twice) and push (1 |
@@ -354,6 +374,37 @@ TEST(Fuzz, TruncatedRealMessagesAreDropped) {
   w.stack(2).gbcast(kRbcastClass, bytes_of("after pulls"));
   ASSERT_TRUE(test::run_until(w.engine(), sec(20),
                               [&] { return delivered >= 3 && gdelivered >= 2; }));
+}
+
+TEST(Fuzz, StateSnapshotPrefixesAreDropped) {
+  // A real state-transfer snapshot, taken where a joiner's gets taken: at
+  // the view change's delivery, inside its batch, so it carries the batch.
+  // A fresh process restores every strict prefix of it without effect,
+  // then the whole of it.
+  World::Config cfg;
+  cfg.n = 3;
+  cfg.seed = 41;
+  World w(cfg);
+  Bytes snapshot;
+  std::uint64_t batch_instance = 0;
+  w.stack(0).on_view([&](const View& v) {
+    if (v.id != 1) return;
+    snapshot = w.stack(0).atomic_broadcast().snapshot();
+    batch_instance = w.stack(0).atomic_broadcast().next_instance() - 1;
+  });
+  w.found_group({0, 1});
+  w.run_for(msec(20));
+  w.stack(2).join(0);
+  ASSERT_TRUE(test::run_until(w.engine(), sec(5), [&] { return !snapshot.empty(); }));
+
+  World fresh(cfg);
+  AtomicBroadcast& ab = fresh.stack(2).atomic_broadcast();
+  for (std::size_t len = 0; len < snapshot.size(); ++len) {
+    ab.restore(BytesView(snapshot.data(), len));
+    ASSERT_EQ(ab.next_instance(), 0u) << "snapshot cut at " << len;
+  }
+  ab.restore(BytesView(snapshot));
+  EXPECT_EQ(ab.next_instance(), batch_instance);
 }
 
 /// Two-process wire for the channel layer alone: keeps what a channel

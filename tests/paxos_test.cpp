@@ -25,6 +25,7 @@ struct PaxosWorld {
     std::unique_ptr<FailureDetector> fd;
     FailureDetector::ClassId fd_class = 0;
     std::unique_ptr<PaxosConsensus> paxos;
+    test::ConsensusTap tap;
     std::map<std::uint64_t, std::string> decisions;
   };
   std::vector<Proc> procs;
@@ -46,6 +47,7 @@ struct PaxosWorld {
       proc.fd_class = proc.fd->add_class(suspect_timeout);
       proc.paxos = std::make_unique<PaxosConsensus>(*proc.ctx, *proc.channel, *proc.fd,
                                                     proc.fd_class);
+      proc.tap.attach(*proc.channel);
       proc.paxos->on_decide([&proc](std::uint64_t k, const Bytes& v) {
         ASSERT_EQ(proc.decisions.count(k), 0u) << "double decide";
         proc.decisions[k] = str_of(v);
@@ -58,6 +60,13 @@ struct PaxosWorld {
     procs[static_cast<std::size_t>(p)].ctx->kill();
     network.crash(p);
   }
+
+  /// Drop everything \p from sends to \p to, or stop.
+  void cut(ProcessId from, ProcessId to, bool on = true) {
+    network.set_link(from, to, on ? sim::LinkModel{usec(200), usec(100), 1.0} : sim::LinkModel{});
+  }
+
+  Proc& proc(ProcessId p) { return procs[static_cast<std::size_t>(p)]; }
 
   bool all_alive_decided(std::uint64_t k) {
     for (ProcessId p = 0; p < static_cast<ProcessId>(procs.size()); ++p) {
@@ -88,6 +97,86 @@ TEST(Paxos, FailureFreeDecides) {
   ASSERT_TRUE(test::run_until(w.engine, sec(5), [&] { return w.all_alive_decided(0); }));
   const std::string v = w.agreed_value(0);
   EXPECT_TRUE(v == "v0" || v == "v1" || v == "v2") << v;
+}
+
+// The leader's DECIDE is the only one, and a member that is not the leader
+// ANNOUNCEs its proposal to the leader alone.
+TEST(Paxos, FaultFreeInstanceSendsOneDecideAndAnnouncesOnlyToTheLeader) {
+  PaxosWorld w(5);
+  constexpr int kInstances = 10;
+  for (std::uint64_t k = 0; k < kInstances; ++k) {
+    for (ProcessId p = 0; p < 5; ++p) {
+      w.proc(p).paxos->propose(k, bytes_of("v" + std::to_string(p)), w.all);
+    }
+    ASSERT_TRUE(test::run_until(w.engine, sec(5), [&] { return w.all_alive_decided(k); }));
+  }
+  test::run_until(w.engine, msec(100), [] { return false; });  // stragglers land
+  std::int64_t announces = 0;
+  for (ProcessId p = 0; p < 5; ++p) {
+    EXPECT_EQ(w.proc(p).tap.received[5], kInstances) << "DECIDEs received by p" << p;
+    announces += w.proc(p).tap.received[6];
+    if (p != 0) EXPECT_EQ(w.proc(p).tap.received[6], 0) << "p" << p << " is not the leader";
+  }
+  EXPECT_LE(announces, 4 * kInstances);
+}
+
+// The leader decides with every member but p4, which never hears from it,
+// and crashes. p4 never proposed and never accepted, so it has nothing to
+// take over for: only the members' relay on suspicion of the leader
+// reaches it.
+TEST(Paxos, DecisionReachesAMemberCutOffFromTheCrashedLeader) {
+  PaxosWorld w(5);
+  w.cut(0, 4);
+  w.cut(4, 0);
+  for (ProcessId p = 0; p < 4; ++p) {
+    w.proc(p).paxos->propose(0, bytes_of("v" + std::to_string(p)), w.all);
+  }
+  ASSERT_TRUE(test::run_until(w.engine, sec(1), [&] {
+    for (ProcessId p = 0; p < 4; ++p) {
+      if (!w.proc(p).decisions.count(0)) return false;
+    }
+    return true;
+  }));
+  EXPECT_FALSE(w.proc(4).decisions.count(0));
+  w.crash(0);
+  w.cut(0, 4, false);
+  w.cut(4, 0, false);
+  ASSERT_TRUE(test::run_until(w.engine, sec(5), [&] { return w.all_alive_decided(0); }));
+  w.agreed_value(0);
+}
+
+// Only the leader proposes instance 1: nobody receives an ANNOUNCE. Its
+// ACCEPT reaches everyone, the ACCEPTEDs never reach it, and it crashes.
+// The acceptors hold an undecided decree and nothing else; they take over
+// for it and decide the leader's value.
+TEST(Paxos, AcceptedDecreeOfALoneLeaderSurvivesItsCrash) {
+  PaxosWorld w(5);
+  // Every member knows the epoch and watches the leader.
+  for (ProcessId p = 0; p < 5; ++p) {
+    w.proc(p).paxos->propose(0, bytes_of("v" + std::to_string(p)), w.all);
+  }
+  ASSERT_TRUE(test::run_until(w.engine, sec(5), [&] { return w.all_alive_decided(0); }));
+  std::vector<std::int64_t> announces;
+  std::vector<std::int64_t> accepts;
+  for (ProcessId p = 0; p < 5; ++p) {
+    announces.push_back(w.proc(p).tap.received[6]);
+    accepts.push_back(w.proc(p).tap.received[2]);
+  }
+  for (ProcessId p = 1; p < 5; ++p) w.cut(p, 0);
+  w.proc(0).paxos->propose(1, bytes_of("batch"), w.all);
+  ASSERT_TRUE(test::run_until(w.engine, sec(1), [&] {
+    for (ProcessId p = 1; p < 5; ++p) {
+      if (w.proc(p).tap.received[2] == accepts[static_cast<std::size_t>(p)]) return false;
+    }
+    return true;
+  }));
+  EXPECT_FALSE(w.proc(0).decisions.count(1));
+  w.crash(0);
+  ASSERT_TRUE(test::run_until(w.engine, sec(5), [&] { return w.all_alive_decided(1); }));
+  EXPECT_EQ(w.agreed_value(1), "batch");
+  for (ProcessId p = 0; p < 5; ++p) {
+    EXPECT_EQ(w.proc(p).tap.received[6], announces[static_cast<std::size_t>(p)]) << "p" << p;
+  }
 }
 
 TEST(Paxos, SingleProposerDecides) {

@@ -2,6 +2,8 @@
 /// paper's headline behaviours (§3.1, §4.3, §4.4).
 #include <gtest/gtest.h>
 
+#include "consensus/consensus.hpp"
+#include "consensus/paxos.hpp"
 #include "core/stack.hpp"
 #include "tests/test_util.hpp"
 
@@ -124,6 +126,57 @@ TEST(Stack, CrashRecoveryEndToEnd) {
   for (ProcessId p = 1; p < 4; ++p) {
     EXPECT_EQ(alogs[static_cast<std::size_t>(p)].order, alogs[0].order);
   }
+}
+
+// A crashed member never acknowledges the DECIDEs sent to it, and those of
+// instances begun before its exclusion still go to it afterwards. Once it
+// is out of the view, each decider's confirmed watermark must move again,
+// so the other members stop keeping forgotten decisions for relay.
+template <typename Algo>
+void excluded_member_stops_holding_decisions(StackConfig::ConsensusAlgo algo) {
+  StackConfig sc;
+  sc.consensus_algorithm = algo;
+  sc.abcast.pipeline_depth = 8;
+  sc.monitoring.exclusion_timeout = msec(300);
+  World w(cfg(5, 3, sc));
+  w.found_group_all();
+  const auto shell = [&w](ProcessId p) -> Algo& {
+    return dynamic_cast<Algo&>(w.stack(p).consensus());
+  };
+  // One abcast per millisecond from the survivors.
+  int sent = 0;
+  const auto stream = [&](Duration d) {
+    for (Duration t = 0; t < d; t += msec(1)) {
+      w.stack(static_cast<ProcessId>(sent % 4)).abcast(bytes_of(std::to_string(sent)));
+      ++sent;
+      w.run_for(msec(1));
+    }
+  };
+  stream(msec(50));
+  w.crash(4);
+  while (w.stack(0).view().contains(4) || w.stack(1).view().contains(4) ||
+         w.stack(2).view().contains(4) || w.stack(3).view().contains(4)) {
+    ASSERT_LT(sent, 10'000);
+    stream(msec(10));
+  }
+  // Past the exclusion, then quiet so every acknowledgement comes in, then
+  // a few more DECIDEs to carry the watermarks.
+  stream(msec(200));
+  w.run_for(msec(200));
+  stream(msec(20));
+  w.run_for(msec(200));
+  for (ProcessId p = 0; p < 4; ++p) {
+    EXPECT_EQ(shell(p).unconfirmed_decide_sends(), 0u) << "p" << p;
+    EXPECT_EQ(shell(p).kept_for_relay(), 0u) << "p" << p;
+  }
+}
+
+TEST(Stack, ExcludedMemberStopsHoldingDecisionsChandraToueg) {
+  excluded_member_stops_holding_decisions<Consensus>(StackConfig::ConsensusAlgo::kChandraToueg);
+}
+
+TEST(Stack, ExcludedMemberStopsHoldingDecisionsPaxos) {
+  excluded_member_stops_holding_decisions<PaxosConsensus>(StackConfig::ConsensusAlgo::kPaxos);
 }
 
 TEST(Stack, SendersNeverBlockDuringViewChange) {

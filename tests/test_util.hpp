@@ -2,6 +2,8 @@
 /// Shared helpers for the nggcs test suite.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -26,6 +28,20 @@ inline Bytes bytes_of(const std::string& s) { return Bytes(s.begin(), s.end()); 
 
 inline std::string str_of(const Bytes& b) { return std::string(b.begin(), b.end()); }
 inline std::string str_of(BytesView b) { return std::string(b.begin(), b.end()); }
+
+/// Counts the consensus frames one process receives, by kind byte, and
+/// hands each on to the consensus that subscribed to the channel before.
+struct ConsensusTap {
+  std::array<std::int64_t, 16> received{};
+
+  void attach(ReliableChannel& channel) {
+    auto next = std::make_shared<ReliableChannel::Handler>();
+    *next = channel.subscribe(Tag::kConsensus, [this, next](ProcessId from, BytesView b) {
+      if (!b.empty() && b[0] < received.size()) ++received[b[0]];
+      (*next)(from, b);
+    });
+  }
+};
 
 /// Run the engine until \p predicate holds or \p budget of virtual time has
 /// elapsed. Returns true iff the predicate held. The predicate is checked
