@@ -9,23 +9,31 @@
 /// means (batch_wait / accept_rtt / order_latency / end-to-end consensus),
 /// plus one open-loop Paxos leader crash (`leader_crash`): its per-phase
 /// histograms, the retransmissions the dead leader costs per delivery, the
-/// exclusion delay and the delivery outage.
+/// exclusion delay and the delivery outage; plus low-load closed loops
+/// (`fresh_id_cells`: W = 1 and 4 messages in flight per member, n = 3
+/// and 5) that count the decided instances ordering no fresh id.
 ///
 /// The `checks` block states the suite's bounds:
 ///   - every cell completes and stays PREPARE-free (leader-stable steady
 ///     state is 1-RTT: phase 1 never runs in a fault-free run);
 ///   - at n=5, depth=4 adaptive, depth=16 adaptive and depth=16 static must
-///     each beat the depth=1 baseline by >= 4x msgs/sec.
+///     each beat the depth=1 baseline by >= 4x msgs/sec;
+///   - in each fresh-id cell, under 1% of the decided instances order only
+///     ids an earlier instance ordered (one proposer per instance,
+///     DESIGN.md §15).
 ///
 ///   ./bench/bench_pipeline_json [--json=PATH] [--oracle]
 ///                               (default PATH: BENCH_pipeline.json)
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "broadcast/proposal.hpp"
+#include "util/codec.hpp"
 
 namespace gcs::bench {
 namespace {
@@ -199,6 +207,92 @@ Crash run_leader_crash() {
   return c;
 }
 
+constexpr int kFreshPerProc = 1000;       // closed-loop total per process
+constexpr double kMaxStaleShare = 0.01;
+
+/// A low-load closed loop: what share of the decided instances order no
+/// id that an earlier instance had not ordered already.
+struct FreshCell {
+  std::string name;
+  int n = 0;
+  int window = 0;              // messages each member keeps in flight
+  bool completed = false;
+  std::int64_t instances = 0;  // decided at p0
+  std::int64_t stale = 0;      // of those, ordering no fresh id
+  double stale_share() const {
+    return instances > 0 ? static_cast<double>(stale) / static_cast<double>(instances) : 0.0;
+  }
+};
+
+FreshCell run_fresh_cell(int n, int window) {
+  FreshCell cell;
+  cell.n = n;
+  cell.window = window;
+  cell.name = "n" + std::to_string(n) + "_w" + std::to_string(window);
+
+  World::Config config;
+  config.n = n;
+  config.seed = 7;
+  config.link = sim::LinkModel{usec(50), usec(20), 0.0};
+  config.stack.consensus_algorithm = StackConfig::ConsensusAlgo::kPaxos;
+  config.stack.abcast.pipeline_depth = 16;
+  config.stack.abcast.max_batch = 16;
+  config.stack.abcast.adaptive = true;
+  World world(config);
+  OracleScope oracle(world, "pipeline_json/fresh_" + cell.name);
+  std::map<std::uint64_t, Bytes> decided;
+  world.stack(0).consensus().on_decide(
+      [&decided](std::uint64_t k, const Bytes& v) { decided.emplace(k, v); });
+
+  std::vector<int> sent(static_cast<std::size_t>(n), 0);
+  int delivered_all = 0;  // at p0
+  for (ProcessId p = 0; p < n; ++p) {
+    world.stack(p).on_adeliver([&, p](const MsgId& id, const Bytes&) {
+      if (p == 0) ++delivered_all;
+      if (id.sender != p || sent[static_cast<std::size_t>(p)] >= kFreshPerProc) return;
+      world.stack(p).abcast(payload_1k(p, sent[static_cast<std::size_t>(p)]++));
+    });
+  }
+  world.found_group_all();
+  world.run_for(msec(20));
+  for (ProcessId p = 0; p < n; ++p) {
+    for (int i = 0; i < window; ++i) {
+      world.stack(p).abcast(payload_1k(p, sent[static_cast<std::size_t>(p)]++));
+    }
+  }
+  cell.completed =
+      drive(world.engine(), sec(600), [&] { return delivered_all >= kFreshPerProc * n; });
+
+  // Walk the decisions in instance order; an instance is stale when every
+  // id it carries (none, for a no-op) was ordered before.
+  std::set<MsgId> ordered;
+  for (const auto& [k, value] : decided) {
+    (void)k;
+    Decoder dec(value);
+    const BatchProposal prop = BatchProposal::decode(dec);
+    bool fresh = false;
+    for (const ProposalEntry& e : prop.entries) fresh = ordered.insert(e.id).second || fresh;
+    ++cell.instances;
+    if (!fresh) ++cell.stale;
+  }
+  return cell;
+}
+
+std::string fresh_json(const std::vector<FreshCell>& cells) {
+  std::string out = "  \"fresh_id_cells\": [\n";
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const FreshCell& c = cells[i];
+    out += "    {\"name\": \"" + c.name + "\", \"n\": " + std::to_string(c.n) +
+           ", \"window\": " + std::to_string(c.window) +
+           ", \"completed\": " + (c.completed ? "true" : "false") +
+           ",\n     \"instances\": " + std::to_string(c.instances) +
+           ", \"stale_instances\": " + std::to_string(c.stale) +
+           ", \"stale_share\": " + json_num(c.stale_share()) + "}" +
+           (i + 1 < cells.size() ? "," : "") + "\n";
+  }
+  return out + "  ]";
+}
+
 std::string crash_json(const Crash& c) {
   const PhaseReport& r = c.report;
   return "  \"leader_crash\": {\"params\": {\"crash_at_ms\": " + std::to_string(kCrashAt / 1000) +
@@ -265,10 +359,22 @@ void run_suite(SuiteReport& report) {
   std::printf("\n  leader_crash: %.2f retransmits/delivery, exclusion %.1f ms, outage %.1f ms\n",
               crash.retransmits_per_delivered, crash.exclusion_ms, crash.outage_ms);
 
+  std::vector<FreshCell> fresh;
+  for (int n : {3, 5}) {
+    for (int window : {1, 4}) fresh.push_back(run_fresh_cell(n, window));
+  }
+  Table fresh_table({"fresh-id cell", "instances", "stale", "stale share"});
+  for (const FreshCell& c : fresh) {
+    fresh_table.add_row({c.name, std::to_string(c.instances), std::to_string(c.stale),
+                         fmt_pct(c.stale_share())});
+  }
+  std::printf("\n");
+  fresh_table.print();
+
   report.members = {"  \"params\": {\"messages_per_proc\": " + std::to_string(kMessagesPerProc) +
                         ", \"outstanding_per_proc\": " + std::to_string(kOutstandingPerProc) +
                         ", \"payload_bytes\": " + std::to_string(kPayloadBytes) + "}",
-                    cells_json(cells), crash_json(crash)};
+                    cells_json(cells), crash_json(crash), fresh_json(fresh)};
 
   std::string incomplete, preparing;
   for (const Cell& c : cells) {
@@ -297,6 +403,14 @@ void run_suite(SuiteReport& report) {
                                  "x the msgs/s of n5_d1_static (" + fmt_double(speedup, 2) + "x)",
                              {{"value", json_num(speedup)},
                               {"required", json_num(kRequiredSpeedup)}}});
+  }
+  for (const FreshCell& c : fresh) {
+    report.checks.push_back(
+        {"fresh_" + c.name + "_stale_share", c.completed && c.stale_share() < kMaxStaleShare,
+         "closed loop " + c.name + ": under " + fmt_pct(kMaxStaleShare) +
+             " of decided instances order no fresh id (" + std::to_string(c.stale) + " of " +
+             std::to_string(c.instances) + ")",
+         {{"value", json_num(c.stale_share())}, {"required", json_num(kMaxStaleShare)}}});
   }
 }
 

@@ -9,7 +9,11 @@
 /// Each cell also counts every reliable-channel datagram (data frames and
 /// standalone acks alike) and every channel retransmission per delivered
 /// message. One extra abcast cell runs over links that drop 2% of
-/// datagrams, so the retransmission count measures loss recovery.
+/// datagrams, so the retransmission count measures loss recovery, and one
+/// runs on Paxos instead of Chandra–Toueg (n = 7), where the stable leader
+/// alone proposes: the `paxos_consensus_msgs_per_instance` check bounds its
+/// consensus frames per instance by 3n (ACCEPT, ACCEPTED and DECIDE, self
+/// included).
 ///
 /// This binary opts into the counting operator new/delete of bench_util.hpp
 /// (as bench_e7_micro does), which also powers two steady-state allocation
@@ -57,6 +61,7 @@ struct Cell {
   std::int64_t channel_datagrams = 0;    // every channel datagram, acks included
   std::int64_t retransmits = 0;          // channel frames sent again
   double loss = 0;                       // link drop probability
+  bool paxos = false;                    // Paxos instead of Chandra–Toueg
   std::uint64_t net_allocs = 0;          // heap growth across the whole run
   std::uint64_t allocs = 0;              // every allocation across the run
   bool completed = false;
@@ -95,17 +100,19 @@ constexpr Duration kGap = msec(1);
 /// E6-style abcast workload: every member sends in round-robin at a steady
 /// rate; the cell records what each wire tag carried until everyone
 /// delivered everything.
-Cell run_abcast_cell(int n, std::size_t payload_bytes, double loss = 0) {
+Cell run_abcast_cell(int n, std::size_t payload_bytes, double loss = 0, bool paxos = false) {
   Cell cell;
   cell.layer = "abcast";
   cell.n = n;
   cell.payload_bytes = payload_bytes;
   cell.loss = loss;
+  cell.paxos = paxos;
 
   World::Config config;
   config.n = n;
   config.seed = 101 + static_cast<std::uint64_t>(n);
   config.link.drop_probability = loss;
+  if (paxos) config.stack.consensus_algorithm = StackConfig::ConsensusAlgo::kPaxos;
   World world(config);
   OracleScope oracle(world, "wire/abcast");
   std::vector<int> delivered(static_cast<std::size_t>(n), 0);
@@ -288,13 +295,16 @@ std::string cells_json(const std::vector<Cell>& cells) {
   std::string out = "  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
-    // A lossy cell shares its layer/n/payload key with a loss-free one; a
-    // name keeps the two apart in the perf ledger.
+    // A lossy or Paxos cell shares its layer/n/payload key with a
+    // loss-free Chandra–Toueg one; a name keeps them apart in the perf
+    // ledger.
     const std::string name =
-        c.loss > 0 ? "\"name\": \"" + c.layer + "_n" + std::to_string(c.n) + "_b" +
-                         std::to_string(c.payload_bytes) + "_loss" +
-                         std::to_string(static_cast<int>(c.loss * 100)) + "\", "
-                   : std::string();
+        c.loss > 0 || c.paxos
+            ? "\"name\": \"" + c.layer + (c.paxos ? "_paxos" : "") + "_n" + std::to_string(c.n) +
+                  "_b" + std::to_string(c.payload_bytes) +
+                  (c.loss > 0 ? "_loss" + std::to_string(static_cast<int>(c.loss * 100)) : "") +
+                  "\", "
+            : std::string();
     const std::string report =
         c.layer == "gbcast"
             ? "\"report_bytes_per_delivered\": " + json_num(c.per_delivered(c.report_wire_bytes)) +
@@ -341,13 +351,14 @@ void run_suite(SuiteReport& report) {
   }
   cells.push_back(run_gbcast_cell(7, 1024));
   cells.push_back(run_abcast_cell(5, 1024, 0.02));
+  cells.push_back(run_abcast_cell(7, 1024, 0, /*paxos=*/true));
 
-  Table table({"layer", "n", "payload", "loss", "delivered", "consensus msgs/inst",
+  Table table({"layer", "n", "payload", "loss", "consensus", "delivered", "consensus msgs/inst",
                "consensus B/msg", "flood B/msg", "control B/msg", "datagrams/msg", "allocs/msg",
                "retransmits/msg"});
   for (const Cell& c : cells) {
     table.add_row({c.layer, std::to_string(c.n), std::to_string(c.payload_bytes),
-                   fmt_pct(c.loss), std::to_string(c.delivered),
+                   fmt_pct(c.loss), c.paxos ? "Paxos" : "CT", std::to_string(c.delivered),
                    fmt_double(c.consensus_msgs_per_instance(), 1),
                    fmt_double(c.per_delivered(c.consensus_wire_bytes), 1),
                    fmt_double(c.per_delivered(c.flood_wire_bytes), 1),
@@ -377,6 +388,17 @@ void run_suite(SuiteReport& report) {
   report.checks.push_back({"cells_payload_free_consensus", flat,
                            "at n = 3, 5 and 7, abcast's consensus bytes per delivered message "
                            "are the same for 64 B, 1 KiB and 8 KiB payloads"});
+  // One proposer per Paxos instance: the leader's ACCEPT, the ACCEPTEDs and
+  // its DECIDE, n frames each, with no ANNOUNCE in a fault-free run.
+  const Cell& paxos = cells.back();
+  const double paxos_bound = 3.0 * paxos.n;
+  report.checks.push_back(
+      {"paxos_consensus_msgs_per_instance",
+       paxos.completed && paxos.consensus_msgs_per_instance() <= paxos_bound,
+       "the Paxos abcast cell (n = " + std::to_string(paxos.n) + ") sends <= 3n consensus "
+           "frames per instance (" + fmt_double(paxos.consensus_msgs_per_instance(), 2) + ")",
+       {{"value", json_num(paxos.consensus_msgs_per_instance())},
+        {"required", json_num(paxos_bound)}}});
   report.checks.push_back(run_alloc_check("fastpath_alloc", 307, false));
   report.checks.push_back(run_alloc_check("telemetry_idle_alloc", 311, true));
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "util/codec.hpp"
 
@@ -354,6 +355,7 @@ void AtomicBroadcast::try_start_instances() {
       }
       break;
     }
+    if (leave_to_leader()) break;
     // Batch eligible pending messages in MsgId order: origins in id order,
     // each one's eligible seqs from the lowest. The proposal is (id,
     // subtag) tuples — O(batch · ~16B) regardless of payload size;
@@ -394,6 +396,29 @@ void AtomicBroadcast::try_start_instances() {
     // callbacks), advancing next_instance_; the loop re-reads the window.
   }
   proposing_ = false;
+}
+
+bool AtomicBroadcast::leave_to_leader() {
+  const ConsensusProtocol::Proposer proposer = consensus_.proposer();
+  if (proposer.leader == kNoProcess || proposer.leader == ctx_.self()) return false;
+  // The oldest eligible message: each origin's eligible seqs ascend, and an
+  // origin's messages are rdelivered in seq order, so its front is its
+  // oldest but for relayed or released stragglers.
+  TimePoint oldest = std::numeric_limits<TimePoint>::max();
+  for (const Origin& o : origins_) {
+    if (!o.eligible.empty()) oldest = std::min(oldest, o.find(o.eligible.front())->since);
+  }
+  if (oldest == std::numeric_limits<TimePoint>::max()) return false;  // nothing to hold
+  const Duration wait = oldest + proposer.hold - ctx_.now();
+  if (wait <= 0) return false;
+  if (!hold_armed_) {
+    hold_armed_ = true;
+    ctx_.after(wait, [this] {
+      hold_armed_ = false;
+      try_start_instances();
+    });
+  }
+  return true;
 }
 
 void AtomicBroadcast::on_decide(std::uint64_t k, const Bytes& value) {
@@ -476,6 +501,8 @@ void AtomicBroadcast::process_decisions() {
         --pending_count_;
         ctx_.metrics().observe(h_order_latency_, ctx_.now() - entry.since);
         ctx_.trace_end(obs::Names::get().abcast_pending, e.id);
+        // Left to another proposer: the residence ends unproposed (arg -1).
+        if (!entry.proposed) ctx_.trace_end(obs::Names::get().abcast_batch_wait, e.id, -1);
       }
       ctx_.metrics().inc(m_delivered_);
       ctx_.trace_instant(obs::Names::get().abcast_deliver, e.id, e.subtag);

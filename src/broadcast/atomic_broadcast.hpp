@@ -235,6 +235,12 @@ class AtomicBroadcast {
   void on_decide(std::uint64_t k, const Bytes& value);
   void process_decisions();
   void try_start_instances();
+  /// One proposer per instance (DESIGN.md §15): true while consensus names
+  /// a stable leader other than us that we do not suspect, and our oldest
+  /// eligible message has waited less than the hold; the hold timer then
+  /// retries. The leader's dissemination copy reached it directly, so it
+  /// proposes our messages.
+  bool leave_to_leader();
   /// True while the channel's Totem-style send window is exhausted toward
   /// some member: a slow follower backpressures proposals end-to-end
   /// instead of ballooning open-instance memory.
@@ -284,6 +290,7 @@ class AtomicBroadcast {
   bool delivering_ = false;       // re-entrancy guard of process_decisions()
   bool view_change_pending_ = false;  // delivering a batch that changes the members
   bool fc_retry_armed_ = false;   // timer to re-try proposals after an fc stall
+  bool hold_armed_ = false;       // timer to re-try proposals when a hold expires
   bool control_armed_ = false;    // adaptive tick scheduled
   // Controller interval bookkeeping: last-seen histogram totals.
   std::uint64_t ctl_bw_count_ = 0;

@@ -89,9 +89,21 @@ class ConsensusProtocol {
 
   /// The process this implementation expects to drive the next decrees, or
   /// kNoProcess when the algorithm has no stable-leader notion (CT's
-  /// coordinator rotates per round). Used by fault injection to aim
-  /// leader-targeted steps and by tests; never consulted for safety.
+  /// coordinator rotates per round). It picks the proposer (proposer()
+  /// below), and fault injection aims leader-targeted steps at it; it is
+  /// never consulted for safety: any member may propose any instance.
   virtual ProcessId stable_leader() const { return kNoProcess; }
+
+  /// Who proposes (DESIGN.md §15). \c leader is the stable leader while
+  /// it is in the view and this process does not suspect it, and \c hold
+  /// how long another member may leave its pending values to it before
+  /// proposing them itself. With \c leader == kNoProcess every member
+  /// proposes what it has.
+  struct Proposer {
+    ProcessId leader = kNoProcess;
+    Duration hold = 0;
+  };
+  virtual Proposer proposer() const { return {}; }
 
  protected:
   /// A vote the gate holds back: the message that asked for it (CT

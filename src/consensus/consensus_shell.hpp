@@ -85,6 +85,18 @@ class ConsensusShell : public ConsensusProtocol {
     }
   }
 
+  /// The stable leader unless it left the view or we suspect it; the hold
+  /// is the suspicion timeout, after which we would suspect a leader that
+  /// went silent.
+  Proposer proposer() const final {
+    const ProcessId leader = stable_leader();
+    if (leader == kNoProcess || !counted(leader) ||
+        (leader != ctx_.self() && fd_.suspects(fd_class_, leader))) {
+      return {};
+    }
+    return {leader, fd_.timeout(fd_class_)};
+  }
+
   /// Forgotten decisions kept for relay (tests).
   std::size_t kept_for_relay() const { return kept_.size(); }
   /// Our DECIDE sends the watermark still waits on (tests).
@@ -280,6 +292,9 @@ class ConsensusShell : public ConsensusProtocol {
   /// Highest instance decided here + 1 (0 = nothing decided).
   std::uint64_t decided_frontier_ = 0;
 
+  /// The current view's members (set_view_members); empty until set.
+  const std::vector<ProcessId>& view_members() const { return view_members_; }
+
  private:
   /// A DECIDE send not yet acknowledged by its destination.
   struct SentDecide {
@@ -340,9 +355,11 @@ class ConsensusShell : public ConsensusProtocol {
   }
 
   /// Send \p h to its members but us and its source, and take it over as
-  /// ours: our channel now carries it to them.
+  /// ours: our channel now carries it to them. A member that only ever
+  /// learned passively (a Paxos follower that leaves its proposals to the
+  /// leader) knows no member set of the instance: it relays to the view.
   void relay(std::uint64_t k, Held& h) {
-    h.send_no = send_decide(k, h.value, h.members, h.from);
+    h.send_no = send_decide(k, h.value, h.members.empty() ? view_members_ : h.members, h.from);
     h.from = ctx_.self();
   }
 

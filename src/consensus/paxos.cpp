@@ -37,7 +37,14 @@ PaxosConsensus::PaxosConsensus(sim::Context& ctx, ReliableChannel& channel,
       m_noop_fills_(metric_id("paxos.noop_fills")) {}
 
 ProcessId PaxosConsensus::stable_leader() const {
-  if (epoch_members_.empty()) return kNoProcess;
+  // Before we adopt a member set, name the owner of the highest ballot seen
+  // in the current view, as adopting the view's set would (ballot 0's owner
+  // in a new group).
+  if (epoch_members_.empty()) {
+    const std::vector<ProcessId>& view = view_members();
+    if (view.empty()) return kNoProcess;
+    return view[static_cast<std::size_t>(epoch_seen_ballot_) % view.size()];
+  }
   return epoch_owner(std::max(epoch_seen_ballot_, epoch_.ballot));
 }
 

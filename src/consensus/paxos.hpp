@@ -84,7 +84,8 @@ class PaxosConsensus final : public ConsensusShell<PaxosInstance> {
                  FailureDetector::ClassId fd_class);
 
   void propose(std::uint64_t k, Bytes value, std::vector<ProcessId> members) override;
-  /// The current epoch owner (kNoProcess before the member set is known).
+  /// The current epoch owner; before we adopt a member set, the owner of
+  /// the highest ballot seen in the current view (kNoProcess without one).
   ProcessId stable_leader() const override;
 
  private:

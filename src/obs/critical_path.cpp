@@ -26,8 +26,9 @@ struct TraceIndex {
   std::map<MsgId, TimePoint> abcast_submit;  // first submit, any process
   std::map<MsgId, TimePoint> gb_submit;
   std::map<ProcMsgKey, TimePoint> pending_begin;     // abcast.pending kBegin
-  std::map<ProcMsgKey, TimePoint> batch_wait_end;    // abcast.batch_wait kEnd
+  std::map<ProcMsgKey, TimePoint> batch_wait_end;    // abcast.batch_wait kEnd, proposed
   std::map<ProcSeqKey, TimePoint> instance_begin;    // consensus.instance kBegin
+  std::map<std::uint64_t, ProcessId> opener;         // first instance kBegin, any proc
   std::map<std::uint64_t, TimePoint> first_propose;  // consensus.propose, any proc
   std::map<ProcSeqKey, TimePoint> decide_at;         // consensus.decide instant
   SpanMap abcast_pulls;                              // abcast.pull_wait spans
@@ -74,9 +75,11 @@ TraceIndex build_index(const std::vector<Record>& records) {
     } else if (r.name == names.abcast_pending && r.phase == Phase::kBegin) {
       keep_first(idx.pending_begin, ProcMsgKey{r.proc, r.msg}, r.ts);
     } else if (r.name == names.abcast_batch_wait && r.phase == Phase::kEnd) {
-      keep_first(idx.batch_wait_end, ProcMsgKey{r.proc, r.msg}, r.ts);
+      // arg < 0: delivered without this process ever proposing it.
+      if (r.arg >= 0) keep_first(idx.batch_wait_end, ProcMsgKey{r.proc, r.msg}, r.ts);
     } else if (r.name == names.consensus_instance && r.phase == Phase::kBegin) {
       keep_first(idx.instance_begin, ProcSeqKey{r.proc, r.msg.seq}, r.ts);
+      idx.opener.emplace(r.msg.seq, r.proc);
     } else if (r.name == names.consensus_propose) {
       keep_first(idx.first_propose, r.msg.seq, r.ts);
     } else if (r.name == names.consensus_decide) {
@@ -277,8 +280,19 @@ CriticalPathStats analyze_critical_path(const std::vector<Record>& records) {
       // Batch residence ends at this process's first proposal carrying the
       // message; fall back to the instance span opening when the message
       // rode a proposal this process never built (it decided passively).
+      // A process that neither proposed the message nor started instance k
+      // left it to another proposer (a Paxos follower): flood and batch
+      // residence are then anchored at the member whose proposal opened k.
+      ProcessId anchor = r.proc;
       TimePoint proposed = lookup(idx.batch_wait_end, ProcMsgKey{r.proc, r.msg});
       if (proposed == kAbsent) proposed = lookup(idx.instance_begin, ProcSeqKey{r.proc, k});
+      if (proposed == kAbsent) {
+        if (const auto it = idx.opener.find(k); it != idx.opener.end()) {
+          anchor = it->second;
+          proposed = lookup(idx.batch_wait_end, ProcMsgKey{anchor, r.msg});
+          if (proposed == kAbsent) proposed = lookup(idx.instance_begin, ProcSeqKey{anchor, k});
+        }
+      }
       // Under deep pipelining the decide instant can age out of the ring
       // while the decision sits behind a gap; the gap span's opening is the
       // moment the decision reached this process — an equivalent anchor.
@@ -286,7 +300,7 @@ CriticalPathStats analyze_critical_path(const std::vector<Record>& records) {
       if (decided == kAbsent) decided = lookup(idx.gap_begin, ProcSeqKey{r.proc, k});
       const Duration tail = attribute_chain(
           b,
-          {t0, lookup(idx.pending_begin, ProcMsgKey{r.proc, r.msg}), proposed,
+          {t0, lookup(idx.pending_begin, ProcMsgKey{anchor, r.msg}), proposed,
            lookup(idx.first_propose, k), decided, b.deliver_ts},
           {static_cast<std::size_t>(PathPhase::kFlood),
            static_cast<std::size_t>(PathPhase::kBatchWait),

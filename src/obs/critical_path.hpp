@@ -10,6 +10,8 @@
 ///   atomic broadcast deliveries
 ///     flood         submit at the origin .. rdelivered at the observer
 ///     batch_wait    rdelivered .. first included in a consensus proposal
+///                   (an observer that left the message to the proposer
+///                   of its instance: flood and batch_wait at that member)
 ///     propose_wait  proposal submitted .. coordinator's PROPOSE goes out
 ///                   (quorum assembly; CT estimate collection / Paxos
 ///                   prepare+promise)

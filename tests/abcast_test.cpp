@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 
 #include "broadcast/atomic_broadcast.hpp"
+#include "consensus/paxos.hpp"
 #include "tests/test_util.hpp"
 #include "util/codec.hpp"
 
@@ -22,7 +25,7 @@ struct AbcastWorld {
     std::unique_ptr<ReliableChannel> channel;
     std::unique_ptr<FailureDetector> fd;
     FailureDetector::ClassId fd_class = 0;
-    std::unique_ptr<Consensus> consensus;
+    std::unique_ptr<ConsensusProtocol> consensus;
     std::unique_ptr<ReliableBroadcast> rbcast;
     std::unique_ptr<AtomicBroadcast> abcast;
     test::DeliveryLog log;
@@ -30,7 +33,10 @@ struct AbcastWorld {
   std::vector<Proc> procs;
   std::vector<ProcessId> all;
 
-  explicit AbcastWorld(int n, sim::LinkModel link = {}, std::uint64_t seed = 1)
+  enum class Algo { kChandraToueg, kPaxos };
+
+  explicit AbcastWorld(int n, sim::LinkModel link = {}, std::uint64_t seed = 1,
+                       Algo algo = Algo::kChandraToueg, AtomicBroadcast::Config config = {})
       : network(engine, n, link, seed) {
     procs.resize(static_cast<std::size_t>(n));
     for (ProcessId p = 0; p < n; ++p) {
@@ -43,11 +49,16 @@ struct AbcastWorld {
       proc.channel = std::make_unique<ReliableChannel>(*proc.ctx, *proc.transport);
       proc.fd = std::make_unique<FailureDetector>(*proc.ctx, *proc.transport);
       proc.fd_class = proc.fd->add_class(msec(60));
-      proc.consensus = std::make_unique<Consensus>(*proc.ctx, *proc.channel, *proc.fd,
-                                                   proc.fd_class);
+      if (algo == Algo::kPaxos) {
+        proc.consensus = std::make_unique<PaxosConsensus>(*proc.ctx, *proc.channel, *proc.fd,
+                                                          proc.fd_class);
+      } else {
+        proc.consensus = std::make_unique<Consensus>(*proc.ctx, *proc.channel, *proc.fd,
+                                                     proc.fd_class);
+      }
       proc.rbcast = std::make_unique<ReliableBroadcast>(*proc.ctx, *proc.channel, Tag::kRbcast);
       proc.abcast = std::make_unique<AtomicBroadcast>(*proc.ctx, *proc.rbcast, *proc.consensus,
-                                                      *proc.channel);
+                                                      *proc.channel, config);
       // As in GcsStack: a suspected origin's retained frames are relayed.
       proc.fd->on_suspect(proc.fd_class, [&proc](ProcessId q) { proc.rbcast->suspect(q); });
       proc.fd->on_restore(proc.fd_class, [&proc](ProcessId q) { proc.rbcast->restore(q); });
@@ -62,6 +73,18 @@ struct AbcastWorld {
   void crash(ProcessId p) {
     procs[static_cast<std::size_t>(p)].ctx->kill();
     network.crash(p);
+  }
+
+  /// Drop everything between \p a and \p b, both directions.
+  void cut(ProcessId a, ProcessId b) {
+    const sim::LinkModel lost{usec(200), usec(100), 1.0};
+    network.set_link(a, b, lost);
+    network.set_link(b, a, lost);
+  }
+
+  bool delivered(ProcessId p, const MsgId& id) {
+    const auto& order = procs[static_cast<std::size_t>(p)].log.order;
+    return std::find(order.begin(), order.end(), id) != order.end();
   }
 
   bool all_alive_delivered(std::size_t count) {
@@ -234,6 +257,110 @@ TEST(AtomicBroadcast, SnapshotRestoreBringsJoinerInSync) {
   }
   // ...and new messages are totally ordered at the old members.
   EXPECT_TRUE(consistent_prefix(w.procs[0].log.order, w.procs[1].log.order));
+}
+
+// -- one proposer per instance (DESIGN.md §15) --------------------------------
+
+constexpr Duration kHold = msec(60);  // the fixture's consensus FD timeout
+
+// Each member keeps one message of its own in flight; the stable Paxos
+// leader alone proposes, so no decided instance re-orders an id an earlier
+// instance ordered. (When every member proposes what it has, an id rides
+// in its origin's instance and in the leader's, and a quarter or more of
+// the instances order nothing new.)
+TEST(AtomicBroadcast, PaxosClosedLoopDecidesNoInstanceWithoutAFreshId) {
+  constexpr int kN = 3;
+  constexpr int kPerProc = 150;
+  AtomicBroadcast::Config config;
+  config.pipeline_depth = 16;
+  config.max_batch = 16;
+  config.adaptive = true;
+  AbcastWorld w(kN, sim::LinkModel{usec(50), usec(20), 0.0}, 7, AbcastWorld::Algo::kPaxos,
+                config);
+  std::map<std::uint64_t, Bytes> decided;  // at p0, by instance
+  w.procs[0].consensus->on_decide(
+      [&decided](std::uint64_t k, const Bytes& v) { decided.emplace(k, v); });
+  std::vector<int> sent(kN, 0);
+  for (ProcessId p = 0; p < kN; ++p) {
+    auto& proc = w.procs[static_cast<std::size_t>(p)];
+    proc.abcast->subscribe(AtomicBroadcast::kApp, [&, p](const MsgId& id, const Bytes&) {
+      if (id.sender != p || sent[static_cast<std::size_t>(p)] >= kPerProc) return;
+      ++sent[static_cast<std::size_t>(p)];
+      w.procs[static_cast<std::size_t>(p)].abcast->abcast(AtomicBroadcast::kApp,
+                                                          bytes_of("m"));
+    });
+  }
+  for (ProcessId p = 0; p < kN; ++p) {
+    ++sent[static_cast<std::size_t>(p)];
+    w.procs[static_cast<std::size_t>(p)].abcast->abcast(AtomicBroadcast::kApp, bytes_of("m"));
+  }
+  ASSERT_TRUE(test::run_until(w.engine, sec(30), [&] {
+    return w.all_alive_delivered(static_cast<std::size_t>(kN * kPerProc));
+  }));
+  w.expect_total_order();
+  std::set<MsgId> ordered;
+  int stale = 0;
+  for (const auto& [k, value] : decided) {
+    Decoder dec(value);
+    const BatchProposal prop = BatchProposal::decode(dec);
+    ASSERT_TRUE(dec.ok()) << "instance " << k;
+    bool fresh = false;
+    for (const ProposalEntry& e : prop.entries) fresh = ordered.insert(e.id).second || fresh;
+    if (!fresh) ++stale;
+  }
+  EXPECT_GT(decided.size(), 100u);
+  EXPECT_EQ(stale, 0) << "of " << decided.size() << " decided instances";
+}
+
+// The leader has the followers' messages when it crashes, and nothing it
+// sent after receiving them got out, so no follower accepted a decree that
+// carries them. The followers left them to the leader; once they suspect
+// it, or their hold runs out, they propose them, and every survivor
+// delivers them all.
+TEST(AtomicBroadcast, PaxosLeaderCrashingWithOthersMessagesLosesNone) {
+  constexpr int kN = 5;
+  AbcastWorld w(kN, {}, 3, AbcastWorld::Algo::kPaxos);
+  w.procs[0].abcast->abcast(AtomicBroadcast::kApp, bytes_of("warm-up"));
+  ASSERT_TRUE(test::run_until(w.engine, sec(1), [&] { return w.all_alive_delivered(1); }));
+  ASSERT_EQ(w.procs[1].consensus->proposer().leader, 0);
+  for (ProcessId q = 1; q < kN; ++q) w.network.set_link(0, q, {usec(200), usec(100), 1.0});
+  std::vector<MsgId> ids;
+  for (ProcessId p = 1; p < kN; ++p) {
+    ids.push_back(w.procs[static_cast<std::size_t>(p)].abcast->abcast(
+        AtomicBroadcast::kApp, bytes_of("from " + std::to_string(p))));
+  }
+  ASSERT_TRUE(test::run_until(w.engine, msec(5), [&] {
+    return w.procs[0].abcast->pending_count() == ids.size();
+  }));
+  w.crash(0);
+  const TimePoint crashed_at = w.engine.now();
+  // Nothing was ordered yet: the followers hold their messages for the
+  // leader that is gone.
+  for (ProcessId p = 1; p < kN; ++p) {
+    EXPECT_EQ(w.procs[static_cast<std::size_t>(p)].log.size(), 1u);
+  }
+  ASSERT_TRUE(test::run_until(w.engine, sec(2), [&] { return w.all_alive_delivered(5); }));
+  EXPECT_LT(w.engine.now() - crashed_at, kHold + msec(100));
+  w.expect_total_order();
+  for (ProcessId p = 1; p < kN; ++p) {
+    for (const MsgId& id : ids) EXPECT_TRUE(w.delivered(p, id)) << "p" << p;
+  }
+}
+
+// p2 cannot reach the leader p0, and p0 never gets p2's message. p1 has it
+// and leaves it to p0 for a hold; then p1 proposes it (and p2, suspecting
+// p0, takes the lead), so it is delivered within the hold plus a bound.
+TEST(AtomicBroadcast, PaxosFollowerCutFromTheLeaderIsOrderedAfterTheHold) {
+  AbcastWorld w(3, {}, 5, AbcastWorld::Algo::kPaxos);
+  w.procs[0].abcast->abcast(AtomicBroadcast::kApp, bytes_of("warm-up"));
+  ASSERT_TRUE(test::run_until(w.engine, sec(1), [&] { return w.all_alive_delivered(1); }));
+  w.cut(0, 2);
+  const TimePoint sent_at = w.engine.now();
+  const MsgId id = w.procs[2].abcast->abcast(AtomicBroadcast::kApp, bytes_of("cut off"));
+  ASSERT_TRUE(test::run_until(w.engine, sec(2),
+                              [&] { return w.delivered(1, id) && w.delivered(2, id); }));
+  EXPECT_LT(w.engine.now() - sent_at, kHold + msec(100));
+  w.expect_total_order();
 }
 
 /// Consensus driven by the test: it records proposals and decides only

@@ -230,6 +230,40 @@ TEST(CriticalPath, GapOpenStandsInForAgedOutDecide) {
   EXPECT_DOUBLE_EQ(stats.coverage(), 1.0);
 }
 
+TEST(CriticalPath, FollowerAnchorsAtTheProposerOfItsInstance) {
+  // A Paxos follower left kMsg to the leader (proc 2): it never proposed
+  // it, closed its batch residence unproposed at delivery (arg -1) and
+  // never started instance 7. Flood and batch_wait are the leader's:
+  //   submit 1000 -> leader pending 1300 -> leader proposes 1500
+  //   -> ACCEPT 1900 -> follower decides 2500 -> adelivery 3000.
+  const obs::Names& n = obs::Names::get();
+  constexpr ProcessId kLeader = 2;
+  const std::vector<Record> records = {
+      {1000, kMsg, 0, 0, n.abcast_submit, Phase::kInstant},
+      {1300, kMsg, 0, kLeader, n.abcast_pending, Phase::kBegin},
+      {1400, kMsg, 0, kObserver, n.abcast_pending, Phase::kBegin},
+      {1500, kInstanceKey, 0, kLeader, n.consensus_instance, Phase::kBegin},
+      {1500, kMsg, static_cast<std::int64_t>(kInstance), kLeader, n.abcast_batch_wait,
+       Phase::kEnd},
+      {1900, kInstanceKey, 0, kLeader, n.consensus_propose, Phase::kInstant},
+      {2500, kInstanceKey, 0, kObserver, n.consensus_decide, Phase::kInstant},
+      {3000, kMsg, -1, kObserver, n.abcast_batch_wait, Phase::kEnd},
+      {3000, kMsg, static_cast<std::int64_t>(kInstance), kObserver, n.abcast_ordered,
+       Phase::kInstant},
+  };
+  const auto stats = obs::analyze_critical_path(records);
+  ASSERT_EQ(stats.paths.size(), 1u);
+  const PathBreakdown& b = stats.paths[0];
+  EXPECT_EQ(b.proc, kObserver);
+  EXPECT_EQ(phase_of(b, PathPhase::kFlood), 300);        // 1000 -> 1300
+  EXPECT_EQ(phase_of(b, PathPhase::kBatchWait), 200);    // 1300 -> 1500
+  EXPECT_EQ(phase_of(b, PathPhase::kProposeWait), 400);  // 1500 -> 1900
+  EXPECT_EQ(phase_of(b, PathPhase::kAcceptWait), 600);   // 1900 -> 2500
+  EXPECT_EQ(phase_of(b, PathPhase::kReorderWait), 500);  // 2500 -> 3000
+  EXPECT_EQ(b.residual, 0);
+  EXPECT_DOUBLE_EQ(stats.coverage(), 1.0);
+}
+
 TEST(CriticalPath, TruncatedRingIsFlagged) {
   obs::Recorder recorder(4);  // far smaller than the trace
   for (const Record& r : golden_abcast_trace()) recorder.append(r);

@@ -186,6 +186,38 @@ TEST(Paxos, SingleProposerDecides) {
   EXPECT_EQ(w.agreed_value(0), "lone");
 }
 
+// The proposer query (DESIGN.md §15): nobody without a view; before the
+// first epoch, ballot 0's owner in the view; then the epoch owner, with the
+// suspicion timeout as the hold, until it leaves the view or a member
+// suspects it.
+TEST(Paxos, ProposerIsTheStableLeaderUntilSuspected) {
+  PaxosWorld w(3);
+  EXPECT_EQ(w.proc(1).paxos->proposer().leader, kNoProcess);
+  for (ProcessId p = 0; p < 3; ++p) {
+    w.proc(p).paxos->set_view_members(w.all);
+    EXPECT_EQ(w.proc(p).paxos->proposer().leader, 0) << "p" << p;
+  }
+  w.proc(0).paxos->propose(0, bytes_of("v0"), w.all);
+  w.proc(1).paxos->propose(1, bytes_of("v1"), w.all);
+  ASSERT_TRUE(test::run_until(w.engine, sec(1), [&] { return w.all_alive_decided(1); }));
+  EXPECT_EQ(w.proc(0).paxos->proposer().leader, 0);
+  EXPECT_EQ(w.proc(1).paxos->proposer().leader, 0);
+  EXPECT_EQ(w.proc(1).paxos->proposer().hold, msec(60));
+  // p0 leaves: p1 still runs the epoch of {0, 1, 2} but names nobody, and
+  // p2, which never proposed, names ballot 0's owner of {1, 2}.
+  w.proc(1).paxos->set_view_members({1, 2});
+  w.proc(2).paxos->set_view_members({1, 2});
+  EXPECT_EQ(w.proc(1).paxos->proposer().leader, kNoProcess);
+  EXPECT_EQ(w.proc(2).paxos->proposer().leader, 1);
+  w.proc(1).paxos->set_view_members(w.all);
+  EXPECT_EQ(w.proc(1).paxos->proposer().leader, 0);
+  w.crash(0);
+  ASSERT_TRUE(test::run_until(w.engine, sec(1), [&] {
+    return w.proc(1).fd->suspects(w.proc(1).fd_class, 0);
+  }));
+  EXPECT_EQ(w.proc(1).paxos->proposer().leader, kNoProcess);
+}
+
 TEST(Paxos, BallotZeroOwnerCrashTriggersTakeover) {
   PaxosWorld w(5);
   for (ProcessId p = 0; p < 5; ++p) {

@@ -179,6 +179,83 @@ TEST(Stack, ExcludedMemberStopsHoldingDecisionsPaxos) {
   excluded_member_stops_holding_decisions<PaxosConsensus>(StackConfig::ConsensusAlgo::kPaxos);
 }
 
+// The Paxos leader leaves. Once the view without it is installed, nobody
+// leaves its messages to the departed leader: the first proposal adopts the
+// new member set, whose ballot-0 owner leads, and a message sent right
+// after the view change is delivered well within the hold (60 ms).
+TEST(Stack, PaxosLeaderLeavingStallsNoProposal) {
+  StackConfig sc;
+  sc.consensus_algorithm = StackConfig::ConsensusAlgo::kPaxos;
+  World w(cfg(4, 5, sc));
+  w.found_group_all();
+  // The followers' messages reach p0 only after the hold, so each follower
+  // proposes them itself and so runs the epoch of {0, 1, 2, 3}.
+  for (ProcessId q = 1; q < 4; ++q) {
+    w.network().set_link(q, 0, sim::LinkModel{msec(80), 0, 0.0});
+    w.stack(q).abcast(bytes_of("held"));
+  }
+  w.run_for(msec(200));
+  for (ProcessId q = 1; q < 4; ++q) w.network().set_link(q, 0, sim::LinkModel{});
+  w.run_for(msec(200));
+  ASSERT_EQ(w.stack(1).consensus().proposer().leader, 0);
+  w.stack(0).leave();
+  const auto left = [&w] {
+    for (ProcessId p = 1; p < 4; ++p) {
+      if (w.stack(p).view().contains(0)) return false;
+    }
+    return true;
+  };
+  ASSERT_TRUE(test::run_until(w.engine(), sec(5), left));
+  std::vector<int> delivered(4, 0);
+  for (ProcessId p = 1; p < 4; ++p) {
+    w.stack(p).on_adeliver([&delivered, p](const MsgId&, const Bytes& m) {
+      if (m == bytes_of("after")) ++delivered[static_cast<std::size_t>(p)];
+    });
+  }
+  const TimePoint sent_at = w.engine().now();
+  w.stack(2).abcast(bytes_of("after"));
+  ASSERT_TRUE(test::run_until(w.engine(), sec(1), [&] {
+    return delivered[1] == 1 && delivered[2] == 1 && delivered[3] == 1;
+  }));
+  EXPECT_LT(w.engine().now() - sent_at, msec(20));
+}
+
+// Paxos followers leave their proposals to the leader, so they learn every
+// decision passively and start no instance of their own. The leader p0
+// decides "a" but its DECIDE reaches p1 and p2 only, and it crashes. p2
+// suspects it at once and takes the lead for "b"; p3 then names p2 and,
+// as p2 has decided "a"'s instance, gets nothing from announcing its own
+// proposal there. Only a relay of the decision brings "a" to p3: a
+// member that suspects the decider relays to the view when it knows no
+// member set of the instance.
+TEST(Stack, PassivePaxosFollowersRelayTheDecisionOfACrashedLeader) {
+  StackConfig sc;
+  sc.consensus_algorithm = StackConfig::ConsensusAlgo::kPaxos;
+  World w(cfg(4, 3, sc));
+  std::vector<std::vector<std::string>> log(4);
+  for (ProcessId p = 0; p < 4; ++p) {
+    w.stack(p).on_adeliver([&log, p](const MsgId&, const Bytes& m) {
+      log[static_cast<std::size_t>(p)].emplace_back(m.begin(), m.end());
+    });
+  }
+  w.found_group_all();
+  w.run_for(msec(50));
+  w.network().set_link(0, 3, sim::LinkModel{usec(200), usec(100), 1.0});
+  w.stack(1).abcast(bytes_of("a"));
+  ASSERT_TRUE(test::run_until(w.engine(), sec(1), [&] {
+    return log[1].size() == 1 && log[2].size() == 1;
+  }));
+  w.crash(0);
+  w.stack(2).fd().inject_suspicion(w.stack(2).consensus_fd_class(), 0);
+  w.stack(2).abcast(bytes_of("b"));
+  // Well before p0's exclusion (2 s), whose view change would also end
+  // the wait.
+  const std::vector<std::string> both{"a", "b"};
+  ASSERT_TRUE(test::run_until(w.engine(), msec(500), [&] {
+    return log[1] == both && log[2] == both && log[3] == both;
+  })) << "p3 delivered " << log[3].size();
+}
+
 TEST(Stack, SendersNeverBlockDuringViewChange) {
   // §4.4: with membership above abcast, a join does NOT block senders.
   // Fire traffic continuously across a join and verify that messages sent

@@ -146,39 +146,46 @@ TEST(Uniformity, CtAcceptorDefersAckUntilPayloadArrives) {
   acceptor_defers_until_payload(StackConfig::ConsensusAlgo::kChandraToueg);
 }
 
-/// The origin reaches only p2, and p2 crashes too before it suspects the
-/// origin: no correct member holds the payload. The batch naming it can
-/// never pass the gate, so a vote held back for a suspicion timeout gives
-/// up on it, and ordering goes on without the message — at every correct
-/// member alike.
-void origin_and_sole_holder_crash(const World::Config& config) {
+/// The origin reaches only \p holder, and the holder crashes too before it
+/// suspects the origin: no correct member holds the payload. The batch
+/// naming it can never pass the gate, so a vote held back for a suspicion
+/// timeout gives up on it, and ordering goes on without the message — at
+/// every correct member alike. The holder must propose the batch at once:
+/// under Chandra–Toueg any member does, under Paxos only the leader
+/// (DESIGN.md §15).
+void origin_and_sole_holder_crash(const World::Config& config, ProcessId holder) {
   World w(config);
   Log log(w);
   w.found_group_all();
   w.run_for(msec(50));
+  std::vector<ProcessId> correct;
   for (ProcessId q = 0; q < 4; ++q) {
-    if (q != 2) w.network().set_link(4, q, kCut);
+    if (q == holder) continue;
+    correct.push_back(q);
+    w.network().set_link(4, q, kCut);
   }
   w.stack(4).abcast(bytes_of("lost"));
   w.crash(4);
-  w.run_for(msec(5));  // p2 proposes it; the others' votes wait
+  w.run_for(msec(5));  // the holder proposes it; the others' votes wait
   EXPECT_GT(deferred_votes(w), 0);
-  w.crash(2);
-  w.stack(0).abcast(bytes_of("after"));
+  w.crash(holder);
+  w.stack(correct[0]).abcast(bytes_of("after"));
   ASSERT_TRUE(test::run_until(w, sec(3), [&] {
-    return log.count(0, "after") == 1 && log.count(1, "after") == 1 &&
-           log.count(3, "after") == 1;
+    return std::all_of(correct.begin(), correct.end(),
+                       [&](ProcessId q) { return log.count(q, "after") == 1; });
   })) << "a batch no correct member can admit must not block its instance";
-  EXPECT_EQ(log.delivered[1], log.delivered[0]);
-  EXPECT_EQ(log.delivered[3], log.delivered[0]);
-  EXPECT_EQ(log.count(0, "lost"), 0);
+  for (ProcessId q : correct) {
+    EXPECT_EQ(log.delivered[static_cast<std::size_t>(q)],
+              log.delivered[static_cast<std::size_t>(correct[0])]);
+  }
+  EXPECT_EQ(log.count(correct[0], "lost"), 0);
 }
 
 TEST(Uniformity, PaxosGivesUpOnUnobtainablePayload) {
-  origin_and_sole_holder_crash(stack_config(5, StackConfig::ConsensusAlgo::kPaxos));
+  origin_and_sole_holder_crash(stack_config(5, StackConfig::ConsensusAlgo::kPaxos), 0);
 }
 TEST(Uniformity, CtGivesUpOnUnobtainablePayload) {
-  origin_and_sole_holder_crash(stack_config(5, StackConfig::ConsensusAlgo::kChandraToueg));
+  origin_and_sole_holder_crash(stack_config(5, StackConfig::ConsensusAlgo::kChandraToueg), 2);
 }
 
 /// Fault-free, the substrate costs n-1 copies per message: no relays, and
