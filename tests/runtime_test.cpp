@@ -207,6 +207,79 @@ TEST(RealTime, GenericBroadcastFastPathOverUdp) {
 }
 
 // ---------------------------------------------------------------------------
+// The socket edge's two shortcuts: the local queue and the batch window.
+
+TEST(UdpTransport, SelfDatagramsArriveInOrderWithoutTheSocket) {
+  sim::Engine engine;
+  auto m0 = std::make_shared<Metrics>();
+  sim::Context c0(0, engine, Rng(1), Logger(), m0);
+  UdpTransport::Config cfg;
+  cfg.base_port = 39170;
+  cfg.recv_buffer = 16;
+  UdpTransport t0(c0, 1, cfg);
+  std::vector<std::pair<ProcessId, std::string>> received;
+  t0.subscribe(Tag::kApp, [&](ProcessId from, BytesView b) {
+    received.emplace_back(from, test::str_of(b));
+  });
+  t0.u_send(0, Tag::kApp, bytes_of("one"));
+  t0.u_send(0, Tag::kApp, bytes_of("two"));
+  t0.u_send(0, Tag::kApp, bytes_of("three"));
+  EXPECT_TRUE(received.empty());  // queued until the next poll
+  // One poll dispatches all three: no wait for the kernel, no runner.
+  EXPECT_EQ(t0.poll(), 3);
+  const std::vector<std::pair<ProcessId, std::string>> expected{
+      {0, "one"}, {0, "two"}, {0, "three"}};
+  EXPECT_EQ(received, expected);
+  EXPECT_EQ(m0->counter("udp.tx_datagrams"), 3);
+  EXPECT_EQ(m0->counter("udp.rx_datagrams"), 3);
+  EXPECT_EQ(m0->counter("udp.rx_bytes"), m0->counter("udp.tx_bytes"));
+  // Larger than the receive buffer: sent, then dropped as truncated.
+  t0.u_send(0, Tag::kApp, Bytes(32, 0x61));
+  EXPECT_EQ(t0.poll(), 0);
+  EXPECT_EQ(received.size(), 3u);
+  EXPECT_EQ(m0->counter("udp.tx_datagrams"), 4);
+  EXPECT_EQ(m0->counter("udp.rx_truncated_drops"), 1);
+  EXPECT_EQ(m0->counter("udp.rx_datagrams"), 3);
+}
+
+TEST(UdpTransport, UpcallSendsArriveAfterThePollInSendOrder) {
+  sim::Engine engine;
+  auto m0 = std::make_shared<Metrics>();
+  auto m1 = std::make_shared<Metrics>();
+  sim::Context c0(0, engine, Rng(1), Logger(), m0);
+  sim::Context c1(1, engine, Rng(2), Logger(), m1);
+  UdpTransport::Config cfg;
+  cfg.base_port = 39172;
+  UdpTransport t0(c0, 2, cfg), t1(c1, 2, cfg);
+  constexpr int kSends = 5;
+  int upcalls = 0;
+  std::vector<std::string> at_peer;
+  t1.subscribe(Tag::kApp, [&](ProcessId from, BytesView b) {
+    EXPECT_EQ(from, 0);
+    at_peer.push_back(test::str_of(b));
+  });
+  t0.subscribe(Tag::kApp, [&](ProcessId, BytesView) {
+    ++upcalls;
+    for (int i = 0; i < kSends; ++i) t0.u_send(1, Tag::kApp, bytes_of("m" + std::to_string(i)));
+    // Still inside t0's poll: the batch has not left yet.
+    EXPECT_EQ(m0->counter("udp.tx_datagrams"), 0);
+    EXPECT_EQ(t1.poll(), 0);
+  });
+  t1.u_send(0, Tag::kApp, bytes_of("go"));  // outside a poll: leaves at once
+  EXPECT_EQ(m1->counter("udp.tx_datagrams"), 1);
+  RealTimeRunner runner(engine);
+  runner.add_pollable([&] { return t0.poll(); });
+  ASSERT_TRUE(runner.run_until(std::chrono::milliseconds(500), [&] { return upcalls > 0; }));
+  EXPECT_EQ(m0->counter("udp.tx_datagrams"), kSends);  // flushed when the poll ended
+  EXPECT_EQ(m0->counter("udp.tx_backoffs"), 0);
+  RealTimeRunner peer(engine);
+  peer.add_pollable([&] { return t1.poll(); });
+  ASSERT_TRUE(peer.run_until(std::chrono::milliseconds(500),
+                             [&] { return at_peer.size() >= static_cast<std::size_t>(kSends); }));
+  EXPECT_EQ(at_peer, (std::vector<std::string>{"m0", "m1", "m2", "m3", "m4"}));
+}
+
+// ---------------------------------------------------------------------------
 // UDP socket-edge accounting: the error paths UDP lets a transport silently
 // swallow must each land in its own counter.
 
@@ -334,6 +407,35 @@ TEST(UdpErrorPaths, KilledTransportGoesSilent) {
   EXPECT_EQ(m1->counter("udp.rx_datagrams"), 0);
   t1.u_send(0, Tag::kApp, bytes_of("also dropped"));
   EXPECT_EQ(m1->counter("udp.tx_datagrams"), 0);
+}
+
+TEST(UdpErrorPaths, KilledInsideAnUpcallSendsNothing) {
+  sim::Engine engine;
+  auto m0 = std::make_shared<Metrics>();
+  auto m1 = std::make_shared<Metrics>();
+  sim::Context c0(0, engine, Rng(1), Logger(), m0);
+  sim::Context c1(1, engine, Rng(2), Logger(), m1);
+  UdpTransport::Config cfg;
+  cfg.base_port = 39174;
+  UdpTransport t0(c0, 2, cfg), t1(c1, 2, cfg);
+  int at_t0 = 0;
+  int at_t1 = 0;
+  t1.subscribe(Tag::kApp, [&](ProcessId, BytesView) { ++at_t1; });
+  t0.subscribe(Tag::kApp, [&](ProcessId, BytesView) {
+    ++at_t0;
+    t0.u_send(1, Tag::kApp, bytes_of("batched"));
+    t0.u_send(0, Tag::kApp, bytes_of("to self"));
+    t0.kill();  // crashes with a batch and a local datagram queued
+  });
+  t1.u_send(0, Tag::kApp, bytes_of("go"));
+  RealTimeRunner runner(engine);
+  runner.add_pollable([&] { return t0.poll() + t1.poll(); });
+  ASSERT_TRUE(runner.run_until(std::chrono::milliseconds(500), [&] { return at_t0 > 0; }));
+  runner.run_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(at_t0, 1);  // the self-datagram was never dispatched
+  EXPECT_EQ(at_t1, 0);  // the batch never left
+  EXPECT_EQ(m1->counter("udp.rx_datagrams"), 0);
+  EXPECT_EQ(t0.poll(), 0);
 }
 
 // ---------------------------------------------------------------------------
