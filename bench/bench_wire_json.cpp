@@ -271,24 +271,33 @@ Check run_alloc_check(const std::string& name, std::uint64_t seed, bool telemetr
   const AllocSnapshot a1 = alloc_snapshot();
 
   const std::int64_t deliveries = delivered - base;
-  const std::int64_t net_allocs = static_cast<std::int64_t>(a1.allocs - a0.allocs) -
-                                  static_cast<std::int64_t>(a1.frees - a0.frees);
-  const double per_delivery =
-      deliveries > 0 ? static_cast<double>(net_allocs) / static_cast<double>(deliveries) : 0.0;
+  const auto allocs = static_cast<std::int64_t>(a1.allocs - a0.allocs);
+  const std::int64_t net_allocs = allocs - static_cast<std::int64_t>(a1.frees - a0.frees);
+  const auto per = [deliveries](std::int64_t count) {
+    return deliveries > 0 ? static_cast<double>(count) / static_cast<double>(deliveries) : 0.0;
+  };
+  // Every allocation, freed or not, per delivery: what the message path
+  // costs the allocator. It read 13.48 while generic broadcast kept its
+  // ACK sets, store and tallies in tree nodes, 3.82 since they are flat.
+  constexpr double kMaxAllocsPerDelivery = 4.5;
   // The warm-up drain keeps the ticker running, so part of the nominal
   // kMeasured budget lands before the base snapshot; demand a minimum
   // window rather than the full count. Idle telemetry means nothing
   // published.
   const bool passed = sink_calls == 0 && deliveries >= std::int64_t{kMeasured} * n / 2 &&
-                      per_delivery < 1.0;
+                      per(net_allocs) < 1.0 && per(allocs) <= kMaxAllocsPerDelivery;
   return {name, passed,
           std::string(telemetry ? "with idle telemetry attached, " : "") +
               "the GB fast path's steady state stays under 1 net allocation per delivery (" +
-              std::to_string(net_allocs) + " over " + std::to_string(deliveries) + ")",
+              std::to_string(net_allocs) + " over " + std::to_string(deliveries) +
+              ") and at most " + fmt_double(kMaxAllocsPerDelivery, 1) + " in all (" +
+              fmt_double(per(allocs), 2) + ")",
           {{"layer", "\"gbcast\""},
            {"deliveries", std::to_string(deliveries)},
            {"net_allocs", std::to_string(net_allocs)},
-           {"net_allocs_per_delivery", json_num(per_delivery)}}};
+           {"net_allocs_per_delivery", json_num(per(net_allocs))},
+           {"allocs_per_delivery", json_num(per(allocs))},
+           {"allocs_required", json_num(kMaxAllocsPerDelivery)}}};
 }
 
 std::string cells_json(const std::vector<Cell>& cells) {

@@ -116,6 +116,9 @@ class ReliableChannel {
   /// backed-off period.
   void restore(ProcessId to);
 
+  /// Processes are numbered 0 .. universe_size() - 1.
+  int universe_size() const { return transport_.universe_size(); }
+
   /// Messages queued by flow control (not yet transmitted) for \p to.
   std::size_t queued_by_flow_control(ProcessId to) const;
 

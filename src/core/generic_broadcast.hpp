@@ -43,6 +43,21 @@
 /// a small window of recently retired (delivered) payloads.
 /// The stall also ends when the reliable broadcast brings the payload.
 ///
+/// State layout (node-free, DESIGN.md §12): per origin, by ProcessId, a
+/// ring indexed by the origin's GB rbcast seq holds the store (a slot per
+/// message seen, with its payload bytes, flags and this round's ACK set as
+/// a member bitmask; delivered messages retire at the round's end and
+/// leave holes) next to the delivered index. ACKs that arrive before the
+/// payload, or for a later round, wait in a short pending list. Retired
+/// payloads sit in a FIFO of at most kRetiredCap slots; each round's
+/// report tally is a flat list, sorted and merged once when the round
+/// closes. Slots, sets and lists keep their capacity when reused, and no
+/// payload byte comes from the context's buffer pool. Ordering invariant:
+/// reports, re-ACKs at a round's start, sequences and snapshots visit ids
+/// in MsgId order (origin, then seq), so every member computes the same
+/// bytes; the tally never depends on a member's local ring span, since
+/// report ids come off the wire.
+///
 /// Quorum arithmetic (n = |group|, f = ⌊(n−1)/3⌋):
 ///   fast_quorum  = ⌊2n/3⌋ + 1     (> 2n/3)
 ///   report_need  = n − f
@@ -59,12 +74,8 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
-#include <map>
-#include <optional>
-#include <set>
-#include <utility>
+#include <memory>
 #include <vector>
 
 #include "broadcast/atomic_broadcast.hpp"
@@ -75,6 +86,7 @@
 #include "core/conflict.hpp"
 #include "sim/context.hpp"
 #include "util/delivered_index.hpp"
+#include "util/ring.hpp"
 
 namespace gcs {
 
@@ -139,10 +151,13 @@ class GenericBroadcast {
   std::uint64_t current_round() const { return round_; }
   /// Messages seen (payload cached) and not yet garbage collected — the
   /// current round's working set (probe gauge).
-  std::size_t store_size() const { return store_.size(); }
+  std::size_t store_size() const { return store_count_; }
   /// Recently retired payloads held back to serve late pulls (bounded by
   /// the kRetiredRounds window; probe gauge).
   std::size_t retired_size() const { return retired_.size(); }
+  /// Slots the store's per-origin rings span, holes included; at least
+  /// store_size(). Ids off the wire never widen it.
+  std::size_t store_span() const;
 
   /// Oracle taps. The delivery observer reports each gdelivery's global
   /// coordinate: the GB round, whether it took the fast path, and — for
@@ -162,17 +177,69 @@ class GenericBroadcast {
     return static_cast<std::uint64_t>(ctx_.metrics().counter(id));
   }
 
-  struct Stored {
-    MsgClass cls;
-    Bytes payload;
+  /// A set of processes as a bitmask indexed by ProcessId: ids below 64
+  /// in one inline word, the rest in words grown on demand that clear()
+  /// keeps, so a reused set allocates nothing.
+  struct ProcessSet {
+    std::uint64_t low = 0;
+    std::vector<std::uint64_t> high;  // high[i]: ids 64 (i + 1) and up
+
+    /// Add \p p; false if it was in the set (or is not a process id).
+    bool insert(ProcessId p);
+    int size() const;
+    bool empty() const;
+    void clear();
+    void swap(ProcessSet& other);
+    /// The \p k-th member in ascending id order; k < size().
+    ProcessId nth(std::size_t k) const;
+  };
+  /// One store slot: a message seen (payload known), possibly delivered,
+  /// and this round's ACKs for it.
+  struct Entry {
+    Bytes payload;  // a recycled slot keeps its capacity for the next one
+    ProcessSet ackers;  // this round's ACKers; empty: none, or settled
     sim::TimerId deadline = sim::kNoTimer;
     TimePoint received_at = 0;  // payload arrival (fast/slow latency metric)
-    bool acked = false;         // we ACKed it this round (report flag)
-    bool settled = false;       // delivered here and ACKed by the whole group
+    MsgClass cls = 0;
+    bool held = false;     // a store entry; false: a hole
+    bool acked = false;    // we ACKed it this round (report flag)
+    bool settled = false;  // delivered here and ACKed by the whole group
+    void recycle();
   };
-  // Per id some report of a round listed: how many reports list it, how
-  // many of those ACKed it, and whether one reported it settled.
+  /// Per-origin state, indexed by the origin's GB rbcast seq.
+  struct Origin {
+    DeliveredIndex delivered;
+    std::uint64_t base = 0;  // entries[i] is seq base + i
+    Ring<Entry> entries;     // front and back slots always held
+
+    Entry* find(std::uint64_t seq) {
+      return seq >= base && seq - base < entries.size() ? &entries[seq - base] : nullptr;
+    }
+    Entry& at(std::uint64_t seq);
+    // Drop the holes at both ends.
+    void trim();
+  };
+  /// ACKs held outside a store slot: for a message whose payload has not
+  /// arrived, for a later round, or for a message retired meanwhile.
+  struct PendingAcks {
+    std::uint64_t round = 0;
+    MsgId id;
+    ProcessSet ackers;
+  };
+  /// A delivered payload kept to serve late pulls, in a buffer the slot
+  /// keeps for the next one.
+  struct Retired {
+    MsgId id;
+    std::uint64_t round = 0;  // the round that retired it
+    MsgClass cls = 0;
+    Bytes payload;
+    void recycle() { payload.clear(); }
+  };
+  // One id some report of a round listed: how many reports list it, how
+  // many of those ACKed it, and whether one reported it settled. A report
+  // appends one line per id; close_round sorts and merges them.
   struct Tally {
+    MsgId id;
     int acked = 0;
     int listed = 0;
     bool settled = false;
@@ -182,9 +249,11 @@ class GenericBroadcast {
   // first+second sequence is fixed and the tally dropped. Delivering the
   // sequence may still wait on payload pulls.
   struct RoundReports {
-    std::set<ProcessId> reporters;
-    std::map<MsgId, Tally> tally;
-    std::optional<std::vector<MsgId>> sequence;
+    std::uint64_t round = 0;
+    ProcessSet reporters;
+    std::vector<Tally> tally;
+    bool closed = false;  // the sequence is fixed
+    std::vector<MsgId> sequence;
   };
   /// Delivered payloads stay pullable for this many further rounds.
   static constexpr std::uint64_t kRetiredRounds = 4;
@@ -198,8 +267,11 @@ class GenericBroadcast {
   /// Settled messages per round before the round is closed by a
   /// resolution (see maybe_settle): bounds the store in conflict-free runs.
   static constexpr std::size_t kSettledCap = 256;
+  /// A payload whose id comes off the wire (a push, a snapshot) is stored
+  /// only within this many seqs of its origin's delivered floor: the
+  /// store's rings are indexed by that id.
+  static constexpr std::uint64_t kWireSeqWindow = std::uint64_t{1} << 16;
 
-  bool is_member() const;
   void on_gb_data(const MsgId& id, BytesView wire);
   void consider(const MsgId& id);  // ack (self locally) or trigger resolution
   void on_ack(ProcessId from, Decoder& dec);
@@ -208,9 +280,9 @@ class GenericBroadcast {
   void fetch_from_ackers(const MsgId& id, std::size_t attempt);
   void maybe_fast_deliver(const MsgId& id);
   void maybe_settle(const MsgId& id);
-  /// Move a store entry's payload into the retired pull window and erase
-  /// it from the store; returns the iterator past the erased entry.
-  std::map<MsgId, Stored>::iterator retire_entry(std::map<MsgId, Stored>::iterator it);
+  /// Move a store entry's payload into the retired pull window, leaving a
+  /// hole in its ring.
+  void retire_entry(const MsgId& id, Entry& entry);
   void prune_retired();
   void trigger_resolution();
   void on_report(const MsgId& report_id, BytesView wire);
@@ -222,14 +294,35 @@ class GenericBroadcast {
   /// against another group's quorum), only the sequence's delivery.
   bool round_over() const;
   void maybe_finalize_round();
-  void deliver(const MsgId& id, MsgClass cls, const Bytes& payload, bool fast,
-               std::uint32_t pos = 0);
+  void deliver(const MsgId& id, Entry& entry, bool fast, std::uint32_t pos = 0);
   void start_new_round();
   bool is_delivered(const MsgId& id) const;
   bool mark_delivered(const MsgId& id);
   int fast_quorum() const;
   int report_need() const;
   int tau() const;
+
+  Origin& origin(ProcessId sender);
+  /// The store entry of \p id, or null.
+  Entry* held(const MsgId& id);
+  /// \p id, off the wire, names a process of the universe and a seq
+  /// within kWireSeqWindow of its origin's delivered floor.
+  bool storable(const MsgId& id) const;
+  /// Store \p body for \p id (not held yet); this round's ACKs that came
+  /// before it move into the slot.
+  Entry& store(const MsgId& id, MsgClass cls, BytesView body);
+  /// \p id's ACKs of round \p r, or null.
+  ProcessSet* find_acks(std::uint64_t r, const MsgId& id);
+  std::size_t find_pending(std::uint64_t r, const MsgId& id) const;
+  ProcessSet& pending_for(std::uint64_t r, const MsgId& id);
+  void drop_pending(std::size_t i);
+  /// The reports of round \p r, or null; reports_for creates them.
+  RoundReports* find_reports(std::uint64_t r);
+  RoundReports& reports_for(std::uint64_t r);
+  /// Call \p fn(first id, length) for each run of consecutive settled
+  /// seqs of one origin, in MsgId order.
+  template <typename Fn>
+  void for_each_settled_run(Fn&& fn) const;
 
   sim::Context& ctx_;
   MetricId m_broadcasts_;
@@ -245,6 +338,7 @@ class GenericBroadcast {
   ConflictRelation relation_;
   Config config_;
   std::vector<ProcessId> group_;
+  bool is_member_ = false;  // self is in group_
   // Payloads the finalize step needs but the store lacks (a report named
   // them, or a restore); while any is missing the round stalls locally.
   PayloadPull pull_;
@@ -254,26 +348,41 @@ class GenericBroadcast {
   bool resolving_ = false;  // resolution in progress this round
   std::size_t settled_ = 0;  // messages settled this round
 
-  // Delivered dedup, indexed per sender and watermark-compressed (see
-  // util/delivered_index.hpp).
-  std::map<ProcessId, DeliveredIndex> delivered_;
-  // Messages seen (payload known) and possibly not yet delivered this round.
-  std::map<MsgId, Stored> store_;
-  // Delivered payloads retained to serve late pulls; (round, id) log drives
-  // the eviction (round window for resolved rounds, count cap overall).
-  std::map<MsgId, std::pair<MsgClass, Bytes>> retired_;
-  std::deque<std::pair<std::uint64_t, MsgId>> retired_log_;
-  // ACK counts per class for the current round. The conflict check only
-  // depends on classes, so this fixed array replaces a scan over every
-  // message we ACKed — O(#classes) per considered message, zero heap.
-  std::array<std::uint32_t, 256> acked_cls_{};
-  // ACK counts per round (current and future rounds only).
-  std::map<std::uint64_t, std::map<MsgId, std::set<ProcessId>>> acks_;
+  // Per origin, by ProcessId: the store (messages seen, payload known,
+  // possibly delivered this round; delivered ones retire at the round's
+  // end and leave holes) and the delivered dedup index
+  // (watermark-compressed, see util/delivered_index.hpp).
+  std::vector<Origin> origins_;
+  std::size_t store_count_ = 0;
+  // Delivered payloads retained to serve late pulls, oldest first (a FIFO
+  // found by a linear search; pulls are rare), evicted by the round window
+  // for resolved rounds and by kRetiredCap overall.
+  Ring<Retired> retired_;
+  // Classes ACKed this round, and per class whether it conflicts with one
+  // of them: the conflict check is one lookup. The conflict predicate is
+  // purely class-based, so this carries exactly what a scan over every
+  // message we ACKed would — including already-settled messages, whose
+  // classes stay marked until the round ends (ACK sets of conflicting
+  // messages must stay disjoint for the quorum-intersection argument).
+  std::array<bool, 256> acked_cls_{};
+  std::array<bool, 256> conflicts_acked_{};
+  // ACKs outside store slots (current and future rounds only), unordered.
+  std::vector<PendingAcks> pending_;
   // This round's reports and, while this member is still delivering it
-  // (pull-stalled), those of the later rounds the others go on to. A later
-  // round past its report_need keeps only its sequence: the ids this member
-  // must deliver anyway once its stall ends.
-  std::map<std::uint64_t, RoundReports> reports_;
+  // (pull-stalled), those of the later rounds the others go on to, by
+  // round; entries past reports_used_ are spares. A later round past its
+  // report_need keeps only its sequence: the ids this member must deliver
+  // anyway once its stall ends.
+  std::vector<RoundReports> reports_;
+  std::size_t reports_used_ = 0;
+  // Scratch reused across rounds (moved out while in use, so a re-entrant
+  // call gets its own).
+  std::vector<MsgId> sequence_scratch_;
+  std::vector<MsgId> carried_scratch_;
+  // The payloads handed to delivery upcalls, one per nesting level (by
+  // pointer: a nested level must not move an outer one's bytes).
+  std::vector<std::unique_ptr<Bytes>> delivering_;
+  std::size_t deliver_depth_ = 0;
 
   std::vector<DeliverFn> deliver_fns_;
   SubmitObserver observe_submit_;

@@ -7,7 +7,9 @@
 /// either end and popping at the front are O(1) and allocate nothing once
 /// the capacity (a power of two, doubled on demand, never shrunk) has
 /// reached the window's high-water mark. A popped slot is reset to T{}, so
-/// a slot holding a shared buffer releases it at once.
+/// a slot holding a shared buffer releases it at once; a T with a
+/// `recycle()` member is recycled in place instead, so a slot keeps the
+/// buffers it owns for the seq that reuses it.
 #pragma once
 
 #include <cstddef>
@@ -40,12 +42,12 @@ class Ring {
     front() = std::move(value);
   }
   void pop_front() {
-    front() = T{};
+    reset(front());
     head_ = (head_ + 1) & (buf_.size() - 1);
     --size_;
   }
   void pop_back() {
-    back() = T{};
+    reset(back());
     --size_;
   }
   /// Insert before index \p i, shifting the shorter side.
@@ -75,13 +77,26 @@ class Ring {
     reserve(n);
     size_ = n;
   }
+  /// Add \p n slots at the front; they are T{}.
+  void extend_front(std::size_t n) {
+    reserve(size_ + n);
+    head_ = (head_ + buf_.size() - n) & (buf_.size() - 1);
+    size_ += n;
+  }
   void clear() {
     while (size_ > 0) pop_back();
     head_ = 0;
   }
 
  private:
-  // Slots outside [head_, head_ + size_) always hold T{}.
+  static void reset(T& slot) {
+    if constexpr (requires { slot.recycle(); }) {
+      slot.recycle();
+    } else {
+      slot = T{};
+    }
+  }
+  // Slots outside [head_, head_ + size_) always hold T{} (or a recycled T).
   void reserve(std::size_t n) {
     if (n <= buf_.size()) return;
     std::size_t cap = buf_.empty() ? 8 : buf_.size();

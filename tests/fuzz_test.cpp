@@ -152,6 +152,93 @@ TEST(Fuzz, MalformedGbReportsAreDecodedSafely) {
   }
 }
 
+/// Generic broadcast indexes its store by origin and seq, and its delivered
+/// index by origin. ACKs (kind 2 | round | id) for this round and the next,
+/// a resolution report and payload pushes naming seq 2^62, negative
+/// senders and senders outside the universe of 4 must throw nothing and
+/// widen none of that state; every member fixes the same sequences, and
+/// the group still delivers.
+TEST(Fuzz, HostileGbIdsWidenNoIndexedState) {
+  World::Config cfg;
+  cfg.n = 4;
+  cfg.seed = 67;
+  cfg.stack.conflict = ConflictRelation::rbcast_abcast();
+  World w(cfg);
+  std::vector<test::DeliveryLog> logs(4);
+  for (ProcessId p = 0; p < 4; ++p) {
+    w.stack(p).on_gdeliver([&logs, p](const MsgId& id, MsgClass, const Bytes& b) {
+      logs[static_cast<std::size_t>(p)].record(id, b);
+    });
+  }
+  w.found_group_all();
+  w.stack(0).gbcast(kRbcastClass, bytes_of("warm"));
+  ASSERT_TRUE(test::run_until(w.engine(), sec(5), [&] {
+    for (auto& log : logs) {
+      if (log.size() < 1) return false;
+    }
+    return true;
+  }));
+  constexpr std::uint64_t kFar = std::uint64_t{1} << 62;
+  const std::vector<MsgId> hostile{{0, kFar}, {3, kFar}, {-1, 0}, {-5, kFar},
+                                   {4, 0},    {4, kFar}, {1 << 30, 7}};
+  for (const MsgId& id : hostile) {
+    for (std::uint64_t round : {0, 1}) {
+      Encoder ack;
+      ack.put_byte(2);
+      ack.put_u64(round);
+      ack.put_msgid(id);
+      for (ProcessId q : {0, 2, 3}) w.stack(1).channel().send(q, Tag::kGbcast, ack.bytes());
+    }
+    Encoder entry;
+    entry.put_msgid(id);
+    entry.put_byte(kRbcastClass);
+    entry.put_bytes(bytes_of("pushed"));
+    Encoder push;
+    push.put_byte(1);
+    push.put_u64(1);
+    push.put_bytes(entry.bytes());
+    for (ProcessId q : {0, 2, 3}) w.stack(1).channel().send(q, Tag::kGbcast, push.bytes());
+  }
+  // p1's report of round 0 lists every hostile id as ACKed: one report of
+  // n = 4 is below both f + 1 and tau, so no sequence takes them.
+  Encoder report;
+  report.put_u64(0);
+  report.put_u64(hostile.size());
+  for (const MsgId& id : hostile) {
+    report.put_msgid(id);
+    report.put_bool(true);
+  }
+  report.put_u64(0);
+  w.stack(1).atomic_broadcast().abcast(AtomicBroadcast::kGbResolve, report.take());
+  w.run_for(msec(20));
+  for (ProcessId p = 0; p < 4; ++p) {
+    const GenericBroadcast& gb = w.stack(p).generic_broadcast();
+    EXPECT_LE(gb.store_size(), 1u) << "at p" << p;
+    EXPECT_LE(gb.store_span(), 1u) << "at p" << p;
+  }
+  // The report committed the group to resolving round 0; conflicting
+  // traffic then runs more rounds. Every member delivers the same sequence.
+  for (int i = 0; i < 6; ++i) {
+    w.stack(static_cast<ProcessId>(i % 4))
+        .gbcast(i % 2 == 0 ? kAbcastClass : kRbcastClass, bytes_of("m" + std::to_string(i)));
+  }
+  ASSERT_TRUE(test::run_until(w.engine(), sec(30), [&] {
+    for (auto& log : logs) {
+      if (log.size() < 7) return false;
+    }
+    return true;
+  }));
+  w.run_for(msec(50));
+  for (ProcessId p = 0; p < 4; ++p) {
+    const GenericBroadcast& gb = w.stack(p).generic_broadcast();
+    EXPECT_EQ(logs[static_cast<std::size_t>(p)].order, logs[0].order) << "at p" << p;
+    EXPECT_EQ(logs[static_cast<std::size_t>(p)].size(), 7u) << "at p" << p;
+    EXPECT_EQ(gb.current_round(), w.stack(0).generic_broadcast().current_round());
+    EXPECT_GE(gb.rounds_resolved(), 1u);
+    EXPECT_LE(gb.store_span(), 8u) << "at p" << p;
+  }
+}
+
 /// Same fuzzing against the channel layer specifically: garbage that looks
 /// like channel frames (valid tag, broken interior).
 TEST(Fuzz, MalformedChannelFramesAreDropped) {

@@ -5,6 +5,7 @@
 
 #include "core/stack.hpp"
 #include "tests/test_util.hpp"
+#include "util/codec.hpp"
 
 namespace gcs {
 namespace {
@@ -368,6 +369,115 @@ TEST(GenericBroadcast, ViewChangeDuringAStallLeavesLaterRoundsAsResolved) {
   EXPECT_EQ(w.world.stack(2).generic_broadcast().fast_deliveries(), 0u);
   w.expect_conflict_order(ConflictRelation::rbcast_abcast());
   w.world.run_for(sec(1));  // settle before the oracle's finalize-time checks
+}
+
+/// A fast-path ACK frame on Tag::kGbcast: kind 2 | round | id.
+Bytes ack_frame(std::uint64_t round, const MsgId& id) {
+  Encoder enc;
+  enc.put_byte(2);
+  enc.put_u64(round);
+  enc.put_msgid(id);
+  return enc.take();
+}
+
+TEST(GenericBroadcast, AckQuorumBeforeThePayloadPullsFromAnAcker) {
+  // p0's copy of m takes 100 ms to reach p6, and so does p0's ACK; p1..p5
+  // ACK at once, a fast quorum of n = 7 without p6 or p0. After pull_retry
+  // p6 pulls m from its lowest ACKer, p1, and fast-delivers it on the push.
+  GbWorld w(7);
+  w.world.network().set_link(0, 6, sim::LinkModel{msec(100), 0, 0.0});
+  const MsgId m = w.world.stack(0).rbcast(bytes_of("m"));
+  ASSERT_TRUE(test::run_until(w.world, msec(90), [&] { return !w.logs[6].order.empty(); }));
+  EXPECT_EQ(w.logs[6].order, std::vector<MsgId>{m});
+  EXPECT_EQ(w.logs[6].payloads[m], "m");
+  EXPECT_EQ(w.world.stack(6).generic_broadcast().fast_deliveries(), 1u);
+  EXPECT_EQ(w.world.stack(6).metrics().counter("gbcast.pull_requests"), 1);
+  EXPECT_EQ(w.world.stack(1).metrics().counter("gbcast.pull_served"), 1);
+  for (ProcessId p = 2; p < 7; ++p) {
+    EXPECT_EQ(w.world.stack(p).metrics().counter("gbcast.pull_served"), 0) << "at p" << p;
+  }
+  w.world.network().set_link(0, 6, sim::LinkModel{});
+  w.world.run_for(sec(1));  // settle before the oracle's finalize-time checks
+}
+
+TEST(GenericBroadcast, NextRoundAcksThatComeEarlyCountWhenItStarts) {
+  // p2 is stalled in round 0 while the others start round 1 and ACK x
+  // there. Those ACKs reach p2 before it leaves round 0; when it does, they
+  // count with its own, so it fast-delivers x at once instead of waiting
+  // out the resolve timeout for a resolution.
+  GbWorld w(5);
+  stall_p2_on_a_pull(w);
+  ASSERT_TRUE(test::run_until(w.world, msec(5), [&] {
+    return w.world.stack(0).generic_broadcast().current_round() == 1;
+  }));
+  const MsgId x = w.world.stack(0).rbcast(bytes_of("x"));
+  w.world.run_for(msec(2));
+  ASSERT_EQ(w.world.stack(2).generic_broadcast().current_round(), 0u) << "p2 is not stalled";
+  ASSERT_EQ(w.logs[2].position(x), static_cast<std::size_t>(-1));
+  const TimePoint sent = w.world.engine().now();
+  ASSERT_TRUE(test::run_until(w.world, msec(50), [&] {
+    return w.logs[2].position(x) != static_cast<std::size_t>(-1);
+  }));
+  EXPECT_LT(w.world.engine().now() - sent, msec(20));
+  EXPECT_EQ(w.world.stack(2).generic_broadcast().current_round(), 1u);
+  EXPECT_EQ(w.world.stack(2).generic_broadcast().fast_deliveries(), 1u);
+  EXPECT_EQ(w.logs[2].position(x), 3u);
+  heal_and_settle(w);
+}
+
+TEST(GenericBroadcast, LateAcksAfterSettlementReviveNothing) {
+  // m settles at p0 (delivered, ACKed by all four). The whole group's
+  // ACKs for m, replayed 300 times in the same round, must count as
+  // nothing: counted afresh, each full set would settle m again, and 256
+  // settlements close the round by a resolution.
+  GbWorld w(4);
+  const MsgId m = w.world.stack(0).rbcast(bytes_of("m"));
+  ASSERT_TRUE(test::run_until(w.world, sec(1), [&] { return w.all_alive_delivered(1); }));
+  w.world.run_for(msec(20));
+  GenericBroadcast& gb = w.world.stack(0).generic_broadcast();
+  ASSERT_EQ(gb.current_round(), 0u);
+  const std::size_t store = gb.store_size();
+  const Bytes ack = ack_frame(0, m);
+  for (int i = 0; i < 300; ++i) {
+    for (ProcessId q = 0; q < 4; ++q) w.world.stack(q).channel().send(0, Tag::kGbcast, ack);
+    w.world.run_for(msec(1));  // each set arrives whole before the next
+  }
+  EXPECT_EQ(w.world.stack(0).metrics().counter("gbcast.resolutions_triggered"), 0);
+  EXPECT_EQ(gb.current_round(), 0u);
+  EXPECT_EQ(gb.store_size(), store);
+  const MsgId m2 = w.world.stack(1).rbcast(bytes_of("m2"));
+  ASSERT_TRUE(test::run_until(w.world, sec(1), [&] { return w.all_alive_delivered(2); }));
+  EXPECT_EQ(w.logs[0].order, (std::vector<MsgId>{m, m2}));
+  EXPECT_EQ(gb.fast_deliveries(), 2u);
+}
+
+TEST(GenericBroadcast, MembersPastTheFirst64FastDeliver) {
+  // A group of four out of a universe of 70 whose ACK sets span two words
+  // of 64 ids: every member fast-delivers, and no consensus runs.
+  World::Config cfg;
+  cfg.n = 70;
+  cfg.seed = 5;
+  cfg.stack.conflict = ConflictRelation::rbcast_abcast();
+  World world(cfg);
+  const std::vector<ProcessId> group{0, 1, 66, 69};
+  std::map<ProcessId, std::vector<MsgId>> delivered;
+  for (ProcessId p : group) {
+    world.stack(p).on_gdeliver(
+        [&delivered, p](const MsgId& id, MsgClass, const Bytes&) { delivered[p].push_back(id); });
+  }
+  world.found_group(group);
+  const MsgId a = world.stack(69).rbcast(bytes_of("a"));
+  const MsgId b = world.stack(0).rbcast(bytes_of("b"));
+  ASSERT_TRUE(test::run_until(world, sec(1), [&] {
+    return std::all_of(group.begin(), group.end(),
+                       [&](ProcessId p) { return delivered[p].size() == 2; });
+  }));
+  for (ProcessId p : group) {
+    EXPECT_NE(std::find(delivered[p].begin(), delivered[p].end(), a), delivered[p].end());
+    EXPECT_NE(std::find(delivered[p].begin(), delivered[p].end(), b), delivered[p].end());
+    EXPECT_EQ(world.stack(p).generic_broadcast().fast_deliveries(), 2u) << "at p" << p;
+    EXPECT_EQ(world.stack(p).consensus().instances_decided(), 0) << "at p" << p;
+  }
 }
 
 TEST(GenericBroadcast, ConflictFreeRoundsCloseToBoundTheStore) {
