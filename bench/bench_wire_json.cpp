@@ -278,7 +278,7 @@ Check run_alloc_check(const std::string& name, std::uint64_t seed, bool telemetr
   };
   // Every allocation, freed or not, per delivery: what the message path
   // costs the allocator. It read 13.48 while generic broadcast kept its
-  // ACK sets, store and tallies in tree nodes, 3.82 since they are flat.
+  // ACK sets, store and tallies in tree nodes, 3.83 since they are flat.
   constexpr double kMaxAllocsPerDelivery = 4.5;
   // The warm-up drain keeps the ticker running, so part of the nominal
   // kMeasured budget lands before the base snapshot; demand a minimum

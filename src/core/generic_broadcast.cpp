@@ -236,10 +236,11 @@ std::size_t GenericBroadcast::find_pending(std::uint64_t r, const MsgId& id) con
   return pending_.size();
 }
 
-GenericBroadcast::ProcessSet& GenericBroadcast::pending_for(std::uint64_t r, const MsgId& id) {
-  if (const std::size_t i = find_pending(r, id); i < pending_.size()) return pending_[i].ackers;
+GenericBroadcast::ProcessSet* GenericBroadcast::pending_for(std::uint64_t r, const MsgId& id) {
+  if (const std::size_t i = find_pending(r, id); i < pending_.size()) return &pending_[i].ackers;
+  if (pending_.size() >= kPendingCap) return nullptr;
   pending_.push_back(PendingAcks{r, id, {}});
-  return pending_.back().ackers;
+  return &pending_.back().ackers;
 }
 
 void GenericBroadcast::drop_pending(std::size_t i) {
@@ -298,7 +299,8 @@ MsgId GenericBroadcast::gbcast(MsgClass cls, Bytes payload) {
 }
 
 void GenericBroadcast::on_gb_data(const MsgId& id, BytesView wire) {
-  if (is_delivered(id) || held(id) != nullptr) return;
+  // The rbcast hands up relayed frames of any id; the store is indexed by it.
+  if (!storable(id) || is_delivered(id) || held(id) != nullptr) return;
   Decoder dec(wire);
   const MsgClass cls = dec.get_byte();
   const BytesView body = dec.get_view();
@@ -351,7 +353,8 @@ void GenericBroadcast::consider(const MsgId& id) {
 void GenericBroadcast::on_ack(ProcessId from, Decoder& dec) {
   const std::uint64_t r = dec.get_u64();
   const MsgId id = dec.get_msgid();
-  if (!dec.ok() || r < round_) return;  // stale round
+  // A stale round, or an id no store slot can hold.
+  if (!dec.ok() || r < round_ || !storable(id)) return;
   if (is_delivered(id)) {
     // Late ACKs for a delivered message still count toward settlement
     // (all-acked → the store entry can retire early), but must not revive
@@ -363,12 +366,13 @@ void GenericBroadcast::on_ack(ProcessId from, Decoder& dec) {
     return;
   }
   Entry* e = r == round_ ? held(id) : nullptr;
-  ProcessSet& ackers = e != nullptr ? e->ackers : pending_for(r, id);
-  ackers.insert(from);
+  ProcessSet* ackers = e != nullptr ? &e->ackers : pending_for(r, id);
+  if (ackers == nullptr) return;  // the pending list is full: only the fast path loses
+  ackers->insert(from);
   if (r != round_) return;
   if (e != nullptr) {
     maybe_fast_deliver(id);
-  } else if (ackers.size() == fast_quorum()) {
+  } else if (ackers->size() == fast_quorum()) {
     // A quorum holds a payload this member still lacks. Its origin's copy
     // is most likely on the way; if not (the origin sent it before this
     // member joined), fetch it from the ACKers.
@@ -625,8 +629,7 @@ void GenericBroadcast::maybe_finalize_round() {
   close_round(*rr);
   if (!rr->closed) return;
   // A copy: a delivery upcall may reach this round's state again.
-  std::vector<MsgId> sequence = std::move(sequence_scratch_);
-  sequence.assign(rr->sequence.begin(), rr->sequence.end());
+  const std::vector<MsgId> sequence = rr->sequence;
   // The round is over: no more ACKs or reports in it (the fast path is
   // closed by round_over()).
   frozen_ = true;
@@ -655,8 +658,6 @@ void GenericBroadcast::maybe_finalize_round() {
     ctx_.trace_end(obs::Names::get().gb_resolve, MsgId{obs::kGbRoundKey, round_},
                    static_cast<std::int64_t>(sequence.size()));
   }
-  sequence.clear();
-  sequence_scratch_ = std::move(sequence);
   if (!stalled) start_new_round();
 }
 

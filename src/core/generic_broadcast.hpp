@@ -47,16 +47,19 @@
 /// ring indexed by the origin's GB rbcast seq holds the store (a slot per
 /// message seen, with its payload bytes, flags and this round's ACK set as
 /// a member bitmask; delivered messages retire at the round's end and
-/// leave holes) next to the delivered index. ACKs that arrive before the
-/// payload, or for a later round, wait in a short pending list. Retired
-/// payloads sit in a FIFO of at most kRetiredCap slots; each round's
-/// report tally is a flat list, sorted and merged once when the round
-/// closes. Slots, sets and lists keep their capacity when reused, and no
-/// payload byte comes from the context's buffer pool. Ordering invariant:
-/// reports, re-ACKs at a round's start, sequences and snapshots visit ids
-/// in MsgId order (origin, then seq), so every member computes the same
-/// bytes; the tally never depends on a member's local ring span, since
-/// report ids come off the wire.
+/// leave holes) next to the delivered index; a payload or ACK whose id
+/// (off the wire) names no process of the universe, or a seq far from its
+/// origin's delivered floor, is dropped, so no id widens a ring. ACKs that
+/// arrive before the payload, or for a later round, wait in a short
+/// pending list of at most kPendingCap messages. Retired payloads sit in a
+/// FIFO of at most kRetiredCap slots; each round's report tally is a flat
+/// list, sorted and merged once when the round closes. Slots, sets and
+/// lists keep their capacity when reused, and no payload byte comes from
+/// the context's buffer pool. Ordering invariant: reports, re-ACKs at a
+/// round's start, sequences and snapshots visit ids in MsgId order
+/// (origin, then seq), so every member computes the same bytes; the
+/// tally never depends on a member's local ring span, since report ids
+/// come off the wire.
 ///
 /// Quorum arithmetic (n = |group|, f = ⌊(n−1)/3⌋):
 ///   fast_quorum  = ⌊2n/3⌋ + 1     (> 2n/3)
@@ -158,6 +161,13 @@ class GenericBroadcast {
   /// Slots the store's per-origin rings span, holes included; at least
   /// store_size(). Ids off the wire never widen it.
   std::size_t store_span() const;
+  /// Messages with ACKs waiting outside a store slot (payload not here yet,
+  /// or a later round); at most kPendingCap.
+  std::size_t pending_acks() const { return pending_.size(); }
+  /// Hard cap on pending_acks() (the list is searched linearly): an ACK
+  /// that would go past it is dropped, which can only cost that message
+  /// its fast path.
+  static constexpr std::size_t kPendingCap = 1024;
 
   /// Oracle taps. The delivery observer reports each gdelivery's global
   /// coordinate: the GB round, whether it took the fast path, and — for
@@ -314,7 +324,9 @@ class GenericBroadcast {
   /// \p id's ACKs of round \p r, or null.
   ProcessSet* find_acks(std::uint64_t r, const MsgId& id);
   std::size_t find_pending(std::uint64_t r, const MsgId& id) const;
-  ProcessSet& pending_for(std::uint64_t r, const MsgId& id);
+  /// \p id's pending ACKs of round \p r, made if missing; null when the
+  /// list is full.
+  ProcessSet* pending_for(std::uint64_t r, const MsgId& id);
   void drop_pending(std::size_t i);
   /// The reports of round \p r, or null; reports_for creates them.
   RoundReports* find_reports(std::uint64_t r);
@@ -366,18 +378,19 @@ class GenericBroadcast {
   // messages must stay disjoint for the quorum-intersection argument).
   std::array<bool, 256> acked_cls_{};
   std::array<bool, 256> conflicts_acked_{};
-  // ACKs outside store slots (current and future rounds only), unordered.
+  // ACKs outside store slots (current and future rounds only, storable
+  // ids only, at most kPendingCap), unordered.
   std::vector<PendingAcks> pending_;
   // This round's reports and, while this member is still delivering it
   // (pull-stalled), those of the later rounds the others go on to, by
-  // round; entries past reports_used_ are spares. A later round past its
-  // report_need keeps only its sequence: the ids this member must deliver
-  // anyway once its stall ends.
+  // round; entries past reports_used_ are spares, so a round's tally and
+  // sequence reuse a finished round's capacity (rounds are frequent when
+  // conflicts are). A later round past its report_need keeps only its
+  // sequence: the ids this member must deliver anyway once its stall ends.
   std::vector<RoundReports> reports_;
   std::size_t reports_used_ = 0;
-  // Scratch reused across rounds (moved out while in use, so a re-entrant
-  // call gets its own).
-  std::vector<MsgId> sequence_scratch_;
+  // The ids carried into a new round, reused across rounds (moved out
+  // while in use, so a re-entrant call gets its own).
   std::vector<MsgId> carried_scratch_;
   // The payloads handed to delivery upcalls, one per nesting level (by
   // pointer: a nested level must not move an outer one's bytes).

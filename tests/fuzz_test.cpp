@@ -153,11 +153,13 @@ TEST(Fuzz, MalformedGbReportsAreDecodedSafely) {
 }
 
 /// Generic broadcast indexes its store by origin and seq, and its delivered
-/// index by origin. ACKs (kind 2 | round | id) for this round and the next,
-/// a resolution report and payload pushes naming seq 2^62, negative
-/// senders and senders outside the universe of 4 must throw nothing and
-/// widen none of that state; every member fixes the same sequences, and
-/// the group still delivers.
+/// index by origin. Relayed reliable-broadcast data frames, ACKs (kind 2 |
+/// round | id) for this round and the next, a resolution report and payload
+/// pushes naming seq 2^62, negative senders and senders outside the
+/// universe of 4 must throw nothing and widen none of that state, nor leave
+/// ACKs waiting; a flood of ACKs for made-up ids stops at the pending
+/// list's cap. Every member fixes the same sequences, and the group still
+/// delivers.
 TEST(Fuzz, HostileGbIdsWidenNoIndexedState) {
   World::Config cfg;
   cfg.n = 4;
@@ -182,6 +184,17 @@ TEST(Fuzz, HostileGbIdsWidenNoIndexedState) {
   const std::vector<MsgId> hostile{{0, kFar}, {3, kFar}, {-1, 0}, {-5, kFar},
                                    {4, 0},    {4, kFar}, {1 << 30, 7}};
   for (const MsgId& id : hostile) {
+    // A reliable-broadcast data frame, relayed by p1: the rbcast delivers
+    // any id it has not seen, and relays one of an origin outside the group.
+    Encoder gb;
+    gb.put_byte(kRbcastClass);
+    gb.put_bytes(bytes_of("relayed"));
+    Encoder data;
+    data.put_byte(2);  // kHeldData
+    data.put_msgid(id);
+    data.put_u64(0);
+    data.put_bytes(gb.bytes());
+    for (ProcessId q : {0, 2, 3}) w.stack(1).channel().send(q, Tag::kGbData, data.bytes());
     for (std::uint64_t round : {0, 1}) {
       Encoder ack;
       ack.put_byte(2);
@@ -215,6 +228,21 @@ TEST(Fuzz, HostileGbIdsWidenNoIndexedState) {
     const GenericBroadcast& gb = w.stack(p).generic_broadcast();
     EXPECT_LE(gb.store_size(), 1u) << "at p" << p;
     EXPECT_LE(gb.store_span(), 1u) << "at p" << p;
+    EXPECT_EQ(gb.pending_acks(), 0u) << "at p" << p;
+  }
+  // ACKs for more made-up ids than the pending list holds, all storable,
+  // for a round no member reaches: the list stops at its cap.
+  for (std::uint64_t seq = 100; seq < 100 + 2 * GenericBroadcast::kPendingCap; ++seq) {
+    Encoder ack;
+    ack.put_byte(2);
+    ack.put_u64(std::uint64_t{1} << 40);
+    ack.put_msgid(MsgId{2, seq});
+    for (ProcessId q : {0, 2, 3}) w.stack(1).channel().send(q, Tag::kGbcast, ack.bytes());
+  }
+  w.run_for(msec(20));
+  for (ProcessId p : {0, 2, 3}) {
+    EXPECT_EQ(w.stack(p).generic_broadcast().pending_acks(), GenericBroadcast::kPendingCap)
+        << "at p" << p;
   }
   // The report committed the group to resolving round 0; conflicting
   // traffic then runs more rounds. Every member delivers the same sequence.
